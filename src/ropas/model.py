@@ -7,23 +7,23 @@ restrict which value combinations are feasible.  A specification assigns every
 parameter; evaluating it against exogenous monitored values yields a problem
 instance (one value per criterion).
 
+``search_specifications`` is the one propagating search behind enumeration,
+solving and the simulator's adaptation re-solves.
+
 All operations are pure and deterministic.  Objects are immutable, so sharing
 them across threads is safe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import product
-from typing import Iterable, Mapping, Optional, Union
+from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .domains import (
     Boolean,
     Domain,
-    Enumerated,
     Value,
     domain_bounds,
-    is_numeric,
 )
 from .errors import DefinitionError, EvaluationError, SizeLimitError
 
@@ -270,10 +270,6 @@ def is_functional(dep: DependRelation) -> bool:
 # Assignments
 
 
-def _frozen_items(mapping: Mapping[str, Value]) -> tuple[tuple[str, Value], ...]:
-    return tuple(sorted(mapping.items()))
-
-
 @dataclass(frozen=True)
 class Specification:
     """A total assignment of values to parameters, stored sorted by id."""
@@ -282,7 +278,7 @@ class Specification:
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Value]) -> "Specification":
-        return cls(_frozen_items(mapping))
+        return cls(tuple(sorted(mapping.items())))
 
     def as_dict(self) -> dict[str, Value]:
         return dict(self.items)
@@ -300,24 +296,8 @@ class Specification:
         return default
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
+class ProblemInstance(Specification):
     """A total assignment of values to criteria, stored sorted by id."""
-
-    items: tuple[tuple[str, Value], ...]
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Value]) -> "ProblemInstance":
-        return cls(_frozen_items(mapping))
-
-    def as_dict(self) -> dict[str, Value]:
-        return dict(self.items)
-
-    def __getitem__(self, key: str) -> Value:
-        for k, v in self.items:
-            if k == key:
-                return v
-        raise KeyError(key)
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +355,6 @@ class Model:
 
     def constraint_depends(self) -> tuple[ConstraintDepend, ...]:
         return tuple(d for d in self.depends if not is_functional(d))
-
-    def defining_depend(self, vid: str) -> Optional[FunctionalDepend]:
-        for d in self.functional_depends():
-            if d.output == vid:
-                return d
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -672,6 +646,26 @@ def _apply_functional(
         raise EvaluationError(f"depend '{dep.id}': {exc}") from exc
 
 
+def _exogenous_values(
+    model: Model, exogenous: Optional[Mapping[str, Value]]
+) -> dict[str, Value]:
+    """Canonical exogenous values; unknown variables and parameters are rejected."""
+    parameter_ids = {p.id for p in model.parameters}
+    values: dict[str, Value] = {}
+    for name in sorted(exogenous or ()):
+        try:
+            domain = model.variable_domain(name)
+        except KeyError:
+            raise EvaluationError(f"exogenous value for unknown variable '{name}'")
+        if name in parameter_ids:
+            raise EvaluationError(f"exogenous value for parameter '{name}'")
+        try:
+            values[name] = domain.canonical(exogenous[name])  # type: ignore[index]
+        except DefinitionError as exc:
+            raise EvaluationError(str(exc)) from exc
+    return values
+
+
 def _environment(
     model: Model,
     spec: Specification,
@@ -696,20 +690,7 @@ def _environment(
     for p in model.parameters:
         if p.id not in env:
             raise EvaluationError(f"specification misses parameter '{p.id}'")
-
-    if exogenous:
-        for name in sorted(exogenous):
-            value = exogenous[name]
-            try:
-                domain = model.variable_domain(name)
-            except KeyError:
-                raise EvaluationError(f"exogenous value for unknown variable '{name}'")
-            if name in env:
-                raise EvaluationError(f"exogenous value for parameter '{name}'")
-            try:
-                env[name] = domain.canonical(value)
-            except DefinitionError as exc:
-                raise EvaluationError(str(exc)) from exc
+    env.update(_exogenous_values(model, exogenous))
 
     parameter_ids = {p.id for p in model.parameters}
     derived_parameters: dict[str, Value] = {}
@@ -793,6 +774,165 @@ def is_feasible(
 
 
 # ---------------------------------------------------------------------------
+# Search
+
+
+def _numeric_bounds(domain: Domain) -> tuple[float, float]:
+    bounds = domain_bounds(domain)
+    if bounds is None:
+        raise DefinitionError("constraint input over non-numeric domain")
+    return bounds
+
+
+def _constraint_possible(
+    dep: ConstraintDepend, env: Mapping[str, Value], model: Model
+) -> bool:
+    """False only when no completion of the partial assignment can satisfy."""
+    if isinstance(dep, Incompatibility):
+        if dep.a in env and dep.b in env:
+            return not (env[dep.a] and env[dep.b])
+        return True
+    if isinstance(dep, CardinalityConstraint):
+        lo = hi = 0.0
+        for name in dep.inputs:
+            if name in env:
+                lo += 1 if env[name] else 0
+                hi += 1 if env[name] else 0
+            else:
+                hi += 1
+    else:
+        lo = hi = 0.0
+        for coeff, name in zip(dep.coefficients, dep.inputs):
+            if name in env:
+                term = coeff * float(env[name])  # type: ignore[arg-type]
+                lo += term
+                hi += term
+            else:
+                b0, b1 = _numeric_bounds(model.variable_domain(name))
+                lo += min(coeff * b0, coeff * b1)
+                hi += max(coeff * b0, coeff * b1)
+    if dep.comparator == "==":
+        return lo - CONSTRAINT_EPS <= dep.bound <= hi + CONSTRAINT_EPS
+    if dep.comparator == "<=":
+        return lo <= dep.bound + CONSTRAINT_EPS
+    return hi >= dep.bound - CONSTRAINT_EPS
+
+
+def search_specifications(
+    model: Model,
+    free: Iterable[str],
+    exogenous: Optional[Mapping[str, Value]],
+    visit: Callable[[Specification, Mapping[str, Value]], None],
+) -> None:
+    """Depth-first search over the free parameters with constraint propagation.
+
+    Free parameters are assigned in id order, each over its domain in
+    declaration order; every other parameter is computed by its functional
+    depend or pinned to its default.  Functional outputs are computed as soon
+    as their inputs are known, and a branch is pruned once some pure
+    constraint can no longer hold.  ``visit`` gets every feasible leaf's full
+    specification and value environment (valid only during the call).  A
+    depend input with no way to get a value raises an evaluation error first.
+    """
+    free_ids = sorted(free)
+    producers = {d.output: d for d in model.functional_depends()}
+    # A computed value wins over an exogenous one, as in ``evaluate``.
+    given = _exogenous_values(model, exogenous)
+    env = {name: value for name, value in given.items() if name not in producers}
+    for p in model.parameters:
+        if p.id not in free_ids and p.id not in producers:
+            if p.default is None:
+                raise EvaluationError(
+                    f"parameter '{p.id}' outside the decision set has no default"
+                )
+            env[p.id] = p.domain.canonical(p.default)
+
+    topo = _topological_depends(model)
+    constraints = model.constraint_depends()
+    known = set(env) | set(free_ids) | set(producers)
+    for dep in topo + constraints:
+        for name in dep.inputs:
+            if name not in known:
+                raise EvaluationError(f"missing value for variable '{name}'")
+
+    # Index functional depends and constraints by the inputs they wait on.
+    feeds: dict[str, list] = {}
+    for dep in topo:
+        for name in dep.inputs:
+            feeds.setdefault(name, []).append(dep)
+    watching: dict[str, list[ConstraintDepend]] = {}
+    for con in constraints:
+        for name in con.inputs:
+            watching.setdefault(name, []).append(con)
+    out_domains = {dep.output: model.variable_domain(dep.output) for dep in topo}
+
+    missing: dict[str, int] = {
+        dep.id: sum(1 for name in dep.inputs if name not in env) for dep in topo
+    }
+    params = [model.parameter(pid) for pid in free_ids]
+    param_ids = [p.id for p in model.sorted_parameters()]
+
+    # The trail records every reversible step as ("env", variable) for an
+    # environment entry or ("dec", depend id) for one missing-input decrement,
+    # so undo stays exact even when propagation bails out partway through.
+
+    def propagate(assigned: str, trail: list[tuple[str, str]]) -> bool:
+        """Compute newly ready functional outputs; False on constraint failure."""
+        queue = [assigned]
+        while queue:
+            name = queue.pop()
+            for con in watching.get(name, ()):
+                if all(n in env for n in con.inputs):
+                    if not _constraint_holds(con, env):
+                        return False
+                elif not _constraint_possible(con, env, model):
+                    return False
+            for dep in feeds.get(name, ()):
+                missing[dep.id] -= 1
+                trail.append(("dec", dep.id))
+                if missing[dep.id] == 0 and dep.output not in env:
+                    env[dep.output] = _apply_functional(dep, env, out_domains[dep.output])
+                    trail.append(("env", dep.output))
+                    queue.append(dep.output)
+        return True
+
+    def undo(trail: list[tuple[str, str]]) -> None:
+        for kind, payload in reversed(trail):
+            if kind == "env":
+                del env[payload]
+            else:
+                missing[payload] += 1
+
+    # Propagate anything computable before search (constants, defaults).  The
+    # prefix is never undone, so its trail is dropped.
+    for dep in topo:
+        if missing[dep.id] == 0 and dep.output not in env:
+            env[dep.output] = _apply_functional(dep, env, out_domains[dep.output])
+            if not propagate(dep.output, []):
+                return
+    for con in constraints:
+        if all(n in env for n in con.inputs) and not _constraint_holds(con, env):
+            return
+
+    # Every input is known by the leaves (checked above), and each constraint
+    # was checked in full when its last input got a value, so every leaf is
+    # feasible.
+    def descend(index: int) -> None:
+        if index == len(params):
+            visit(Specification(tuple((pid, env[pid]) for pid in param_ids)), env)
+            return
+        p = params[index]
+        for value in p.domain.values():
+            env[p.id] = value
+            trail: list[tuple[str, str]] = [("env", p.id)]
+            if propagate(p.id, trail):
+                descend(index + 1)
+            undo(trail)
+
+    descend(0)
+
+
+# ---------------------------------------------------------------------------
 # Enumeration
 
 
@@ -812,19 +952,20 @@ def enumerate_specifications(
 ) -> list[Specification]:
     """All feasible specifications, lexicographic by parameter id then domain order.
 
-    Equals the full cartesian product filtered by ``is_feasible``.  Raises a
-    size error when the raw product exceeds ``cap``.
+    Searches over every parameter that no functional depend produces; equals
+    the full cartesian product filtered by ``is_feasible``.  Raises a size
+    error when that full product exceeds ``cap``.
     """
-    params = model.sorted_parameters()
     space = search_space_size(model)
     if space > cap:
         raise SizeLimitError(f"search space {space} exceeds cap {cap}")
+    producers = {d.output for d in model.functional_depends()}
+    free = [p.id for p in model.parameters if p.id not in producers]
     result: list[Specification] = []
-    value_lists = [p.domain.values() for p in params]
-    for combo in product(*value_lists):
-        spec = Specification(tuple(zip((p.id for p in params), combo)))
-        if is_feasible(model, spec, exogenous):
-            result.append(spec)
+    search_specifications(model, free, exogenous, lambda spec, env: result.append(spec))
+    # A derived parameter can sort before a free one, so search order is not
+    # canonical order.
+    result.sort(key=lambda s: canonical_key(model, s))
     return result
 
 

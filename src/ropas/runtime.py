@@ -318,28 +318,27 @@ def adaptation_candidates(
         for spec in allowed
         if not check_triggers(evaluate(model, spec, exogenous), triggers)
     ]
-    pool = calm if calm else allowed
-    return tuple(sorted(pool, key=lambda s: canonical_key(model, s)))
+    return tuple(calm if calm else allowed)
 
 
-def _argmax_specs(
-    problem: Rop, pool: Sequence[Specification]
-) -> tuple[Specification, ...]:
-    """Subset of the pool maximizing the decision rule, canonical order kept."""
+def _accepted_and_target(
+    problem: Rop, current: Optional[Specification], pool: Sequence[Specification]
+) -> tuple[tuple[Specification, ...], Specification]:
+    """The pool's members maximizing the decision rule, and the switch target.
+
+    The target is the accepted member with the fewest parameter changes from
+    the current specification, then the first in canonical order.
+    """
     model = problem.model
     exogenous = problem.exogenous_map()
     rule = model.decision_rule
     assert rule is not None
-    best: list[Specification] = []
-    best_value: Optional[Value] = None
-    for spec in pool:
-        value = evaluate(model, spec, exogenous)[rule]
-        if best_value is None or value > best_value:  # type: ignore[operator]
-            best_value = value
-            best = [spec]
-        elif value == best_value:
-            best.append(spec)
-    return tuple(best)
+    values = [evaluate(model, spec, exogenous)[rule] for spec in pool]
+    top = max(values)  # type: ignore[type-var]
+    best = tuple(spec for spec, value in zip(pool, values) if value == top)
+    if current is None:
+        return best, best[0]
+    return best, min(best, key=lambda s: (hamming(current, s), canonical_key(model, s)))
 
 
 def select_adaptation(
@@ -357,10 +356,7 @@ def select_adaptation(
     pool = adaptation_candidates(problem, current, constraints, triggers, cap)
     if not pool:
         return NoFeasibleAdaptation()
-    best = _argmax_specs(problem, pool)
-    if current is None:
-        return best[0]
-    return min(best, key=lambda s: (hamming(current, s), canonical_key(problem.model, s)))
+    return _accepted_and_target(problem, current, pool)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -523,13 +519,8 @@ def _replay(
         )
         if not pool:
             return NoFeasibleAdaptation()
-        best = _argmax_specs(problem, pool)
-        accepted = best
-        if fired_current is None:
-            return best[0]
-        return min(
-            best, key=lambda s: (hamming(fired_current, s), canonical_key(model, s))
-        )
+        accepted, target = _accepted_and_target(problem, fired_current, pool)
+        return target
 
     def open_period(
         kind: str, tick: int, spec: Specification, fired: tuple[str, ...]

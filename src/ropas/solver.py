@@ -1,12 +1,12 @@
 """Exact optimisation over finite specification spaces.
 
 A problem couples a model (whose decision rule names the criterion to
-maximise) with fixed exogenous values.  ``solve_rop`` runs a depth-first
-search over decision-set assignments with constraint-propagation pruning and
-returns every tied optimum; ``brute_force_oracle`` is the independent
-full-enumeration reference used by the test suite.  ``encode_rdrp`` compiles a
-goal graph into a smallest-selection optimisation problem over binary
-selection parameters.
+maximise) with fixed exogenous values.  ``solve_rop`` runs the model's
+propagating search over the decision set and returns every tied optimum;
+``brute_force_oracle`` and ``brute_force_enumeration`` are the independent
+full-product references for tests and ``--oracle`` checks.  ``encode_rdrp``
+compiles a goal graph into a smallest-selection optimisation problem over
+binary selection parameters.
 """
 
 from __future__ import annotations
@@ -15,13 +15,12 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Mapping, Optional, Union
 
-from .domains import Boolean, Domain, Enumerated, IntegerRange, Value, domain_bounds
+from .domains import Boolean, Enumerated, IntegerRange, Value, domain_bounds
 from .errors import DefinitionError, EvaluationError, SizeLimitError
 from .goals import GoalGraph
 from .model import (
     BooleanFormula,
     CardinalityConstraint,
-    ConstraintDepend,
     Criterion,
     DEFAULT_ENUMERATION_CAP,
     Incompatibility,
@@ -30,9 +29,6 @@ from .model import (
     Parameter,
     Specification,
     WeightedSum,
-    _apply_functional,
-    _constraint_holds,
-    _topological_depends,
     and_,
     canonical_key,
     complete_specification,
@@ -40,6 +36,7 @@ from .model import (
     is_feasible,
     or_,
     search_space_size,
+    search_specifications,
     validate_model,
     var,
 )
@@ -139,188 +136,40 @@ SolveResult = Union[OptimalSolutions, Infeasible]
 
 
 # ---------------------------------------------------------------------------
-# Depth-first search with constraint propagation
-
-
-def _numeric_bounds(domain: Domain) -> tuple[float, float]:
-    bounds = domain_bounds(domain)
-    if bounds is None:
-        raise DefinitionError("constraint input over non-numeric domain")
-    return bounds
-
-
-def _constraint_possible(
-    dep: ConstraintDepend, env: Mapping[str, Value], model: Model
-) -> bool:
-    """False only when no completion of the partial assignment can satisfy."""
-    if isinstance(dep, Incompatibility):
-        if dep.a in env and dep.b in env:
-            return not (env[dep.a] and env[dep.b])
-        return True
-    if isinstance(dep, CardinalityConstraint):
-        lo = hi = 0.0
-        for name in dep.inputs:
-            if name in env:
-                lo += 1 if env[name] else 0
-                hi += 1 if env[name] else 0
-            else:
-                hi += 1
-    else:
-        lo = hi = 0.0
-        for coeff, name in zip(dep.coefficients, dep.inputs):
-            if name in env:
-                term = coeff * float(env[name])  # type: ignore[arg-type]
-                lo += term
-                hi += term
-            else:
-                b0, b1 = _numeric_bounds(model.variable_domain(name))
-                lo += min(coeff * b0, coeff * b1)
-                hi += max(coeff * b0, coeff * b1)
-    eps = 1e-9
-    if dep.comparator == "==":
-        return lo - eps <= dep.bound <= hi + eps
-    if dep.comparator == "<=":
-        return lo <= dep.bound + eps
-    return hi >= dep.bound - eps
+# Search
 
 
 def solve_rop(problem: Rop, cap: int = DEFAULT_ENUMERATION_CAP) -> SolveResult:
     """Maximise the decision-rule criterion over the decision set.
 
-    Depth-first search in canonical order (parameter ids lexicographic, domain
-    values in declaration order); a branch is pruned as soon as some pure
-    constraint can no longer be satisfied by any completion.  All tied optima
-    are returned, sorted canonically.
+    Runs ``search_specifications`` over the decision set (parameters outside
+    it take their computed value or their default) and keeps the leaves with
+    the highest decision-rule value.  All tied optima are returned, sorted
+    canonically.
     """
     model = problem.model
-    exogenous = problem.exogenous_map()
     decision_ids = sorted(model.decision_set)
     space = search_space_size(model, decision_ids)
     if space > cap:
         raise SizeLimitError(f"search space {space} exceeds cap {cap}")
 
-    env: dict[str, Value] = {}
-    for name in sorted(exogenous):
-        domain = model.variable_domain(name)
-        env[name] = domain.canonical(exogenous[name])
-    producers = {d.output: d for d in model.functional_depends()}
-    for p in model.parameters:
-        if p.id not in model.decision_set and p.id not in producers:
-            if p.default is None:
-                raise EvaluationError(
-                    f"parameter '{p.id}' outside the decision set has no default"
-                )
-            env[p.id] = p.domain.canonical(p.default)
-
-    topo = _topological_depends(model)
-    constraints = model.constraint_depends()
-
-    # Index functional depends and constraints by the inputs they wait on.
-    feeds: dict[str, list] = {}
-    for dep in topo:
-        for name in dep.inputs:
-            feeds.setdefault(name, []).append(dep)
-    watching: dict[str, list[ConstraintDepend]] = {}
-    for con in constraints:
-        for name in con.inputs:
-            watching.setdefault(name, []).append(con)
-
-    missing: dict[str, int] = {
-        dep.id: sum(1 for name in dep.inputs if name not in env) for dep in topo
-    }
-
-    best_value: Optional[Value] = None
-    best: list[Specification] = []
-    params = [model.parameter(pid) for pid in decision_ids]
-    all_param_ids = [p.id for p in model.parameters]
-
-    # The trail records every reversible step as ("env", variable) for an
-    # environment entry or ("dec", depend id) for one missing-input decrement,
-    # so undo stays exact even when propagation bails out partway through.
-
-    def propagate(assigned: str, trail: list[tuple[str, str]]) -> bool:
-        """Compute newly ready functional outputs; False on constraint failure."""
-        queue = [assigned]
-        while queue:
-            name = queue.pop()
-            for con in watching.get(name, ()):
-                if all(n in env for n in con.inputs):
-                    if not _constraint_holds(con, env):
-                        return False
-                elif not _constraint_possible(con, env, model):
-                    return False
-            for dep in feeds.get(name, ()):
-                missing[dep.id] -= 1
-                trail.append(("dec", dep.id))
-                if missing[dep.id] == 0 and dep.output not in env:
-                    value = _apply_functional(dep, env, model.variable_domain(dep.output))
-                    env[dep.output] = value
-                    trail.append(("env", dep.output))
-                    queue.append(dep.output)
-        return True
-
-    def undo(trail: list[tuple[str, str]]) -> None:
-        for kind, payload in reversed(trail):
-            if kind == "env":
-                del env[payload]
-            else:
-                missing[payload] += 1
-
-    # Propagate anything computable before search (constants, defaults).
-    prefix_trail: list[tuple[str, str]] = []
-    for dep in topo:
-        if missing[dep.id] == 0 and dep.output not in env:
-            value = _apply_functional(dep, env, model.variable_domain(dep.output))
-            env[dep.output] = value
-            prefix_trail.append(("env", dep.output))
-            if not propagate(dep.output, prefix_trail):
-                undo(prefix_trail)
-                return Infeasible()
-    for con in constraints:
-        if all(n in env for n in con.inputs) and not _constraint_holds(con, env):
-            undo(prefix_trail)
-            return Infeasible()
-
     rule = model.decision_rule
     assert rule is not None
+    best_value: Optional[Value] = None
+    best: list[Specification] = []
 
-    def leaf() -> None:
+    def keep_best(spec: Specification, env: Mapping[str, Value]) -> None:
         nonlocal best_value
-        for con in constraints:
-            if not _constraint_holds(con, env):
-                return
         if rule not in env:
             raise EvaluationError(f"missing value for variable '{rule}'")
         value = env[rule]
-        values: dict[str, Value] = {}
-        for pid in all_param_ids:
-            if pid not in env:
-                raise EvaluationError(
-                    f"parameter '{pid}' outside the decision set has no default"
-                )
-            values[pid] = env[pid]
         if best_value is None or value > best_value:  # type: ignore[operator]
             best_value = value
-            best.clear()
-            best.append(Specification.from_mapping(values))
+            best[:] = [spec]
         elif value == best_value:
-            best.append(Specification.from_mapping(values))
+            best.append(spec)
 
-    def descend(index: int) -> None:
-        if index == len(params):
-            leaf()
-            return
-        p = params[index]
-        for value in p.domain.values():
-            env[p.id] = value
-            trail: list[tuple[str, str]] = [("env", p.id)]
-            if propagate(p.id, trail):
-                descend(index + 1)
-            undo(trail)
-
-    descend(0)
-    undo(prefix_trail)
-
+    search_specifications(model, decision_ids, problem.exogenous_map(), keep_best)
     if not best:
         return Infeasible()
     best.sort(key=lambda s: canonical_key(model, s))
@@ -357,6 +206,25 @@ def brute_force_oracle(problem: Rop, cap: int = DEFAULT_ORACLE_CAP) -> SolveResu
         return Infeasible()
     best.sort(key=lambda s: canonical_key(model, s))
     return OptimalSolutions(optima=tuple(best), objective_value=best_value)
+
+
+def brute_force_enumeration(
+    model: Model,
+    exogenous: Optional[Mapping[str, Value]] = None,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> list[Specification]:
+    """Reference enumerator: the full cartesian product filtered by ``is_feasible``."""
+    params = model.sorted_parameters()
+    space = search_space_size(model)
+    if space > cap:
+        raise SizeLimitError(f"search space {space} exceeds cap {cap}")
+    result: list[Specification] = []
+    value_lists = [p.domain.values() for p in params]
+    for combo in product(*value_lists):
+        spec = Specification(tuple(zip((p.id for p in params), combo)))
+        if is_feasible(model, spec, exogenous):
+            result.append(spec)
+    return result
 
 
 # ---------------------------------------------------------------------------

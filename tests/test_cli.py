@@ -137,6 +137,22 @@ def test_enumerate_respects_the_cap(capsys):
     assert "exceeds cap" in err
 
 
+def _alerts_without_demand_shift(tmp_path):
+    text = Path(ALERTS).read_text().replace(",demand_shift=0\n", "\n")
+    assert "demand_shift=" not in text
+    path = tmp_path / "no_shift.model"
+    path.write_text(text)
+    return str(path)
+
+
+def test_enumerate_names_a_monitored_input_without_a_value(capsys, tmp_path):
+    path = _alerts_without_demand_shift(tmp_path)
+    for extra in ((), ("--oracle",)):
+        code, out, err = run_cli(capsys, "enumerate", *extra, path)
+        assert (code, out) == (FAILURE, "")
+        assert err == "missing value for variable 'demand_shift'\n"
+
+
 # --- solve ---
 
 
@@ -194,6 +210,14 @@ def test_solve_reports_infeasibility(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "solve", "--format", "human", str(path))
     assert code == FAILURE
     assert out.startswith("infeasible: ")
+
+
+def test_solve_names_a_monitored_input_without_a_value(capsys, tmp_path):
+    path = _alerts_without_demand_shift(tmp_path)
+    for extra in ((), ("--oracle",)):
+        code, out, err = run_cli(capsys, "solve", *extra, path)
+        assert (code, out) == (FAILURE, "")
+        assert err == "missing value for variable 'demand_shift'\n"
 
 
 def test_solve_respects_the_cap(capsys):

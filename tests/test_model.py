@@ -20,6 +20,7 @@ from ropas.model import (
     Model,
     MonitoredVariable,
     Parameter,
+    ProblemInstance,
     Specification,
     ThresholdStep,
     WeightedSum,
@@ -408,6 +409,14 @@ def test_specification_sorted_items_and_lookup():
     assert s.get("missing") is None
     with pytest.raises(KeyError):
         s["missing"]
+
+
+def test_problem_instance_never_equals_a_specification():
+    inst = ProblemInstance.from_mapping({"b": 2, "a": 1})
+    assert type(inst) is ProblemInstance
+    assert inst.items == (("a", 1), ("b", 2))
+    assert inst == ProblemInstance.from_mapping({"a": 1, "b": 2})
+    assert inst != Specification.from_mapping({"a": 1, "b": 2})
 
 
 def test_complete_specification_uses_defaults_and_derivation():

@@ -6,10 +6,11 @@ import pytest
 
 from genmodels import random_goal_graph, random_rop
 from ropas.domains import Boolean, Enumerated, IntegerRange, RealGrid
-from ropas.errors import DefinitionError, EvaluationError, SizeLimitError
+from ropas.errors import DefinitionError, EvaluationError, RopasError, SizeLimitError
 from ropas.fixtures import alert_exogenous, alert_model, dispatch_goals
 from ropas.goals import check_drp, goal_graph, solve_rdrp
 from ropas.model import (
+    BooleanFormula,
     CardinalityConstraint,
     Criterion,
     Incompatibility,
@@ -20,11 +21,15 @@ from ropas.model import (
     Specification,
     ThresholdStep,
     WeightedSum,
+    enumerate_specifications,
+    not_,
     validate_model,
+    var,
 )
 from ropas.solver import (
     Infeasible,
     OptimalSolutions,
+    brute_force_enumeration,
     brute_force_oracle,
     classify,
     decode_selection,
@@ -221,6 +226,54 @@ def test_search_agrees_with_oracle_on_random_problems():
         if isinstance(fast, OptimalSolutions):
             assert fast.objective_value == slow.objective_value, i
             assert fast.optima == slow.optima, i
+
+
+def _enumeration_outcome(enumerator, model, exogenous):
+    try:
+        return enumerator(model, exogenous)
+    except RopasError as exc:
+        return type(exc), str(exc)
+
+
+def test_enumeration_agrees_with_brute_force_on_random_problems():
+    rng = random.Random(314)
+    defaulted = 0
+    for i in range(150):
+        problem = random_rop(rng, max_space=256)
+        model, exogenous = problem.model, problem.exogenous_map()
+        defaulted += any(p.id == "fix0" for p in model.parameters)
+        fast = _enumeration_outcome(enumerate_specifications, model, exogenous)
+        slow = _enumeration_outcome(brute_force_enumeration, model, exogenous)
+        assert fast == slow, i
+    assert defaulted > 0
+
+
+def test_enumeration_sorts_a_derived_parameter_before_a_free_one():
+    m = Model(
+        criteria=(
+            Criterion("score", IntegerRange(0, 9), "utility", "higher-better"),
+        ),
+        parameters=(
+            Parameter("a", Boolean()),
+            Parameter("b", Boolean()),
+            Parameter("c", IntegerRange(0, 1)),
+        ),
+        depends=(
+            BooleanFormula("a_def", "a", not_(var("b"))),
+            WeightedSum("score_sum", "score", ("a", "b", "c"), (1.0, 2.0, 3.0)),
+        ),
+        decision_rule="score",
+        decision_set=("b", "c"),
+    )
+    assert validate_model(m) == []
+    specs = enumerate_specifications(m)
+    assert specs == brute_force_enumeration(m)
+    assert [s.as_dict() for s in specs] == [
+        {"a": 0, "b": 1, "c": 0},
+        {"a": 0, "b": 1, "c": 1},
+        {"a": 1, "b": 0, "c": 0},
+        {"a": 1, "b": 0, "c": 1},
+    ]
 
 
 # ---------------------------------------------------------------------------
