@@ -19,6 +19,7 @@ from .formats import (
     ModelBundle,
     ParseFailure,
     ParseIssue,
+    format_assignments,
     format_number,
     parse_model,
     parse_trace,
@@ -57,10 +58,6 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _assignments(items) -> str:
-    return ",".join(f"{name}={format_number(value)}" for name, value in items)
-
-
 def _need_model(bundle: ModelBundle) -> None:
     if bundle.model is None:
         raise RopasError("the file declares no model ([variables]/[depends])")
@@ -90,7 +87,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         print(f"{len(feasible)} feasible specification(s)")
     else:
         for spec in feasible:
-            print(f"spec {_assignments(spec.items)}")
+            print(f"spec {format_assignments(spec.items)}")
         print(f"count {len(feasible)}")
     return OK
 
@@ -127,7 +124,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"class variables={kind.variable_kind} depends={kind.depend_kind}")
         print(f"objective {format_number(result.objective_value)}")
         for spec in result.optima:
-            print(f"optimum {_assignments(spec.items)}")
+            print(f"optimum {format_assignments(spec.items)}")
     return OK
 
 
@@ -193,7 +190,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     trace = parse_trace(_read(args.trace))
     config = bundle.config
     if args.duration is not None:
-        config = _replaced(config, adaptation_duration=args.duration)
+        config = replace(config, adaptation_duration=args.duration)
     if args.relax:
         widening = []
         for item in args.relax:
@@ -206,9 +203,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             except ValueError:
                 print(f"--relax band '{amount}' is not a number", file=sys.stderr)
                 return USAGE
-        config = _replaced(config, relaxation=tuple(widening))
+        config = replace(config, relaxation=tuple(widening))
     if args.cap is not None:
-        config = _replaced(config, cap=args.cap)
+        config = replace(config, cap=args.cap)
     timeline, metrics = run_simulation(bundle.model, trace, config)
     report = write_report(timeline, metrics, args.format)
     if args.oracle:
@@ -218,10 +215,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             return FAILURE
     sys.stdout.write(report)
     return OK
-
-
-def _replaced(config, **changes):
-    return replace(config, **changes)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

@@ -1152,7 +1152,7 @@ def format_number(value: Value) -> str:
     return str(value)
 
 
-def _assignment_list(items: tuple[tuple[str, Value], ...]) -> str:
+def format_assignments(items: tuple[tuple[str, Value], ...]) -> str:
     return ",".join(f"{name}={format_number(value)}" for name, value in items)
 
 
@@ -1163,8 +1163,8 @@ def _period_record(period: Period) -> str:
     bits = "".join("1" if flag else "0" for flag in period.optimal)
     return (
         f"period kind={period.kind} start={period.start} end={period.end}"
-        f" spec={_assignment_list(period.spec.items)}"
-        f" instance={_assignment_list(period.instance.items)}"
+        f" spec={format_assignments(period.spec.items)}"
+        f" instance={format_assignments(period.instance.items)}"
         f" fired={','.join(period.fired)}"
         f" ignored={ignored}"
         f" optimal={bits}"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import FrozenSet, Iterable, Mapping
+from typing import FrozenSet, Iterable, Iterator, Mapping
 
 from .errors import DefinitionError, SizeLimitError
 
@@ -155,17 +155,28 @@ def check_drp(graph: GoalGraph, s_selection: Iterable[str]) -> DrpVerdict:
     return DrpVerdict(satisfaction=satisfaction, consistency=consistency, derived=derived)
 
 
-def _selections(graph: GoalGraph, cap: int) -> list[frozenset[str]]:
+def _selectable(graph: GoalGraph, cap: int) -> list[str]:
+    """The selectable atoms, sorted; raises when 2^n selections exceed the cap."""
     ordered = sorted(graph.s_atoms)
     if 2 ** len(ordered) > cap:
         raise SizeLimitError(
             f"{2 ** len(ordered)} candidate selections exceed cap {cap}"
         )
-    out: list[frozenset[str]] = []
-    for mask in range(2 ** len(ordered)):
-        out.append(frozenset(a for i, a in enumerate(ordered) if mask >> i & 1))
-    out.sort(key=lambda sel: tuple(sorted(sel)))
-    return out
+    return ordered
+
+
+def _selections(graph: GoalGraph, cap: int) -> Iterator[frozenset[str]]:
+    """Every selection, one at a time, in sorted-member-tuple order."""
+    ordered = _selectable(graph, cap)
+
+    # Depth-first preorder over increasing atom positions is exactly the
+    # lexicographic order of the sorted member tuples.
+    def extend(chosen: tuple[str, ...], start: int) -> Iterator[frozenset[str]]:
+        yield frozenset(chosen)
+        for i in range(start, len(ordered)):
+            yield from extend(chosen + (ordered[i],), i + 1)
+
+    return extend((), 0)
 
 
 def solve_rp2(graph: GoalGraph, cap: int = DEFAULT_SELECTION_CAP) -> list[frozenset[str]]:
@@ -216,18 +227,20 @@ def solve_rdrp(graph: GoalGraph, cap: int = DEFAULT_SELECTION_CAP) -> list[froze
 
     This is the reduced form of the requirements problem: among the
     selections whose closure derives all of ``r_atoms`` without conflict,
-    keep exactly those of smallest cardinality.  Deterministic order as in
-    ``solve_rp2``.
+    keep exactly those of smallest cardinality.  Selections are tried by
+    increasing size, so the search stops at the first size that has one.
+    Deterministic order as in ``solve_rp2``.
     """
-    satisfying = [
-        selection
-        for selection in _selections(graph, cap)
-        if check_drp(graph, selection).satisfaction
-    ]
-    if not satisfying:
-        return []
-    smallest = min(len(selection) for selection in satisfying)
-    return [selection for selection in satisfying if len(selection) == smallest]
+    ordered = _selectable(graph, cap)
+    for size in range(len(ordered) + 1):
+        found = [
+            selection
+            for selection in map(frozenset, combinations(ordered, size))
+            if check_drp(graph, selection).satisfaction
+        ]
+        if found:
+            return found
+    return []
 
 
 def rename(graph: GoalGraph, mapping: Mapping[str, str]) -> GoalGraph:

@@ -10,13 +10,20 @@ instance (one value per criterion).
 ``search_specifications`` is the one propagating search behind enumeration,
 solving and the simulator's adaptation re-solves.
 
+Each ``Model`` indexes itself once, on first use, through cached properties:
+id lookups, the functional depends' evaluation order, and the search's watch
+lists.  Every evaluation, feasibility check and search of that model reuses
+them.
+
 All operations are pure and deterministic.  Objects are immutable, so sharing
-them across threads is safe.
+them across threads is safe; two threads racing to build a model's index at
+worst build it twice, with equal results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .domains import (
@@ -315,46 +322,98 @@ class Model:
     decision_rule: Optional[str] = None
     decision_set: tuple[str, ...] = ()
 
+    # The index below is derived once per model on first use (cached
+    # properties are not fields, so equality, hashing and ``replace`` ignore
+    # them).  The first declaration of an id wins, within a group and across
+    # the groups in field order; the maps are built in reverse to get that.
+
+    @cached_property
+    def _criteria_by_id(self) -> dict[str, Criterion]:
+        return {c.id: c for c in reversed(self.criteria)}
+
+    @cached_property
+    def _parameters_by_id(self) -> dict[str, Parameter]:
+        return {p.id: p for p in reversed(self.parameters)}
+
+    @cached_property
+    def _monitored_by_id(self) -> dict[str, MonitoredVariable]:
+        return {m.id: m for m in reversed(self.monitored)}
+
+    @cached_property
+    def _domains(self) -> dict[str, Domain]:
+        groups = (self.criteria, self.parameters, self.monitored)
+        return {v.id: v.domain for group in reversed(groups) for v in reversed(group)}
+
     def criterion(self, cid: str) -> Criterion:
-        for c in self.criteria:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
+        return self._criteria_by_id[cid]
 
     def parameter(self, pid: str) -> Parameter:
-        for p in self.parameters:
-            if p.id == pid:
-                return p
-        raise KeyError(pid)
+        return self._parameters_by_id[pid]
 
     def monitored_variable(self, mid: str) -> MonitoredVariable:
-        for m in self.monitored:
-            if m.id == mid:
-                return m
-        raise KeyError(mid)
+        return self._monitored_by_id[mid]
 
     def variable_domain(self, vid: str) -> Domain:
-        for group in (self.criteria, self.parameters, self.monitored):
-            for v in group:
-                if v.id == vid:
-                    return v.domain
-        raise KeyError(vid)
+        return self._domains[vid]
 
     def has_variable(self, vid: str) -> bool:
-        try:
-            self.variable_domain(vid)
-            return True
-        except KeyError:
-            return False
+        return vid in self._domains
 
+    @cached_property
     def sorted_parameters(self) -> tuple[Parameter, ...]:
         return tuple(sorted(self.parameters, key=lambda p: p.id))
 
-    def functional_depends(self) -> tuple[FunctionalDepend, ...]:
-        return tuple(d for d in self.depends if is_functional(d))
+    @cached_property
+    def producers(self) -> dict[str, FunctionalDepend]:
+        """Output id -> the functional depend computing it (the last one wins)."""
+        return {d.output: d for d in self.depends if is_functional(d)}
 
+    @cached_property
     def constraint_depends(self) -> tuple[ConstraintDepend, ...]:
         return tuple(d for d in self.depends if not is_functional(d))
+
+    @cached_property
+    def topological_depends(self) -> tuple[FunctionalDepend, ...]:
+        """Functional depends ordered so inputs are computed before outputs.
+
+        Raises a definition error on a cycle (nothing is cached then).
+        """
+        producers = self.producers
+        ordered: list[FunctionalDepend] = []
+        done: set[str] = set()
+        visiting: set[str] = set()
+
+        def visit(vid: str) -> None:
+            if vid in done or vid not in producers:
+                return
+            if vid in visiting:
+                raise DefinitionError(f"functional depend cycle through '{vid}'")
+            visiting.add(vid)
+            dep = producers[vid]
+            for name in dep.inputs:
+                visit(name)
+            visiting.discard(vid)
+            done.add(vid)
+            ordered.append(dep)
+
+        for vid in sorted(producers):
+            visit(vid)
+        return tuple(ordered)
+
+    @cached_property
+    def _search_index(self) -> tuple[dict, dict, dict[str, Domain]]:
+        """Functional depends and constraints by the inputs they read, plus
+        the domain of every functional output."""
+        feeds: dict[str, list[FunctionalDepend]] = {}
+        for dep in self.topological_depends:
+            for name in dep.inputs:
+                feeds.setdefault(name, []).append(dep)
+        watching: dict[str, list[ConstraintDepend]] = {}
+        for con in self.constraint_depends:
+            for name in con.inputs:
+                watching.setdefault(name, []).append(con)
+        out_domains = {d.output: self.variable_domain(d.output) for d in self.topological_depends}
+        return feeds, watching, out_domains
 
 
 # ---------------------------------------------------------------------------
@@ -372,20 +431,19 @@ class Violation:
         return f"{self.subject}: {self.message}"
 
 
-def _check_formula_refs(model: Model, dep: BooleanFormula, out: list[Violation]) -> None:
+def _check_inputs(model: Model, dep, kind: str, out: list[Violation], what: str = "") -> None:
+    """Each input must be a declared variable of the given kind."""
     for name in dep.inputs:
         if not model.has_variable(name):
             out.append(Violation(dep.id, f"references unknown variable '{name}'"))
-        elif not isinstance(model.variable_domain(name), Boolean):
-            out.append(Violation(dep.id, f"formula input '{name}' is not boolean"))
-
-
-def _check_numeric_inputs(model: Model, dep, out: list[Violation]) -> None:
-    for name in dep.inputs:
-        if not model.has_variable(name):
-            out.append(Violation(dep.id, f"references unknown variable '{name}'"))
-        elif domain_bounds(model.variable_domain(name)) is None:
-            out.append(Violation(dep.id, f"input '{name}' is not numeric"))
+            continue
+        domain = model.variable_domain(name)
+        if kind == "boolean":
+            ok = isinstance(domain, Boolean)
+        else:
+            ok = domain_bounds(domain) is not None
+        if not ok:
+            out.append(Violation(dep.id, f"{what}input '{name}' is not {kind}"))
 
 
 def validate_model(model: Model) -> list[Violation]:
@@ -427,8 +485,9 @@ def validate_model(model: Model) -> list[Violation]:
                         Violation(m.id, f"detectable value {v!r} outside domain")
                     )
 
-    criterion_ids = {c.id for c in model.criteria}
-    parameter_ids = {p.id for p in model.parameters}
+    criterion_ids = model._criteria_by_id
+    parameter_ids = model._parameters_by_id
+    producers = model.producers
 
     dep_ids: set[str] = set()
     defined_by: dict[str, list[str]] = {}
@@ -449,7 +508,7 @@ def validate_model(model: Model) -> list[Violation]:
             if not expr_ok(dep.expr):
                 out.append(Violation(dep.id, "malformed formula expression"))
             else:
-                _check_formula_refs(model, dep, out)
+                _check_inputs(model, dep, "boolean", out, "formula ")
                 if model.has_variable(dep.output) and not isinstance(
                     model.variable_domain(dep.output), Boolean
                 ):
@@ -459,7 +518,7 @@ def validate_model(model: Model) -> list[Violation]:
                 out.append(Violation(dep.id, "weight count differs from input count"))
             if not dep.inputs:
                 out.append(Violation(dep.id, "weighted sum needs at least one input"))
-            _check_numeric_inputs(model, dep, out)
+            _check_inputs(model, dep, "numeric", out)
         elif isinstance(dep, LookupTable):
             if not dep.inputs:
                 out.append(Violation(dep.id, "lookup table needs at least one input"))
@@ -502,7 +561,7 @@ def validate_model(model: Model) -> list[Violation]:
                                     Violation(dep.id, f"table value {val!r} outside output domain")
                                 )
         elif isinstance(dep, ThresholdStep):
-            _check_numeric_inputs(model, dep, out)
+            _check_inputs(model, dep, "numeric", out)
             if model.has_variable(dep.output) and not isinstance(
                 model.variable_domain(dep.output), Boolean
             ):
@@ -512,25 +571,17 @@ def validate_model(model: Model) -> list[Violation]:
                 out.append(Violation(dep.id, "coefficient count differs from input count"))
             if dep.comparator not in COMPARATORS:
                 out.append(Violation(dep.id, f"unknown comparator '{dep.comparator}'"))
-            _check_numeric_inputs(model, dep, out)
+            _check_inputs(model, dep, "numeric", out)
         elif isinstance(dep, CardinalityConstraint):
             if dep.comparator not in COMPARATORS:
                 out.append(Violation(dep.id, f"unknown comparator '{dep.comparator}'"))
             if not dep.inputs:
                 out.append(Violation(dep.id, "cardinality needs at least one input"))
-            for name in dep.inputs:
-                if not model.has_variable(name):
-                    out.append(Violation(dep.id, f"references unknown variable '{name}'"))
-                elif not isinstance(model.variable_domain(name), Boolean):
-                    out.append(Violation(dep.id, f"cardinality input '{name}' is not boolean"))
+            _check_inputs(model, dep, "boolean", out, "cardinality ")
         elif isinstance(dep, Incompatibility):
             if dep.a == dep.b:
                 out.append(Violation(dep.id, "incompatibility needs two distinct variables"))
-            for name in (dep.a, dep.b):
-                if not model.has_variable(name):
-                    out.append(Violation(dep.id, f"references unknown variable '{name}'"))
-                elif not isinstance(model.variable_domain(name), Boolean):
-                    out.append(Violation(dep.id, f"incompatibility input '{name}' is not boolean"))
+            _check_inputs(model, dep, "boolean", out, "incompatibility ")
 
     for vid, definers in defined_by.items():
         if len(definers) > 1:
@@ -539,7 +590,6 @@ def validate_model(model: Model) -> list[Violation]:
             )
 
     # Acyclicity of the functional subgraph (edges output -> inputs).
-    producers = {d.output: d for d in model.functional_depends()}
     colors: dict[str, int] = {}
 
     def cyclic(vid: str) -> bool:
@@ -589,31 +639,6 @@ def validate_model(model: Model) -> list[Violation]:
 # Evaluation
 
 
-def _topological_depends(model: Model) -> tuple[FunctionalDepend, ...]:
-    """Functional depends ordered so inputs are computed before outputs."""
-    producers = {d.output: d for d in model.functional_depends()}
-    ordered: list[FunctionalDepend] = []
-    done: set[str] = set()
-    visiting: set[str] = set()
-
-    def visit(vid: str) -> None:
-        if vid in done or vid not in producers:
-            return
-        if vid in visiting:
-            raise DefinitionError(f"functional depend cycle through '{vid}'")
-        visiting.add(vid)
-        dep = producers[vid]
-        for name in dep.inputs:
-            visit(name)
-        visiting.discard(vid)
-        done.add(vid)
-        ordered.append(dep)
-
-    for vid in sorted(producers):
-        visit(vid)
-    return tuple(ordered)
-
-
 def _apply_functional(
     dep: FunctionalDepend, env: Mapping[str, Value], out_domain: Domain
 ) -> Value:
@@ -650,14 +675,13 @@ def _exogenous_values(
     model: Model, exogenous: Optional[Mapping[str, Value]]
 ) -> dict[str, Value]:
     """Canonical exogenous values; unknown variables and parameters are rejected."""
-    parameter_ids = {p.id for p in model.parameters}
     values: dict[str, Value] = {}
     for name in sorted(exogenous or ()):
         try:
             domain = model.variable_domain(name)
         except KeyError:
             raise EvaluationError(f"exogenous value for unknown variable '{name}'")
-        if name in parameter_ids:
+        if name in model._parameters_by_id:
             raise EvaluationError(f"exogenous value for parameter '{name}'")
         try:
             values[name] = domain.canonical(exogenous[name])  # type: ignore[index]
@@ -692,10 +716,9 @@ def _environment(
             raise EvaluationError(f"specification misses parameter '{p.id}'")
     env.update(_exogenous_values(model, exogenous))
 
-    parameter_ids = {p.id for p in model.parameters}
     derived_parameters: dict[str, Value] = {}
-    for dep in _topological_depends(model):
-        if dep.output in parameter_ids:
+    for dep in model.topological_depends:
+        if dep.output in model._parameters_by_id:
             scratch = dict(env)
             scratch.pop(dep.output, None)
             value = _apply_functional(dep, scratch, model.variable_domain(dep.output))
@@ -725,58 +748,6 @@ def evaluate(
     return ProblemInstance.from_mapping(values)
 
 
-def _constraint_holds(dep: ConstraintDepend, env: Mapping[str, Value]) -> bool:
-    if isinstance(dep, Incompatibility):
-        for name in (dep.a, dep.b):
-            if name not in env:
-                raise EvaluationError(f"missing value for variable '{name}'")
-        return not (env[dep.a] and env[dep.b])
-    if isinstance(dep, CardinalityConstraint):
-        total = 0
-        for name in dep.inputs:
-            if name not in env:
-                raise EvaluationError(f"missing value for variable '{name}'")
-            total += 1 if env[name] else 0
-        lhs: float = total
-        bound: float = dep.bound
-    else:
-        lhs = 0.0
-        for coeff, name in zip(dep.coefficients, dep.inputs):
-            if name not in env:
-                raise EvaluationError(f"missing value for variable '{name}'")
-            lhs += coeff * float(env[name])  # type: ignore[arg-type]
-        bound = dep.bound
-    if dep.comparator == "==":
-        return abs(lhs - bound) <= CONSTRAINT_EPS
-    if dep.comparator == "<=":
-        return lhs <= bound + CONSTRAINT_EPS
-    return lhs >= bound - CONSTRAINT_EPS
-
-
-def is_feasible(
-    model: Model,
-    spec: Specification,
-    exogenous: Optional[Mapping[str, Value]] = None,
-) -> bool:
-    """True iff every pure constraint holds and derived parameters agree.
-
-    The constraint environment is the specification united with the exogenous
-    values and all computed functional outputs.
-    """
-    env, derived_parameters = _environment(model, spec, exogenous)
-    for pid, computed in derived_parameters.items():
-        if env[pid] != computed:
-            return False
-    for dep in model.constraint_depends():
-        if not _constraint_holds(dep, env):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Search
-
-
 def _numeric_bounds(domain: Domain) -> tuple[float, float]:
     bounds = domain_bounds(domain)
     if bounds is None:
@@ -787,7 +758,11 @@ def _numeric_bounds(domain: Domain) -> tuple[float, float]:
 def _constraint_possible(
     dep: ConstraintDepend, env: Mapping[str, Value], model: Model
 ) -> bool:
-    """False only when no completion of the partial assignment can satisfy."""
+    """False only when no completion of the partial assignment can satisfy.
+
+    Exact once every input has a value; inputs without one range over their
+    domain bounds.
+    """
     if isinstance(dep, Incompatibility):
         if dep.a in env and dep.b in env:
             return not (env[dep.a] and env[dep.b])
@@ -818,6 +793,33 @@ def _constraint_possible(
     return hi >= dep.bound - CONSTRAINT_EPS
 
 
+def is_feasible(
+    model: Model,
+    spec: Specification,
+    exogenous: Optional[Mapping[str, Value]] = None,
+) -> bool:
+    """True iff every pure constraint holds and derived parameters agree.
+
+    The constraint environment is the specification united with the exogenous
+    values and all computed functional outputs.
+    """
+    env, derived_parameters = _environment(model, spec, exogenous)
+    for pid, computed in derived_parameters.items():
+        if env[pid] != computed:
+            return False
+    for dep in model.constraint_depends:
+        for name in dep.inputs:
+            if name not in env:
+                raise EvaluationError(f"missing value for variable '{name}'")
+        if not _constraint_possible(dep, env, model):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Search
+
+
 def search_specifications(
     model: Model,
     free: Iterable[str],
@@ -835,7 +837,7 @@ def search_specifications(
     depend input with no way to get a value raises an evaluation error first.
     """
     free_ids = sorted(free)
-    producers = {d.output: d for d in model.functional_depends()}
+    producers = model.producers
     # A computed value wins over an exogenous one, as in ``evaluate``.
     given = _exogenous_values(model, exogenous)
     env = {name: value for name, value in given.items() if name not in producers}
@@ -847,30 +849,20 @@ def search_specifications(
                 )
             env[p.id] = p.domain.canonical(p.default)
 
-    topo = _topological_depends(model)
-    constraints = model.constraint_depends()
+    topo = model.topological_depends
+    constraints = model.constraint_depends
     known = set(env) | set(free_ids) | set(producers)
     for dep in topo + constraints:
         for name in dep.inputs:
             if name not in known:
                 raise EvaluationError(f"missing value for variable '{name}'")
 
-    # Index functional depends and constraints by the inputs they wait on.
-    feeds: dict[str, list] = {}
-    for dep in topo:
-        for name in dep.inputs:
-            feeds.setdefault(name, []).append(dep)
-    watching: dict[str, list[ConstraintDepend]] = {}
-    for con in constraints:
-        for name in con.inputs:
-            watching.setdefault(name, []).append(con)
-    out_domains = {dep.output: model.variable_domain(dep.output) for dep in topo}
-
+    feeds, watching, out_domains = model._search_index
     missing: dict[str, int] = {
         dep.id: sum(1 for name in dep.inputs if name not in env) for dep in topo
     }
     params = [model.parameter(pid) for pid in free_ids]
-    param_ids = [p.id for p in model.sorted_parameters()]
+    param_ids = [p.id for p in model.sorted_parameters]
 
     # The trail records every reversible step as ("env", variable) for an
     # environment entry or ("dec", depend id) for one missing-input decrement,
@@ -882,10 +874,7 @@ def search_specifications(
         while queue:
             name = queue.pop()
             for con in watching.get(name, ()):
-                if all(n in env for n in con.inputs):
-                    if not _constraint_holds(con, env):
-                        return False
-                elif not _constraint_possible(con, env, model):
+                if not _constraint_possible(con, env, model):
                     return False
             for dep in feeds.get(name, ()):
                 missing[dep.id] -= 1
@@ -911,7 +900,7 @@ def search_specifications(
             if not propagate(dep.output, []):
                 return
     for con in constraints:
-        if all(n in env for n in con.inputs) and not _constraint_holds(con, env):
+        if all(n in env for n in con.inputs) and not _constraint_possible(con, env, model):
             return
 
     # Every input is known by the leaves (checked above), and each constraint
@@ -938,7 +927,7 @@ def search_specifications(
 
 def search_space_size(model: Model, over: Optional[Iterable[str]] = None) -> int:
     """Product of domain sizes over the given parameters (default: all)."""
-    pids = sorted(over) if over is not None else [p.id for p in model.sorted_parameters()]
+    pids = sorted(over) if over is not None else [p.id for p in model.sorted_parameters]
     total = 1
     for pid in pids:
         total *= model.parameter(pid).domain.size
@@ -959,8 +948,7 @@ def enumerate_specifications(
     space = search_space_size(model)
     if space > cap:
         raise SizeLimitError(f"search space {space} exceeds cap {cap}")
-    producers = {d.output for d in model.functional_depends()}
-    free = [p.id for p in model.parameters if p.id not in producers]
+    free = [p.id for p in model.parameters if p.id not in model.producers]
     result: list[Specification] = []
     search_specifications(model, free, exogenous, lambda spec, env: result.append(spec))
     # A derived parameter can sort before a free one, so search order is not
@@ -972,7 +960,7 @@ def enumerate_specifications(
 def canonical_key(model: Model, spec: Specification) -> tuple[int, ...]:
     """Sort key realizing the canonical specification order."""
     return tuple(
-        p.domain.index_of(spec[p.id]) for p in model.sorted_parameters()
+        p.domain.index_of(spec[p.id]) for p in model.sorted_parameters
     )
 
 
@@ -992,13 +980,18 @@ def complete_specification(
 
     Parameters outside the assignment take their computed value when they are
     the output of a functional depend, otherwise their declared default.
+    Computed values read the assignment, the exogenous values and the
+    defaults.
     """
     env: dict[str, Value] = dict(decision_assignment)
     if exogenous:
         env.update(exogenous)
-    producers = {d.output: d for d in model.functional_depends()}
-    remaining = [p for p in model.sorted_parameters() if p.id not in decision_assignment]
-    for dep in _topological_depends(model):
+    producers = model.producers
+    remaining = [p for p in model.sorted_parameters if p.id not in decision_assignment]
+    for p in remaining:
+        if p.id not in producers and p.id not in env and p.default is not None:
+            env[p.id] = p.default
+    for dep in model.topological_depends:
         if all(name in env for name in dep.inputs) and dep.output not in env:
             env[dep.output] = _apply_functional(dep, env, model.variable_domain(dep.output))
     values: dict[str, Value] = dict(decision_assignment)

@@ -214,7 +214,7 @@ def brute_force_enumeration(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> list[Specification]:
     """Reference enumerator: the full cartesian product filtered by ``is_feasible``."""
-    params = model.sorted_parameters()
+    params = model.sorted_parameters
     space = search_space_size(model)
     if space > cap:
         raise SizeLimitError(f"search space {space} exceeds cap {cap}")

@@ -9,6 +9,7 @@ always land inside an integer-range criterion domain.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from itertools import product
 from math import ceil, floor
 
@@ -288,6 +289,43 @@ def random_rop(rng: random.Random, max_space: int = 1024) -> Rop:
     problems = validate_model(model)
     assert not problems, problems
     return rop(model, exogenous)
+
+
+def with_derived_parameter(rng: random.Random, problem: Rop) -> Rop:
+    """The problem plus a boolean parameter ``d0`` that a threshold step computes.
+
+    The step reads the defaulted ``fix0`` when the model has one, otherwise a
+    decision parameter, and the utility gains a term in ``d0``.  It draws from
+    ``rng`` only after ``random_rop`` is done, so ``random_rop``'s stream is
+    unchanged.
+    """
+    model = problem.model
+    source = "fix0" if model.has_variable("fix0") else rng.choice(model.decision_set)
+    lo, hi = domain_bounds(model.parameter(source).domain)
+    step = ThresholdStep("def_d0", "d0", source, float(rng.randint(int(lo), int(hi))))
+    weight = float(rng.randint(-3, 3))
+    default = rng.choice((None, 0, 1))
+    criteria = tuple(
+        replace(c, domain=IntegerRange(c.domain.lo - 3, c.domain.hi + 3))
+        if c.id == "goal"
+        else c
+        for c in model.criteria
+    )
+    depends = tuple(
+        replace(d, inputs=d.inputs + ("d0",), weights=d.weights + (weight,))
+        if d.id == "def_goal"
+        else d
+        for d in model.depends
+    )
+    model = replace(
+        model,
+        criteria=criteria,
+        parameters=model.parameters + (Parameter("d0", Boolean(), default=default),),
+        depends=depends + (step,),
+    )
+    problems = validate_model(model)
+    assert not problems, problems
+    return rop(model, problem.exogenous_map())
 
 
 def _find_domain(name, params, monitored, criteria) -> Domain:

@@ -220,6 +220,31 @@ def test_solve_names_a_monitored_input_without_a_value(capsys, tmp_path):
         assert err == "missing value for variable 'demand_shift'\n"
 
 
+def test_solve_oracle_computes_a_derived_parameter_from_a_default(capsys, tmp_path):
+    path = tmp_path / "derived.model"
+    path.write_text(
+        "ropas-model v1\n"
+        "\n"
+        "[variables]\n"
+        "criterion u int:0:9 kind=utility pref=higher-better\n"
+        "parameter p bool\n"
+        "parameter fix bool default=1\n"
+        "parameter d bool\n"
+        "\n"
+        "[depends]\n"
+        "boolean-formula d_def -> d : !fix\n"
+        "weighted-sum u_sum -> u : 1.0*p + 2.0*d\n"
+        "\n"
+        "[decision]\n"
+        "rule u\n"
+        "set p\n"
+    )
+    _, plain, _ = run_cli(capsys, "solve", str(path))
+    code, out, err = run_cli(capsys, "solve", "--oracle", str(path))
+    assert (code, out, err) == (OK, plain, "")
+    assert out.splitlines()[-1] == "optimum d=0,fix=1,p=1"
+
+
 def test_solve_respects_the_cap(capsys):
     code, _, err = run_cli(capsys, "solve", "--cap", "100", ALERTS)
     assert code == FAILURE

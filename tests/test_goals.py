@@ -192,3 +192,24 @@ def test_random_graphs_rp3_subset_of_rp2():
             verdict = check_drp(g, sel)
             assert verdict.consistency
             assert g.mandatory <= verdict.derived
+
+
+def test_rdrp_stops_at_the_smallest_satisfying_size(monkeypatch):
+    import ropas.goals as goals
+
+    atoms = [f"s{i:02d}" for i in range(16)]
+    graph = goal_graph(
+        atoms=("r", *atoms),
+        refinements=[("r", (a,)) for a in atoms],
+        r_atoms=("r",),
+        s_atoms=atoms,
+    )
+    calls = []
+
+    def counted(g, selection):
+        calls.append(selection)
+        return check_drp(g, selection)
+
+    monkeypatch.setattr(goals, "check_drp", counted)
+    assert solve_rdrp(graph) == [frozenset({a}) for a in atoms]
+    assert len(calls) <= 17

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from genmodels import random_goal_graph, random_rop
+from genmodels import random_goal_graph, random_rop, with_derived_parameter
 from ropas.domains import Boolean, Enumerated, IntegerRange, RealGrid
 from ropas.errors import DefinitionError, EvaluationError, RopasError, SizeLimitError
 from ropas.fixtures import alert_exogenous, alert_model, dispatch_goals
@@ -226,6 +226,40 @@ def test_search_agrees_with_oracle_on_random_problems():
         if isinstance(fast, OptimalSolutions):
             assert fast.objective_value == slow.objective_value, i
             assert fast.optima == slow.optima, i
+
+
+def test_oracle_computes_a_derived_parameter_from_a_default():
+    m = Model(
+        criteria=(
+            Criterion("u", IntegerRange(0, 9), "utility", "higher-better"),
+        ),
+        parameters=(
+            Parameter("p", Boolean()),
+            Parameter("fix", Boolean(), default=1),
+            Parameter("d", Boolean()),
+        ),
+        depends=(
+            BooleanFormula("d_def", "d", not_(var("fix"))),
+            WeightedSum("u_sum", "u", ("p", "d"), (1.0, 2.0)),
+        ),
+        decision_rule="u",
+        decision_set=("p",),
+    )
+    assert validate_model(m) == []
+    fast, slow = solve_rop(rop(m)), brute_force_oracle(rop(m))
+    assert isinstance(fast, OptimalSolutions)
+    assert fast.optima == (Specification.from_mapping({"d": 0, "fix": 1, "p": 1}),)
+    assert fast == slow
+
+
+def test_search_agrees_with_oracle_with_a_derived_parameter():
+    rng = random.Random(2718)
+    defaulted = 0
+    for i in range(200):
+        problem = with_derived_parameter(rng, random_rop(rng, max_space=256))
+        defaulted += problem.model.has_variable("fix0")
+        assert solve_rop(problem) == brute_force_oracle(problem), i
+    assert defaulted > 0
 
 
 def _enumeration_outcome(enumerator, model, exogenous):
