@@ -228,7 +228,7 @@ def validate_decision_model(dm: DecisionModel) -> list[Violation]:
     else:
         domains = [a.domain for a in dm.attributes]
         if not out:
-            table = dm.utility.table()
+            table = dm.utility.lookup
             expected = 1
             for d in domains:
                 expected *= d.size
@@ -285,7 +285,7 @@ def expected_utility(dm: DecisionModel, alternative_id: str) -> float:
         for i in range(len(dm.attributes)):
             total += _additive_contribution(dm, alt, i)
         return total
-    table = dm.utility.table()
+    table = dm.utility.lookup
     lots = [alt.lottery_for(attr.id) for attr in dm.attributes]
     total = 0.0
     for combo in product(*(lot.outcomes for lot in lots)):

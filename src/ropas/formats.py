@@ -45,7 +45,6 @@ from .model import (
     Specification,
     ThresholdStep,
     WeightedSum,
-    validate_model,
 )
 from .runtime import (
     AwarenessTrigger,
@@ -818,7 +817,7 @@ def parse_model(text: str) -> ModelBundle:
             decision_rule=decision_rule,
             decision_set=decision_set,
         )
-        for violation in validate_model(model):
+        for violation in model.violations:
             parser.semantic(
                 parser.decl.get(violation.subject, 1), str(violation)
             )

@@ -11,9 +11,18 @@ instance (one value per criterion).
 solving and the simulator's adaptation re-solves.
 
 Each ``Model`` indexes itself once, on first use, through cached properties:
-id lookups, the functional depends' evaluation order, and the search's watch
-lists.  Every evaluation, feasibility check and search of that model reuses
-them.
+id lookups, the functional depends' evaluation order, its validation
+findings, and the search's compiled rows.  Every pure constraint compiles to
+one linear row (coefficients, comparator, bound, and each input's smallest
+and largest term): a cardinality constraint is an all-ones row and an
+incompatibility the row ``a + b <= 1``.  Every weighted sum compiles to a row
+as well.  The search keeps each row's interval over the completions of the
+current branch, updates it in O(1) as an input gets a value, and restores it
+from the trail on backtracking.  When it maximises a criterion that a
+weighted sum computes, that row's upper bound cuts every branch that cannot
+reach the best leaf found so far (branch and bound); ties are never cut.
+Every evaluation, feasibility check and search of that model reuses the
+index.
 
 All operations are pure and deterministic.  Objects are immutable, so sharing
 them across threads is safe; two threads racing to build a model's index at
@@ -24,11 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .domains import (
     Boolean,
     Domain,
+    Enumerated,
+    IntegerRange,
     Value,
     domain_bounds,
 )
@@ -196,7 +207,10 @@ class LookupTable:
     inputs: tuple[str, ...]
     entries: tuple[tuple[tuple[Value, ...], Value], ...]
 
-    def table(self) -> dict[tuple[Value, ...], Value]:
+    @cached_property
+    def lookup(self) -> dict[tuple[Value, ...], Value]:
+        """The entries as a dict (a repeated key keeps its last value), built
+        once and shared: read it, never mutate it."""
         return dict(self.entries)
 
 
@@ -401,19 +415,29 @@ class Model:
         return tuple(ordered)
 
     @cached_property
-    def _search_index(self) -> tuple[dict, dict, dict[str, Domain]]:
-        """Functional depends and constraints by the inputs they read, plus
-        the domain of every functional output."""
+    def _search_index(self) -> _SearchIndex:
+        """The search's compiled view of the depends: functional depends by
+        the inputs they read, the domain of every functional output, one
+        linear row per pure constraint with its watch lists, and one row per
+        weighted sum for the objective cut."""
         feeds: dict[str, list[FunctionalDepend]] = {}
         for dep in self.topological_depends:
             for name in dep.inputs:
                 feeds.setdefault(name, []).append(dep)
-        watching: dict[str, list[ConstraintDepend]] = {}
-        for con in self.constraint_depends:
-            for name in con.inputs:
-                watching.setdefault(name, []).append(con)
         out_domains = {d.output: self.variable_domain(d.output) for d in self.topological_depends}
-        return feeds, watching, out_domains
+        rows = tuple(_compile_row(self, con) for con in self.constraint_depends)
+        objectives = {}
+        for output, dep in self.producers.items():
+            if isinstance(dep, WeightedSum):
+                row = _compile_row(self, dep)
+                if None not in row.low:
+                    objectives[output] = (row, _watch_lists(rows + (row,)))
+        return _SearchIndex(feeds, out_domains, rows, _watch_lists(rows), objectives)
+
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """``validate_model``'s findings, computed once per model."""
+        return tuple(validate_model(self))
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +553,7 @@ def validate_model(model: Model) -> list[Violation]:
                         out.append(Violation(dep.id, f"references unknown variable '{name}'"))
                 if known:
                     domains = [model.variable_domain(n) for n in dep.inputs]
-                    table = dep.table()
+                    table = dep.lookup
                     if len(table) != len(dep.entries):
                         out.append(Violation(dep.id, "duplicate table keys"))
                     for key in table:
@@ -657,7 +681,7 @@ def _apply_functional(
             if name not in env:
                 raise EvaluationError(f"missing value for variable '{name}'")
             key.append(env[name])
-        table = dep.table()
+        table = dep.lookup
         if tuple(key) not in table:
             raise EvaluationError(f"depend '{dep.id}' has no table entry for {tuple(key)!r}")
         raw = table[tuple(key)]
@@ -748,49 +772,129 @@ def evaluate(
     return ProblemInstance.from_mapping(values)
 
 
-def _numeric_bounds(domain: Domain) -> tuple[float, float]:
-    bounds = domain_bounds(domain)
-    if bounds is None:
-        raise DefinitionError("constraint input over non-numeric domain")
-    return bounds
+class _Row(NamedTuple):
+    """One compiled linear row: ``offset + sum(coefficients[i] * inputs[i])``
+    compared against ``bound``.
+
+    ``low`` and ``high`` hold each input's smallest and largest term over its
+    domain bounds, or None when the domain has no numeric bounds.  ``scale``
+    bounds the magnitude of every partial sum.  ``exact`` says every term is
+    an integer and ``scale`` is below 2**52, so floating-point sums of the
+    terms never round and come out the same in any order.
+    """
+
+    inputs: tuple[str, ...]
+    coefficients: tuple[float, ...]
+    comparator: str
+    bound: float
+    offset: float
+    low: tuple[Optional[float], ...]
+    high: tuple[Optional[float], ...]
+    scale: float
+    exact: bool
 
 
-def _constraint_possible(
-    dep: ConstraintDepend, env: Mapping[str, Value], model: Model
-) -> bool:
+# Variable -> (row number, coefficient, low term, high term) for each of its
+# occurrences in a row.
+_Watch = dict[str, tuple[tuple[int, float, float, float], ...]]
+
+
+class _SearchIndex(NamedTuple):
+    feeds: dict[str, list[FunctionalDepend]]
+    out_domains: dict[str, Domain]
+    rows: tuple[_Row, ...]  # one per pure constraint, in declaration order
+    watch: _Watch
+    # By the output of each weighted sum over numeric inputs: its row, and
+    # the watch lists of ``rows`` followed by that row.
+    objectives: dict[str, tuple[_Row, _Watch]]
+
+
+def _compile_row(model: Model, dep: Union[ConstraintDepend, WeightedSum]) -> _Row:
+    """A cardinality constraint is an all-ones row, an incompatibility the row
+    ``a + b <= 1`` (its inputs are boolean), and a weighted sum the row
+    ``sum >= bound`` whose bound the search raises as it finds better leaves."""
+    offset = 0.0
+    if isinstance(dep, Incompatibility):
+        coefficients, comparator, bound = (1.0, 1.0), "<=", 1
+    elif isinstance(dep, CardinalityConstraint):
+        coefficients, comparator, bound = (1.0,) * len(dep.inputs), dep.comparator, dep.bound
+    elif isinstance(dep, LinearConstraint):
+        coefficients, comparator, bound = dep.coefficients, dep.comparator, dep.bound
+    else:
+        coefficients, comparator, bound = dep.weights, ">=", float("-inf")
+        offset = dep.offset
+    inputs = tuple(name for _, name in zip(coefficients, dep.inputs))
+    low: list[Optional[float]] = []
+    high: list[Optional[float]] = []
+    exact = float(offset).is_integer()
+    for coeff, name in zip(coefficients, inputs):
+        domain = model._domains.get(name)
+        bounds = domain_bounds(domain) if domain is not None else None
+        if bounds is None:
+            low.append(None)
+            high.append(None)
+            continue
+        ends = (coeff * bounds[0], coeff * bounds[1])
+        low.append(min(ends))
+        high.append(max(ends))
+        exact = exact and float(coeff).is_integer() and _integral(domain)
+    scale = abs(offset) + sum(max(-a, b) for a, b in zip(low, high) if a is not None)
+    return _Row(
+        inputs, tuple(coefficients), comparator, bound, offset, tuple(low), tuple(high),
+        scale, exact and scale < 2.0**52,
+    )
+
+
+def _integral(domain: Domain) -> bool:
+    """Whether every value of the domain is an integer."""
+    if isinstance(domain, (Boolean, IntegerRange)):
+        return True
+    return isinstance(domain, Enumerated) and all(
+        float(v).is_integer() for v in domain.labels  # type: ignore[arg-type]
+    )
+
+
+def _watch_lists(rows: tuple[_Row, ...]) -> _Watch:
+    watch: _Watch = {}
+    for r, row in enumerate(rows):
+        for name, coeff, low, high in zip(row.inputs, row.coefficients, row.low, row.high):
+            watch[name] = watch.get(name, ()) + ((r, coeff, low, high),)  # type: ignore[assignment]
+    return watch
+
+
+def _row_interval(row: _Row, env: Mapping[str, Value]) -> tuple[float, float]:
+    """The row's sum over every completion of the partial assignment ``env``:
+    inputs without a value range over their domain bounds."""
+    lo = hi = row.offset
+    for coeff, name, low, high in zip(row.coefficients, row.inputs, row.low, row.high):
+        if name in env:
+            term = coeff * float(env[name])  # type: ignore[arg-type]
+            lo += term
+            hi += term
+        elif low is None:
+            raise DefinitionError("constraint input over non-numeric domain")
+        else:
+            lo += low
+            hi += high  # type: ignore[operator]
+    return lo, hi
+
+
+def _interval_allows(lo: float, hi: float, comparator: str, bound: float) -> bool:
+    """Whether some sum in ``[lo, hi]`` can satisfy ``sum <comparator> bound``."""
+    if comparator == "==":
+        return lo - CONSTRAINT_EPS <= bound <= hi + CONSTRAINT_EPS
+    if comparator == "<=":
+        return lo <= bound + CONSTRAINT_EPS
+    return hi >= bound - CONSTRAINT_EPS
+
+
+def _constraint_possible(row: _Row, env: Mapping[str, Value]) -> bool:
     """False only when no completion of the partial assignment can satisfy.
 
-    Exact once every input has a value; inputs without one range over their
-    domain bounds.
+    Exact once every input has a value.
     """
-    if isinstance(dep, Incompatibility):
-        if dep.a in env and dep.b in env:
-            return not (env[dep.a] and env[dep.b])
-        return True
-    if isinstance(dep, CardinalityConstraint):
-        lo = hi = 0.0
-        for name in dep.inputs:
-            if name in env:
-                lo += 1 if env[name] else 0
-                hi += 1 if env[name] else 0
-            else:
-                hi += 1
-    else:
-        lo = hi = 0.0
-        for coeff, name in zip(dep.coefficients, dep.inputs):
-            if name in env:
-                term = coeff * float(env[name])  # type: ignore[arg-type]
-                lo += term
-                hi += term
-            else:
-                b0, b1 = _numeric_bounds(model.variable_domain(name))
-                lo += min(coeff * b0, coeff * b1)
-                hi += max(coeff * b0, coeff * b1)
-    if dep.comparator == "==":
-        return lo - CONSTRAINT_EPS <= dep.bound <= hi + CONSTRAINT_EPS
-    if dep.comparator == "<=":
-        return lo <= dep.bound + CONSTRAINT_EPS
-    return hi >= dep.bound - CONSTRAINT_EPS
+    lo, hi = _row_interval(row, env)
+    return _interval_allows(lo, hi, row.comparator, row.bound)
 
 
 def is_feasible(
@@ -807,11 +911,11 @@ def is_feasible(
     for pid, computed in derived_parameters.items():
         if env[pid] != computed:
             return False
-    for dep in model.constraint_depends:
+    for dep, row in zip(model.constraint_depends, model._search_index.rows):
         for name in dep.inputs:
             if name not in env:
                 raise EvaluationError(f"missing value for variable '{name}'")
-        if not _constraint_possible(dep, env, model):
+        if not _constraint_possible(row, env):
             return False
     return True
 
@@ -825,6 +929,7 @@ def search_specifications(
     free: Iterable[str],
     exogenous: Optional[Mapping[str, Value]],
     visit: Callable[[Specification, Mapping[str, Value]], None],
+    maximize: Optional[str] = None,
 ) -> None:
     """Depth-first search over the free parameters with constraint propagation.
 
@@ -835,6 +940,17 @@ def search_specifications(
     constraint can no longer hold.  ``visit`` gets every feasible leaf's full
     specification and value environment (valid only during the call).  A
     depend input with no way to get a value raises an evaluation error first.
+
+    Each constraint is a linear row whose interval over the completions of
+    the current branch is kept up to date as its inputs get values, and
+    tested in full once its last input has one.  When ``maximize`` names a
+    criterion that a weighted sum computes, that sum is one more row, whose
+    floor is the best value of a leaf visited so far less a rounding margin:
+    a branch whose sum cannot reach the floor is cut (branch and bound).  So
+    ``visit`` still gets every leaf that ties or beats the best value so far,
+    in the same order, but skips leaves that cannot.  An evaluation error is
+    raised only from a branch the search reaches, so a cut branch raises
+    none.
     """
     free_ids = sorted(free)
     producers = model.producers
@@ -857,24 +973,55 @@ def search_specifications(
             if name not in known:
                 raise EvaluationError(f"missing value for variable '{name}'")
 
-    feeds, watching, out_domains = model._search_index
+    compiled = model._search_index
+    feeds, out_domains = compiled.feeds, compiled.out_domains
+    rows, watch = compiled.rows, compiled.watch
+    objective = None
+    if maximize in compiled.objectives:
+        objective, watch = compiled.objectives[maximize]
+        cut = len(rows)
+        rows += (objective,)
+        # Larger than any rounding of the running sum, so no leaf that ties
+        # the best value is cut.
+        slack = CONSTRAINT_EPS * (1.0 + objective.scale)
     missing: dict[str, int] = {
         dep.id: sum(1 for name in dep.inputs if name not in env) for dep in topo
     }
+    # Each row's running interval, its number of inputs without a value, and
+    # the bound it is compared against (the objective's floor starts at -inf).
+    intervals = [_row_interval(row, env) for row in rows]
+    lo = [interval[0] for interval in intervals]
+    hi = [interval[1] for interval in intervals]
+    left = [sum(1 for name in row.inputs if name not in env) for row in rows]
+    comparators = [row.comparator for row in rows]
+    bounds = [row.bound for row in rows]
+    exact = [row.exact for row in rows]
     params = [model.parameter(pid) for pid in free_ids]
     param_ids = [p.id for p in model.sorted_parameters]
 
     # The trail records every reversible step as ("env", variable) for an
-    # environment entry or ("dec", depend id) for one missing-input decrement,
-    # so undo stays exact even when propagation bails out partway through.
+    # environment entry, ("dec", depend id) for one missing-input decrement,
+    # or ("row", row number, lo, hi) for a row's interval before an input got
+    # a value, so undo stays exact even when propagation bails out partway
+    # through.
 
-    def propagate(assigned: str, trail: list[tuple[str, str]]) -> bool:
-        """Compute newly ready functional outputs; False on constraint failure."""
+    def propagate(assigned: str, trail: list[tuple]) -> bool:
+        """Compute newly ready functional outputs; False once some row fails."""
         queue = [assigned]
         while queue:
             name = queue.pop()
-            for con in watching.get(name, ()):
-                if not _constraint_possible(con, env, model):
+            for r, coeff, low, high in watch.get(name, ()):
+                trail.append(("row", r, lo[r], hi[r]))
+                left[r] -= 1
+                if left[r] or exact[r]:
+                    term = coeff * float(env[name])  # type: ignore[arg-type]
+                    lo[r] += term - low
+                    hi[r] += term - high
+                else:
+                    # In full once the last input has a value, in the order
+                    # ``is_feasible`` and ``evaluate`` add the terms.
+                    lo[r], hi[r] = _row_interval(rows[r], env)
+                if not _interval_allows(lo[r], hi[r], comparators[r], bounds[r]):
                     return False
             for dep in feeds.get(name, ()):
                 missing[dep.id] -= 1
@@ -885,12 +1032,16 @@ def search_specifications(
                     queue.append(dep.output)
         return True
 
-    def undo(trail: list[tuple[str, str]]) -> None:
-        for kind, payload in reversed(trail):
-            if kind == "env":
-                del env[payload]
+    def undo(trail: list[tuple]) -> None:
+        for entry in reversed(trail):
+            if entry[0] == "env":
+                del env[entry[1]]
+            elif entry[0] == "dec":
+                missing[entry[1]] += 1
             else:
-                missing[payload] += 1
+                r = entry[1]
+                lo[r], hi[r] = entry[2], entry[3]
+                left[r] += 1
 
     # Propagate anything computable before search (constants, defaults).  The
     # prefix is never undone, so its trail is dropped.
@@ -899,8 +1050,8 @@ def search_specifications(
             env[dep.output] = _apply_functional(dep, env, out_domains[dep.output])
             if not propagate(dep.output, []):
                 return
-    for con in constraints:
-        if all(n in env for n in con.inputs) and not _constraint_possible(con, env, model):
+    for r, row in enumerate(compiled.rows):
+        if not left[r] and not _constraint_possible(row, env):
             return
 
     # Every input is known by the leaves (checked above), and each constraint
@@ -909,11 +1060,13 @@ def search_specifications(
     def descend(index: int) -> None:
         if index == len(params):
             visit(Specification(tuple((pid, env[pid]) for pid in param_ids)), env)
+            if objective is not None:
+                bounds[cut] = max(bounds[cut], float(env[maximize]) - slack)  # type: ignore[arg-type]
             return
         p = params[index]
         for value in p.domain.values():
             env[p.id] = value
-            trail: list[tuple[str, str]] = [("env", p.id)]
+            trail: list[tuple] = [("env", p.id)]
             if propagate(p.id, trail):
                 descend(index + 1)
             undo(trail)

@@ -34,7 +34,6 @@ from .model import (
     evaluate,
     hamming,
     is_feasible,
-    validate_model,
 )
 from .solver import Rop, rop
 
@@ -642,7 +641,7 @@ def run_simulation(
     status "no-feasible-adaptation" (keeping the partial timeline) when no
     switch target survives the constraints.
     """
-    violations = validate_model(model)
+    violations = model.violations
     if violations:
         raise DefinitionError("invalid model: " + "; ".join(str(v) for v in violations))
     if model.decision_rule is None or not model.decision_set:

@@ -37,7 +37,6 @@ from .model import (
     or_,
     search_space_size,
     search_specifications,
-    validate_model,
     var,
 )
 
@@ -58,7 +57,7 @@ class Rop:
     exogenous: tuple[tuple[str, Value], ...] = ()
 
     def __post_init__(self) -> None:
-        violations = validate_model(self.model)
+        violations = self.model.violations
         if violations:
             raise DefinitionError(
                 "invalid model: " + "; ".join(str(v) for v in violations)
@@ -146,6 +145,13 @@ def solve_rop(problem: Rop, cap: int = DEFAULT_ENUMERATION_CAP) -> SolveResult:
     it take their computed value or their default) and keeps the leaves with
     the highest decision-rule value.  All tied optima are returned, sorted
     canonically.
+
+    When a weighted sum computes the decision rule, the search also cuts
+    every branch whose sum cannot reach the best value found so far.  An
+    evaluation error (such as a value outside its criterion's domain) is
+    raised only from a branch the search reaches, so a problem can solve
+    even though ``brute_force_oracle``, which evaluates every combination,
+    raises on a leaf that a constraint or the cut skipped.
     """
     model = problem.model
     decision_ids = sorted(model.decision_set)
@@ -169,7 +175,9 @@ def solve_rop(problem: Rop, cap: int = DEFAULT_ENUMERATION_CAP) -> SolveResult:
         elif value == best_value:
             best.append(spec)
 
-    search_specifications(model, decision_ids, problem.exogenous_map(), keep_best)
+    search_specifications(
+        model, decision_ids, problem.exogenous_map(), keep_best, maximize=rule
+    )
     if not best:
         return Infeasible()
     best.sort(key=lambda s: canonical_key(model, s))

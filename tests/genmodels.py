@@ -21,7 +21,7 @@ from ropas.decisions import (
     PowerTransform,
     TableTransform,
 )
-from ropas.domains import Boolean, Domain, Enumerated, IntegerRange, domain_bounds
+from ropas.domains import Boolean, Domain, Enumerated, IntegerRange, RealGrid, domain_bounds
 from ropas.goals import GoalGraph, goal_graph
 from ropas.model import (
     BooleanFormula,
@@ -323,6 +323,55 @@ def with_derived_parameter(rng: random.Random, problem: Rop) -> Rop:
         parameters=model.parameters + (Parameter("d0", Boolean(), default=default),),
         depends=depends + (step,),
     )
+    problems = validate_model(model)
+    assert not problems, problems
+    return rop(model, problem.exogenous_map())
+
+
+def with_real_coefficients(rng: random.Random, problem: Rop) -> Rop:
+    """The problem with tenths for coefficients: every linear constraint gets
+    coefficients and a bound that are multiples of 0.1, and the utility gets
+    such weights and offset over a ``RealGrid`` domain of step 0.1.
+
+    Tenths are not dyadic, so the sums the search keeps round differently
+    from the sums ``evaluate`` and ``is_feasible`` compute.  It draws from
+    ``rng`` only after ``random_rop`` (and ``with_derived_parameter``) are
+    done, so their streams are unchanged.
+    """
+    model = problem.model
+
+    def tenths(dep) -> tuple[int, ...]:
+        return tuple(rng.randint(-20, 20) for _ in dep.inputs)
+
+    def extremes(dep, weights, offset: int = 0) -> tuple[float, float]:
+        """Smallest and largest offset + sum(weight * input), in tenths."""
+        lo = hi = offset
+        for w, name in zip(weights, dep.inputs):
+            b0, b1 = domain_bounds(model.variable_domain(name))
+            ends = (w * b0, w * b1)
+            lo, hi = lo + min(ends), hi + max(ends)
+        return lo, hi
+
+    utility = next(d for d in model.depends if d.id == "def_goal")
+    weights, offset = tenths(utility), rng.randint(-20, 20)
+    lo, hi = extremes(utility, weights, offset)
+    utility = replace(utility, weights=tuple(w / 10 for w in weights), offset=offset / 10)
+    grid = RealGrid(floor(lo) / 10, ceil(hi) / 10, 0.1)
+    model = replace(
+        model,
+        criteria=tuple(replace(c, domain=grid) if c.id == "goal" else c for c in model.criteria),
+    )
+    depends = []
+    for dep in model.depends:
+        if dep.id == "def_goal":
+            dep = utility
+        elif isinstance(dep, LinearConstraint):
+            weights = tenths(dep)
+            lo, hi = extremes(dep, weights)
+            bound = rng.randint(floor(lo), ceil(hi)) / 10
+            dep = replace(dep, coefficients=tuple(w / 10 for w in weights), bound=bound)
+        depends.append(dep)
+    model = replace(model, depends=tuple(depends))
     problems = validate_model(model)
     assert not problems, problems
     return rop(model, problem.exogenous_map())

@@ -234,7 +234,7 @@ def reference_eu(dm, alternative_id: str) -> float:
                 weight * fsum(transform(p) * float(v) for v, p in lot.outcomes)
             )
         return fsum(parts)
-    table = dm.utility.table()
+    table = dm.utility.lookup
     lots = [alt.lottery_for(attr.id) for attr in dm.attributes]
     terms = []
     for combo in product(*(lot.outcomes for lot in lots)):

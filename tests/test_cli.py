@@ -245,6 +245,31 @@ def test_solve_oracle_computes_a_derived_parameter_from_a_default(capsys, tmp_pa
     assert out.splitlines()[-1] == "optimum d=0,fix=1,p=1"
 
 
+def test_solve_skips_a_cut_branch_that_the_oracle_evaluates(capsys, tmp_path):
+    # x=1 gives u=-1, outside u's domain; the objective cut never computes it.
+    path = tmp_path / "narrow.model"
+    path.write_text(
+        "ropas-model v1\n"
+        "\n"
+        "[variables]\n"
+        "criterion u int:0:0 kind=utility pref=higher-better\n"
+        "parameter x bool\n"
+        "\n"
+        "[depends]\n"
+        "weighted-sum u_sum -> u : -1.0*x\n"
+        "\n"
+        "[decision]\n"
+        "rule u\n"
+        "set x\n"
+    )
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert (code, err) == (OK, "")
+    assert out.splitlines()[-2:] == ["objective 0", "optimum x=0"]
+    code, out, err = run_cli(capsys, "solve", "--oracle", str(path))
+    assert (code, out) == (FAILURE, "")
+    assert "not in integer range" in err
+
+
 def test_solve_respects_the_cap(capsys):
     code, _, err = run_cli(capsys, "solve", "--cap", "100", ALERTS)
     assert code == FAILURE

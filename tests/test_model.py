@@ -190,6 +190,14 @@ def test_lookup_table_value_outside_output_domain():
     assert any("outside output domain" in v.message for v in validate_model(m))
 
 
+def test_lookup_table_duplicate_keys_are_reported_and_the_last_one_wins():
+    entries = tuple(((a, b), a + b) for a in (0, 1) for b in (0, 1)) + (((1, 1), 7),)
+    m = tiny_model(depends=(LookupTable("t", "score", ("x", "y"), entries),))
+    assert [str(v) for v in validate_model(m)] == ["t: duplicate table keys"]
+    spec = Specification.from_mapping({"x": 1, "y": 1})
+    assert evaluate(m, spec) == ProblemInstance.from_mapping({"score": 7})
+
+
 def test_threshold_step_output_must_be_boolean():
     m = tiny_model(
         depends=(

@@ -4,7 +4,12 @@ import random
 
 import pytest
 
-from genmodels import random_goal_graph, random_rop, with_derived_parameter
+from genmodels import (
+    random_goal_graph,
+    random_rop,
+    with_derived_parameter,
+    with_real_coefficients,
+)
 from ropas.domains import Boolean, Enumerated, IntegerRange, RealGrid
 from ropas.errors import DefinitionError, EvaluationError, RopasError, SizeLimitError
 from ropas.fixtures import alert_exogenous, alert_model, dispatch_goals
@@ -21,6 +26,7 @@ from ropas.model import (
     Specification,
     ThresholdStep,
     WeightedSum,
+    LinearConstraint,
     enumerate_specifications,
     not_,
     validate_model,
@@ -381,3 +387,148 @@ def test_encode_agrees_with_direct_search_on_random_graphs():
         assert decoded == set(direct), i
         for sel in decoded:
             assert check_drp(g, sel).satisfaction, i
+
+
+# ---------------------------------------------------------------------------
+# Objective cut (branch and bound on the decision rule)
+
+
+def _count_leaves(monkeypatch) -> list:
+    """Patch solve_rop's search so that every visited leaf is recorded."""
+    import ropas.solver as solver
+
+    leaves: list = []
+    search = solver.search_specifications
+
+    def counted(model, free, exogenous, visit, **options):
+        def record(spec, env):
+            leaves.append(spec)
+            visit(spec, env)
+
+        search(model, free, exogenous, record, **options)
+
+    monkeypatch.setattr(solver, "search_specifications", counted)
+    return leaves
+
+
+def test_objective_cut_visits_only_the_singleton_optima(monkeypatch):
+    atoms = [f"s{i:02d}" for i in range(16)]
+    graph = goal_graph(
+        atoms=("r", *atoms),
+        refinements=[("r", (a,)) for a in atoms],
+        r_atoms=("r",),
+        s_atoms=atoms,
+    )
+    leaves = _count_leaves(monkeypatch)
+    result = solve_rop(encode_rdrp(graph))
+    assert isinstance(result, OptimalSolutions)
+    assert [decode_selection(graph, spec) for spec in result.optima] == [
+        frozenset({a}) for a in reversed(atoms)
+    ]
+    assert result.objective_value == -1
+    assert len(leaves) <= 16
+
+
+def test_objective_cut_keeps_every_tie_in_order():
+    k = 4
+    channels = [f"a{i}" for i in range(k)]
+    stores = [f"s{i}" for i in range(k)]
+    m = Model(
+        criteria=(Criterion("u", IntegerRange(0, 2 * k), "utility", "higher-better"),),
+        parameters=tuple(Parameter(p, Boolean()) for p in channels + stores),
+        monitored=(MonitoredVariable("ok", IntegerRange(0, 1)),),
+        depends=(
+            WeightedSum("u_sum", "u", tuple(channels + stores), (1.0,) * (2 * k)),
+            CardinalityConstraint("one_channel", tuple(channels), "==", 1),
+            CardinalityConstraint("one_store", tuple(stores), "==", 1),
+            LinearConstraint("gate", ("a1", "ok"), (1.0, -1.0), "<=", 0.0),
+        ),
+        decision_rule="u",
+        decision_set=tuple(channels + stores),
+    )
+    problem = rop(m, {"ok": 0})
+    fast = solve_rop(problem)
+    assert isinstance(fast, OptimalSolutions)
+    assert len(fast.optima) == (k - 1) * k
+    assert fast == brute_force_oracle(problem)
+
+
+def test_search_agrees_with_oracle_with_real_coefficients():
+    rng = random.Random(1618)
+    for i in range(320):
+        problem = random_rop(rng, max_space=256)
+        if i % 2:
+            problem = with_derived_parameter(rng, problem)
+        problem = with_real_coefficients(rng, problem)
+        model, exogenous = problem.model, problem.exogenous_map()
+        assert solve_rop(problem) == brute_force_oracle(problem), i
+        assert enumerate_specifications(model, exogenous) == brute_force_enumeration(
+            model, exogenous
+        ), i
+
+
+def narrow_rule(producer) -> Model:
+    """Maximise u over a boolean x; x=1 gives u=-1, outside u's domain."""
+    m = Model(
+        criteria=(Criterion("u", IntegerRange(0, 0), "utility", "higher-better"),),
+        parameters=(Parameter("x", Boolean()),),
+        depends=(producer,),
+        decision_rule="u",
+        decision_set=("x",),
+    )
+    assert validate_model(m) == []
+    return m
+
+
+def test_cut_branch_raises_no_evaluation_error():
+    problem = rop(narrow_rule(WeightedSum("u_sum", "u", ("x",), (-1.0,))))
+    result = solve_rop(problem)
+    assert result == OptimalSolutions(
+        optima=(Specification.from_mapping({"x": 0}),), objective_value=0
+    )
+    with pytest.raises(EvaluationError, match="not in integer range"):
+        brute_force_oracle(problem)
+
+
+def test_rule_from_another_producer_gets_no_cut():
+    # x=1 is worse for u and puts c outside its domain.  A weighted-sum rule
+    # cuts that branch before c is computed; a lookup-table rule does not.
+    def problem(producer):
+        return rop(
+            Model(
+                criteria=(
+                    Criterion("u", IntegerRange(0, 1), "utility", "higher-better"),
+                    Criterion("c", IntegerRange(0, 0)),
+                ),
+                parameters=(Parameter("x", Boolean()),),
+                depends=(producer, WeightedSum("c_sum", "c", ("x",), (-1.0,))),
+                decision_rule="u",
+                decision_set=("x",),
+            )
+        )
+
+    summed = problem(WeightedSum("u_sum", "u", ("x",), (-1.0,), 1.0))
+    assert solve_rop(summed).optima == (Specification.from_mapping({"x": 0}),)
+    looked_up = problem(LookupTable("u_table", "u", ("x",), (((0,), 1), ((1,), 0))))
+    with pytest.raises(EvaluationError, match="not in integer range"):
+        solve_rop(looked_up)
+
+
+def test_rop_validates_each_model_once(monkeypatch):
+    import ropas.model as model_module
+    import ropas.solver as solver
+
+    calls = []
+    validate = model_module.validate_model
+
+    def counted(m):
+        calls.append(m)
+        return validate(m)
+
+    for module in (model_module, solver):
+        monkeypatch.setattr(module, "validate_model", counted, raising=False)
+    m = alert_model()
+    for _ in range(100):
+        rop(m, alert_exogenous())
+    assert len(calls) == 1
+    assert validate_model(m) == [] and validate_model(m) is not validate_model(m)
