@@ -15,11 +15,13 @@ id lookups, the functional depends' evaluation order, its validation
 findings, and the search's compiled rows.  Every pure constraint compiles to
 one linear row (coefficients, comparator, bound, and each input's smallest
 and largest term): a cardinality constraint is an all-ones row and an
-incompatibility the row ``a + b <= 1``.  Every weighted sum compiles to a row
-as well.  The search keeps each row's interval over the completions of the
-current branch, updates it in O(1) as an input gets a value, and restores it
-from the trail on backtracking.  When it maximises a criterion that a
-weighted sum computes, that row's upper bound cuts every branch that cannot
+incompatibility the row ``a + b <= 1``.  When a weighted sum computes the
+decision rule, it compiles to a row as well.  The search keeps each row's
+interval over the completions of the current branch, updates it in O(1) as
+an input gets a value, and restores it from the trail on backtracking; it
+prunes on a partial interval only beyond the row's rounding tolerance, and
+tests the row exactly once its last input has a value.  When it maximises
+the decision rule, that row's upper bound cuts every branch that cannot
 reach the best leaf found so far (branch and bound); ties are never cut.
 Every evaluation, feasibility check and search of that model reuses the
 index.
@@ -38,8 +40,6 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 from .domains import (
     Boolean,
     Domain,
-    Enumerated,
-    IntegerRange,
     Value,
     domain_bounds,
 )
@@ -418,21 +418,21 @@ class Model:
     def _search_index(self) -> _SearchIndex:
         """The search's compiled view of the depends: functional depends by
         the inputs they read, the domain of every functional output, one
-        linear row per pure constraint with its watch lists, and one row per
-        weighted sum for the objective cut."""
+        linear row per pure constraint with its watch lists, and the row of
+        the decision rule for the objective cut."""
         feeds: dict[str, list[FunctionalDepend]] = {}
         for dep in self.topological_depends:
             for name in dep.inputs:
                 feeds.setdefault(name, []).append(dep)
         out_domains = {d.output: self.variable_domain(d.output) for d in self.topological_depends}
         rows = tuple(_compile_row(self, con) for con in self.constraint_depends)
-        objectives = {}
-        for output, dep in self.producers.items():
-            if isinstance(dep, WeightedSum):
-                row = _compile_row(self, dep)
-                if None not in row.low:
-                    objectives[output] = (row, _watch_lists(rows + (row,)))
-        return _SearchIndex(feeds, out_domains, rows, _watch_lists(rows), objectives)
+        objective = None
+        rule = self.producers.get(self.decision_rule)  # type: ignore[arg-type]
+        if isinstance(rule, WeightedSum):
+            row = _compile_row(self, rule)
+            if None not in row.low:
+                objective = (row, _watch_lists(rows + (row,)))
+        return _SearchIndex(feeds, out_domains, rows, _watch_lists(rows), objective)
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
@@ -777,10 +777,9 @@ class _Row(NamedTuple):
     compared against ``bound``.
 
     ``low`` and ``high`` hold each input's smallest and largest term over its
-    domain bounds, or None when the domain has no numeric bounds.  ``scale``
-    bounds the magnitude of every partial sum.  ``exact`` says every term is
-    an integer and ``scale`` is below 2**52, so floating-point sums of the
-    terms never round and come out the same in any order.
+    domain bounds, or None when the domain has no numeric bounds.
+    ``tolerance`` is larger than any rounding of a sum of the terms in any
+    order: ``CONSTRAINT_EPS`` scaled by a bound on every partial sum.
     """
 
     inputs: tuple[str, ...]
@@ -790,8 +789,7 @@ class _Row(NamedTuple):
     offset: float
     low: tuple[Optional[float], ...]
     high: tuple[Optional[float], ...]
-    scale: float
-    exact: bool
+    tolerance: float
 
 
 # Variable -> (row number, coefficient, low term, high term) for each of its
@@ -804,9 +802,9 @@ class _SearchIndex(NamedTuple):
     out_domains: dict[str, Domain]
     rows: tuple[_Row, ...]  # one per pure constraint, in declaration order
     watch: _Watch
-    # By the output of each weighted sum over numeric inputs: its row, and
-    # the watch lists of ``rows`` followed by that row.
-    objectives: dict[str, tuple[_Row, _Watch]]
+    # When a weighted sum over numeric inputs computes the decision rule: its
+    # row, and the watch lists of ``rows`` followed by that row.
+    objective: Optional[tuple[_Row, _Watch]]
 
 
 def _compile_row(model: Model, dep: Union[ConstraintDepend, WeightedSum]) -> _Row:
@@ -826,7 +824,6 @@ def _compile_row(model: Model, dep: Union[ConstraintDepend, WeightedSum]) -> _Ro
     inputs = tuple(name for _, name in zip(coefficients, dep.inputs))
     low: list[Optional[float]] = []
     high: list[Optional[float]] = []
-    exact = float(offset).is_integer()
     for coeff, name in zip(coefficients, inputs):
         domain = model._domains.get(name)
         bounds = domain_bounds(domain) if domain is not None else None
@@ -837,20 +834,10 @@ def _compile_row(model: Model, dep: Union[ConstraintDepend, WeightedSum]) -> _Ro
         ends = (coeff * bounds[0], coeff * bounds[1])
         low.append(min(ends))
         high.append(max(ends))
-        exact = exact and float(coeff).is_integer() and _integral(domain)
     scale = abs(offset) + sum(max(-a, b) for a, b in zip(low, high) if a is not None)
     return _Row(
         inputs, tuple(coefficients), comparator, bound, offset, tuple(low), tuple(high),
-        scale, exact and scale < 2.0**52,
-    )
-
-
-def _integral(domain: Domain) -> bool:
-    """Whether every value of the domain is an integer."""
-    if isinstance(domain, (Boolean, IntegerRange)):
-        return True
-    return isinstance(domain, Enumerated) and all(
-        float(v).is_integer() for v in domain.labels  # type: ignore[arg-type]
+        CONSTRAINT_EPS * (1.0 + scale),
     )
 
 
@@ -879,13 +866,16 @@ def _row_interval(row: _Row, env: Mapping[str, Value]) -> tuple[float, float]:
     return lo, hi
 
 
-def _interval_allows(lo: float, hi: float, comparator: str, bound: float) -> bool:
-    """Whether some sum in ``[lo, hi]`` can satisfy ``sum <comparator> bound``."""
+def _interval_allows(
+    lo: float, hi: float, comparator: str, bound: float, eps: float = CONSTRAINT_EPS
+) -> bool:
+    """Whether some sum in ``[lo, hi]`` can satisfy ``sum <comparator> bound``
+    within ``eps``."""
     if comparator == "==":
-        return lo - CONSTRAINT_EPS <= bound <= hi + CONSTRAINT_EPS
+        return lo - eps <= bound <= hi + eps
     if comparator == "<=":
-        return lo <= bound + CONSTRAINT_EPS
-    return hi >= bound - CONSTRAINT_EPS
+        return lo <= bound + eps
+    return hi >= bound - eps
 
 
 def _constraint_possible(row: _Row, env: Mapping[str, Value]) -> bool:
@@ -929,7 +919,7 @@ def search_specifications(
     free: Iterable[str],
     exogenous: Optional[Mapping[str, Value]],
     visit: Callable[[Specification, Mapping[str, Value]], None],
-    maximize: Optional[str] = None,
+    maximize: bool = False,
 ) -> None:
     """Depth-first search over the free parameters with constraint propagation.
 
@@ -942,15 +932,16 @@ def search_specifications(
     depend input with no way to get a value raises an evaluation error first.
 
     Each constraint is a linear row whose interval over the completions of
-    the current branch is kept up to date as its inputs get values, and
-    tested in full once its last input has one.  When ``maximize`` names a
-    criterion that a weighted sum computes, that sum is one more row, whose
-    floor is the best value of a leaf visited so far less a rounding margin:
-    a branch whose sum cannot reach the floor is cut (branch and bound).  So
-    ``visit`` still gets every leaf that ties or beats the best value so far,
-    in the same order, but skips leaves that cannot.  An evaluation error is
-    raised only from a branch the search reaches, so a cut branch raises
-    none.
+    the current branch is kept up to date as its inputs get values, tested
+    within the row's rounding tolerance while some input has none, and
+    tested in full once its last input has one.  With ``maximize``, when a
+    weighted sum computes the model's decision rule, that sum is one more
+    row, whose floor is the best value of a leaf visited so far less the
+    row's tolerance: a branch whose sum cannot reach the floor is cut
+    (branch and bound).  So ``visit`` still gets every leaf that ties or
+    beats the best value so far, in the same order, but skips leaves that
+    cannot.  An evaluation error is raised only from a branch the search
+    reaches, so a cut branch raises none.
     """
     free_ids = sorted(free)
     producers = model.producers
@@ -976,14 +967,12 @@ def search_specifications(
     compiled = model._search_index
     feeds, out_domains = compiled.feeds, compiled.out_domains
     rows, watch = compiled.rows, compiled.watch
-    objective = None
-    if maximize in compiled.objectives:
-        objective, watch = compiled.objectives[maximize]
+    objective = compiled.objective if maximize else None
+    if objective is not None:
+        rule = model.decision_rule
+        objective_row, watch = objective
         cut = len(rows)
-        rows += (objective,)
-        # Larger than any rounding of the running sum, so no leaf that ties
-        # the best value is cut.
-        slack = CONSTRAINT_EPS * (1.0 + objective.scale)
+        rows += (objective_row,)
     missing: dict[str, int] = {
         dep.id: sum(1 for name in dep.inputs if name not in env) for dep in topo
     }
@@ -995,7 +984,7 @@ def search_specifications(
     left = [sum(1 for name in row.inputs if name not in env) for row in rows]
     comparators = [row.comparator for row in rows]
     bounds = [row.bound for row in rows]
-    exact = [row.exact for row in rows]
+    tolerances = [row.tolerance for row in rows]
     params = [model.parameter(pid) for pid in free_ids]
     param_ids = [p.id for p in model.sorted_parameters]
 
@@ -1013,15 +1002,19 @@ def search_specifications(
             for r, coeff, low, high in watch.get(name, ()):
                 trail.append(("row", r, lo[r], hi[r]))
                 left[r] -= 1
-                if left[r] or exact[r]:
+                if left[r]:
+                    # The running sums round differently from the leaf's, so
+                    # a partial test only cuts beyond the row's tolerance.
                     term = coeff * float(env[name])  # type: ignore[arg-type]
                     lo[r] += term - low
                     hi[r] += term - high
+                    eps = tolerances[r]
                 else:
                     # In full once the last input has a value, in the order
-                    # ``is_feasible`` and ``evaluate`` add the terms.
+                    # ``is_feasible`` adds the terms.
                     lo[r], hi[r] = _row_interval(rows[r], env)
-                if not _interval_allows(lo[r], hi[r], comparators[r], bounds[r]):
+                    eps = CONSTRAINT_EPS
+                if not _interval_allows(lo[r], hi[r], comparators[r], bounds[r], eps):
                     return False
             for dep in feeds.get(name, ()):
                 missing[dep.id] -= 1
@@ -1061,7 +1054,9 @@ def search_specifications(
         if index == len(params):
             visit(Specification(tuple((pid, env[pid]) for pid in param_ids)), env)
             if objective is not None:
-                bounds[cut] = max(bounds[cut], float(env[maximize]) - slack)  # type: ignore[arg-type]
+                # Less the tolerance, so no leaf that ties the best is cut.
+                floor = float(env[rule]) - objective_row.tolerance  # type: ignore[arg-type]
+                bounds[cut] = max(bounds[cut], floor)
             return
         p = params[index]
         for value in p.domain.values():

@@ -176,7 +176,7 @@ def solve_rop(problem: Rop, cap: int = DEFAULT_ENUMERATION_CAP) -> SolveResult:
             best.append(spec)
 
     search_specifications(
-        model, decision_ids, problem.exogenous_map(), keep_best, maximize=rule
+        model, decision_ids, problem.exogenous_map(), keep_best, maximize=True
     )
     if not best:
         return Infeasible()

@@ -467,6 +467,52 @@ def test_search_agrees_with_oracle_with_real_coefficients():
         ), i
 
 
+def large_real_rows(rng: random.Random) -> Model:
+    """Rows with terms of about 1e7 to 1e8 in tenths, where one ulp of a
+    partial sum exceeds CONSTRAINT_EPS.  Each bound is the sum, in
+    ``is_feasible``'s order, of one leaf drawn for the model, so every row
+    holds there exactly and an ``==`` row holds nowhere else."""
+    n = rng.randint(3, 6)
+    ids = [f"p{j}" for j in range(n)]
+    domains = {
+        pid: Boolean() if rng.random() < 0.5 else IntegerRange(0, rng.randint(1, 3))
+        for pid in ids
+    }
+    leaf = {pid: rng.choice(list(domain.values())) for pid, domain in domains.items()}
+    depends = [
+        WeightedSum("def_u", "u", tuple(ids), tuple(float(rng.randint(-3, 3)) for _ in ids))
+    ]
+    for c in range(rng.randint(1, 3)):
+        inputs = tuple(rng.sample(ids, rng.randint(2, n)))
+        coefficients = tuple(
+            rng.choice((1, -1)) * rng.randint(10**8, 10**9) / 10 for _ in inputs
+        )
+        total = 0.0
+        for coeff, name in zip(coefficients, inputs):
+            total += coeff * float(leaf[name])
+        comparator = rng.choice(("==", "==", "<=", ">="))
+        depends.append(LinearConstraint(f"c{c}", inputs, coefficients, comparator, total))
+    m = Model(
+        criteria=(Criterion("u", IntegerRange(-9 * n, 9 * n), "utility", "higher-better"),),
+        parameters=tuple(Parameter(pid, domain) for pid, domain in domains.items()),
+        depends=tuple(depends),
+        decision_rule="u",
+        decision_set=tuple(ids),
+    )
+    assert validate_model(m) == []
+    return m
+
+
+def test_search_agrees_with_oracle_on_large_real_rows():
+    rng = random.Random(2718)
+    for i in range(300):
+        problem = rop(large_real_rows(rng))
+        assert solve_rop(problem) == brute_force_oracle(problem), i
+        assert enumerate_specifications(problem.model) == brute_force_enumeration(
+            problem.model
+        ), i
+
+
 def narrow_rule(producer) -> Model:
     """Maximise u over a boolean x; x=1 gives u=-1, outside u's domain."""
     m = Model(
