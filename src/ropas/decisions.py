@@ -15,6 +15,7 @@ utility criterion is the decision rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Mapping, Optional, Union
 
@@ -176,6 +177,11 @@ class DecisionModel:
             if alt.id == alt_id:
                 return alt
         raise KeyError(alt_id)
+
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """``validate_decision_model``'s findings, computed once per model."""
+        return tuple(validate_decision_model(self))
 
 
 def validate_decision_model(dm: DecisionModel) -> list[Violation]:
@@ -355,7 +361,7 @@ def daop_to_rop(dm: DecisionModel) -> Rop:
     utility a single lookup produces the expected utility directly.  Solving
     the result yields exactly the top ranking group.
     """
-    problems = validate_decision_model(dm)
+    problems = dm.violations
     if problems:
         raise DefinitionError(
             "invalid decision model: " + "; ".join(str(v) for v in problems)

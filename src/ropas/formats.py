@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from .decisions import (
     Alternative,
@@ -25,7 +25,6 @@ from .decisions import (
     PowerTransform,
     TableTransform,
     Transform,
-    validate_decision_model,
 )
 from .domains import Boolean, Domain, Enumerated, IntegerRange, RealGrid, Value
 from .errors import DefinitionError, RopasError
@@ -70,20 +69,6 @@ TRACE_HEADER = "ropas-trace v1"
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _INT = re.compile(r"^[+-]?\d+$")
 
-_SECTIONS = (
-    "variables",
-    "depends",
-    "decision",
-    "triggers",
-    "evolution",
-    "simulation",
-    "goalgraph",
-    "attributes",
-    "alternatives",
-    "utility",
-    "transform",
-)
-
 
 @dataclass(frozen=True)
 class ParseIssue:
@@ -103,6 +88,24 @@ class ParseFailure(RopasError):
     def __init__(self, issues: list[ParseIssue]):
         super().__init__("; ".join(str(i) for i in issues) or "parse failed")
         self.issues = issues
+
+
+class _Parser:
+    """Lines and collected issues of one input file, header checked."""
+
+    def __init__(self, text: str, header: str):
+        self.lines = text.splitlines()
+        self.issues: list[ParseIssue] = []
+        if not self.lines or self.lines[0].strip() != header:
+            self.issues.append(
+                ParseIssue(1, "syntax", f"first line must be '{header}'")
+            )
+
+    def syntax(self, line: int, message: str) -> None:
+        self.issues.append(ParseIssue(line, "syntax", message))
+
+    def semantic(self, line: int, message: str) -> None:
+        self.issues.append(ParseIssue(line, "semantic", message))
 
 
 @dataclass(frozen=True)
@@ -323,28 +326,77 @@ def serialize_terms(
 
 
 # ---------------------------------------------------------------------------
-# Model file parsing
+# Model files
+#
+# Each record kind is one entry of ``_RECORDS``, keyed by its section and
+# head (the record's first token).  Its reader parses the rest of the record
+# into a ``_ModelParser``; its writer renders one value as that rest.  Both
+# ``parse_model`` and ``serialize_model`` are driven by the table, so a record
+# kind cannot exist in one direction only.
+#
+# A reader raises ``_Syntax`` for a malformed record, or ``ValueError`` /
+# ``DefinitionError`` for a well-formed one that declares something invalid.
+# A bare ``_Syntax()`` reports the section's usage message from ``_SECTIONS``.
+
+# Section -> its usage message for a head it does not know ({} is the head).
+_SECTIONS = {
+    "variables": "expected 'criterion|parameter|monitored ID DOMAIN'",
+    "depends": "unknown depend form '{}'",
+    "decision": "expected 'rule ID' or 'set ID1,ID2,...'",
+    "triggers": "expected 'trigger CRITERION in RANGE'",
+    "evolution": "unknown evolution form '{}'",
+    "simulation": "unknown simulation setting '{}'",
+    "goalgraph": "unknown goal record '{}'",
+    "attributes": "expected 'attribute ID DOMAIN'",
+    "alternatives": "unknown alternatives record '{}'",
+    "utility": "expected 'weighted-sum ...' or 'lookup-table ...'",
+    "transform": "unknown transform '{}'",
+}
+
+_ARROW_RE = re.compile(r"^(\S+)\s*->\s*(\S+)\s*:\s*(.*)$")
+_PLAIN_RE = re.compile(r"^(\S+)\s*:\s*(.*)$")
+_TRIGGER_RE = re.compile(r"^(\S+)\s+in\s+(.+)$")
+_TRANSITION_RE = re.compile(r"^from\s+(.*?)\s+to\s+(.+)$")
+_FORBID_VALUE_RE = re.compile(
+    r"^(\S+?)=(\S+?)(?:\s+unless\s+count\((.+)\)\s*(==|<=|>=)\s*(\d+))?$"
+)
+_REFINE_RE = re.compile(r"^(\S+)\s*<-\s*(.+)$")
+_COMPARATOR_RE = re.compile(r"(==|<=|>=)")
 
 
-_ARROW_RE = re.compile(r"^(\S+)\s+(\S+)\s*->\s*(\S+)\s*:\s*(.*)$")
-_PLAIN_RE = re.compile(r"^(\S+)\s+(\S+)\s*:\s*(.*)$")
+class _Syntax(Exception):
+    """A malformed record; reported as a syntax issue at the record's line."""
 
 
-class _Parser:
-    def __init__(self, text: str, header: str):
-        self.lines = text.splitlines()
-        self.issues: list[ParseIssue] = []
-        self.decl: dict[str, int] = {}
-        if not self.lines or self.lines[0].strip() != header:
-            self.issues.append(
-                ParseIssue(1, "syntax", f"first line must be '{header}'")
-            )
+class _ModelParser(_Parser):
+    """The declarations a model file's records make, gathered in file order."""
 
-    def syntax(self, line: int, message: str) -> None:
-        self.issues.append(ParseIssue(line, "syntax", message))
-
-    def semantic(self, line: int, message: str) -> None:
-        self.issues.append(ParseIssue(line, "semantic", message))
+    def __init__(self, text: str):
+        super().__init__(text, MODEL_HEADER)
+        self.line = 0  # the record being read, and its head
+        self.head = ""
+        self.decl: dict[str, int] = {}  # name -> line, for locating issues
+        self.criteria: list[Criterion] = []
+        self.parameters: list[Parameter] = []
+        self.monitored: list[MonitoredVariable] = []
+        self.depends: list[DependRelation] = []
+        self.decision_rule: Optional[str] = None
+        self.decision_set: tuple[str, ...] = ()
+        self.triggers: list[AwarenessTrigger] = []
+        self.constraints: list[EvolutionConstraint] = []
+        self.duration = 0
+        self.horizon: Optional[int] = None
+        self.initial: dict[str, tuple[Value, int]] = {}  # name -> (value, line)
+        self.initial_spec: Optional[tuple[dict[str, Value], int]] = None
+        self.change_scope: list[tuple[str, Domain, int]] = []
+        self.atoms: list[tuple[str, str, bool]] = []  # (id, role, mandatory)
+        self.refinements: list[tuple[str, tuple[str, ...]]] = []
+        self.conflicts: list[tuple[str, ...]] = []
+        self.attributes: list[Criterion] = []
+        self.alt_order: list[str] = []
+        self.lotteries: dict[str, list[tuple[str, Lottery]]] = {}
+        self.utility: Optional[Union[WeightedSum, LookupTable]] = None
+        self.transform: Transform = IdentityTransform()
 
     def records(self) -> list[tuple[int, str, str]]:
         """(line number, section, record text) for every record line."""
@@ -368,40 +420,153 @@ class _Parser:
             out.append((number, section, line))
         return out
 
+    def declare(self, name: str) -> None:
+        self.decl.setdefault(name, self.line)
 
-def _split_attrs(tokens: list[str], line: int, parser: _Parser,
-                 allowed: tuple[str, ...]) -> dict[str, str]:
-    """key=value trailing options on a variable record."""
-    out: dict[str, str] = {}
-    for token in tokens:
-        key, eq, value = token.partition("=")
-        if not eq or key not in allowed:
-            parser.syntax(line, f"unexpected token '{token}'")
-            continue
-        out[key] = value
-    return out
+    def depend(self, dep: DependRelation) -> None:
+        self.declare(dep.id)
+        self.depends.append(dep)
 
 
-def _parse_assignments(text: str, line: int, parser: _Parser) -> Optional[dict[str, Value]]:
+@dataclass(frozen=True)
+class _Record:
+    """One record kind: ``read`` parses the text after the head into the
+    parser, ``write`` renders one value as that text."""
+
+    read: Callable[[_ModelParser, str], None]
+    write: Callable[[Any], str]
+    kind: Optional[type] = None  # the value type naming this kind, where a
+    # section has several kinds of one role (depends, constraints, utilities)
+
+
+_RECORDS: dict[tuple[str, str], _Record] = {}
+
+
+def _record(section: str, head: str, write: Callable[[Any], str], kind: Optional[type] = None):
+    """Enter the decorated reader, with ``write``, as record kind (section, head)."""
+
+    def enter(read: Callable[[_ModelParser, str], None]):
+        _RECORDS[section, head] = _Record(read, write, kind)
+        return read
+
+    return enter
+
+
+# Pieces shared by several record kinds, each reader beside its writer.
+
+
+def _read_assignments(text: str) -> dict[str, Value]:
     """Comma-separated ID=VALUE list."""
     out: dict[str, Value] = {}
     for piece in text.split(","):
         piece = piece.strip()
         name, eq, raw = piece.partition("=")
         if not eq or not _IDENT.match(name):
-            parser.syntax(line, f"bad assignment '{piece}'")
-            return None
+            raise _Syntax(f"bad assignment '{piece}'")
         out[name] = parse_scalar(raw)
     return out
 
 
-def _parse_tolerable(text: str, line: int, parser: _Parser) -> Optional[TolerableRange]:
+def _write_assignments(items: tuple[tuple[str, Value], ...]) -> str:
+    return ",".join(f"{name}={format_scalar(value)}" for name, value in items)
+
+
+def _read_entries(text: str, value=parse_scalar, missing: type = ValueError) -> tuple:
+    """Lookup-table entries `K1,K2=V ; ...`; ``value`` reads each V and
+    ``missing`` is raised for an entry without '=' ([depends] reports that as
+    a semantic issue, [utility] as a syntax issue)."""
+    entries = []
+    for chunk in text.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        key_text, eq, value_text = chunk.partition("=")
+        if not eq:
+            raise missing(f"bad table entry '{chunk}'")
+        key = tuple(parse_scalar(p.strip()) for p in key_text.split(","))
+        try:
+            entries.append((key, value(value_text.strip())))
+        except ValueError:  # parse_scalar cannot fail; [utility] reads floats
+            raise ValueError(f"bad utility value in '{chunk}'")
+    return tuple(entries)
+
+
+def _write_entries(entries: tuple) -> str:
+    return " ; ".join(
+        ",".join(format_scalar(v) for v in key) + "=" + format_scalar(value)
+        for key, value in entries
+    )
+
+
+def _weighted(text: str) -> tuple[tuple[str, ...], tuple[float, ...], float]:
+    """Weighted terms as (names, weights, offset)."""
+    terms, offset = parse_terms(text)
+    return tuple(t[1] for t in terms), tuple(t[0] for t in terms), offset
+
+
+def _variable(p: _ModelParser, rest: str, options: tuple[str, ...]):
+    """`ID DOMAIN [KEY=VALUE ...]`: the id, its domain and the options given."""
+    tokens = rest.split()
+    if len(tokens) < 2:
+        raise _Syntax()
+    name = tokens[0]
+    if not _IDENT.match(name):
+        raise _Syntax(f"bad identifier '{name}'")
+    p.declare(name)
+    domain = parse_domain(tokens[1])
+    found: dict[str, str] = {}
+    for token in tokens[2:]:
+        key, eq, value = token.partition("=")
+        if eq and key in options:
+            found[key] = value
+        else:
+            p.syntax(p.line, f"unexpected token '{token}'")
+    return name, domain, found
+
+
+def _declared(v, **options: Optional[str]) -> str:
+    """`ID DOMAIN` followed by each option that is not None."""
+    return f"{v.id} {serialize_domain(v.domain)}" + "".join(
+        f" {key}={value}" for key, value in options.items() if value is not None
+    )
+
+
+def _whole(rest: str) -> int:
+    if not _INT.match(rest):
+        raise _Syntax()
+    return int(rest)
+
+
+def _compared(body: str) -> tuple[str, str, str]:
+    """`LEFT CMP RIGHT`, split at the first comparator."""
+    m = _COMPARATOR_RE.search(body)
+    if not m:
+        raise ValueError("missing comparator")
+    return body[: m.start()].strip(), m.group(1), body[m.end() :].strip()
+
+
+def _functional(p: _ModelParser, rest: str) -> tuple[str, ...]:
+    """(ID, OUT, BODY) of a functional depend `ID -> OUT : BODY`."""
+    m = _ARROW_RE.match(rest)
+    if not m:
+        raise _Syntax(f"expected '{p.head} ID -> OUT : ...'")
+    return m.groups()
+
+
+def _constraint(p: _ModelParser, rest: str) -> tuple[str, ...]:
+    """(ID, BODY) of a constraint depend `ID : BODY`."""
+    m = _PLAIN_RE.match(rest)
+    if not m:
+        raise _Syntax(f"expected '{p.head} ID : ...'")
+    return m.groups()
+
+
+def _read_tolerable(text: str) -> TolerableRange:
     text = text.strip()
     if text.startswith("[") and text.endswith("]"):
         inner = text[1:-1]
         if "," not in inner:
-            parser.syntax(line, f"bad interval '{text}'")
-            return None
+            raise _Syntax(f"bad interval '{text}'")
         lo_text, _, hi_text = inner.partition(",")
         edges = []
         for part in (lo_text.strip(), hi_text.strip()):
@@ -411,533 +576,17 @@ def _parse_tolerable(text: str, line: int, parser: _Parser) -> Optional[Tolerabl
                 try:
                     edges.append(float(part))
                 except ValueError:
-                    parser.syntax(line, f"bad interval edge '{part}'")
-                    return None
+                    raise _Syntax(f"bad interval edge '{part}'")
         return IntervalRange(edges[0], edges[1])
     if text.startswith("{") and text.endswith("}"):
         values = tuple(parse_scalar(p.strip()) for p in text[1:-1].split(",") if p.strip())
         if not values:
-            parser.syntax(line, "empty value set")
-            return None
+            raise _Syntax("empty value set")
         return ValueSetRange(values)
-    parser.syntax(line, f"tolerable range must be [lo,hi] or {{v,...}}, got '{text}'")
-    return None
+    raise _Syntax(f"tolerable range must be [lo,hi] or {{v,...}}, got '{text}'")
 
 
-def _build_depend(line: int, text: str, parser: _Parser) -> Optional[DependRelation]:
-    keyword = text.split(None, 1)[0]
-    try:
-        if keyword in ("boolean-formula", "weighted-sum", "lookup-table", "threshold-step"):
-            m = _ARROW_RE.match(text)
-            if not m or m.group(1) != keyword:
-                parser.syntax(line, f"expected '{keyword} ID -> OUT : ...'")
-                return None
-            name, output, body = m.group(2), m.group(3), m.group(4)
-            if keyword == "boolean-formula":
-                return BooleanFormula(name, output, parse_expr(body))
-            if keyword == "weighted-sum":
-                terms, offset = parse_terms(body)
-                if not terms:
-                    raise ValueError("weighted sum needs at least one term")
-                return WeightedSum(
-                    name,
-                    output,
-                    tuple(t[1] for t in terms),
-                    tuple(t[0] for t in terms),
-                    offset,
-                )
-            if keyword == "lookup-table":
-                inputs_text, sep, entries_text = body.partition(":")
-                if not sep:
-                    raise ValueError("expected 'IN1,IN2 : KEY=VALUE ; ...'")
-                inputs = tuple(t.strip() for t in inputs_text.split(",") if t.strip())
-                entries = []
-                for chunk in entries_text.split(";"):
-                    chunk = chunk.strip()
-                    if not chunk:
-                        continue
-                    key_text, eq, value_text = chunk.partition("=")
-                    if not eq:
-                        raise ValueError(f"bad table entry '{chunk}'")
-                    key = tuple(parse_scalar(p.strip()) for p in key_text.split(","))
-                    entries.append((key, parse_scalar(value_text.strip())))
-                return LookupTable(name, output, inputs, tuple(entries))
-            input_text, sep, cut_text = body.partition(">=")
-            if not sep:
-                raise ValueError("expected 'INPUT >= CUT'")
-            return ThresholdStep(name, output, input_text.strip(), float(cut_text))
-        if keyword in ("linear", "cardinality", "incompatibility"):
-            m = _PLAIN_RE.match(text)
-            if not m or m.group(1) != keyword:
-                parser.syntax(line, f"expected '{keyword} ID : ...'")
-                return None
-            name, body = m.group(2), m.group(3)
-            if keyword == "incompatibility":
-                parts = body.split()
-                if len(parts) != 2:
-                    raise ValueError("expected two variable names")
-                return Incompatibility(name, parts[0], parts[1])
-            cmp_match = re.search(r"(==|<=|>=)", body)
-            if not cmp_match:
-                raise ValueError("missing comparator")
-            left = body[: cmp_match.start()].strip()
-            bound_text = body[cmp_match.end() :].strip()
-            if keyword == "linear":
-                terms, offset = parse_terms(left)
-                if offset:
-                    raise ValueError("constant term not allowed in a linear constraint")
-                return LinearConstraint(
-                    name,
-                    tuple(t[1] for t in terms),
-                    tuple(t[0] for t in terms),
-                    cmp_match.group(1),
-                    float(bound_text),
-                )
-            inputs = tuple(t.strip() for t in left.split(",") if t.strip())
-            if not _INT.match(bound_text):
-                raise ValueError(f"cardinality bound '{bound_text}' is not an integer")
-            return CardinalityConstraint(name, inputs, cmp_match.group(1), int(bound_text))
-        parser.syntax(line, f"unknown depend form '{keyword}'")
-        return None
-    except (ValueError, DefinitionError) as err:
-        parser.semantic(line, str(err))
-        return None
-
-
-def parse_model(text: str) -> ModelBundle:
-    """Parse a model file; raises ParseFailure listing every problem found."""
-    parser = _Parser(text, MODEL_HEADER)
-    records = parser.records()
-    seen_sections = {section for _, section, _ in records}
-
-    criteria: list[Criterion] = []
-    parameters: list[Parameter] = []
-    monitored: list[MonitoredVariable] = []
-    depends: list[DependRelation] = []
-    decision_rule: Optional[str] = None
-    decision_set: tuple[str, ...] = ()
-    triggers: list[AwarenessTrigger] = []
-    constraints: list[EvolutionConstraint] = []
-    duration = 0
-    horizon: Optional[int] = None
-    initial_exo: dict[str, Value] = {}
-    initial_spec: Optional[dict[str, Value]] = None
-    change_scope: list[tuple[str, Domain]] = []
-    atoms: list[tuple[str, str, bool]] = []  # (id, role, mandatory)
-    refinements: list[tuple[str, tuple[str, ...]]] = []
-    conflicts: list[tuple[str, str]] = []
-    goal_lines: list[int] = []
-    attributes: list[Criterion] = []
-    alt_order: list[str] = []
-    lotteries: dict[str, list[tuple[str, Lottery]]] = {}
-    utility_dep: Optional[Union[WeightedSum, LookupTable]] = None
-    utility_line = 0
-    transform: Transform = IdentityTransform()
-
-    def declare(name: str, line: int) -> None:
-        parser.decl.setdefault(name, line)
-
-    for line, section, record in records:
-        head = record.split(None, 1)[0]
-        rest = record[len(head) :].strip()
-        if section == "variables":
-            tokens = rest.split()
-            if head not in ("criterion", "parameter", "monitored") or len(tokens) < 2:
-                parser.syntax(line, "expected 'criterion|parameter|monitored ID DOMAIN'")
-                continue
-            name, domain_text = tokens[0], tokens[1]
-            if not _IDENT.match(name):
-                parser.syntax(line, f"bad identifier '{name}'")
-                continue
-            declare(name, line)
-            try:
-                domain = parse_domain(domain_text)
-            except ValueError as err:
-                parser.semantic(line, str(err))
-                continue
-            if head == "criterion":
-                attrs = _split_attrs(tokens[2:], line, parser, ("kind", "pref"))
-                criteria.append(
-                    Criterion(name, domain, attrs.get("kind", "requirement"), attrs.get("pref"))
-                )
-            elif head == "parameter":
-                attrs = _split_attrs(tokens[2:], line, parser, ("default",))
-                default = parse_scalar(attrs["default"]) if "default" in attrs else None
-                parameters.append(Parameter(name, domain, default))
-            else:
-                attrs = _split_attrs(tokens[2:], line, parser, ("detect",))
-                detect = tuple(
-                    parse_scalar(t) for t in attrs.get("detect", "").split(",") if t
-                )
-                monitored.append(MonitoredVariable(name, domain, detect))
-        elif section == "depends":
-            dep = _build_depend(line, record, parser)
-            if dep is not None:
-                declare(dep.id, line)
-                depends.append(dep)
-        elif section == "decision":
-            if head == "rule" and _IDENT.match(rest):
-                decision_rule = rest
-            elif head == "set" and rest:
-                decision_set = tuple(t.strip() for t in rest.split(",") if t.strip())
-            else:
-                parser.syntax(line, "expected 'rule ID' or 'set ID1,ID2,...'")
-        elif section == "triggers":
-            m = re.match(r"^trigger\s+(\S+)\s+in\s+(.+)$", record)
-            if not m:
-                parser.syntax(line, "expected 'trigger CRITERION in RANGE'")
-                continue
-            tolerable = _parse_tolerable(m.group(2), line, parser)
-            if tolerable is not None:
-                triggers.append(AwarenessTrigger(m.group(1), tolerable))
-                declare(f"trigger {m.group(1)}", line)
-        elif section == "evolution":
-            if head == "max-changes":
-                if not _INT.match(rest):
-                    parser.syntax(line, "expected 'max-changes N'")
-                    continue
-                constraints.append(MaxParameterChanges(int(rest)))
-            elif head == "forbid-transition":
-                m = re.match(r"^from\s+(.*?)\s+to\s+(.+)$", rest)
-                if not m:
-                    parser.syntax(line, "expected 'forbid-transition from A=V,... to B=V,...'")
-                    continue
-                frm = _parse_assignments(m.group(1), line, parser)
-                to = _parse_assignments(m.group(2), line, parser)
-                if frm is not None and to is not None:
-                    constraints.append(
-                        ForbiddenTransition(tuple(sorted(frm.items())), tuple(sorted(to.items())))
-                    )
-            elif head == "forbid-value":
-                m = re.match(
-                    r"^(\S+?)=(\S+?)(?:\s+unless\s+count\((.+)\)\s*(==|<=|>=)\s*(\d+))?$",
-                    rest,
-                )
-                if not m:
-                    parser.syntax(
-                        line,
-                        "expected 'forbid-value ID=V [unless count(A=V,...) CMP N]'",
-                    )
-                    continue
-                unless = None
-                if m.group(3) is not None:
-                    tests = _parse_assignments(m.group(3), line, parser)
-                    if tests is None:
-                        continue
-                    unless = UnlessCondition(
-                        tuple(sorted(tests.items())), m.group(4), int(m.group(5))
-                    )
-                constraints.append(
-                    ForbiddenValue(m.group(1), parse_scalar(m.group(2)), unless)
-                )
-            else:
-                parser.syntax(line, f"unknown evolution form '{head}'")
-        elif section == "simulation":
-            if head == "duration" and _INT.match(rest):
-                duration = int(rest)
-            elif head == "horizon" and _INT.match(rest):
-                horizon = int(rest)
-            elif head == "initial":
-                assigns = _parse_assignments(rest, line, parser)
-                if assigns is not None:
-                    initial_exo.update(assigns)
-            elif head == "initial-spec":
-                assigns = _parse_assignments(rest, line, parser)
-                if assigns is not None:
-                    initial_spec = assigns
-            elif head == "change-scope":
-                tokens = rest.split()
-                if len(tokens) != 2 or not _IDENT.match(tokens[0]):
-                    parser.syntax(line, "expected 'change-scope ID DOMAIN'")
-                    continue
-                try:
-                    change_scope.append((tokens[0], parse_domain(tokens[1])))
-                except ValueError as err:
-                    parser.semantic(line, str(err))
-            else:
-                parser.syntax(line, f"unknown simulation setting '{head}'")
-        elif section == "goalgraph":
-            goal_lines.append(line)
-            if head == "atom":
-                tokens = rest.split()
-                if not tokens or not _IDENT.match(tokens[0]):
-                    parser.syntax(line, "expected 'atom ID [r|k|s] [mandatory]'")
-                    continue
-                role = ""
-                mandatory = False
-                for token in tokens[1:]:
-                    if token in ("r", "k", "s"):
-                        role = token
-                    elif token == "mandatory":
-                        mandatory = True
-                    else:
-                        parser.syntax(line, f"unexpected token '{token}'")
-                atoms.append((tokens[0], role, mandatory))
-                declare(tokens[0], line)
-            elif head == "refine":
-                m = re.match(r"^(\S+)\s*<-\s*(.+)$", rest)
-                if not m:
-                    parser.syntax(line, "expected 'refine CONCLUSION <- P1,P2,...'")
-                    continue
-                premises = tuple(t.strip() for t in m.group(2).split(",") if t.strip())
-                refinements.append((m.group(1), premises))
-            elif head == "conflict":
-                tokens = rest.split()
-                if len(tokens) != 2:
-                    parser.syntax(line, "expected 'conflict A B'")
-                    continue
-                conflicts.append((tokens[0], tokens[1]))
-            else:
-                parser.syntax(line, f"unknown goal record '{head}'")
-        elif section == "attributes":
-            tokens = rest.split()
-            if head != "attribute" or len(tokens) != 2:
-                parser.syntax(line, "expected 'attribute ID DOMAIN'")
-                continue
-            declare(tokens[0], line)
-            try:
-                attributes.append(Criterion(tokens[0], parse_domain(tokens[1])))
-            except ValueError as err:
-                parser.semantic(line, str(err))
-        elif section == "alternatives":
-            if head == "alternative":
-                if not _IDENT.match(rest):
-                    parser.syntax(line, "expected 'alternative ID'")
-                    continue
-                alt_order.append(rest)
-                lotteries.setdefault(rest, [])
-                declare(rest, line)
-            elif head == "lottery":
-                tokens = rest.split()
-                if len(tokens) < 3:
-                    parser.syntax(line, "expected 'lottery ALT ATTR V:P V:P ...'")
-                    continue
-                alt, attr = tokens[0], tokens[1]
-                pairs = []
-                bad = False
-                for token in tokens[2:]:
-                    vtext, sep, ptext = token.rpartition(":")
-                    if not sep:
-                        parser.syntax(line, f"bad outcome '{token}'")
-                        bad = True
-                        break
-                    try:
-                        pairs.append((parse_scalar(vtext), float(ptext)))
-                    except ValueError:
-                        parser.syntax(line, f"bad probability in '{token}'")
-                        bad = True
-                        break
-                if bad:
-                    continue
-                lotteries.setdefault(alt, []).append((attr, Lottery(tuple(pairs))))
-            else:
-                parser.syntax(line, f"unknown alternatives record '{head}'")
-        elif section == "utility":
-            utility_line = line
-            attr_ids = tuple(a.id for a in attributes)
-            if head == "weighted-sum":
-                try:
-                    terms, offset = parse_terms(rest)
-                except ValueError as err:
-                    parser.semantic(line, str(err))
-                    continue
-                weight_by_name = {name: w for w, name in terms}
-                if len(weight_by_name) != len(terms) or set(weight_by_name) != set(attr_ids):
-                    parser.semantic(
-                        line, "weighted-sum terms must cover each attribute exactly once"
-                    )
-                    continue
-                utility_dep = WeightedSum(
-                    "utility",
-                    "utility",
-                    attr_ids,
-                    tuple(weight_by_name[a] for a in attr_ids),
-                    offset,
-                )
-            elif head == "lookup-table":
-                entries = []
-                ok = True
-                for chunk in rest.split(";"):
-                    chunk = chunk.strip()
-                    if not chunk:
-                        continue
-                    key_text, eq, value_text = chunk.partition("=")
-                    if not eq:
-                        parser.syntax(line, f"bad table entry '{chunk}'")
-                        ok = False
-                        break
-                    key = tuple(parse_scalar(p.strip()) for p in key_text.split(","))
-                    try:
-                        entries.append((key, float(value_text)))
-                    except ValueError:
-                        parser.semantic(line, f"bad utility value in '{chunk}'")
-                        ok = False
-                        break
-                if ok:
-                    utility_dep = LookupTable("utility", "utility", attr_ids, tuple(entries))
-            else:
-                parser.syntax(line, "expected 'weighted-sum ...' or 'lookup-table ...'")
-        elif section == "transform":
-            if head == "identity" and not rest:
-                transform = IdentityTransform()
-            elif head == "power":
-                try:
-                    transform = PowerTransform(float(rest))
-                except ValueError:
-                    parser.syntax(line, "expected 'power EXPONENT'")
-            elif head == "table":
-                points = []
-                ok = True
-                for token in rest.split():
-                    ptext, sep, ftext = token.partition(":")
-                    if not sep:
-                        parser.syntax(line, f"bad table point '{token}'")
-                        ok = False
-                        break
-                    try:
-                        points.append((float(ptext), float(ftext)))
-                    except ValueError:
-                        parser.syntax(line, f"bad table point '{token}'")
-                        ok = False
-                        break
-                if ok:
-                    transform = TableTransform(tuple(points))
-            else:
-                parser.syntax(line, f"unknown transform '{head}'")
-
-    # Assemble the pieces, converting construction errors to located issues.
-
-    model: Optional[Model] = None
-    if seen_sections & {"variables", "depends", "decision"}:
-        model = Model(
-            criteria=tuple(criteria),
-            parameters=tuple(parameters),
-            monitored=tuple(monitored),
-            depends=tuple(depends),
-            decision_rule=decision_rule,
-            decision_set=decision_set,
-        )
-        for violation in model.violations:
-            parser.semantic(
-                parser.decl.get(violation.subject, 1), str(violation)
-            )
-
-    goals: Optional[GoalGraph] = None
-    if "goalgraph" in seen_sections:
-        try:
-            goals = goal_graph(
-                atoms=tuple(a for a, _, _ in atoms),
-                refinements=tuple(refinements),
-                conflicts=tuple(conflicts),
-                r_atoms=tuple(a for a, role, _ in atoms if role == "r"),
-                k_atoms=tuple(a for a, role, _ in atoms if role == "k"),
-                s_atoms=tuple(a for a, role, _ in atoms if role == "s"),
-                mandatory=tuple(a for a, _, m in atoms if m),
-            )
-        except DefinitionError as err:
-            parser.semantic(goal_lines[0] if goal_lines else 1, str(err))
-
-    decision: Optional[DecisionModel] = None
-    if seen_sections & {"attributes", "alternatives", "utility", "transform"}:
-        if utility_dep is None:
-            parser.semantic(utility_line or 1, "decision model lacks a [utility] section")
-        else:
-            decision = DecisionModel(
-                alternatives=tuple(
-                    Alternative(alt, tuple(lotteries.get(alt, ()))) for alt in alt_order
-                ),
-                attributes=tuple(attributes),
-                utility=utility_dep,
-                transform=transform,
-            )
-            for violation in validate_decision_model(decision):
-                parser.semantic(
-                    parser.decl.get(violation.subject, utility_line or 1), str(violation)
-                )
-
-    spec_obj: Optional[Specification] = None
-    if initial_spec is not None:
-        spec_obj = Specification.from_mapping(initial_spec)
-        if model is not None:
-            wanted = {p.id for p in model.parameters}
-            got = set(initial_spec)
-            if wanted != got:
-                parser.semantic(
-                    1,
-                    "initial-spec must assign exactly the parameters "
-                    f"(missing {sorted(wanted - got)}, extra {sorted(got - wanted)})",
-                )
-    if model is not None:
-        for trigger in triggers:
-            try:
-                model.criterion(trigger.criterion)
-            except KeyError:
-                parser.semantic(
-                    parser.decl.get(f"trigger {trigger.criterion}", 1),
-                    f"trigger watches unknown criterion '{trigger.criterion}'",
-                )
-        for name in initial_exo:
-            try:
-                model.monitored_variable(name)
-            except KeyError:
-                parser.semantic(1, f"initial value for non-monitored variable '{name}'")
-        for name, _ in change_scope:
-            if model.has_variable(name):
-                parser.semantic(1, f"change-scope variable '{name}' is already in the model")
-
-    if parser.issues:
-        raise ParseFailure(parser.issues)
-
-    config = SimulationConfig(
-        adaptation_duration=duration,
-        triggers=tuple(triggers),
-        constraints=tuple(constraints),
-        initial_exogenous=tuple(sorted(initial_exo.items())),
-        initial_spec=spec_obj,
-        horizon=horizon,
-        change_scope=tuple(change_scope),
-    )
-    return ModelBundle(model=model, config=config, goals=goals, decision=decision)
-
-
-# ---------------------------------------------------------------------------
-# Model file serialization
-
-
-def _serialize_depend(dep: DependRelation) -> str:
-    if isinstance(dep, BooleanFormula):
-        return f"boolean-formula {dep.id} -> {dep.output} : {serialize_expr(dep.expr)}"
-    if isinstance(dep, WeightedSum):
-        return (
-            f"weighted-sum {dep.id} -> {dep.output} : "
-            + serialize_terms(dep.inputs, dep.weights, dep.offset)
-        )
-    if isinstance(dep, LookupTable):
-        entries = " ; ".join(
-            ",".join(format_scalar(v) for v in key) + "=" + format_scalar(value)
-            for key, value in dep.entries
-        )
-        return (
-            f"lookup-table {dep.id} -> {dep.output} : "
-            + ",".join(dep.inputs)
-            + " : "
-            + entries
-        )
-    if isinstance(dep, ThresholdStep):
-        return f"threshold-step {dep.id} -> {dep.output} : {dep.input} >= {dep.cut!r}"
-    if isinstance(dep, LinearConstraint):
-        terms = serialize_terms(dep.inputs, dep.coefficients, 0.0)
-        return f"linear {dep.id} : {terms} {dep.comparator} {dep.bound!r}"
-    if isinstance(dep, CardinalityConstraint):
-        return (
-            f"cardinality {dep.id} : "
-            + ",".join(dep.inputs)
-            + f" {dep.comparator} {dep.bound}"
-        )
-    return f"incompatibility {dep.id} : {dep.a} {dep.b}"
-
-
-def _serialize_tolerable(tolerable: TolerableRange) -> str:
+def _write_tolerable(tolerable: TolerableRange) -> str:
     if isinstance(tolerable, IntervalRange):
         lo = "*" if tolerable.lo is None else repr(tolerable.lo)
         hi = "*" if tolerable.hi is None else repr(tolerable.hi)
@@ -945,156 +594,555 @@ def _serialize_tolerable(tolerable: TolerableRange) -> str:
     return "{" + ",".join(format_scalar(v) for v in tolerable.values) + "}"
 
 
-def _serialize_assignments(items: tuple[tuple[str, Value], ...]) -> str:
-    return ",".join(f"{name}={format_scalar(value)}" for name, value in items)
+# [variables]
+
+
+def _write_criterion(c: Criterion) -> str:
+    kind = None if c.kind == "requirement" else c.kind
+    return _declared(c, kind=kind, pref=c.preference)
+
+
+@_record("variables", "criterion", _write_criterion)
+def _read_criterion(p: _ModelParser, rest: str) -> None:
+    name, domain, opts = _variable(p, rest, ("kind", "pref"))
+    p.criteria.append(
+        Criterion(name, domain, opts.get("kind", "requirement"), opts.get("pref"))
+    )
+
+
+def _write_parameter(v: Parameter) -> str:
+    return _declared(v, default=None if v.default is None else format_scalar(v.default))
+
+
+@_record("variables", "parameter", _write_parameter)
+def _read_parameter(p: _ModelParser, rest: str) -> None:
+    name, domain, opts = _variable(p, rest, ("default",))
+    default = parse_scalar(opts["default"]) if "default" in opts else None
+    p.parameters.append(Parameter(name, domain, default))
+
+
+def _write_monitored(m: MonitoredVariable) -> str:
+    if not m.detectable_range:
+        return _declared(m)
+    return _declared(m, detect=",".join(format_scalar(v) for v in m.detectable_range))
+
+
+@_record("variables", "monitored", _write_monitored)
+def _read_monitored(p: _ModelParser, rest: str) -> None:
+    name, domain, opts = _variable(p, rest, ("detect",))
+    detect = tuple(parse_scalar(t) for t in opts.get("detect", "").split(",") if t)
+    p.monitored.append(MonitoredVariable(name, domain, detect))
+
+
+# [depends]
+
+
+@_record("depends", "boolean-formula",
+         lambda d: f"{d.id} -> {d.output} : {serialize_expr(d.expr)}", BooleanFormula)
+def _read_boolean_formula(p: _ModelParser, rest: str) -> None:
+    name, output, body = _functional(p, rest)
+    p.depend(BooleanFormula(name, output, parse_expr(body)))
+
+
+def _write_weighted_sum(d: WeightedSum) -> str:
+    return f"{d.id} -> {d.output} : {serialize_terms(d.inputs, d.weights, d.offset)}"
+
+
+@_record("depends", "weighted-sum", _write_weighted_sum, WeightedSum)
+def _read_weighted_sum(p: _ModelParser, rest: str) -> None:
+    name, output, body = _functional(p, rest)
+    inputs, weights, offset = _weighted(body)
+    if not inputs:
+        raise ValueError("weighted sum needs at least one term")
+    p.depend(WeightedSum(name, output, inputs, weights, offset))
+
+
+def _write_lookup_table(d: LookupTable) -> str:
+    return f"{d.id} -> {d.output} : {','.join(d.inputs)} : {_write_entries(d.entries)}"
+
+
+@_record("depends", "lookup-table", _write_lookup_table, LookupTable)
+def _read_lookup_table(p: _ModelParser, rest: str) -> None:
+    name, output, body = _functional(p, rest)
+    inputs_text, sep, entries_text = body.partition(":")
+    if not sep:
+        raise ValueError("expected 'IN1,IN2 : KEY=VALUE ; ...'")
+    inputs = tuple(t.strip() for t in inputs_text.split(",") if t.strip())
+    p.depend(LookupTable(name, output, inputs, _read_entries(entries_text)))
+
+
+@_record("depends", "threshold-step",
+         lambda d: f"{d.id} -> {d.output} : {d.input} >= {d.cut!r}", ThresholdStep)
+def _read_threshold_step(p: _ModelParser, rest: str) -> None:
+    name, output, body = _functional(p, rest)
+    input_text, sep, cut_text = body.partition(">=")
+    if not sep:
+        raise ValueError("expected 'INPUT >= CUT'")
+    p.depend(ThresholdStep(name, output, input_text.strip(), float(cut_text)))
+
+
+def _write_linear(d: LinearConstraint) -> str:
+    terms = serialize_terms(d.inputs, d.coefficients, 0.0)
+    return f"{d.id} : {terms} {d.comparator} {d.bound!r}"
+
+
+@_record("depends", "linear", _write_linear, LinearConstraint)
+def _read_linear(p: _ModelParser, rest: str) -> None:
+    name, body = _constraint(p, rest)
+    left, comparator, bound = _compared(body)
+    inputs, weights, offset = _weighted(left)
+    if offset:
+        raise ValueError("constant term not allowed in a linear constraint")
+    p.depend(LinearConstraint(name, inputs, weights, comparator, float(bound)))
+
+
+@_record("depends", "cardinality",
+         lambda d: f"{d.id} : {','.join(d.inputs)} {d.comparator} {d.bound}",
+         CardinalityConstraint)
+def _read_cardinality(p: _ModelParser, rest: str) -> None:
+    name, body = _constraint(p, rest)
+    left, comparator, bound = _compared(body)
+    inputs = tuple(t.strip() for t in left.split(",") if t.strip())
+    if not _INT.match(bound):
+        raise ValueError(f"cardinality bound '{bound}' is not an integer")
+    p.depend(CardinalityConstraint(name, inputs, comparator, int(bound)))
+
+
+@_record("depends", "incompatibility", lambda d: f"{d.id} : {d.a} {d.b}", Incompatibility)
+def _read_incompatibility(p: _ModelParser, rest: str) -> None:
+    name, body = _constraint(p, rest)
+    parts = body.split()
+    if len(parts) != 2:
+        raise ValueError("expected two variable names")
+    p.depend(Incompatibility(name, *parts))
+
+
+# [decision]
+
+
+@_record("decision", "rule", str)
+def _read_rule(p: _ModelParser, rest: str) -> None:
+    if not _IDENT.match(rest):
+        raise _Syntax()
+    p.decision_rule = rest
+    p.decl["decision rule"] = p.line
+
+
+@_record("decision", "set", ",".join)
+def _read_set(p: _ModelParser, rest: str) -> None:
+    if not rest:
+        raise _Syntax()
+    p.decision_set = tuple(t.strip() for t in rest.split(",") if t.strip())
+    p.decl["decision set"] = p.line
+
+
+# [triggers]
+
+
+@_record("triggers", "trigger", lambda t: f"{t.criterion} in {_write_tolerable(t.tolerable)}")
+def _read_trigger(p: _ModelParser, rest: str) -> None:
+    m = _TRIGGER_RE.match(rest)
+    if not m:
+        raise _Syntax()
+    p.triggers.append(AwarenessTrigger(m.group(1), _read_tolerable(m.group(2))))
+    p.declare(f"trigger {m.group(1)}")
+
+
+# [evolution]
+
+
+@_record("evolution", "max-changes", lambda c: str(c.limit), MaxParameterChanges)
+def _read_max_changes(p: _ModelParser, rest: str) -> None:
+    if not _INT.match(rest):
+        raise _Syntax("expected 'max-changes N'")
+    p.constraints.append(MaxParameterChanges(int(rest)))
+
+
+def _write_forbid_transition(c: ForbiddenTransition) -> str:
+    return f"from {_write_assignments(c.from_values)} to {_write_assignments(c.to_values)}"
+
+
+@_record("evolution", "forbid-transition", _write_forbid_transition, ForbiddenTransition)
+def _read_forbid_transition(p: _ModelParser, rest: str) -> None:
+    m = _TRANSITION_RE.match(rest)
+    if not m:
+        raise _Syntax("expected 'forbid-transition from A=V,... to B=V,...'")
+    sides = []
+    for side in m.groups():  # a problem on each side is reported
+        try:
+            sides.append(tuple(sorted(_read_assignments(side).items())))
+        except _Syntax as err:
+            p.syntax(p.line, str(err))
+    if len(sides) == 2:
+        p.constraints.append(ForbiddenTransition(*sides))
+
+
+def _write_forbid_value(c: ForbiddenValue) -> str:
+    text = f"{c.parameter}={format_scalar(c.value)}"
+    if c.unless is None:
+        return text
+    tests = _write_assignments(c.unless.tests)
+    return f"{text} unless count({tests}) {c.unless.comparator} {c.unless.bound}"
+
+
+@_record("evolution", "forbid-value", _write_forbid_value, ForbiddenValue)
+def _read_forbid_value(p: _ModelParser, rest: str) -> None:
+    m = _FORBID_VALUE_RE.match(rest)
+    if not m:
+        raise _Syntax("expected 'forbid-value ID=V [unless count(A=V,...) CMP N]'")
+    parameter, value, tests, comparator, bound = m.groups()
+    unless = None
+    if tests is not None:
+        unless = UnlessCondition(
+            tuple(sorted(_read_assignments(tests).items())), comparator, int(bound)
+        )
+    p.constraints.append(ForbiddenValue(parameter, parse_scalar(value), unless))
+
+
+# [simulation]
+
+
+@_record("simulation", "duration", str)
+def _read_duration(p: _ModelParser, rest: str) -> None:
+    p.duration = _whole(rest)
+
+
+@_record("simulation", "horizon", str)
+def _read_horizon(p: _ModelParser, rest: str) -> None:
+    p.horizon = _whole(rest)
+
+
+@_record("simulation", "initial", _write_assignments)
+def _read_initial(p: _ModelParser, rest: str) -> None:
+    for name, value in _read_assignments(rest).items():
+        p.initial[name] = (value, p.line)
+
+
+@_record("simulation", "initial-spec", _write_assignments)
+def _read_initial_spec(p: _ModelParser, rest: str) -> None:
+    p.initial_spec = (_read_assignments(rest), p.line)
+
+
+@_record("simulation", "change-scope", lambda s: f"{s[0]} {serialize_domain(s[1])}")
+def _read_change_scope(p: _ModelParser, rest: str) -> None:
+    tokens = rest.split()
+    if len(tokens) != 2 or not _IDENT.match(tokens[0]):
+        raise _Syntax("expected 'change-scope ID DOMAIN'")
+    p.change_scope.append((tokens[0], parse_domain(tokens[1]), p.line))
+
+
+# [goalgraph]
+
+
+def _write_atom(atom: tuple[str, str, bool]) -> str:
+    name, role, mandatory = atom
+    return " ".join(t for t in (name, role, "mandatory" if mandatory else "") if t)
+
+
+@_record("goalgraph", "atom", _write_atom)
+def _read_atom(p: _ModelParser, rest: str) -> None:
+    tokens = rest.split()
+    if not tokens or not _IDENT.match(tokens[0]):
+        raise _Syntax("expected 'atom ID [r|k|s] [mandatory]'")
+    role = ""
+    mandatory = False
+    for token in tokens[1:]:
+        if token in ("r", "k", "s"):
+            role = token
+        elif token == "mandatory":
+            mandatory = True
+        else:
+            p.syntax(p.line, f"unexpected token '{token}'")
+    p.atoms.append((tokens[0], role, mandatory))
+    p.declare(tokens[0])
+
+
+@_record("goalgraph", "refine", lambda r: f"{r.conclusion} <- " + ",".join(sorted(r.premises)))
+def _read_refine(p: _ModelParser, rest: str) -> None:
+    m = _REFINE_RE.match(rest)
+    if not m:
+        raise _Syntax("expected 'refine CONCLUSION <- P1,P2,...'")
+    premises = tuple(t.strip() for t in m.group(2).split(",") if t.strip())
+    p.refinements.append((m.group(1), premises))
+
+
+@_record("goalgraph", "conflict", " ".join)
+def _read_conflict(p: _ModelParser, rest: str) -> None:
+    tokens = rest.split()
+    if len(tokens) != 2:
+        raise _Syntax("expected 'conflict A B'")
+    p.conflicts.append(tuple(tokens))
+
+
+# [attributes], [alternatives], [utility], [transform]
+
+
+@_record("attributes", "attribute", _declared)
+def _read_attribute(p: _ModelParser, rest: str) -> None:
+    tokens = rest.split()
+    if len(tokens) != 2:
+        raise _Syntax()
+    p.declare(tokens[0])
+    p.attributes.append(Criterion(tokens[0], parse_domain(tokens[1])))
+
+
+@_record("alternatives", "alternative", str)
+def _read_alternative(p: _ModelParser, rest: str) -> None:
+    if not _IDENT.match(rest):
+        raise _Syntax("expected 'alternative ID'")
+    p.alt_order.append(rest)
+    p.lotteries.setdefault(rest, [])
+    p.declare(rest)
+
+
+def _write_lottery(entry: tuple[str, str, Lottery]) -> str:
+    alt, attr, lot = entry
+    return f"{alt} {attr} " + " ".join(f"{format_scalar(v)}:{p!r}" for v, p in lot.outcomes)
+
+
+@_record("alternatives", "lottery", _write_lottery)
+def _read_lottery(p: _ModelParser, rest: str) -> None:
+    tokens = rest.split()
+    if len(tokens) < 3:
+        raise _Syntax("expected 'lottery ALT ATTR V:P V:P ...'")
+    pairs = []
+    for token in tokens[2:]:
+        vtext, sep, ptext = token.rpartition(":")
+        if not sep:
+            raise _Syntax(f"bad outcome '{token}'")
+        try:
+            pairs.append((parse_scalar(vtext), float(ptext)))
+        except ValueError:
+            raise _Syntax(f"bad probability in '{token}'")
+    p.lotteries.setdefault(tokens[0], []).append((tokens[1], Lottery(tuple(pairs))))
+
+
+@_record("utility", "weighted-sum",
+         lambda u: serialize_terms(u.inputs, u.weights, u.offset), WeightedSum)
+def _read_utility_sum(p: _ModelParser, rest: str) -> None:
+    attr_ids = tuple(a.id for a in p.attributes)
+    terms, offset = parse_terms(rest)
+    weight_by_name = {name: w for w, name in terms}
+    if len(weight_by_name) != len(terms) or set(weight_by_name) != set(attr_ids):
+        raise ValueError("weighted-sum terms must cover each attribute exactly once")
+    weights = tuple(weight_by_name[a] for a in attr_ids)
+    p.utility = WeightedSum("utility", "utility", attr_ids, weights, offset)
+
+
+@_record("utility", "lookup-table", lambda u: _write_entries(u.entries), LookupTable)
+def _read_utility_table(p: _ModelParser, rest: str) -> None:
+    entries = _read_entries(rest, float, _Syntax)
+    attr_ids = tuple(a.id for a in p.attributes)
+    p.utility = LookupTable("utility", "utility", attr_ids, entries)
+
+
+@_record("transform", "identity", lambda t: "", IdentityTransform)
+def _read_identity(p: _ModelParser, rest: str) -> None:
+    if rest:
+        raise _Syntax()
+    p.transform = IdentityTransform()
+
+
+@_record("transform", "power", lambda t: repr(t.exponent), PowerTransform)
+def _read_power(p: _ModelParser, rest: str) -> None:
+    try:
+        p.transform = PowerTransform(float(rest))
+    except ValueError:
+        raise _Syntax("expected 'power EXPONENT'")
+
+
+@_record("transform", "table",
+         lambda t: " ".join(f"{x!r}:{y!r}" for x, y in t.points), TableTransform)
+def _read_table(p: _ModelParser, rest: str) -> None:
+    points = []
+    for token in rest.split():
+        x, _, y = token.partition(":")
+        try:
+            points.append((float(x), float(y)))
+        except ValueError:
+            raise _Syntax(f"bad table point '{token}'")
+    p.transform = TableTransform(tuple(points))
+
+
+_HEADS = {(section, r.kind): head for (section, head), r in _RECORDS.items() if r.kind}
+
+
+def parse_model(text: str) -> ModelBundle:
+    """Parse a model file; raises ParseFailure listing every problem found."""
+    p = _ModelParser(text)
+    records = p.records()
+    for line, section, record in records:
+        p.line = line
+        p.head = record.split(None, 1)[0]
+        entry = _RECORDS.get((section, p.head))
+        try:
+            if entry is None:
+                raise _Syntax()
+            entry.read(p, record[len(p.head) :].strip())
+        except _Syntax as err:
+            p.syntax(line, str(err) or _SECTIONS[section].format(p.head))
+        except (ValueError, DefinitionError) as err:
+            p.semantic(line, str(err))
+
+    # Assemble the pieces, converting construction errors to located issues.
+
+    def lines(section: str) -> list[int]:
+        return [line for line, s, _ in records if s == section]
+
+    seen = {section for _, section, _ in records}
+    model: Optional[Model] = None
+    if seen & {"variables", "depends", "decision"}:
+        model = Model(
+            criteria=tuple(p.criteria),
+            parameters=tuple(p.parameters),
+            monitored=tuple(p.monitored),
+            depends=tuple(p.depends),
+            decision_rule=p.decision_rule,
+            decision_set=p.decision_set,
+        )
+        for violation in model.violations:
+            p.semantic(p.decl.get(violation.subject, 1), str(violation))
+
+    goals: Optional[GoalGraph] = None
+    if "goalgraph" in seen:
+        atoms = p.atoms
+        try:
+            goals = goal_graph(
+                atoms=tuple(a for a, _, _ in atoms),
+                refinements=tuple(p.refinements),
+                conflicts=tuple(p.conflicts),
+                r_atoms=tuple(a for a, role, _ in atoms if role == "r"),
+                k_atoms=tuple(a for a, role, _ in atoms if role == "k"),
+                s_atoms=tuple(a for a, role, _ in atoms if role == "s"),
+                mandatory=tuple(a for a, _, m in atoms if m),
+            )
+        except DefinitionError as err:
+            p.semantic(lines("goalgraph")[0], str(err))
+
+    decision: Optional[DecisionModel] = None
+    if seen & {"attributes", "alternatives", "utility", "transform"}:
+        utility_line = (lines("utility") or [1])[-1]
+        if p.utility is None:
+            p.semantic(utility_line, "decision model lacks a [utility] section")
+        else:
+            decision = DecisionModel(
+                alternatives=tuple(
+                    Alternative(alt, tuple(p.lotteries[alt])) for alt in p.alt_order
+                ),
+                attributes=tuple(p.attributes),
+                utility=p.utility,
+                transform=p.transform,
+            )
+            for violation in decision.violations:
+                p.semantic(p.decl.get(violation.subject, utility_line), str(violation))
+
+    spec_obj: Optional[Specification] = None
+    if p.initial_spec is not None:
+        assigns, line = p.initial_spec
+        spec_obj = Specification.from_mapping(assigns)
+        if model is not None:
+            wanted = {q.id for q in model.parameters}
+            got = set(assigns)
+            if wanted != got:
+                p.semantic(
+                    line,
+                    "initial-spec must assign exactly the parameters "
+                    f"(missing {sorted(wanted - got)}, extra {sorted(got - wanted)})",
+                )
+            for name, value in assigns.items():
+                if name in wanted and not model.parameter(name).domain.contains(value):
+                    p.semantic(line, f"initial-spec value {value!r} outside the domain of '{name}'")
+    if model is not None:
+        for trigger in p.triggers:
+            try:
+                model.criterion(trigger.criterion)
+            except KeyError:
+                p.semantic(
+                    p.decl.get(f"trigger {trigger.criterion}", 1),
+                    f"trigger watches unknown criterion '{trigger.criterion}'",
+                )
+        for name, (value, line) in p.initial.items():
+            try:
+                domain = model.monitored_variable(name).domain
+            except KeyError:
+                p.semantic(line, f"initial value for non-monitored variable '{name}'")
+                continue
+            if not domain.contains(value):
+                p.semantic(line, f"initial value {value!r} outside the domain of '{name}'")
+        for name, _, line in p.change_scope:
+            if model.has_variable(name):
+                p.semantic(line, f"change-scope variable '{name}' is already in the model")
+
+    if p.issues:
+        raise ParseFailure(p.issues)
+
+    config = SimulationConfig(
+        adaptation_duration=p.duration,
+        triggers=tuple(p.triggers),
+        constraints=tuple(p.constraints),
+        initial_exogenous=tuple(sorted((n, v) for n, (v, _) in p.initial.items())),
+        initial_spec=spec_obj,
+        horizon=p.horizon,
+        change_scope=tuple((n, d) for n, d, _ in p.change_scope),
+    )
+    return ModelBundle(model=model, config=config, goals=goals, decision=decision)
+
+
+def _bundle_records(bundle: ModelBundle) -> dict[str, list[tuple[str, Any]]]:
+    """Each section's (head, value) records for a bundle, in canonical order."""
+    out: dict[str, list[tuple[str, Any]]] = {section: [] for section in _SECTIONS}
+
+    def add(section: str, head: Optional[str], *values: Any) -> None:
+        """Records of one head, or with no head, of the kind each value's type names."""
+        out[section] += [(head or _HEADS[section, type(v)], v) for v in values]
+
+    model, config, goals, decision = bundle.model, bundle.config, bundle.goals, bundle.decision
+    if model is not None:
+        add("variables", "criterion", *model.criteria)
+        add("variables", "parameter", *model.parameters)
+        add("variables", "monitored", *model.monitored)
+        add("depends", None, *model.depends)
+        if model.decision_rule is not None:
+            add("decision", "rule", model.decision_rule)
+        if model.decision_set:
+            add("decision", "set", model.decision_set)
+    add("triggers", "trigger", *config.triggers)
+    add("evolution", None, *config.constraints)
+    if config.adaptation_duration:
+        add("simulation", "duration", config.adaptation_duration)
+    if config.horizon is not None:
+        add("simulation", "horizon", config.horizon)
+    if config.initial_exogenous:
+        add("simulation", "initial", config.initial_exogenous)
+    if config.initial_spec is not None:
+        add("simulation", "initial-spec", config.initial_spec.items)
+    add("simulation", "change-scope", *config.change_scope)
+    if goals is not None:
+        roles = (("r", goals.r_atoms), ("k", goals.k_atoms), ("s", goals.s_atoms))
+        for atom in sorted(goals.atoms):
+            role = next((r for r, group in roles if atom in group), "")
+            add("goalgraph", "atom", (atom, role, atom in goals.mandatory))
+        add("goalgraph", "refine", *goals.refinements)
+        add("goalgraph", "conflict", *sorted(tuple(sorted(c)) for c in goals.conflicts))
+    if decision is not None:
+        add("attributes", "attribute", *decision.attributes)
+        add("alternatives", "alternative", *(alt.id for alt in decision.alternatives))
+        for alt in decision.alternatives:
+            add("alternatives", "lottery", *((alt.id, a, lot) for a, lot in alt.lotteries))
+        add("utility", None, decision.utility)
+        add("transform", None, decision.transform)
+    return out
 
 
 def serialize_model(bundle: ModelBundle) -> str:
     """Canonical text for a bundle; parse_model inverts it."""
     out = [MODEL_HEADER]
-    model = bundle.model
-    if model is not None:
-        out.append("")
-        out.append("[variables]")
-        for c in model.criteria:
-            extra = ""
-            if c.kind != "requirement":
-                extra += f" kind={c.kind}"
-            if c.preference is not None:
-                extra += f" pref={c.preference}"
-            out.append(f"criterion {c.id} {serialize_domain(c.domain)}{extra}")
-        for p in model.parameters:
-            extra = "" if p.default is None else f" default={format_scalar(p.default)}"
-            out.append(f"parameter {p.id} {serialize_domain(p.domain)}{extra}")
-        for m in model.monitored:
-            extra = ""
-            if m.detectable_range:
-                extra = " detect=" + ",".join(
-                    format_scalar(v) for v in m.detectable_range
-                )
-            out.append(f"monitored {m.id} {serialize_domain(m.domain)}{extra}")
-        if model.depends:
-            out.append("")
-            out.append("[depends]")
-            out.extend(_serialize_depend(dep) for dep in model.depends)
-        if model.decision_rule is not None or model.decision_set:
-            out.append("")
-            out.append("[decision]")
-            if model.decision_rule is not None:
-                out.append(f"rule {model.decision_rule}")
-            if model.decision_set:
-                out.append("set " + ",".join(model.decision_set))
-
-    config = bundle.config
-    if config.triggers:
-        out.append("")
-        out.append("[triggers]")
-        for t in config.triggers:
-            out.append(f"trigger {t.criterion} in {_serialize_tolerable(t.tolerable)}")
-    if config.constraints:
-        out.append("")
-        out.append("[evolution]")
-        for con in config.constraints:
-            if isinstance(con, MaxParameterChanges):
-                out.append(f"max-changes {con.limit}")
-            elif isinstance(con, ForbiddenTransition):
-                out.append(
-                    "forbid-transition from "
-                    + _serialize_assignments(con.from_values)
-                    + " to "
-                    + _serialize_assignments(con.to_values)
-                )
-            else:
-                text = f"forbid-value {con.parameter}={format_scalar(con.value)}"
-                if con.unless is not None:
-                    text += (
-                        " unless count("
-                        + _serialize_assignments(con.unless.tests)
-                        + f") {con.unless.comparator} {con.unless.bound}"
-                    )
-                out.append(text)
-    sim_lines = []
-    if config.adaptation_duration:
-        sim_lines.append(f"duration {config.adaptation_duration}")
-    if config.horizon is not None:
-        sim_lines.append(f"horizon {config.horizon}")
-    if config.initial_exogenous:
-        sim_lines.append("initial " + _serialize_assignments(config.initial_exogenous))
-    if config.initial_spec is not None:
-        sim_lines.append(
-            "initial-spec " + _serialize_assignments(config.initial_spec.items)
-        )
-    for name, domain in config.change_scope:
-        sim_lines.append(f"change-scope {name} {serialize_domain(domain)}")
-    if sim_lines:
-        out.append("")
-        out.append("[simulation]")
-        out.extend(sim_lines)
-
-    goals = bundle.goals
-    if goals is not None:
-        out.append("")
-        out.append("[goalgraph]")
-        for atom in sorted(goals.atoms):
-            role = ""
-            if atom in goals.r_atoms:
-                role = " r"
-            elif atom in goals.k_atoms:
-                role = " k"
-            elif atom in goals.s_atoms:
-                role = " s"
-            flag = " mandatory" if atom in goals.mandatory else ""
-            out.append(f"atom {atom}{role}{flag}")
-        for ref in goals.refinements:
-            out.append(f"refine {ref.conclusion} <- " + ",".join(sorted(ref.premises)))
-        for pair in sorted(tuple(sorted(p)) for p in goals.conflicts):
-            out.append(f"conflict {pair[0]} {pair[1]}")
-
-    decision = bundle.decision
-    if decision is not None:
-        out.append("")
-        out.append("[attributes]")
-        for attr in decision.attributes:
-            out.append(f"attribute {attr.id} {serialize_domain(attr.domain)}")
-        out.append("")
-        out.append("[alternatives]")
-        for alt in decision.alternatives:
-            out.append(f"alternative {alt.id}")
-        for alt in decision.alternatives:
-            for attr_id, lot in alt.lotteries:
-                pairs = " ".join(
-                    f"{format_scalar(v)}:{p!r}" for v, p in lot.outcomes
-                )
-                out.append(f"lottery {alt.id} {attr_id} {pairs}")
-        out.append("")
-        out.append("[utility]")
-        if isinstance(decision.utility, WeightedSum):
-            out.append(
-                "weighted-sum "
-                + serialize_terms(
-                    decision.utility.inputs,
-                    decision.utility.weights,
-                    decision.utility.offset,
-                )
-            )
-        else:
-            entries = " ; ".join(
-                ",".join(format_scalar(v) for v in key) + "=" + repr(value)
-                for key, value in decision.utility.entries
-            )
-            out.append("lookup-table " + entries)
-        out.append("")
-        out.append("[transform]")
-        if isinstance(decision.transform, IdentityTransform):
-            out.append("identity")
-        elif isinstance(decision.transform, PowerTransform):
-            out.append(f"power {decision.transform.exponent!r}")
-        else:
-            out.append(
-                "table "
-                + " ".join(f"{p!r}:{f!r}" for p, f in decision.transform.points)
-            )
-
+    for section, records in _bundle_records(bundle).items():
+        if records:
+            out += ["", f"[{section}]"]
+        for head, value in records:
+            text = _RECORDS[section, head].write(value)
+            out.append(f"{head} {text}" if text else head)
     return "\n".join(out) + "\n"
 
 

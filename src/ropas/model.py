@@ -272,16 +272,6 @@ FunctionalDepend = Union[BooleanFormula, WeightedSum, LookupTable, ThresholdStep
 ConstraintDepend = Union[LinearConstraint, CardinalityConstraint, Incompatibility]
 DependRelation = Union[FunctionalDepend, ConstraintDepend]
 
-FORM_NAMES: dict[type, str] = {
-    BooleanFormula: "boolean-formula",
-    WeightedSum: "weighted-sum",
-    LookupTable: "lookup-table",
-    ThresholdStep: "threshold-step",
-    LinearConstraint: "linear",
-    CardinalityConstraint: "cardinality",
-    Incompatibility: "incompatibility",
-}
-
 
 def is_functional(dep: DependRelation) -> bool:
     return dep.output is not None

@@ -81,6 +81,34 @@ def test_validate_reports_syntax_problems(capsys, tmp_path):
     assert "syntax" in out
 
 
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ("initial m=5", "initial value 5 outside the domain of 'm'"),
+        ("initial m=1 # note", "initial value '1 # note' outside the domain of 'm'"),
+        ("initial-spec p=7", "initial-spec value 7 outside the domain of 'p'"),
+    ],
+)
+def test_validate_checks_initial_values_against_their_domains(capsys, tmp_path, record, message):
+    path = tmp_path / "bad.model"
+    path.write_text(
+        "ropas-model v1\n"
+        "[variables]\n"
+        "criterion score int:0:10 kind=utility pref=higher-better\n"
+        "parameter p bool\n"
+        "monitored m bool\n"
+        "[depends]\n"
+        "weighted-sum s -> score : 1.0*p\n"
+        "[decision]\n"
+        "rule score\n"
+        "set p\n"
+        "[simulation]\n"
+        f"{record}\n"
+    )
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out, err) == (FAILURE, f"line 12: semantic: {message}\n", "")
+
+
 def test_validate_rejects_a_trace_file(capsys):
     code, out, _ = run_cli(capsys, "validate", ALERTS_TRACE)
     assert code == USAGE

@@ -2,9 +2,12 @@
 
 import random
 from math import fsum
+from pathlib import Path
 
 import pytest
 
+import ropas.decisions
+import ropas.formats
 from genmodels import random_decision_model
 from ropas.decisions import (
     Alternative,
@@ -24,6 +27,7 @@ from ropas.decisions import (
 from ropas.domains import Boolean, Enumerated, IntegerRange
 from ropas.errors import DefinitionError
 from ropas.fixtures import cautious_decision_model, respond_decision_model
+from ropas.formats import parse_model
 from ropas.model import Criterion, LookupTable, WeightedSum
 from ropas.solver import OptimalSolutions, solve_rop
 
@@ -226,6 +230,22 @@ def test_compiled_problem_rejects_invalid_models():
     )
     with pytest.raises(DefinitionError, match="invalid decision model"):
         daop_to_rop(broken)
+
+
+def test_parse_then_compile_validates_the_decision_model_once(monkeypatch):
+    calls = []
+    validate = validate_decision_model
+
+    def counting(dm):
+        calls.append(dm)
+        return validate(dm)
+
+    monkeypatch.setattr(ropas.decisions, "validate_decision_model", counting)
+    # A module that imports the validator by name would bypass the patch above.
+    monkeypatch.setattr(ropas.formats, "validate_decision_model", counting, raising=False)
+    fixture = Path(__file__).resolve().parent.parent / "fixtures" / "respond.model"
+    daop_to_rop(parse_model(fixture.read_text()).decision)
+    assert len(calls) == 1
 
 
 def test_compilation_preserves_optima_on_random_models():

@@ -35,10 +35,21 @@ from ropas.formats import (
     serialize_trace,
     write_report,
 )
+from ropas.formats import _RECORDS
 from ropas.model import and_, eval_expr, not_, or_, var
 from ropas.runtime import Event, EventTrace, run_simulation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+EVERY_RECORD = Path(__file__).resolve().parent / "every_record.model"
+
+# A bundle holds one utility and one transform, so each of these variants of
+# every_record.model swaps in another kind of those records.
+ONE_OF_A_KIND = (
+    ("lookup-table 1,0=0.0 ; 1,1=0.5 ; 2,0=0.25 ; 2,1=1.0",
+     "weighted-sum 0.5*speed + 1.0*safe + 0.25"),
+    ("table 0.0:0.0 0.5:0.4 1.0:1.0", "power 0.5"),
+    ("table 0.0:0.0 0.5:0.4 1.0:1.0", "identity"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +193,28 @@ def test_model_serialization_round_trip(name):
     assert parse_model(serialize_model(bundle)) == bundle
 
 
+def _record_kinds(text: str) -> set[tuple[str, str]]:
+    section = ""
+    kinds = set()
+    for line in text.splitlines()[1:]:
+        if line.startswith("["):
+            section = line[1:-1]
+        elif line:
+            kinds.add((section, line.split()[0]))
+    return kinds
+
+
+def test_every_record_kind_round_trips():
+    """every_record.model and its variants hold every record kind the format
+    has; a new kind fails here until it has a round-trip case."""
+    text = EVERY_RECORD.read_text()
+    kinds = set()
+    for variant in (text, *(text.replace(old, new) for old, new in ONE_OF_A_KIND)):
+        assert serialize_model(parse_model(variant)) == variant
+        kinds |= _record_kinds(variant)
+    assert kinds == set(_RECORDS)
+
+
 def test_parse_model_requires_the_header():
     with pytest.raises(ParseFailure) as info:
         parse_model("something else\n")
@@ -236,6 +269,35 @@ def test_parse_model_flags_semantic_trigger_problems():
     with pytest.raises(ParseFailure) as info:
         parse_model(text)
     assert any(i.kind == "semantic" and i.line == 11 for i in info.value.issues)
+
+
+def test_parse_model_locates_cross_record_issues_at_their_records():
+    text = "\n".join(
+        (
+            MODEL_HEADER,
+            "[variables]",
+            "criterion score int:0:10 kind=utility pref=higher-better",
+            "parameter p bool",
+            "monitored m bool",
+            "[decision]",
+            "rule v",
+            "set p,zz",
+            "[simulation]",
+            "initial m=0,q=1",
+            "initial-spec p=1,r=0",
+            "change-scope m bool",
+            "",
+        )
+    )
+    with pytest.raises(ParseFailure) as info:
+        parse_model(text)
+    assert [(i.line, i.message) for i in info.value.issues] == [
+        (7, "decision rule: 'v' is not a criterion"),
+        (8, "decision set: 'zz' is not a parameter"),
+        (11, "initial-spec must assign exactly the parameters (missing [], extra ['r'])"),
+        (10, "initial value for non-monitored variable 'q'"),
+        (12, "change-scope variable 'm' is already in the model"),
+    ]
 
 
 def test_parse_model_rejects_unknown_sections():
