@@ -9,6 +9,7 @@ disagreement), 2 on usage or syntax errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from typing import Optional, Sequence
@@ -279,9 +280,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_arg_parser()``, built once per process; parsing leaves it unchanged."""
+    return build_arg_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except FileNotFoundError as err:

@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import product
 from typing import Mapping, Optional, Union
 
-from .domains import Enumerated, Value, domain_bounds, is_numeric
+from .domains import TOLERANCE, Enumerated, Value, domain_bounds, is_numeric
 from .errors import DefinitionError, EvaluationError
 from .model import (
     Criterion,
@@ -28,10 +28,9 @@ from .model import (
     Parameter,
     Violation,
     WeightedSum,
+    _check_coverage,
 )
 from .solver import Rop
-
-PROBABILITY_EPS = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +60,7 @@ def validate_lottery(lot: Lottery) -> Optional[Violation]:
     total = 0.0
     for _, p in lot.outcomes:
         total += p
-    if abs(total - 1.0) > PROBABILITY_EPS:
+    if abs(total - 1.0) > TOLERANCE:
         return Violation("lottery", f"probabilities sum to {total!r}, not 1")
     seen = set()
     for value, _ in lot.outcomes:
@@ -231,26 +230,9 @@ def validate_decision_model(dm: DecisionModel) -> list[Violation]:
                 out.append(
                     Violation("utility", f"attribute '{attr.id}' is not numeric")
                 )
-    else:
+    elif not out:
         domains = [a.domain for a in dm.attributes]
-        if not out:
-            table = dm.utility.lookup
-            expected = 1
-            for d in domains:
-                expected *= d.size
-            covered = {
-                tuple(d.canonical(v) for d, v in zip(domains, key))
-                for key in table
-                if len(key) == len(domains)
-                and all(d.contains(v) for d, v in zip(domains, key))
-            }
-            if len(covered) < expected:
-                out.append(
-                    Violation(
-                        "utility",
-                        f"table covers {len(covered)} of {expected} attribute combinations",
-                    )
-                )
+        _check_coverage("utility", domains, dm.utility.lookup, "attribute", out)
     out.extend(validate_transform(dm.transform))
     return out
 
@@ -406,14 +388,6 @@ def daop_to_rop(dm: DecisionModel) -> Rop:
             for cid in contribution_ids:
                 total += 1.0 * contributions[cid][aid]
             totals[aid] = total
-        criteria.append(
-            Criterion(
-                id=UTILITY_CRITERION,
-                domain=Enumerated(tuple(sorted(set(totals.values())))),
-                kind="utility",
-                preference="higher-better",
-            )
-        )
         depends.append(
             WeightedSum(
                 id="total_utility",
@@ -425,14 +399,6 @@ def daop_to_rop(dm: DecisionModel) -> Rop:
         )
     else:
         totals = {aid: expected_utility(dm, aid) for aid in alt_ids}
-        criteria.append(
-            Criterion(
-                id=UTILITY_CRITERION,
-                domain=Enumerated(tuple(sorted(set(totals.values())))),
-                kind="utility",
-                preference="higher-better",
-            )
-        )
         depends.append(
             LookupTable(
                 id="total_utility",
@@ -441,6 +407,14 @@ def daop_to_rop(dm: DecisionModel) -> Rop:
                 entries=tuple(((aid,), totals[aid]) for aid in alt_ids),
             )
         )
+    criteria.append(
+        Criterion(
+            id=UTILITY_CRITERION,
+            domain=Enumerated(tuple(sorted(set(totals.values())))),
+            kind="utility",
+            preference="higher-better",
+        )
+    )
 
     model = Model(
         criteria=tuple(criteria),

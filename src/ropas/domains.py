@@ -16,8 +16,10 @@ from .errors import DefinitionError
 
 Value = Union[int, float, str]
 
-# Tolerance for matching a float against a RealGrid point.
-GRID_EPS = 1e-9
+# The one float tolerance: matching a float against an integer or a grid
+# point, testing a constraint or a threshold, summing a lottery's
+# probabilities, and widening a trigger range within its criterion's domain.
+TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,7 @@ class IntegerRange:
         if isinstance(value, bool):
             value = int(value)
         if isinstance(value, float):
-            if abs(value - round(value)) > GRID_EPS:
+            if abs(value - round(value)) > TOLERANCE:
                 return False
             value = round(value)
         return isinstance(value, int) and self.lo <= value <= self.hi
@@ -89,8 +91,8 @@ class IntegerRange:
 class RealGrid:
     """Evenly spaced reals ``lo, lo + step, ...`` up to and including ``hi``.
 
-    ``hi`` must itself sit on the grid (within a 1e-9 tolerance).  Membership
-    checks snap to the nearest grid point with the same tolerance.
+    ``hi`` must itself sit on the grid (within 1e-6 of a step).  Membership
+    checks snap to the nearest grid point within ``TOLERANCE``.
     """
 
     lo: float
@@ -121,7 +123,7 @@ class RealGrid:
         idx = round((float(value) - self.lo) / self.step)
         if idx < 0 or idx >= self.size:
             return None
-        if abs(self.lo + idx * self.step - float(value)) > GRID_EPS:
+        if abs(self.lo + idx * self.step - float(value)) > TOLERANCE:
             return None
         return idx
 
@@ -171,9 +173,7 @@ class Enumerated:
         return value in self.labels
 
     def canonical(self, value: Value) -> Value:
-        if value not in self.labels:
-            raise DefinitionError(f"value {value!r} not among enumerated values")
-        return self.labels[self.labels.index(value)]
+        return self.labels[self.index_of(value)]
 
     def index_of(self, value: Value) -> int:
         if value not in self.labels:

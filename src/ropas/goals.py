@@ -46,18 +46,20 @@ class GoalGraph:
     def __post_init__(self) -> None:
         if FALSUM in self.atoms:
             raise DefinitionError(f"'{FALSUM}' is reserved")
+        # Sets are walked in sorted order, so the atom an error names does
+        # not depend on the hash seed.
         for ref in self.refinements:
-            for atom in {ref.conclusion} | ref.premises:
+            for atom in (ref.conclusion, *sorted(ref.premises)):
                 if atom not in self.atoms:
                     raise DefinitionError(f"refinement references unknown atom '{atom}'")
-        for pair in self.conflicts:
+        for pair in sorted(self.conflicts, key=sorted):
             if len(pair) != 2:
                 raise DefinitionError(f"conflict {set(pair)!r} is not a pair")
-            for atom in pair:
+            for atom in sorted(pair):
                 if atom not in self.atoms:
                     raise DefinitionError(f"conflict references unknown atom '{atom}'")
         for name, group in (("r", self.r_atoms), ("k", self.k_atoms), ("s", self.s_atoms)):
-            for atom in group:
+            for atom in sorted(group):
                 if atom not in self.atoms:
                     raise DefinitionError(f"{name}-atom '{atom}' is not declared")
         for a, b in combinations((self.r_atoms, self.k_atoms, self.s_atoms), 2):

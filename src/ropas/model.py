@@ -35,9 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
+from math import prod
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .domains import (
+    TOLERANCE,
     Boolean,
     Domain,
     Value,
@@ -50,9 +52,6 @@ DEFAULT_ENUMERATION_CAP = 1 << 24
 CRITERION_KINDS = ("requirement", "domain-knowledge", "quality-variable", "utility")
 PREFERENCES = ("higher-better", "lower-better")
 COMPARATORS = ("==", "<=", ">=")
-
-# Tolerance used when checking numeric constraint satisfaction.
-CONSTRAINT_EPS = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +300,10 @@ class Specification:
         raise KeyError(key)
 
     def get(self, key: str, default: Optional[Value] = None) -> Optional[Value]:
-        for k, v in self.items:
-            if k == key:
-                return v
-        return default
+        try:
+            return self[key]
+        except KeyError:
+            return default
 
 
 class ProblemInstance(Specification):
@@ -380,7 +379,8 @@ class Model:
     def topological_depends(self) -> tuple[FunctionalDepend, ...]:
         """Functional depends ordered so inputs are computed before outputs.
 
-        Raises a definition error on a cycle (nothing is cached then).
+        Raises a definition error on a cycle (nothing is cached then); its
+        ``root`` is the first producer, in sorted order, that reaches it.
         """
         producers = self.producers
         ordered: list[FunctionalDepend] = []
@@ -400,8 +400,12 @@ class Model:
             done.add(vid)
             ordered.append(dep)
 
-        for vid in sorted(producers):
-            visit(vid)
+        for root in sorted(producers):
+            try:
+                visit(root)
+            except DefinitionError as cycle:
+                cycle.root = root  # type: ignore[attr-defined]
+                raise
         return tuple(ordered)
 
     @cached_property
@@ -458,6 +462,21 @@ def _check_inputs(model: Model, dep, kind: str, out: list[Violation], what: str 
             ok = domain_bounds(domain) is not None
         if not ok:
             out.append(Violation(dep.id, f"{what}input '{name}' is not {kind}"))
+
+
+def _check_coverage(
+    subject: str, domains: Sequence[Domain], keys: Iterable[tuple], what: str, out: list[Violation]
+) -> None:
+    """A table's keys must cover every combination of the domains' values."""
+    covered = {
+        tuple(d.canonical(v) for d, v in zip(domains, key))
+        for key in keys
+        if len(key) == len(domains) and all(d.contains(v) for d, v in zip(domains, key))
+    }
+    expected = prod(d.size for d in domains)
+    if len(covered) < expected:
+        message = f"table covers {len(covered)} of {expected} {what} combinations"
+        out.append(Violation(subject, message))
 
 
 def validate_model(model: Model) -> list[Violation]:
@@ -551,22 +570,7 @@ def validate_model(model: Model) -> list[Violation]:
                             out.append(Violation(dep.id, f"key {key!r} has wrong arity"))
                         elif not all(d.contains(v) for d, v in zip(domains, key)):
                             out.append(Violation(dep.id, f"key {key!r} outside input domains"))
-                    expected = 1
-                    for d in domains:
-                        expected *= d.size
-                    covered = {
-                        tuple(d.canonical(v) for d, v in zip(domains, key))
-                        for key in table
-                        if len(key) == len(dep.inputs)
-                        and all(d.contains(v) for d, v in zip(domains, key))
-                    }
-                    if len(covered) < expected:
-                        out.append(
-                            Violation(
-                                dep.id,
-                                f"table covers {len(covered)} of {expected} input combinations",
-                            )
-                        )
+                    _check_coverage(dep.id, domains, table, "input", out)
                     if model.has_variable(dep.output):
                         odom = model.variable_domain(dep.output)
                         for key, val in dep.entries:
@@ -603,28 +607,10 @@ def validate_model(model: Model) -> list[Violation]:
                 Violation(vid, f"defined by multiple depends: {', '.join(sorted(definers))}")
             )
 
-    # Acyclicity of the functional subgraph (edges output -> inputs).
-    colors: dict[str, int] = {}
-
-    def cyclic(vid: str) -> bool:
-        state = colors.get(vid, 0)
-        if state == 1:
-            return True
-        if state == 2:
-            return False
-        colors[vid] = 1
-        dep = producers.get(vid)
-        if dep is not None:
-            for name in dep.inputs:
-                if cyclic(name):
-                    return True
-        colors[vid] = 2
-        return False
-
-    for vid in sorted(producers):
-        if cyclic(vid):
-            out.append(Violation(vid, "functional depend cycle"))
-            break
+    try:
+        model.topological_depends
+    except DefinitionError as cycle:
+        out.append(Violation(cycle.root, "functional depend cycle"))  # type: ignore[attr-defined]
 
     if model.decision_rule is not None:
         if model.decision_rule not in criterion_ids:
@@ -678,7 +664,7 @@ def _apply_functional(
     else:
         if dep.input not in env:
             raise EvaluationError(f"missing value for variable '{dep.input}'")
-        raw = 1 if float(env[dep.input]) >= dep.cut - CONSTRAINT_EPS else 0  # type: ignore[arg-type]
+        raw = 1 if float(env[dep.input]) >= dep.cut - TOLERANCE else 0  # type: ignore[arg-type]
     try:
         return out_domain.canonical(raw)
     except DefinitionError as exc:
@@ -769,7 +755,7 @@ class _Row(NamedTuple):
     ``low`` and ``high`` hold each input's smallest and largest term over its
     domain bounds, or None when the domain has no numeric bounds.
     ``tolerance`` is larger than any rounding of a sum of the terms in any
-    order: ``CONSTRAINT_EPS`` scaled by a bound on every partial sum.
+    order: ``TOLERANCE`` scaled by a bound on every partial sum.
     """
 
     inputs: tuple[str, ...]
@@ -827,7 +813,7 @@ def _compile_row(model: Model, dep: Union[ConstraintDepend, WeightedSum]) -> _Ro
     scale = abs(offset) + sum(max(-a, b) for a, b in zip(low, high) if a is not None)
     return _Row(
         inputs, tuple(coefficients), comparator, bound, offset, tuple(low), tuple(high),
-        CONSTRAINT_EPS * (1.0 + scale),
+        TOLERANCE * (1.0 + scale),
     )
 
 
@@ -857,7 +843,7 @@ def _row_interval(row: _Row, env: Mapping[str, Value]) -> tuple[float, float]:
 
 
 def _interval_allows(
-    lo: float, hi: float, comparator: str, bound: float, eps: float = CONSTRAINT_EPS
+    lo: float, hi: float, comparator: str, bound: float, eps: float = TOLERANCE
 ) -> bool:
     """Whether some sum in ``[lo, hi]`` can satisfy ``sum <comparator> bound``
     within ``eps``."""
@@ -1003,7 +989,7 @@ def search_specifications(
                     # In full once the last input has a value, in the order
                     # ``is_feasible`` adds the terms.
                     lo[r], hi[r] = _row_interval(rows[r], env)
-                    eps = CONSTRAINT_EPS
+                    eps = TOLERANCE
                 if not _interval_allows(lo[r], hi[r], comparators[r], bounds[r], eps):
                     return False
             for dep in feeds.get(name, ()):
@@ -1072,6 +1058,15 @@ def search_space_size(model: Model, over: Optional[Iterable[str]] = None) -> int
     return total
 
 
+def _check_space(
+    model: Model, cap: int, over: Optional[Iterable[str]] = None, label: str = "cap"
+) -> None:
+    """Raise a size error when ``search_space_size(model, over)`` exceeds ``cap``."""
+    space = search_space_size(model, over)
+    if space > cap:
+        raise SizeLimitError(f"search space {space} exceeds {label} {cap}")
+
+
 def enumerate_specifications(
     model: Model,
     exogenous: Optional[Mapping[str, Value]] = None,
@@ -1083,9 +1078,7 @@ def enumerate_specifications(
     the full cartesian product filtered by ``is_feasible``.  Raises a size
     error when that full product exceeds ``cap``.
     """
-    space = search_space_size(model)
-    if space > cap:
-        raise SizeLimitError(f"search space {space} exceeds cap {cap}")
+    _check_space(model, cap)
     free = [p.id for p in model.parameters if p.id not in model.producers]
     result: list[Specification] = []
     search_specifications(model, free, exogenous, lambda spec, env: result.append(spec))
@@ -1097,9 +1090,8 @@ def enumerate_specifications(
 
 def canonical_key(model: Model, spec: Specification) -> tuple[int, ...]:
     """Sort key realizing the canonical specification order."""
-    return tuple(
-        p.domain.index_of(spec[p.id]) for p in model.sorted_parameters
-    )
+    values = dict(spec.items)
+    return tuple(p.domain.index_of(values[p.id]) for p in model.sorted_parameters)
 
 
 def hamming(a: Specification, b: Specification) -> int:

@@ -7,8 +7,9 @@ ignored.  The system keeps running its active specification (a stability
 period) until an awareness trigger fires, i.e. a watched criterion leaves its
 tolerable range, or the active specification stops being feasible.  It then
 spends the configured number of ticks adapting (still on the old
-specification) and switches to the best feasible specification that respects
-the evolution constraints, preferring targets that restore every trigger to
+specification) and switches to the best feasible specification that changes
+only decision-set parameters and respects the evolution constraints,
+preferring targets that restore every trigger to
 its tolerable range, with ties broken by fewest parameter changes then
 canonical order.
 
@@ -22,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
-from .domains import Domain, Value, domain_bounds, is_numeric
-from .errors import DefinitionError
+from .domains import TOLERANCE, Domain, Value, domain_bounds, is_numeric
+from .errors import DefinitionError, EvaluationError
 from .model import (
     DEFAULT_ENUMERATION_CAP,
     Model,
@@ -186,11 +187,11 @@ def relax(
         lo, hi = trigger.tolerable.lo, trigger.tolerable.hi
         new_lo = lo if lo is None else lo - band
         new_hi = hi if hi is None else hi + band
-        if new_lo is not None and new_lo < bounds[0] - 1e-9:
+        if new_lo is not None and new_lo < bounds[0] - TOLERANCE:
             raise DefinitionError(
                 f"widening '{trigger.criterion}' below its domain minimum {bounds[0]}"
             )
-        if new_hi is not None and new_hi > bounds[1] + 1e-9:
+        if new_hi is not None and new_hi > bounds[1] + TOLERANCE:
             raise DefinitionError(
                 f"widening '{trigger.criterion}' above its domain maximum {bounds[1]}"
             )
@@ -299,18 +300,29 @@ def adaptation_candidates(
 ) -> tuple[Specification, ...]:
     """Feasible switch targets, in canonical order.
 
-    Candidates are the feasible specifications allowed by every evolution
-    constraint; among those, only specifications whose evaluated instance
-    keeps every trigger inside its tolerable range are kept, unless no
-    candidate does, in which case the constraint-filtered set stands.
+    A re-solve varies only the decision set: a parameter outside it that no
+    depend computes keeps its value in ``current`` or, with no current
+    specification, takes its default, as in ``solve_rop``.  Candidates are
+    the feasible specifications so pinned that every evolution constraint
+    allows; among those, only specifications whose evaluated instance keeps
+    every trigger inside its tolerable range are kept, unless no candidate
+    does, in which case the constraint-filtered set stands.
     """
     model = problem.model
     exogenous = problem.exogenous_map()
+    pinned = {}
+    for p in model.parameters:
+        if p.id in model.decision_set or p.id in model.producers:
+            continue
+        if current is None and p.default is None:
+            raise EvaluationError(f"parameter '{p.id}' outside the decision set has no default")
+        pinned[p.id] = p.domain.canonical(p.default) if current is None else current[p.id]
     feasible = enumerate_specifications(model, exogenous, cap)
     allowed = [
         spec
         for spec in feasible
-        if all(constraint_allows(c, current, spec, exogenous) for c in constraints)
+        if all(spec[pid] == value for pid, value in pinned.items())
+        and all(constraint_allows(c, current, spec, exogenous) for c in constraints)
     ]
     calm = [
         spec
@@ -320,14 +332,18 @@ def adaptation_candidates(
     return tuple(calm if calm else allowed)
 
 
-def _accepted_and_target(
-    problem: Rop, current: Optional[Specification], pool: Sequence[Specification]
-) -> tuple[tuple[Specification, ...], Specification]:
-    """The pool's members maximizing the decision rule, and the switch target.
-
-    The target is the accepted member with the fewest parameter changes from
-    the current specification, then the first in canonical order.
+def _adaptation_step(
+    problem: Rop, current: Optional[Specification], constraints: Sequence[EvolutionConstraint],
+    triggers: Sequence[AwarenessTrigger], cap: int,
+) -> tuple[tuple[Specification, ...], Union[Specification, NoFeasibleAdaptation]]:
+    """The candidates maximizing the decision rule (the accepted set), and the
+    switch target: the accepted member with the fewest parameter changes from
+    the current specification, then the first in canonical order.  With no
+    candidate, an empty set and ``NoFeasibleAdaptation``.
     """
+    pool = adaptation_candidates(problem, current, constraints, triggers, cap)
+    if not pool:
+        return (), NoFeasibleAdaptation()
     model = problem.model
     exogenous = problem.exogenous_map()
     rule = model.decision_rule
@@ -352,10 +368,7 @@ def select_adaptation(
     Ties are broken by the fewest parameter changes from the current
     specification, then by canonical order.
     """
-    pool = adaptation_candidates(problem, current, constraints, triggers, cap)
-    if not pool:
-        return NoFeasibleAdaptation()
-    return _accepted_and_target(problem, current, pool)[1]
+    return _adaptation_step(problem, current, constraints, triggers, cap)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -512,13 +525,9 @@ def _replay(
     ) -> Union[Specification, NoFeasibleAdaptation]:
         """Returns the chosen target and updates the accepted set."""
         nonlocal accepted
-        problem = rop(model, believed)
-        pool = adaptation_candidates(
-            problem, fired_current, config.constraints, triggers, config.cap
+        accepted, target = _adaptation_step(
+            rop(model, believed), fired_current, config.constraints, triggers, config.cap
         )
-        if not pool:
-            return NoFeasibleAdaptation()
-        accepted, target = _accepted_and_target(problem, fired_current, pool)
         return target
 
     def open_period(
@@ -547,10 +556,10 @@ def _replay(
 
     for tick in range(horizon):
         for event in events_by_tick.get(tick, ()):
-            visible = False
-            if model.has_variable(event.variable):
-                mv = model.monitored_variable(event.variable)
-                visible = full_scope or mv.detects(event.value)
+            if full_scope:
+                visible = model.has_variable(event.variable)
+            else:
+                visible = apply_monitoring_scope(model, event)
             if visible:
                 believed[event.variable] = event.value
             else:

@@ -16,7 +16,7 @@ from itertools import product
 from typing import Mapping, Optional, Union
 
 from .domains import Boolean, Enumerated, IntegerRange, Value, domain_bounds
-from .errors import DefinitionError, EvaluationError, SizeLimitError
+from .errors import DefinitionError, EvaluationError
 from .goals import GoalGraph
 from .model import (
     BooleanFormula,
@@ -29,13 +29,13 @@ from .model import (
     Parameter,
     Specification,
     WeightedSum,
+    _check_space,
     and_,
     canonical_key,
     complete_specification,
     evaluate,
     is_feasible,
     or_,
-    search_space_size,
     search_specifications,
     var,
 )
@@ -155,9 +155,7 @@ def solve_rop(problem: Rop, cap: int = DEFAULT_ENUMERATION_CAP) -> SolveResult:
     """
     model = problem.model
     decision_ids = sorted(model.decision_set)
-    space = search_space_size(model, decision_ids)
-    if space > cap:
-        raise SizeLimitError(f"search space {space} exceeds cap {cap}")
+    _check_space(model, cap, decision_ids)
 
     rule = model.decision_rule
     assert rule is not None
@@ -189,9 +187,7 @@ def brute_force_oracle(problem: Rop, cap: int = DEFAULT_ORACLE_CAP) -> SolveResu
     model = problem.model
     exogenous = problem.exogenous_map()
     decision_ids = sorted(model.decision_set)
-    space = search_space_size(model, decision_ids)
-    if space > cap:
-        raise SizeLimitError(f"search space {space} exceeds oracle cap {cap}")
+    _check_space(model, cap, decision_ids, "oracle cap")
 
     rule = model.decision_rule
     assert rule is not None
@@ -223,9 +219,7 @@ def brute_force_enumeration(
 ) -> list[Specification]:
     """Reference enumerator: the full cartesian product filtered by ``is_feasible``."""
     params = model.sorted_parameters
-    space = search_space_size(model)
-    if space > cap:
-        raise SizeLimitError(f"search space {space} exceeds cap {cap}")
+    _check_space(model, cap)
     result: list[Specification] = []
     value_lists = [p.domain.values() for p in params]
     for combo in product(*value_lists):

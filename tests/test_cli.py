@@ -486,3 +486,94 @@ def test_simulate_respects_the_cap(capsys):
     code, _, err = run_cli(capsys, "simulate", "--cap", "100", ALERTS, ALERTS_TRACE)
     assert code == FAILURE
     assert "exceeds cap" in err
+
+
+# --- decision set, parser, hash seed ---
+
+DECISION_SET_MODEL = (
+    "ropas-model v1\n"
+    "\n"
+    "[variables]\n"
+    "criterion u int:0:6 kind=utility pref=higher-better\n"
+    "parameter p bool default=0\n"
+    "parameter q bool default=0\n"
+    "\n"
+    "[depends]\n"
+    "weighted-sum u_total -> u : 1.0*p + 5.0*q\n"
+    "\n"
+    "[decision]\n"
+    "rule u\n"
+    "set p\n"
+)
+
+
+def test_solve_and_simulate_agree_on_a_parameter_outside_the_decision_set(capsys, tmp_path):
+    model = tmp_path / "pq.model"
+    model.write_text(DECISION_SET_MODEL)
+    trace = tmp_path / "empty.trace"
+    trace.write_text("ropas-trace v1\n")
+    code, out, _ = run_cli(capsys, "solve", str(model))
+    assert code == OK
+    assert "optimum p=1,q=0\n" in out
+    code, out, _ = run_cli(capsys, "simulate", str(model), str(trace))
+    assert code == OK
+    assert "spec=p=1,q=0 instance=u=1 " in out
+    assert "optimal_time_fraction=1.000000" in out
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    import ropas.cli as cli
+
+    built = []
+    original = cli.build_arg_parser
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_arg_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        assert run_cli(capsys, "validate", SHOCK)[0] == OK
+        assert run_cli(capsys, "validate", SHOCK)[0] == OK
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_repeated_parses_do_not_share_the_relax_list():
+    from ropas.cli import _parser
+
+    first = _parser().parse_args(["simulate", "m", "t", "--relax", "coverage=20"])
+    second = _parser().parse_args(["simulate", "m", "t"])
+    third = _parser().parse_args(["simulate", "m", "t", "--relax", "capacity=5"])
+    assert first.relax == ["coverage=20"]
+    assert second.relax == []
+    assert third.relax == ["capacity=5"]
+
+
+@pytest.mark.parametrize(
+    "body, atom",
+    [
+        ("atom g r\nrefine g <- a,b\n", "'a'"),
+        ("atom g r\natom s s\nrefine g <- s\nconflict x y\n", "'x'"),
+    ],
+)
+def test_goal_graph_diagnostics_do_not_depend_on_the_hash_seed(tmp_path, body, atom):
+    import os
+    import subprocess
+    import sys
+
+    import ropas
+
+    path = tmp_path / "goals.model"
+    path.write_text("ropas-model v1\n\n[goalgraph]\n" + body)
+    src = str(Path(ropas.__file__).resolve().parent.parent)
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "ropas", "validate", str(path)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert done.returncode == FAILURE, done.stderr
+        assert f"unknown atom {atom}" in done.stdout, (seed, done.stdout)

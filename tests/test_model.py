@@ -3,7 +3,7 @@
 import pytest
 
 from ropas.domains import Boolean, Enumerated, IntegerRange
-from ropas.errors import EvaluationError, SizeLimitError
+from ropas.errors import DefinitionError, EvaluationError, SizeLimitError
 from ropas.fixtures import (
     alert_exogenous,
     alert_model,
@@ -245,6 +245,24 @@ def test_functional_cycle_detected():
     assert any("cycle" in v.message for v in validate_model(m))
 
 
+def test_cycle_names_the_first_producer_that_reaches_it():
+    # "a" reads "b", and "b" and "c" read each other: the search from "a"
+    # meets "b" again, so validation names "a" and evaluation names "b".
+    m = tiny_model(
+        criteria=tiny_model().criteria
+        + tuple(Criterion(c, IntegerRange(-10, 10), "quality-variable") for c in "abc"),
+        depends=tiny_model().depends + (
+            WeightedSum("da", "a", ("b",), (1.0,)),
+            WeightedSum("db", "b", ("c",), (1.0,)),
+            WeightedSum("dc", "c", ("b",), (1.0,)),
+        ),
+    )
+    cycles = [v for v in validate_model(m) if "cycle" in v.message]
+    assert [(v.subject, v.message) for v in cycles] == [("a", "functional depend cycle")]
+    with pytest.raises(DefinitionError, match="cycle through 'b'"):
+        m.topological_depends
+
+
 def test_decision_rule_must_be_higher_better_criterion():
     m = tiny_model(decision_rule="x")
     assert any("not a criterion" in v.message for v in validate_model(m))
@@ -417,6 +435,11 @@ def test_specification_sorted_items_and_lookup():
     assert s.get("missing") is None
     with pytest.raises(KeyError):
         s["missing"]
+
+
+def test_canonical_key_needs_every_parameter():
+    with pytest.raises(KeyError):
+        canonical_key(tiny_model(), Specification.from_mapping({"x": 0}))
 
 
 def test_problem_instance_never_equals_a_specification():

@@ -3,7 +3,7 @@
 import pytest
 
 from ropas.domains import Boolean, IntegerRange
-from ropas.errors import DefinitionError, SizeLimitError
+from ropas.errors import DefinitionError, EvaluationError, SizeLimitError
 from ropas.fixtures import (
     alert_config,
     alert_exogenous,
@@ -21,6 +21,7 @@ from ropas.model import (
     Model,
     Parameter,
     Specification,
+    WeightedSum,
     validate_model,
 )
 from ropas.runtime import (
@@ -44,7 +45,7 @@ from ropas.runtime import (
     run_simulation,
     select_adaptation,
 )
-from ropas.solver import rop
+from ropas.solver import rop, solve_rop
 
 
 def broken_call_problem():
@@ -516,3 +517,51 @@ def test_simulation_cap_limits_the_solver():
     )
     with pytest.raises(SizeLimitError):
         run_simulation(alert_model(), EventTrace(()), config)
+
+
+# ---------------------------------------------------------------------------
+# The decision set
+
+
+def decision_set_model(q_default=0, q_weight=5.0):
+    """``u = p + q_weight * q`` with only ``p`` in the decision set."""
+    return Model(
+        criteria=(Criterion("u", IntegerRange(-5, 6), "utility", "higher-better"),),
+        parameters=(Parameter("p", Boolean(), 0), Parameter("q", Boolean(), q_default)),
+        depends=(WeightedSum("u_total", "u", ("p", "q"), (1.0, q_weight)),),
+        decision_rule="u",
+        decision_set=("p",),
+    )
+
+
+def test_initial_solve_keeps_a_non_decision_parameter_at_its_default():
+    model = decision_set_model()
+    timeline, metrics = run_simulation(model, EventTrace(()), SimulationConfig())
+    assert timeline.periods[0].spec.as_dict() == {"p": 1, "q": 0}
+    assert metrics.optimal_time_fraction == 1.0
+    best = solve_rop(rop(model))
+    assert best.optima == (timeline.periods[0].spec,)
+
+
+def test_resolve_keeps_a_non_decision_parameter_of_the_active_spec():
+    # q=1 costs 5, so a search over q would drop it; the re-solve may not.
+    model = decision_set_model(q_weight=-5.0)
+    current = Specification.from_mapping({"p": 0, "q": 1})
+    triggers = (AwarenessTrigger("u", IntervalRange(lo=-4)),)
+    config = SimulationConfig(triggers=triggers, initial_spec=current)
+    timeline, metrics = run_simulation(model, EventTrace(()), config)
+    assert [p.spec.as_dict() for p in timeline.periods] == [{"p": 1, "q": 1}]
+    assert timeline.periods[0].fired == ("u",)
+    assert metrics.trigger_count == 1
+    target = select_adaptation(current, rop(model), triggers=triggers)
+    assert target == Specification.from_mapping({"p": 1, "q": 1})
+
+
+def test_resolve_without_a_default_fails_like_solve_rop():
+    model = decision_set_model(q_default=None)
+    with pytest.raises(EvaluationError) as solved:
+        solve_rop(rop(model))
+    with pytest.raises(EvaluationError) as simulated:
+        run_simulation(model, EventTrace(()), SimulationConfig())
+    assert str(simulated.value) == str(solved.value)
+    assert "'q' outside the decision set has no default" in str(solved.value)

@@ -469,7 +469,7 @@ def test_search_agrees_with_oracle_with_real_coefficients():
 
 def large_real_rows(rng: random.Random) -> Model:
     """Rows with terms of about 1e7 to 1e8 in tenths, where one ulp of a
-    partial sum exceeds CONSTRAINT_EPS.  Each bound is the sum, in
+    partial sum exceeds TOLERANCE.  Each bound is the sum, in
     ``is_feasible``'s order, of one leaf drawn for the model, so every row
     holds there exactly and an ``==`` row holds nowhere else."""
     n = rng.randint(3, 6)
