@@ -28,7 +28,7 @@ from .formats import (
     write_report,
 )
 from .goals import check_drp, solve_rdrp
-from .model import enumerate_specifications
+from .model import DEFAULT_ENUMERATION_CAP, enumerate_specifications
 from .runtime import run_simulation
 from .solver import (
     Infeasible,
@@ -240,13 +240,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list all feasible specifications")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=1 << 24, help="search space size limit")
+    p.add_argument(
+        "--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help="search space size limit"
+    )
     common(p, "cross-check against a brute-force pass over the full cartesian product")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("solve", help="find the optimal specifications")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=1 << 24, help="search space size limit")
+    p.add_argument(
+        "--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help="search space size limit"
+    )
     common(p, "cross-check against exhaustive enumeration")
     p.set_defaults(func=cmd_solve)
 

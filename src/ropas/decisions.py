@@ -358,9 +358,9 @@ def daop_to_rop(dm: DecisionModel) -> Rop:
     criteria: list[Criterion] = []
     depends: list = []
 
+    totals = {aid: expected_utility(dm, aid) for aid in alt_ids}
     if isinstance(dm.utility, WeightedSum):
         contribution_ids = []
-        contributions: dict[str, dict[str, float]] = {}
         for i, attr in enumerate(dm.attributes):
             cid = f"eu_{attr.id}"
             if any(cid == a.id for a in dm.attributes) or cid in alt_ids:
@@ -369,7 +369,6 @@ def daop_to_rop(dm: DecisionModel) -> Rop:
             per_alt = {
                 alt.id: _additive_contribution(dm, alt, i) for alt in dm.alternatives
             }
-            contributions[cid] = per_alt
             values = tuple(sorted(set(per_alt.values())))
             criteria.append(
                 Criterion(id=cid, domain=Enumerated(values), kind="quality-variable")
@@ -382,12 +381,6 @@ def daop_to_rop(dm: DecisionModel) -> Rop:
                     entries=tuple(((aid,), per_alt[aid]) for aid in alt_ids),
                 )
             )
-        totals = {}
-        for aid in alt_ids:
-            total = dm.utility.offset
-            for cid in contribution_ids:
-                total += 1.0 * contributions[cid][aid]
-            totals[aid] = total
         depends.append(
             WeightedSum(
                 id="total_utility",
@@ -398,7 +391,6 @@ def daop_to_rop(dm: DecisionModel) -> Rop:
             )
         )
     else:
-        totals = {aid: expected_utility(dm, aid) for aid in alt_ids}
         depends.append(
             LookupTable(
                 id="total_utility",

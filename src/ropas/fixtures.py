@@ -1,4 +1,4 @@
-"""Ready-made demo models shared by the test suite, the docs, and the CLI.
+"""Ready-made demo models shared by the test suite and the docs.
 
 The flagship fixture is an incident-alerting system that must pick exactly one
 alert channel and exactly one storage backend.  Each choice contributes to two

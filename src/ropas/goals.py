@@ -54,7 +54,8 @@ class GoalGraph:
                     raise DefinitionError(f"refinement references unknown atom '{atom}'")
         for pair in sorted(self.conflicts, key=sorted):
             if len(pair) != 2:
-                raise DefinitionError(f"conflict {set(pair)!r} is not a pair")
+                members = ", ".join(repr(atom) for atom in sorted(pair))
+                raise DefinitionError(f"conflict {{{members}}} is not a pair")
             for atom in sorted(pair):
                 if atom not in self.atoms:
                     raise DefinitionError(f"conflict references unknown atom '{atom}'")

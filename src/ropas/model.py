@@ -718,13 +718,11 @@ def _environment(
 
     derived_parameters: dict[str, Value] = {}
     for dep in model.topological_depends:
+        value = _apply_functional(dep, env, model.variable_domain(dep.output))
         if dep.output in model._parameters_by_id:
-            scratch = dict(env)
-            scratch.pop(dep.output, None)
-            value = _apply_functional(dep, scratch, model.variable_domain(dep.output))
             derived_parameters[dep.output] = value
         else:
-            env[dep.output] = _apply_functional(dep, env, model.variable_domain(dep.output))
+            env[dep.output] = value
     return env, derived_parameters
 
 
@@ -1120,7 +1118,7 @@ def complete_specification(
     remaining = [p for p in model.sorted_parameters if p.id not in decision_assignment]
     for p in remaining:
         if p.id not in producers and p.id not in env and p.default is not None:
-            env[p.id] = p.default
+            env[p.id] = p.domain.canonical(p.default)
     for dep in model.topological_depends:
         if all(name in env for name in dep.inputs) and dep.output not in env:
             env[dep.output] = _apply_functional(dep, env, model.variable_domain(dep.output))
@@ -1129,7 +1127,7 @@ def complete_specification(
         if p.id in producers and p.id in env:
             values[p.id] = env[p.id]
         elif p.default is not None:
-            values[p.id] = p.default
+            values[p.id] = p.domain.canonical(p.default)
         else:
             raise EvaluationError(
                 f"parameter '{p.id}' outside the decision set has no default"

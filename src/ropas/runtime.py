@@ -20,6 +20,7 @@ detectable range is widened to the full domain.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
@@ -403,8 +404,10 @@ class Period:
 
     ``fired`` lists the trigger criteria (or the infeasibility marker) whose
     firing started this period or occurred inside it without causing a
-    switch; ``optimal`` flags, per tick, whether the active specification was
-    inside the omniscient rerun's accepted set.
+    switch, or halted the run at its end; ``ignored`` lists the unseen events
+    of the ticks after its first one up to its end tick (the first period
+    also takes those of tick 0); ``optimal`` flags, per tick, whether the
+    active specification was inside the omniscient rerun's accepted set.
     """
 
     kind: str  # "stability" | "adaptation"
@@ -433,25 +436,20 @@ class Metrics:
     ignored_event_count: int
 
 
-class _PeriodDraft:
-    def __init__(self, kind: str, start: int, spec: Specification, instance: ProblemInstance,
-                 fired: tuple[str, ...]) -> None:
-        self.kind = kind
-        self.start = start
-        self.end = start
-        self.spec = spec
-        self.instance = instance
-        self.fired = list(fired)
-        self.ignored: list[Event] = []
-
-
 class _Replay:
-    """Raw per-tick outcome of one pass over the trace."""
+    """Raw per-tick outcome of one pass over the trace.
+
+    ``opened`` holds the kind, specification and instance of the period
+    opened at a tick (a later opening at the same tick replaces it);
+    ``fired`` and ``ignored`` hold the marks and events recorded under a tick.
+    """
 
     def __init__(self) -> None:
-        self.active: list[Optional[Specification]] = []
+        self.active: list[Specification] = []
         self.accepted: list[tuple[Specification, ...]] = []
-        self.drafts: list[_PeriodDraft] = []
+        self.opened: dict[int, tuple[str, Specification, ProblemInstance]] = {}
+        self.fired: defaultdict[int, list[str]] = defaultdict(list)
+        self.ignored: defaultdict[int, list[Event]] = defaultdict(list)
         self.trigger_count = 0
         self.ignored_count = 0
         self.adaptation_ticks = 0
@@ -505,8 +503,8 @@ def _replay(
 
     current: Optional[Specification] = None
     accepted: tuple[Specification, ...] = ()
-    adapting = False
-    switch_tick = -1
+    # The tick an adaptation period ends at, and the marks of its firing.
+    switch_tick: Optional[int] = None
     pending_fired: tuple[str, ...] = ()
     # Firings are re-handled only when the believed environment or the active
     # specification changed since the last handled firing.  Without this, an
@@ -514,8 +512,6 @@ def _replay(
     # on every tick and, with a nonzero duration, would oscillate between
     # adaptation periods forever.
     last_handled: Optional[tuple[tuple[tuple[str, Value], ...], Specification]] = None
-    carry_fired: list[str] = []
-    carry_ignored: list[Event] = []
 
     def env_key() -> tuple[tuple[str, Value], ...]:
         return tuple(sorted(believed.items()))
@@ -530,29 +526,8 @@ def _replay(
         )
         return target
 
-    def open_period(
-        kind: str, tick: int, spec: Specification, fired: tuple[str, ...]
-    ) -> None:
-        instance = evaluate(model, spec, believed)
-        draft = _PeriodDraft(kind, tick, spec, instance, tuple(carry_fired) + fired)
-        draft.ignored.extend(carry_ignored)
-        carry_fired.clear()
-        carry_ignored.clear()
-        out.drafts.append(draft)
-
-    def end_period(tick: int) -> None:
-        out.drafts[-1].end = tick
-        if out.drafts[-1].end <= out.drafts[-1].start:
-            # Zero-length drafts are dropped; their bookkeeping moves to the
-            # period opened next.
-            popped = out.drafts.pop()
-            carry_fired.extend(popped.fired)
-            carry_ignored.extend(popped.ignored)
-
-    def halt(tick: int, marks: tuple[str, ...]) -> None:
-        out.drafts[-1].fired.extend(marks)
-        end_period(tick)
-        out.status = "no-feasible-adaptation"
+    def open_period(kind: str, tick: int, spec: Specification) -> None:
+        out.opened[tick] = (kind, spec, evaluate(model, spec, believed))
 
     for tick in range(horizon):
         for event in events_by_tick.get(tick, ()):
@@ -563,11 +538,9 @@ def _replay(
             if visible:
                 believed[event.variable] = event.value
             else:
+                # The period that ran before the event lists it.
                 out.ignored_count += 1
-                if out.drafts:
-                    out.drafts[-1].ignored.append(event)
-                else:
-                    carry_ignored.append(event)
+                out.ignored[max(tick - 1, 0)].append(event)
 
         if current is None:
             if config.initial_spec is not None:
@@ -590,21 +563,20 @@ def _replay(
                     return out
                 current = chosen
                 last_handled = (env_key(), current)
-            open_period("stability", tick, current, ())
+            open_period("stability", tick, current)
 
-        if adapting and tick == switch_tick:
+        if tick == switch_tick:
             chosen = solve_target(current)
             if isinstance(chosen, NoFeasibleAdaptation):
-                halt(tick, ())
+                out.status = "no-feasible-adaptation"
                 return out
-            adapting = False
-            end_period(tick)
+            switch_tick = None
             current = chosen
             last_handled = (env_key(), current)
-            open_period("stability", tick, current, pending_fired)
-            pending_fired = ()
+            open_period("stability", tick, current)
+            out.fired[tick] += pending_fired
 
-        if not adapting:
+        if switch_tick is None:
             instance = evaluate(model, current, believed)
             fired = check_triggers(instance, triggers)
             feasible_now = is_feasible(model, current, believed)
@@ -615,28 +587,25 @@ def _replay(
                 if config.adaptation_duration == 0:
                     chosen = solve_target(current)
                     if isinstance(chosen, NoFeasibleAdaptation):
-                        halt(tick, marks)
+                        # The last period, which ran up to this tick, lists them.
+                        out.fired[tick - 1] += marks
+                        out.status = "no-feasible-adaptation"
                         return out
                     last_handled = (env_key(), chosen)
-                    if chosen == current:
-                        out.drafts[-1].fired.extend(marks)
-                    else:
-                        end_period(tick)
+                    if chosen != current:
                         current = chosen
-                        open_period("stability", tick, current, marks)
+                        open_period("stability", tick, current)
                 else:
                     last_handled = (env_key(), current)
-                    end_period(tick)
-                    adapting = True
                     switch_tick = tick + config.adaptation_duration
                     pending_fired = marks
-                    open_period("adaptation", tick, current, marks)
+                    open_period("adaptation", tick, current)
+                out.fired[tick] += marks
 
-        if adapting:
+        if switch_tick is not None:
             out.adaptation_ticks += 1
         out.active.append(current)
         out.accepted.append(accepted)
-        out.drafts[-1].end = tick + 1
 
     return out
 
@@ -671,29 +640,30 @@ def run_simulation(
     main = _replay(model, events_by_tick, config, triggers, horizon, full_scope=False)
     omni = _replay(model, events_by_tick, config, triggers, horizon, full_scope=True)
 
-    flags: list[bool] = []
-    for tick in range(len(main.active)):
-        spec = main.active[tick]
-        omni_set = omni.accepted[tick] if tick < len(omni.accepted) else ()
-        flags.append(spec is not None and spec in omni_set)
-
+    ran = len(main.active)
+    flags = [
+        tick < len(omni.accepted) and spec in omni.accepted[tick]
+        for tick, spec in enumerate(main.active)
+    ]
+    starts = [tick for tick in main.opened if tick < ran]
     periods = []
-    for draft in main.drafts:
+    for start, end in zip(starts, starts[1:] + [ran]):
+        kind, spec, instance = main.opened[start]
+        ticks = range(start, end)
         periods.append(
             Period(
-                kind=draft.kind,
-                start=draft.start,
-                end=draft.end,
-                spec=draft.spec,
-                instance=draft.instance,
-                fired=tuple(draft.fired),
-                ignored=tuple(draft.ignored),
-                optimal=tuple(flags[draft.start : draft.end]),
+                kind=kind,
+                start=start,
+                end=end,
+                spec=spec,
+                instance=instance,
+                fired=tuple(mark for t in ticks for mark in main.fired.get(t, ())),
+                ignored=tuple(event for t in ticks for event in main.ignored.get(t, ())),
+                optimal=tuple(flags[start:end]),
             )
         )
     timeline = SimulationTimeline(periods=tuple(periods), status=main.status)
 
-    ran = len(main.active)
     fraction = (sum(flags) / ran) if ran else 1.0
     metrics = Metrics(
         optimal_time_fraction=fraction,

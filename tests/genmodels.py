@@ -33,6 +33,7 @@ from ropas.model import (
     Model,
     MonitoredVariable,
     Parameter,
+    Specification,
     ThresholdStep,
     WeightedSum,
     and_,
@@ -41,7 +42,16 @@ from ropas.model import (
     validate_model,
     var,
 )
-from ropas.runtime import AwarenessTrigger, Event, EventTrace, IntervalRange, SimulationConfig
+from ropas.runtime import (
+    AwarenessTrigger,
+    Event,
+    EventTrace,
+    ForbiddenTransition,
+    ForbiddenValue,
+    IntervalRange,
+    MaxParameterChanges,
+    SimulationConfig,
+)
 from ropas.solver import Rop, rop
 
 
@@ -463,3 +473,60 @@ def random_runtime_pair(
         initial_exogenous=tuple(sorted(initial.items())),
     )
     return model, EventTrace(events), config
+
+
+def random_runtime_scenario(
+    rng: random.Random,
+) -> tuple[Model, EventTrace, SimulationConfig]:
+    """A ``random_runtime_pair`` widened to reach every simulator path.
+
+    It draws only after ``random_runtime_pair`` does, so the pair's random
+    stream is unchanged.  On top of it come an adaptation duration of 0-3, an
+    optional initial specification, events at tick 0 (some on a change-scope
+    variable), evolution constraints, a linear constraint that a monitored
+    value can break for every specification, and narrowed detectable ranges.
+    """
+    model, trace, config = random_runtime_pair(rng)
+    params = [p.id for p in model.parameters]
+    watched = model.monitored[0].id
+    breakable = LinearConstraint(
+        "breakable", (params[0], watched), (float(rng.choice((-1, 1))), 1.0),
+        "<=", float(rng.randint(-2, 8)),
+    )
+    monitored = tuple(
+        replace(m, detectable_range=tuple(range(rng.randint(-12, 0), rng.randint(0, 12) + 1)))
+        if rng.random() < 0.5 else m
+        for m in model.monitored
+    )
+    model = replace(model, monitored=monitored, depends=model.depends + (breakable,))
+    assert not validate_model(model)
+
+    scope = (("noise", Boolean()),)
+    early = []
+    for _ in range(rng.randint(0, 2)):
+        name = rng.choice([m.id for m in monitored] + ["noise"])
+        early.append(Event(0, name, rng.randint(0, 1) if name == "noise" else rng.randint(-10, 10)))
+    later = tuple(
+        Event(e.tick, "noise", 1) if rng.random() < 0.2 else e for e in trace.events
+    )
+    constraints: list = []
+    if rng.random() < 0.4:
+        constraints.append(MaxParameterChanges(rng.randint(0, 2)))
+    if rng.random() < 0.3:
+        constraints.append(ForbiddenValue(rng.choice(params), rng.randint(0, 1)))
+    if rng.random() < 0.3:
+        constraints.append(
+            ForbiddenTransition(((rng.choice(params), 0),), ((rng.choice(params), 1),))
+        )
+    initial = None
+    if rng.random() < 0.5:
+        initial = Specification.from_mapping({pid: rng.randint(0, 1) for pid in params})
+    config = replace(
+        config,
+        adaptation_duration=rng.randint(0, 3),
+        constraints=tuple(constraints),
+        initial_spec=initial,
+        change_scope=scope,
+        horizon=rng.choice((None, rng.randint(1, 16))),
+    )
+    return model, EventTrace(tuple(early) + later), config

@@ -38,6 +38,30 @@ def test_conflicts_must_be_declared_pairs():
         goal_graph(atoms=("a", "b"), conflicts=(("a", "a"),))
 
 
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_conflict_message_does_not_depend_on_the_hash_seed(seed):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ropas
+
+    code = (
+        "from ropas.goals import goal_graph\n"
+        "try:\n"
+        "    goal_graph(atoms=('a', 'b', 'c'), conflicts=[('a', 'b', 'c')])\n"
+        "except Exception as err:\n"
+        "    print(err)\n"
+    )
+    src = str(Path(ropas.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout == "conflict {'a', 'b', 'c'} is not a pair\n"
+
+
 def test_atom_partitions_must_not_overlap():
     with pytest.raises(DefinitionError, match="overlap"):
         goal_graph(atoms=("a", "b"), r_atoms=("a",), s_atoms=("a", "b"))

@@ -1,5 +1,7 @@
 """Monitoring scope, triggers, evolution constraints, and simulation replay."""
 
+import random
+
 import pytest
 
 from ropas.domains import Boolean, IntegerRange
@@ -46,6 +48,8 @@ from ropas.runtime import (
     select_adaptation,
 )
 from ropas.solver import rop, solve_rop
+
+from genmodels import random_runtime_scenario
 
 
 def broken_call_problem():
@@ -565,3 +569,103 @@ def test_resolve_without_a_default_fails_like_solve_rop():
         run_simulation(model, EventTrace(()), SimulationConfig())
     assert str(simulated.value) == str(solved.value)
     assert "'q' outside the decision set has no default" in str(solved.value)
+
+
+# ---------------------------------------------------------------------------
+# Period attribution
+
+
+def alert_run(events, horizon, adaptation_duration=0, constraints=()):
+    """The alert fixture from call+local, with ``power_grid`` in the change scope."""
+    config = SimulationConfig(
+        adaptation_duration=adaptation_duration,
+        triggers=alert_triggers(),
+        constraints=constraints,
+        initial_exogenous=tuple(sorted(alert_exogenous().items())),
+        initial_spec=alert_spec("call", "local"),
+        horizon=horizon,
+        change_scope=(("power_grid", Boolean()),),
+    )
+    return run_simulation(alert_model(), EventTrace(tuple(events)), config)
+
+
+def spans(timeline):
+    return [(p.kind, p.start, p.end) for p in timeline.periods]
+
+
+FAIL_AT_0 = (Event(0, "alert_call_ok", 0), Event(0, "power_grid", 1))
+
+
+def test_tick_zero_switch_replaces_the_opening_period():
+    timeline, metrics = alert_run(FAIL_AT_0, horizon=4)
+    assert spans(timeline) == [("stability", 0, 4)]
+    (period,) = timeline.periods
+    assert period.spec == alert_spec("radio", "local")
+    assert period.fired == (INFEASIBLE_MARKER,)
+    assert period.ignored == (Event(0, "power_grid", 1),)
+    assert period.optimal == (True,) * 4
+    assert metrics.ignored_event_count == 1
+
+
+def test_tick_zero_adaptation_replaces_the_opening_period():
+    timeline, _ = alert_run(FAIL_AT_0, horizon=4, adaptation_duration=2)
+    assert spans(timeline) == [("adaptation", 0, 2), ("stability", 2, 4)]
+    adapting, recovered = timeline.periods
+    assert adapting.spec == alert_spec("call", "local")
+    assert recovered.spec == alert_spec("radio", "local")
+    assert adapting.fired == recovered.fired == (INFEASIBLE_MARKER,)
+    assert adapting.ignored == (Event(0, "power_grid", 1),)
+    assert recovered.ignored == ()
+
+
+SWITCH_AT_2 = (
+    Event(0, "power_grid", 1),
+    Event(2, "alert_call_ok", 0),
+    Event(2, "power_grid", 0),
+    Event(4, "power_grid", 1),
+)
+
+
+def test_events_ignored_at_a_switch_tick_belong_to_the_period_before():
+    timeline, metrics = alert_run(SWITCH_AT_2, horizon=5)
+    assert spans(timeline) == [("stability", 0, 2), ("stability", 2, 5)]
+    before, after = timeline.periods
+    assert before.ignored == (SWITCH_AT_2[0], SWITCH_AT_2[2])
+    assert after.ignored == (SWITCH_AT_2[3],)
+    assert metrics.ignored_event_count == 3
+
+
+def test_events_ignored_at_an_adaptation_tick_belong_to_the_period_before():
+    timeline, _ = alert_run(SWITCH_AT_2, horizon=5, adaptation_duration=2)
+    assert spans(timeline) == [("stability", 0, 2), ("adaptation", 2, 4), ("stability", 4, 5)]
+    before, adapting, after = timeline.periods
+    assert before.ignored == (SWITCH_AT_2[0], SWITCH_AT_2[2])
+    assert adapting.ignored == (SWITCH_AT_2[3],)
+    assert after.ignored == ()
+
+
+def test_halt_at_tick_zero_leaves_no_periods():
+    timeline, metrics = alert_run(FAIL_AT_0, horizon=4, constraints=(MaxParameterChanges(1),))
+    assert timeline.status == "no-feasible-adaptation"
+    assert timeline.periods == ()
+    assert metrics.ignored_event_count == 1
+
+
+def test_periods_tile_the_ticks_run_on_random_scenarios():
+    rng = random.Random(808)
+    for index in range(200):
+        model, trace, config = random_runtime_scenario(rng)
+        timeline, metrics = run_simulation(model, trace, config)
+        periods = timeline.periods
+        if not periods:
+            continue
+        assert periods[0].start == 0, index
+        for before, after in zip(periods, periods[1:]):
+            assert before.end == after.start, index
+        for period in periods:
+            assert period.start < period.end, index
+            assert len(period.optimal) == period.end - period.start, index
+        assert sum(len(p.ignored) for p in periods) == metrics.ignored_event_count, index
+        horizon = config.horizon if config.horizon is not None else trace.last_tick() + 1
+        if timeline.status == "completed":
+            assert periods[-1].end == max(horizon, 1), index

@@ -258,6 +258,21 @@ def test_oracle_computes_a_derived_parameter_from_a_default():
     assert fast == slow
 
 
+def test_oracle_and_search_give_a_default_in_canonical_form():
+    m = linear_toy(
+        parameters=(
+            Parameter("x", Boolean()),
+            Parameter("y", Boolean()),
+            Parameter("q", IntegerRange(0, 2), True),
+        ),
+        depends=(WeightedSum("score_sum", "score", ("x", "y", "q"), (2.0, 3.0, 1.0)),),
+    )
+    fast, slow = solve_rop(rop(m)), brute_force_oracle(rop(m))
+    assert isinstance(fast, OptimalSolutions)
+    assert repr(fast.optima[0]["q"]) == "1"
+    assert repr(fast) == repr(slow)
+
+
 def test_search_agrees_with_oracle_with_a_derived_parameter():
     rng = random.Random(2718)
     defaulted = 0
