@@ -21,6 +21,7 @@ from .formats import (
     ParseFailure,
     ParseIssue,
     format_assignments,
+    format_listing,
     format_number,
     parse_model,
     parse_trace,
@@ -84,7 +85,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         return FAILURE
     if args.format == "human":
         for spec in feasible:
-            print("spec: " + ", ".join(f"{n}={format_number(v)}" for n, v in spec.items))
+            print("spec: " + format_listing(spec.items))
         print(f"{len(feasible)} feasible specification(s)")
     else:
         for spec in feasible:
@@ -120,7 +121,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"problem class: {kind.variable_kind} variables, {kind.depend_kind} depends")
         print(f"objective {bundle.model.decision_rule} = {format_number(result.objective_value)}")
         for spec in result.optima:
-            print("optimum: " + ", ".join(f"{n}={format_number(v)}" for n, v in spec.items))
+            print("optimum: " + format_listing(spec.items))
     else:
         print(f"class variables={kind.variable_kind} depends={kind.depend_kind}")
         print(f"objective {format_number(result.objective_value)}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import groupby, product
 from typing import Mapping, Optional, Union
 
 from .domains import TOLERANCE, Enumerated, Value, domain_bounds, is_numeric
@@ -310,20 +310,11 @@ def rank_alternatives(dm: DecisionModel) -> Ranking:
     """Rank every alternative; ties share a group, order is deterministic."""
     scored = [(alt.id, expected_utility(dm, alt.id)) for alt in dm.alternatives]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    groups: list[tuple[str, ...]] = []
-    current: list[str] = []
-    current_value: Optional[float] = None
-    for alt_id, value in scored:
-        if current and value == current_value:
-            current.append(alt_id)
-        else:
-            if current:
-                groups.append(tuple(current))
-            current = [alt_id]
-            current_value = value
-    if current:
-        groups.append(tuple(current))
-    return Ranking(entries=tuple(scored), groups=tuple(groups))
+    groups = tuple(
+        tuple(alt_id for alt_id, _ in tied)
+        for _, tied in groupby(scored, key=lambda pair: pair[1])
+    )
+    return Ranking(entries=tuple(scored), groups=groups)
 
 
 # ---------------------------------------------------------------------------

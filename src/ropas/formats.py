@@ -157,30 +157,23 @@ def parse_domain(token: str) -> Domain:
     """Inverse of serialize_domain; raises ValueError with a reason."""
     if token == "bool":
         return Boolean()
-    if token.startswith("int:"):
-        parts = token.split(":")
-        if len(parts) != 3 or not (_INT.match(parts[1]) and _INT.match(parts[2])):
-            raise ValueError(f"bad integer domain '{token}'")
-        try:
+    parts = token.split(":")
+    try:
+        if token.startswith("int:"):
+            if len(parts) != 3 or not (_INT.match(parts[1]) and _INT.match(parts[2])):
+                raise ValueError(f"bad integer domain '{token}'")
             return IntegerRange(int(parts[1]), int(parts[2]))
-        except DefinitionError as err:
-            raise ValueError(str(err))
-    if token.startswith("grid:"):
-        parts = token.split(":")
-        if len(parts) != 4:
-            raise ValueError(f"bad grid domain '{token}'")
-        try:
+        if token.startswith("grid:"):
+            if len(parts) != 4:
+                raise ValueError(f"bad grid domain '{token}'")
             return RealGrid(float(parts[1]), float(parts[2]), float(parts[3]))
-        except (ValueError, DefinitionError) as err:
-            raise ValueError(str(err))
-    if token.startswith("enum:"):
-        labels = tuple(parse_scalar(t) for t in token[5:].split(",") if t)
-        if not labels:
-            raise ValueError("empty enumerated domain")
-        try:
+        if token.startswith("enum:"):
+            labels = tuple(parse_scalar(t) for t in token[5:].split(",") if t)
+            if not labels:
+                raise ValueError("empty enumerated domain")
             return Enumerated(labels)
-        except DefinitionError as err:
-            raise ValueError(str(err))
+    except DefinitionError as err:
+        raise ValueError(str(err))
     raise ValueError(f"unknown domain '{token}'")
 
 
@@ -531,9 +524,12 @@ def _declared(v, **options: Optional[str]) -> str:
     )
 
 
-def _whole(rest: str) -> int:
+def _whole(rest: str, least: int, message: str) -> int:
+    """An integer record value; one below ``least`` is rejected with ``message``."""
     if not _INT.match(rest):
         raise _Syntax()
+    if int(rest) < least:
+        raise ValueError(message)
     return int(rest)
 
 
@@ -804,12 +800,12 @@ def _read_forbid_value(p: _ModelParser, rest: str) -> None:
 
 @_record("simulation", "duration", str)
 def _read_duration(p: _ModelParser, rest: str) -> None:
-    p.duration = _whole(rest)
+    p.duration = _whole(rest, 0, "adaptation duration must be nonnegative")
 
 
 @_record("simulation", "horizon", str)
 def _read_horizon(p: _ModelParser, rest: str) -> None:
-    p.horizon = _whole(rest)
+    p.horizon = _whole(rest, 1, "horizon must be at least 1")
 
 
 @_record("simulation", "initial", _write_assignments)
@@ -1200,21 +1196,31 @@ def format_number(value: Value) -> str:
 
 
 def format_assignments(items: tuple[tuple[str, Value], ...]) -> str:
+    """``name=value`` pairs joined by ",", as the machine reports write them."""
     return ",".join(f"{name}={format_number(value)}" for name, value in items)
 
 
+def format_listing(items: tuple[tuple[str, Value], ...]) -> str:
+    """The same pairs joined by ", ", as the human reports write them."""
+    return ", ".join(format_assignments((item,)) for item in items)
+
+
+def _format_event(event: Event) -> str:
+    return f"{event.variable}@{event.tick}={format_scalar(event.value)}"
+
+
+def _optimal_bits(period: Period) -> str:
+    return "".join("1" if flag else "0" for flag in period.optimal)
+
+
 def _period_record(period: Period) -> str:
-    ignored = ",".join(
-        f"{e.variable}@{e.tick}={format_scalar(e.value)}" for e in period.ignored
-    )
-    bits = "".join("1" if flag else "0" for flag in period.optimal)
     return (
         f"period kind={period.kind} start={period.start} end={period.end}"
         f" spec={format_assignments(period.spec.items)}"
         f" instance={format_assignments(period.instance.items)}"
         f" fired={','.join(period.fired)}"
-        f" ignored={ignored}"
-        f" optimal={bits}"
+        f" ignored={','.join(map(_format_event, period.ignored))}"
+        f" optimal={_optimal_bits(period)}"
     )
 
 
@@ -1233,27 +1239,13 @@ def write_report(timeline: SimulationTimeline, metrics: Metrics, fmt: str = "mac
     lines = [f"status: {timeline.status}"]
     for number, period in enumerate(timeline.periods, start=1):
         lines.append(f"period {number}: {period.kind} ticks [{period.start}, {period.end})")
-        lines.append(
-            "  spec: "
-            + ", ".join(f"{n}={format_number(v)}" for n, v in period.spec.items)
-        )
-        lines.append(
-            "  instance: "
-            + ", ".join(f"{n}={format_number(v)}" for n, v in period.instance.items)
-        )
+        lines.append("  spec: " + format_listing(period.spec.items))
+        lines.append("  instance: " + format_listing(period.instance.items))
         if period.fired:
             lines.append("  fired: " + ", ".join(period.fired))
         if period.ignored:
-            lines.append(
-                "  ignored: "
-                + ", ".join(
-                    f"{e.variable}@{e.tick}={format_scalar(e.value)}"
-                    for e in period.ignored
-                )
-            )
-        lines.append(
-            "  optimal: " + "".join("1" if flag else "0" for flag in period.optimal)
-        )
+            lines.append("  ignored: " + ", ".join(map(_format_event, period.ignored)))
+        lines.append("  optimal: " + _optimal_bits(period))
     lines.append("metrics:")
     lines.append(f"  optimal time fraction: {metrics.optimal_time_fraction:.6f}")
     lines.append(f"  trigger count: {metrics.trigger_count}")

@@ -158,28 +158,26 @@ def check_drp(graph: GoalGraph, s_selection: Iterable[str]) -> DrpVerdict:
     return DrpVerdict(satisfaction=satisfaction, consistency=consistency, derived=derived)
 
 
-def _selectable(graph: GoalGraph, cap: int) -> list[str]:
-    """The selectable atoms, sorted; raises when 2^n selections exceed the cap."""
+def _by_size(graph: GoalGraph, cap: int) -> Iterator[Iterator[tuple[str, ...]]]:
+    """Every selection as a sorted member tuple, one iterator per size from 0
+    up, each in lexicographic order; raises at once when 2^n exceeds the cap."""
     ordered = sorted(graph.s_atoms)
     if 2 ** len(ordered) > cap:
-        raise SizeLimitError(
-            f"{2 ** len(ordered)} candidate selections exceed cap {cap}"
-        )
-    return ordered
+        raise SizeLimitError(f"{2 ** len(ordered)} candidate selections exceed cap {cap}")
+    return (combinations(ordered, size) for size in range(len(ordered) + 1))
 
 
-def _selections(graph: GoalGraph, cap: int) -> Iterator[frozenset[str]]:
-    """Every selection, one at a time, in sorted-member-tuple order."""
-    ordered = _selectable(graph, cap)
-
-    # Depth-first preorder over increasing atom positions is exactly the
-    # lexicographic order of the sorted member tuples.
-    def extend(chosen: tuple[str, ...], start: int) -> Iterator[frozenset[str]]:
-        yield frozenset(chosen)
-        for i in range(start, len(ordered)):
-            yield from extend(chosen + (ordered[i],), i + 1)
-
-    return extend((), 0)
+def _mandatory_selections(graph: GoalGraph, cap: int) -> list[tuple[tuple[str, ...], int]]:
+    """Each consistent selection deriving every mandatory atom, with its count
+    of derived non-mandatory atoms, in sorted-member-tuple order."""
+    kept = []
+    for selections in _by_size(graph, cap):
+        for members in selections:
+            verdict = check_drp(graph, members)
+            if verdict.consistency and graph.mandatory <= verdict.derived:
+                kept.append((members, len(verdict.derived & graph.non_mandatory)))
+    kept.sort()
+    return kept
 
 
 def solve_rp2(graph: GoalGraph, cap: int = DEFAULT_SELECTION_CAP) -> list[frozenset[str]]:
@@ -189,12 +187,7 @@ def solve_rp2(graph: GoalGraph, cap: int = DEFAULT_SELECTION_CAP) -> list[frozen
     mandatory this coincides with the plain all-requirements problem.  Output
     order is deterministic (sorted-member tuples).
     """
-    out: list[frozenset[str]] = []
-    for selection in _selections(graph, cap):
-        verdict = check_drp(graph, selection)
-        if verdict.consistency and graph.mandatory <= verdict.derived:
-            out.append(selection)
-    return out
+    return [frozenset(members) for members, _ in _mandatory_selections(graph, cap)]
 
 
 @dataclass(frozen=True)
@@ -212,17 +205,10 @@ def solve_rp3(graph: GoalGraph, cap: int = DEFAULT_SELECTION_CAP) -> Rp3Result:
     Every returned selection achieves the reported count; the result is always
     a subset of ``solve_rp2``'s output, in the same deterministic order.
     """
-    best: list[frozenset[str]] = []
-    best_count = 0
-    for selection in solve_rp2(graph, cap):
-        derived = check_drp(graph, selection).derived
-        count = len(derived & graph.non_mandatory)
-        if not best or count > best_count:
-            best = [selection]
-            best_count = count
-        elif count == best_count:
-            best.append(selection)
-    return Rp3Result(selections=tuple(best), satisfied_count=best_count if best else 0)
+    kept = _mandatory_selections(graph, cap)
+    best = max((count for _, count in kept), default=0)
+    selections = tuple(frozenset(members) for members, count in kept if count == best)
+    return Rp3Result(selections=selections, satisfied_count=best)
 
 
 def solve_rdrp(graph: GoalGraph, cap: int = DEFAULT_SELECTION_CAP) -> list[frozenset[str]]:
@@ -234,13 +220,8 @@ def solve_rdrp(graph: GoalGraph, cap: int = DEFAULT_SELECTION_CAP) -> list[froze
     increasing size, so the search stops at the first size that has one.
     Deterministic order as in ``solve_rp2``.
     """
-    ordered = _selectable(graph, cap)
-    for size in range(len(ordered) + 1):
-        found = [
-            selection
-            for selection in map(frozenset, combinations(ordered, size))
-            if check_drp(graph, selection).satisfaction
-        ]
+    for selections in _by_size(graph, cap):
+        found = [frozenset(s) for s in selections if check_drp(graph, s).satisfaction]
         if found:
             return found
     return []

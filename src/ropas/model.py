@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .domains import (
     TOLERANCE,
@@ -449,19 +449,31 @@ class Violation:
         return f"{self.subject}: {self.message}"
 
 
-def _check_inputs(model: Model, dep, kind: str, out: list[Violation], what: str = "") -> None:
-    """Each input must be a declared variable of the given kind."""
+def _check_inputs(
+    model: Model, dep, kind: Optional[str], out: list[Violation], what: str = ""
+) -> bool:
+    """Each input must be a declared variable of the given kind (any kind when
+    None); True when every input is declared."""
+    declared = True
     for name in dep.inputs:
         if not model.has_variable(name):
             out.append(Violation(dep.id, f"references unknown variable '{name}'"))
-            continue
-        domain = model.variable_domain(name)
-        if kind == "boolean":
-            ok = isinstance(domain, Boolean)
-        else:
-            ok = domain_bounds(domain) is not None
-        if not ok:
-            out.append(Violation(dep.id, f"{what}input '{name}' is not {kind}"))
+            declared = False
+        elif kind is not None:
+            domain = model.variable_domain(name)
+            if kind == "boolean":
+                ok = isinstance(domain, Boolean)
+            else:
+                ok = domain_bounds(domain) is not None
+            if not ok:
+                out.append(Violation(dep.id, f"{what}input '{name}' is not {kind}"))
+    return declared
+
+
+def _check_boolean_output(model: Model, dep, what: str, out: list[Violation]) -> None:
+    domain = model._domains.get(dep.output)
+    if domain is not None and not isinstance(domain, Boolean):
+        out.append(Violation(dep.id, f"{what} output must be boolean"))
 
 
 def _check_coverage(
@@ -542,10 +554,7 @@ def validate_model(model: Model) -> list[Violation]:
                 out.append(Violation(dep.id, "malformed formula expression"))
             else:
                 _check_inputs(model, dep, "boolean", out, "formula ")
-                if model.has_variable(dep.output) and not isinstance(
-                    model.variable_domain(dep.output), Boolean
-                ):
-                    out.append(Violation(dep.id, "formula output must be boolean"))
+                _check_boolean_output(model, dep, "formula", out)
         elif isinstance(dep, WeightedSum):
             if len(dep.weights) != len(dep.inputs):
                 out.append(Violation(dep.id, "weight count differs from input count"))
@@ -555,35 +564,27 @@ def validate_model(model: Model) -> list[Violation]:
         elif isinstance(dep, LookupTable):
             if not dep.inputs:
                 out.append(Violation(dep.id, "lookup table needs at least one input"))
-            else:
-                known = all(model.has_variable(n) for n in dep.inputs)
-                for name in dep.inputs:
-                    if not model.has_variable(name):
-                        out.append(Violation(dep.id, f"references unknown variable '{name}'"))
-                if known:
-                    domains = [model.variable_domain(n) for n in dep.inputs]
-                    table = dep.lookup
-                    if len(table) != len(dep.entries):
-                        out.append(Violation(dep.id, "duplicate table keys"))
-                    for key in table:
-                        if len(key) != len(dep.inputs):
-                            out.append(Violation(dep.id, f"key {key!r} has wrong arity"))
-                        elif not all(d.contains(v) for d, v in zip(domains, key)):
-                            out.append(Violation(dep.id, f"key {key!r} outside input domains"))
-                    _check_coverage(dep.id, domains, table, "input", out)
-                    if model.has_variable(dep.output):
-                        odom = model.variable_domain(dep.output)
-                        for key, val in dep.entries:
-                            if not odom.contains(val):
-                                out.append(
-                                    Violation(dep.id, f"table value {val!r} outside output domain")
-                                )
+            elif _check_inputs(model, dep, None, out):
+                domains = [model.variable_domain(n) for n in dep.inputs]
+                table = dep.lookup
+                if len(table) != len(dep.entries):
+                    out.append(Violation(dep.id, "duplicate table keys"))
+                for key in table:
+                    if len(key) != len(dep.inputs):
+                        out.append(Violation(dep.id, f"key {key!r} has wrong arity"))
+                    elif not all(d.contains(v) for d, v in zip(domains, key)):
+                        out.append(Violation(dep.id, f"key {key!r} outside input domains"))
+                _check_coverage(dep.id, domains, table, "input", out)
+                if model.has_variable(dep.output):
+                    odom = model.variable_domain(dep.output)
+                    for key, val in dep.entries:
+                        if not odom.contains(val):
+                            out.append(
+                                Violation(dep.id, f"table value {val!r} outside output domain")
+                            )
         elif isinstance(dep, ThresholdStep):
             _check_inputs(model, dep, "numeric", out)
-            if model.has_variable(dep.output) and not isinstance(
-                model.variable_domain(dep.output), Boolean
-            ):
-                out.append(Violation(dep.id, "step output must be boolean"))
+            _check_boolean_output(model, dep, "step", out)
         elif isinstance(dep, LinearConstraint):
             if len(dep.coefficients) != len(dep.inputs):
                 out.append(Violation(dep.id, "coefficient count differs from input count"))
@@ -888,6 +889,21 @@ def is_feasible(
 # Search
 
 
+def pinned_values(
+    model: Model, varied: Collection[str], current: Optional[Specification] = None
+) -> dict[str, Value]:
+    """Values of the parameters a search does not vary and no depend computes:
+    each keeps its value in ``current``, else takes its canonical default."""
+    pinned = {}
+    for p in model.parameters:
+        if p.id in varied or p.id in model.producers:
+            continue
+        if current is None and p.default is None:
+            raise EvaluationError(f"parameter '{p.id}' outside the decision set has no default")
+        pinned[p.id] = p.domain.canonical(p.default) if current is None else current[p.id]
+    return pinned
+
+
 def search_specifications(
     model: Model,
     free: Iterable[str],
@@ -922,13 +938,7 @@ def search_specifications(
     # A computed value wins over an exogenous one, as in ``evaluate``.
     given = _exogenous_values(model, exogenous)
     env = {name: value for name, value in given.items() if name not in producers}
-    for p in model.parameters:
-        if p.id not in free_ids and p.id not in producers:
-            if p.default is None:
-                raise EvaluationError(
-                    f"parameter '{p.id}' outside the decision set has no default"
-                )
-            env[p.id] = p.domain.canonical(p.default)
+    env.update(pinned_values(model, free_ids))
 
     topo = model.topological_depends
     constraints = model.constraint_depends

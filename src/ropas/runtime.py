@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 from .domains import TOLERANCE, Domain, Value, domain_bounds, is_numeric
-from .errors import DefinitionError, EvaluationError
+from .errors import DefinitionError
 from .model import (
     DEFAULT_ENUMERATION_CAP,
     Model,
@@ -36,6 +36,7 @@ from .model import (
     evaluate,
     hamming,
     is_feasible,
+    pinned_values,
 )
 from .solver import Rop, rop
 
@@ -311,13 +312,7 @@ def adaptation_candidates(
     """
     model = problem.model
     exogenous = problem.exogenous_map()
-    pinned = {}
-    for p in model.parameters:
-        if p.id in model.decision_set or p.id in model.producers:
-            continue
-        if current is None and p.default is None:
-            raise EvaluationError(f"parameter '{p.id}' outside the decision set has no default")
-        pinned[p.id] = p.domain.canonical(p.default) if current is None else current[p.id]
+    pinned = pinned_values(model, model.decision_set, current)
     feasible = enumerate_specifications(model, exogenous, cap)
     allowed = [
         spec
@@ -383,8 +378,9 @@ class SimulationConfig:
     ``initial_spec`` None means: solve for the best stable specification at
     tick 0.  ``relaxation`` widens trigger ranges before the run starts.
     ``change_scope`` declares extra trace variables that are outside the
-    model; their events are always ignored.  ``horizon`` defaults to one past
-    the last event tick (or a single tick for an empty trace).
+    model; their events are always ignored.  ``horizon`` must be at least 1
+    and defaults to one past the last event tick (or a single tick for an
+    empty trace).
     """
 
     adaptation_duration: int = 0
@@ -428,7 +424,9 @@ class SimulationTimeline:
 
 @dataclass(frozen=True)
 class Metrics:
-    """Aggregate outcome of one simulated run."""
+    """Aggregate outcome of one simulated run.  ``optimal_time_fraction`` is the
+    share of the ticks run whose active specification lies in the omniscient
+    rerun's accepted set, and 0 for a run that halts at tick 0 (no tick ran)."""
 
     optimal_time_fraction: float
     trigger_count: int
@@ -495,7 +493,10 @@ def _replay(
     out = _Replay()
     believed: dict[str, Value] = {}
     for name, value in config.initial_exogenous:
-        domain = model.variable_domain(name)
+        try:
+            domain = model.variable_domain(name)
+        except KeyError:
+            raise DefinitionError(f"initial value for non-monitored variable '{name}'")
         believed[name] = domain.canonical(value)
     for mv in model.monitored:
         if mv.id not in believed:
@@ -626,6 +627,8 @@ def run_simulation(
         raise DefinitionError("simulation needs a decision rule and a decision set")
     if config.adaptation_duration < 0:
         raise DefinitionError("adaptation duration must be nonnegative")
+    if config.horizon is not None and config.horizon < 1:
+        raise DefinitionError("horizon must be at least 1")
     change_scope = dict(config.change_scope)
     events_by_tick = _bind_events(model, trace, change_scope)
     if config.horizon is not None:
@@ -664,7 +667,7 @@ def run_simulation(
         )
     timeline = SimulationTimeline(periods=tuple(periods), status=main.status)
 
-    fraction = (sum(flags) / ran) if ran else 1.0
+    fraction = (sum(flags) / ran) if ran else 0.0
     metrics = Metrics(
         optimal_time_fraction=fraction,
         trigger_count=main.trigger_count,

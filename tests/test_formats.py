@@ -300,6 +300,24 @@ def test_parse_model_locates_cross_record_issues_at_their_records():
     ]
 
 
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ("horizon 0", "horizon must be at least 1"),
+        ("horizon -2", "horizon must be at least 1"),
+        ("duration -1", "adaptation duration must be nonnegative"),
+    ],
+)
+def test_parse_model_rejects_a_horizon_below_one_and_a_negative_duration(record, message):
+    text = (FIXTURES / "shock.model").read_text(encoding="utf-8").replace("horizon 4", record)
+    line = text.splitlines().index(record) + 1
+    with pytest.raises(ParseFailure) as info:
+        parse_model(text)
+    assert [(i.kind, i.line, i.message) for i in info.value.issues] == [
+        ("semantic", line, message)
+    ]
+
+
 def test_parse_model_rejects_unknown_sections():
     with pytest.raises(ParseFailure) as info:
         parse_model(MODEL_HEADER + "\n[mystery]\n")

@@ -237,3 +237,22 @@ def test_rdrp_stops_at_the_smallest_satisfying_size(monkeypatch):
     monkeypatch.setattr(goals, "check_drp", counted)
     assert solve_rdrp(graph) == [frozenset({a}) for a in atoms]
     assert len(calls) <= 17
+
+
+def test_rp2_and_rp3_match_a_subset_enumeration():
+    rng = random.Random(29)
+    for index in range(200):
+        g = random_goal_graph(rng, max_s=8)
+        ordered = sorted(g.s_atoms)
+        kept = []
+        for mask in range(1 << len(ordered)):
+            members = tuple(a for i, a in enumerate(ordered) if mask >> i & 1)
+            verdict = check_drp(g, members)
+            if verdict.consistency and g.mandatory <= verdict.derived:
+                kept.append((members, len(verdict.derived & g.non_mandatory)))
+        kept.sort()
+        assert solve_rp2(g) == [frozenset(m) for m, _ in kept], index
+        best = max((count for _, count in kept), default=0)
+        rp3 = solve_rp3(g)
+        assert rp3.selections == tuple(frozenset(m) for m, c in kept if c == best), index
+        assert rp3.satisfied_count == best, index

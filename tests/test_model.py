@@ -476,3 +476,55 @@ def test_complete_specification_requires_default_or_derivation():
     m = tiny_model()
     with pytest.raises(EvaluationError, match="has no default"):
         complete_specification(m, {"x": 1})
+
+
+@pytest.mark.parametrize(
+    "depend, domain",
+    [
+        (WeightedSum("total", "level", ("x", "load"), (1.0, 1.0)), IntegerRange(0, 3)),
+        (
+            LookupTable("table", "level", ("load",), (((0,), 0), ((1,), 1), ((2,), 2))),
+            IntegerRange(0, 3),
+        ),
+        (ThresholdStep("step", "level", "load", 1.0), Boolean()),
+    ],
+)
+def test_functional_input_without_a_value_is_named(depend, domain):
+    model = tiny_model(
+        criteria=(
+            Criterion("score", IntegerRange(-10, 10), "utility", "higher-better"),
+            Criterion("level", domain, "quality-variable"),
+        ),
+        monitored=(MonitoredVariable("load", IntegerRange(0, 2)),),
+        depends=(WeightedSum("score_sum", "score", ("x", "y"), (2.0, 3.0)), depend),
+    )
+    assert validate_model(model) == []
+    spec = Specification.from_mapping({"x": 1, "y": 0})
+    for check in (evaluate, is_feasible):
+        with pytest.raises(EvaluationError, match="^missing value for variable 'load'$"):
+            check(model, spec)
+
+
+def test_criterion_without_a_value_is_named():
+    model = tiny_model(
+        criteria=(
+            Criterion("score", IntegerRange(-10, 10), "utility", "higher-better"),
+            Criterion("cost", IntegerRange(0, 5), "quality-variable"),
+        ),
+    )
+    assert validate_model(model) == []
+    with pytest.raises(EvaluationError, match="^missing value for variable 'cost'$"):
+        evaluate(model, Specification.from_mapping({"x": 1, "y": 0}))
+
+
+def test_constraint_input_without_a_value_is_named():
+    model = tiny_model(
+        monitored=(MonitoredVariable("load", IntegerRange(0, 2)),),
+        depends=(
+            WeightedSum("score_sum", "score", ("x", "y"), (2.0, 3.0)),
+            LinearConstraint("cap", ("x", "load"), (1.0, 1.0), "<=", 2.0),
+        ),
+    )
+    assert validate_model(model) == []
+    with pytest.raises(EvaluationError, match="^missing value for variable 'load'$"):
+        is_feasible(model, Specification.from_mapping({"x": 1, "y": 0}))

@@ -1,6 +1,7 @@
 """Monitoring scope, triggers, evolution constraints, and simulation replay."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -499,6 +500,22 @@ def test_simulation_rejects_bad_configs():
         run_simulation(alert_model(), EventTrace(()), config)
 
 
+def test_simulation_rejects_a_horizon_below_one():
+    for horizon in (0, -2):
+        config = replace(alert_config(), horizon=horizon)
+        with pytest.raises(DefinitionError, match="^horizon must be at least 1$"):
+            run_simulation(alert_model(), EventTrace(()), config)
+
+
+def test_simulation_rejects_an_undeclared_initial_variable():
+    config = alert_config()
+    config = replace(config, initial_exogenous=config.initial_exogenous + (("ghost", 1),))
+    with pytest.raises(
+        DefinitionError, match="^initial value for non-monitored variable 'ghost'$"
+    ):
+        run_simulation(alert_model(), EventTrace(()), config)
+
+
 def test_simulation_rejects_invalid_models():
     bad = Model(
         criteria=(Criterion("score", Boolean(), "utility"),),
@@ -508,6 +525,17 @@ def test_simulation_rejects_invalid_models():
     )
     with pytest.raises(DefinitionError, match="invalid model"):
         run_simulation(bad, EventTrace(()), SimulationConfig())
+
+
+def test_simulation_needs_a_decision_rule_and_a_decision_set():
+    for model in (
+        replace(alert_model(), decision_rule=None),
+        replace(alert_model(), decision_set=()),
+    ):
+        with pytest.raises(
+            DefinitionError, match="^simulation needs a decision rule and a decision set$"
+        ):
+            run_simulation(model, EventTrace(()), alert_config())
 
 
 def test_simulation_cap_limits_the_solver():
@@ -649,6 +677,15 @@ def test_halt_at_tick_zero_leaves_no_periods():
     assert timeline.status == "no-feasible-adaptation"
     assert timeline.periods == ()
     assert metrics.ignored_event_count == 1
+
+
+def test_halt_at_tick_zero_scores_no_optimal_time():
+    timeline, metrics = alert_run(
+        (Event(0, "alert_call_ok", 0),), horizon=4, constraints=(MaxParameterChanges(1),)
+    )
+    assert timeline.status == "no-feasible-adaptation"
+    assert timeline.periods == ()
+    assert metrics.optimal_time_fraction == 0.0
 
 
 def test_periods_tile_the_ticks_run_on_random_scenarios():

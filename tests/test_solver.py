@@ -1,6 +1,7 @@
 """Optimization: classification, exact search, and the goal-graph encoding."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -593,3 +594,23 @@ def test_rop_validates_each_model_once(monkeypatch):
         rop(m, alert_exogenous())
     assert len(calls) == 1
     assert validate_model(m) == [] and validate_model(m) is not validate_model(m)
+
+
+def test_rop_construction_errors():
+    bad_default = (Parameter("x", Boolean(), 5), Parameter("y", Boolean()))
+    with pytest.raises(DefinitionError, match="^invalid model: x: default 5 outside domain$"):
+        rop(replace(linear_toy(), parameters=bad_default))
+    with pytest.raises(DefinitionError, match="^model has no decision rule$"):
+        rop(replace(linear_toy(), decision_rule=None))
+    with pytest.raises(DefinitionError, match="^model has an empty decision set$"):
+        rop(replace(linear_toy(), decision_set=()))
+    labelled = Model(
+        criteria=(Criterion("grade", Enumerated(("lo", "hi")), "utility", "higher-better"),),
+        parameters=(Parameter("x", Boolean()),),
+        depends=(LookupTable("grade_of", "grade", ("x",), (((0,), "lo"), ((1,), "hi"))),),
+        decision_rule="grade",
+        decision_set=("x",),
+    )
+    assert validate_model(labelled) == []
+    with pytest.raises(DefinitionError, match="^decision rule 'grade' has no numeric ordering$"):
+        rop(labelled)
