@@ -349,8 +349,10 @@ def daop_to_rop(dm: DecisionModel) -> Rop:
     criteria: list[Criterion] = []
     depends: list = []
 
-    totals = {aid: expected_utility(dm, aid) for aid in alt_ids}
     if isinstance(dm.utility, WeightedSum):
+        # Each total adds the contributions to the offset in attribute order, as
+        # expected_utility does, so it is the same float.
+        totals = {aid: dm.utility.offset for aid in alt_ids}
         contribution_ids = []
         for i, attr in enumerate(dm.attributes):
             cid = f"eu_{attr.id}"
@@ -360,6 +362,7 @@ def daop_to_rop(dm: DecisionModel) -> Rop:
             per_alt = {
                 alt.id: _additive_contribution(dm, alt, i) for alt in dm.alternatives
             }
+            totals = {aid: totals[aid] + per_alt[aid] for aid in alt_ids}
             values = tuple(sorted(set(per_alt.values())))
             criteria.append(
                 Criterion(id=cid, domain=Enumerated(values), kind="quality-variable")
@@ -382,6 +385,7 @@ def daop_to_rop(dm: DecisionModel) -> Rop:
             )
         )
     else:
+        totals = {aid: expected_utility(dm, aid) for aid in alt_ids}
         depends.append(
             LookupTable(
                 id="total_utility",

@@ -61,6 +61,7 @@ from .runtime import (
     TolerableRange,
     UnlessCondition,
     ValueSetRange,
+    config_violations,
 )
 
 MODEL_HEADER = "ropas-model v1"
@@ -379,9 +380,9 @@ class _ModelParser(_Parser):
         self.constraints: list[EvolutionConstraint] = []
         self.duration = 0
         self.horizon: Optional[int] = None
-        self.initial: dict[str, tuple[Value, int]] = {}  # name -> (value, line)
-        self.initial_spec: Optional[tuple[dict[str, Value], int]] = None
-        self.change_scope: list[tuple[str, Domain, int]] = []
+        self.initial: dict[str, Value] = {}
+        self.initial_spec: Optional[Specification] = None
+        self.change_scope: list[tuple[str, Domain]] = []
         self.atoms: list[tuple[str, str, bool]] = []  # (id, role, mandatory)
         self.refinements: list[tuple[str, tuple[str, ...]]] = []
         self.conflicts: list[tuple[str, ...]] = []
@@ -419,6 +420,10 @@ class _ModelParser(_Parser):
     def depend(self, dep: DependRelation) -> None:
         self.declare(dep.id)
         self.depends.append(dep)
+
+    def constrain(self, constraint: EvolutionConstraint) -> None:
+        self.decl[f"evolution {len(self.constraints)}"] = self.line
+        self.constraints.append(constraint)
 
 
 @dataclass(frozen=True)
@@ -524,12 +529,10 @@ def _declared(v, **options: Optional[str]) -> str:
     )
 
 
-def _whole(rest: str, least: int, message: str) -> int:
-    """An integer record value; one below ``least`` is rejected with ``message``."""
+def _whole(p: _ModelParser, rest: str) -> int:
+    """An integer record value; anything else is a syntax issue."""
     if not _INT.match(rest):
-        raise _Syntax()
-    if int(rest) < least:
-        raise ValueError(message)
+        raise _Syntax(f"expected '{p.head} N'")
     return int(rest)
 
 
@@ -749,9 +752,7 @@ def _read_trigger(p: _ModelParser, rest: str) -> None:
 
 @_record("evolution", "max-changes", lambda c: str(c.limit), MaxParameterChanges)
 def _read_max_changes(p: _ModelParser, rest: str) -> None:
-    if not _INT.match(rest):
-        raise _Syntax("expected 'max-changes N'")
-    p.constraints.append(MaxParameterChanges(int(rest)))
+    p.constrain(MaxParameterChanges(_whole(p, rest)))
 
 
 def _write_forbid_transition(c: ForbiddenTransition) -> str:
@@ -770,7 +771,7 @@ def _read_forbid_transition(p: _ModelParser, rest: str) -> None:
         except _Syntax as err:
             p.syntax(p.line, str(err))
     if len(sides) == 2:
-        p.constraints.append(ForbiddenTransition(*sides))
+        p.constrain(ForbiddenTransition(*sides))
 
 
 def _write_forbid_value(c: ForbiddenValue) -> str:
@@ -792,31 +793,31 @@ def _read_forbid_value(p: _ModelParser, rest: str) -> None:
         unless = UnlessCondition(
             tuple(sorted(_read_assignments(tests).items())), comparator, int(bound)
         )
-    p.constraints.append(ForbiddenValue(parameter, parse_scalar(value), unless))
+    p.constrain(ForbiddenValue(parameter, parse_scalar(value), unless))
 
 
 # [simulation]
 
 
 @_record("simulation", "duration", str)
-def _read_duration(p: _ModelParser, rest: str) -> None:
-    p.duration = _whole(rest, 0, "adaptation duration must be nonnegative")
-
-
 @_record("simulation", "horizon", str)
-def _read_horizon(p: _ModelParser, rest: str) -> None:
-    p.horizon = _whole(rest, 1, "horizon must be at least 1")
+def _read_setting(p: _ModelParser, rest: str) -> None:
+    """An integer setting, kept in the parser field named after its head."""
+    setattr(p, p.head, _whole(p, rest))
+    p.decl[f"simulation {p.head}"] = p.line
 
 
 @_record("simulation", "initial", _write_assignments)
 def _read_initial(p: _ModelParser, rest: str) -> None:
     for name, value in _read_assignments(rest).items():
-        p.initial[name] = (value, p.line)
+        p.initial[name] = value
+        p.decl[f"initial {name}"] = p.line
 
 
 @_record("simulation", "initial-spec", _write_assignments)
 def _read_initial_spec(p: _ModelParser, rest: str) -> None:
-    p.initial_spec = (_read_assignments(rest), p.line)
+    p.initial_spec = Specification.from_mapping(_read_assignments(rest))
+    p.decl["initial-spec"] = p.line
 
 
 @_record("simulation", "change-scope", lambda s: f"{s[0]} {serialize_domain(s[1])}")
@@ -824,7 +825,8 @@ def _read_change_scope(p: _ModelParser, rest: str) -> None:
     tokens = rest.split()
     if len(tokens) != 2 or not _IDENT.match(tokens[0]):
         raise _Syntax("expected 'change-scope ID DOMAIN'")
-    p.change_scope.append((tokens[0], parse_domain(tokens[1]), p.line))
+    p.change_scope.append((tokens[0], parse_domain(tokens[1])))
+    p.declare(f"change-scope {tokens[0]}")
 
 
 # [goalgraph]
@@ -1032,55 +1034,20 @@ def parse_model(text: str) -> ModelBundle:
             for violation in decision.violations:
                 p.semantic(p.decl.get(violation.subject, utility_line), str(violation))
 
-    spec_obj: Optional[Specification] = None
-    if p.initial_spec is not None:
-        assigns, line = p.initial_spec
-        spec_obj = Specification.from_mapping(assigns)
-        if model is not None:
-            wanted = {q.id for q in model.parameters}
-            got = set(assigns)
-            if wanted != got:
-                p.semantic(
-                    line,
-                    "initial-spec must assign exactly the parameters "
-                    f"(missing {sorted(wanted - got)}, extra {sorted(got - wanted)})",
-                )
-            for name, value in assigns.items():
-                if name in wanted and not model.parameter(name).domain.contains(value):
-                    p.semantic(line, f"initial-spec value {value!r} outside the domain of '{name}'")
-    if model is not None:
-        for trigger in p.triggers:
-            try:
-                model.criterion(trigger.criterion)
-            except KeyError:
-                p.semantic(
-                    p.decl.get(f"trigger {trigger.criterion}", 1),
-                    f"trigger watches unknown criterion '{trigger.criterion}'",
-                )
-        for name, (value, line) in p.initial.items():
-            try:
-                domain = model.monitored_variable(name).domain
-            except KeyError:
-                p.semantic(line, f"initial value for non-monitored variable '{name}'")
-                continue
-            if not domain.contains(value):
-                p.semantic(line, f"initial value {value!r} outside the domain of '{name}'")
-        for name, _, line in p.change_scope:
-            if model.has_variable(name):
-                p.semantic(line, f"change-scope variable '{name}' is already in the model")
-
-    if p.issues:
-        raise ParseFailure(p.issues)
-
     config = SimulationConfig(
         adaptation_duration=p.duration,
         triggers=tuple(p.triggers),
         constraints=tuple(p.constraints),
-        initial_exogenous=tuple(sorted((n, v) for n, (v, _) in p.initial.items())),
-        initial_spec=spec_obj,
+        initial_exogenous=tuple(sorted(p.initial.items())),
+        initial_spec=p.initial_spec,
         horizon=p.horizon,
-        change_scope=tuple((n, d) for n, d, _ in p.change_scope),
+        change_scope=tuple(p.change_scope),
     )
+    for violation in config_violations(Model() if model is None else model, config):
+        p.semantic(p.decl.get(violation.subject, 1), violation.message)
+
+    if p.issues:
+        raise ParseFailure(p.issues)
     return ModelBundle(model=model, config=config, goals=goals, decision=decision)
 
 

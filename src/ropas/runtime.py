@@ -31,6 +31,7 @@ from .model import (
     Model,
     ProblemInstance,
     Specification,
+    Violation,
     canonical_key,
     enumerate_specifications,
     evaluate,
@@ -394,6 +395,62 @@ class SimulationConfig:
     cap: int = DEFAULT_ENUMERATION_CAP
 
 
+def config_violations(model: Model, config: SimulationConfig) -> list[Violation]:
+    """Every way ``config`` does not fit ``model``; an empty list means it fits.
+
+    Each subject names the model-file record at fault: ``initial-spec``,
+    ``trigger C``, ``initial M``, ``change-scope V``, ``simulation duration``,
+    ``simulation horizon``, or ``evolution I`` for the constraint at index I."""
+    out: list[Violation] = []
+
+    def bad(subject: str, message: str) -> None:
+        out.append(Violation(subject, message))
+
+    def check(subject: str, what: str, pairs, kind: str) -> None:
+        """Each name must be a ``kind`` with its value in that variable's domain;
+        ``{}`` in ``subject`` stands for the name."""
+        find = model.parameter if kind == "parameter" else model.monitored_variable
+        for name, value in pairs:
+            at = subject.format(name)
+            try:
+                if not find(name).domain.contains(value):
+                    bad(at, f"{what} value {value!r} outside the domain of '{name}'")
+            except KeyError:
+                # "initial value for non-monitored variable 'x'", "evolution constraint
+                # value for non-parameter 'x'", "unless test value for non-monitored ..."
+                bad(at, f"{what} value for non-{kind} '{name}'")
+
+    spec = config.initial_spec
+    if spec is not None:
+        wanted, got = {p.id for p in model.parameters}, {name for name, _ in spec.items}
+        if wanted != got:
+            missing = f"(missing {sorted(wanted - got)}, extra {sorted(got - wanted)})"
+            bad("initial-spec", "initial-spec must assign exactly the parameters " + missing)
+        given = [(name, value) for name, value in spec.items if name in wanted]
+        check("initial-spec", "initial-spec", given, "parameter")
+    for name in (t.criterion for t in config.triggers):
+        if not any(c.id == name for c in model.criteria):
+            bad(f"trigger {name}", f"trigger watches unknown criterion '{name}'")
+    check("initial {}", "initial", config.initial_exogenous, "monitored variable")
+    for name, _ in config.change_scope:
+        if model.has_variable(name):
+            bad(f"change-scope {name}", f"change-scope variable '{name}' is already in the model")
+    if config.adaptation_duration < 0:
+        bad("simulation duration", "adaptation duration must be nonnegative")
+    if config.horizon is not None and config.horizon < 1:
+        bad("simulation horizon", "horizon must be at least 1")
+    for index, c in enumerate(config.constraints):
+        subject = f"evolution {index}"
+        if isinstance(c, MaxParameterChanges) and c.limit < 0:
+            bad(subject, "max-changes must be nonnegative")
+        elif isinstance(c, ForbiddenTransition):
+            check(subject, "evolution constraint", c.from_values + c.to_values, "parameter")
+        elif isinstance(c, ForbiddenValue):
+            check(subject, "evolution constraint", ((c.parameter, c.value),), "parameter")
+            check(subject, "unless test", c.unless.tests if c.unless else (), "monitored variable")
+    return out
+
+
 @dataclass(frozen=True)
 class Period:
     """One maximal span of ticks with a fixed kind and active specification.
@@ -483,27 +540,15 @@ def _bind_events(
 
 
 def _replay(
-    model: Model,
-    events_by_tick: Mapping[int, list[Event]],
-    config: SimulationConfig,
-    triggers: tuple[AwarenessTrigger, ...],
-    horizon: int,
-    full_scope: bool,
+    model: Model, events_by_tick: Mapping[int, list[Event]], config: SimulationConfig,
+    triggers: tuple[AwarenessTrigger, ...], horizon: int, initial: Mapping[str, Value],
+    start: Optional[Specification], full_scope: bool,
 ) -> _Replay:
+    """One pass over the trace; a None ``start`` is solved for at tick 0."""
     out = _Replay()
-    believed: dict[str, Value] = {}
-    for name, value in config.initial_exogenous:
-        try:
-            domain = model.variable_domain(name)
-        except KeyError:
-            raise DefinitionError(f"initial value for non-monitored variable '{name}'")
-        believed[name] = domain.canonical(value)
-    for mv in model.monitored:
-        if mv.id not in believed:
-            raise DefinitionError(f"no initial value for monitored variable '{mv.id}'")
-
-    current: Optional[Specification] = None
-    accepted: tuple[Specification, ...] = ()
+    believed = dict(initial)
+    current: Optional[Specification] = start
+    accepted: tuple[Specification, ...] = () if start is None else (start,)
     # The tick an adaptation period ends at, and the marks of its firing.
     switch_tick: Optional[int] = None
     pending_fired: tuple[str, ...] = ()
@@ -543,21 +588,8 @@ def _replay(
                 out.ignored_count += 1
                 out.ignored[max(tick - 1, 0)].append(event)
 
-        if current is None:
-            if config.initial_spec is not None:
-                try:
-                    current = Specification.from_mapping(
-                        {
-                            p.id: p.domain.canonical(config.initial_spec[p.id])
-                            for p in model.parameters
-                        }
-                    )
-                except KeyError as missing:
-                    raise DefinitionError(
-                        f"initial specification misses parameter {missing}"
-                    )
-                accepted = (current,)
-            else:
+        if tick == 0:
+            if current is None:
                 chosen = solve_target(None)
                 if isinstance(chosen, NoFeasibleAdaptation):
                     out.status = "no-feasible-adaptation"
@@ -618,30 +650,32 @@ def run_simulation(
 
     Identical inputs always produce identical timelines.  A run halts with
     status "no-feasible-adaptation" (keeping the partial timeline) when no
-    switch target survives the constraints.
+    switch target survives the constraints.  An invalid model, a config that
+    ``config_violations`` rejects or a missing initial value raises DefinitionError.
     """
     violations = model.violations
     if violations:
         raise DefinitionError("invalid model: " + "; ".join(str(v) for v in violations))
     if model.decision_rule is None or not model.decision_set:
         raise DefinitionError("simulation needs a decision rule and a decision set")
-    if config.adaptation_duration < 0:
-        raise DefinitionError("adaptation duration must be nonnegative")
-    if config.horizon is not None and config.horizon < 1:
-        raise DefinitionError("horizon must be at least 1")
-    change_scope = dict(config.change_scope)
-    events_by_tick = _bind_events(model, trace, change_scope)
-    if config.horizon is not None:
-        horizon = config.horizon
-    else:
-        horizon = trace.last_tick() + 1 if trace.events else 1
+    problems = config_violations(model, config)
+    if problems:
+        raise DefinitionError(problems[0].message)
+    initial = {
+        n: model.monitored_variable(n).domain.canonical(v) for n, v in config.initial_exogenous
+    }
+    for mv in model.monitored:
+        if mv.id not in initial:
+            raise DefinitionError(f"no initial value for monitored variable '{mv.id}'")
+    start = None if config.initial_spec is None else Specification.from_mapping(
+        {p.id: p.domain.canonical(config.initial_spec[p.id]) for p in model.parameters}
+    )
+    events_by_tick = _bind_events(model, trace, dict(config.change_scope))
+    horizon = max(trace.last_tick() + 1, 1) if config.horizon is None else config.horizon
+    triggers = relax(config.triggers, dict(config.relaxation), model)
 
-    triggers = config.triggers
-    if config.relaxation:
-        triggers = relax(triggers, dict(config.relaxation), model)
-
-    main = _replay(model, events_by_tick, config, triggers, horizon, full_scope=False)
-    omni = _replay(model, events_by_tick, config, triggers, horizon, full_scope=True)
+    main = _replay(model, events_by_tick, config, triggers, horizon, initial, start, False)
+    omni = _replay(model, events_by_tick, config, triggers, horizon, initial, start, True)
 
     ran = len(main.active)
     flags = [

@@ -16,6 +16,7 @@ from ropas.decisions import (
     Lottery,
     PowerTransform,
     TableTransform,
+    UTILITY_CRITERION,
     daop_to_rop,
     expected_utility,
     lottery,
@@ -207,6 +208,13 @@ def test_compiled_problem_reproduces_the_ranking_head():
     assert isinstance(result, OptimalSolutions)
     assert [s["alternative"] for s in result.optima] == ["heli"]
     assert result.objective_value == expected_utility(dm, "heli")
+
+
+def test_compiled_utility_domain_holds_the_exact_expected_utilities():
+    dm = respond_decision_model()
+    domain = daop_to_rop(dm).model.criterion(UTILITY_CRITERION).domain
+    exact = {expected_utility(dm, alt.id) for alt in dm.alternatives}
+    assert domain.labels == tuple(sorted(exact))
 
 
 def test_compiled_problem_rejects_reserved_ids():

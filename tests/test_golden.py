@@ -210,6 +210,11 @@ BROKEN: tuple[tuple[str, ...], ...] = (
     (*_DECISION, "[utility]", "weighted-sum 1.0*a", "[transform]", "squash"),
     (TRACE_HEADER, "t=1 m=0", "at 2 m=1", "t=0 m=1"),
     (_NOT_A_TRACE,),
+    (*_MODEL, "[evolution]", "max-changes -1"),
+    (*_MODEL, "[evolution]", "forbid-value nope=1", "forbid-transition from p=1 to score=0"),
+    (*_MODEL, "[evolution]", "forbid-value p=7", "forbid-transition from p=0 to p=2"),
+    (*_MODEL, "[evolution]", "forbid-value p=1 unless count(score=1,p=0) >= 1"),
+    (*_MODEL, "[evolution]", "forbid-value p=1 unless count(m=3) >= 1"),
 )
 
 

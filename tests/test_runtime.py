@@ -1,6 +1,7 @@
 """Monitoring scope, triggers, evolution constraints, and simulation replay."""
 
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -18,6 +19,7 @@ from ropas.fixtures import (
     shock_model,
     shock_trace,
 )
+from ropas.formats import ModelBundle, ParseFailure, parse_model, serialize_model
 from ropas.model import (
     Criterion,
     LookupTable,
@@ -496,7 +498,9 @@ def test_simulation_rejects_bad_configs():
         initial_exogenous=tuple(sorted(alert_exogenous().items())),
         initial_spec=partial,
     )
-    with pytest.raises(DefinitionError, match="misses parameter"):
+    missing = sorted(p.id for p in alert_model().parameters if p.id != "alert_sms")
+    message = f"initial-spec must assign exactly the parameters (missing {missing}, extra [])"
+    with pytest.raises(DefinitionError, match=f"^{re.escape(message)}$"):
         run_simulation(alert_model(), EventTrace(()), config)
 
 
@@ -514,6 +518,66 @@ def test_simulation_rejects_an_undeclared_initial_variable():
         DefinitionError, match="^initial value for non-monitored variable 'ghost'$"
     ):
         run_simulation(alert_model(), EventTrace(()), config)
+
+
+def _bad_alert_configs():
+    """(config, message, head of the record a model file reports it at, or
+    None for a library-only case), one fault each, on the alert fixture."""
+    base = alert_config()
+    spec = alert_spec("call", "local").as_dict()
+    exogenous = alert_exogenous()
+    ghost = AwarenessTrigger("ghost", IntervalRange(0.0, None))
+
+    def evolution(constraint):
+        return replace(base, constraints=(constraint,))
+
+    return [
+        (replace(base, initial_exogenous=base.initial_exogenous + (("capacity", 1),)),
+         "initial value for non-monitored variable 'capacity'", "initial "),
+        (replace(base, initial_exogenous=tuple(sorted({**exogenous, "alert_call_ok": 5}.items()))),
+         "initial value 5 outside the domain of 'alert_call_ok'", "initial "),
+        (replace(base, initial_spec=Specification.from_mapping({**spec, "bogus": 1})),
+         "initial-spec must assign exactly the parameters (missing [], extra ['bogus'])",
+         "initial-spec "),
+        (replace(base, initial_spec=Specification.from_mapping({**spec, "alert_call": 7})),
+         "initial-spec value 7 outside the domain of 'alert_call'", "initial-spec "),
+        (replace(base, change_scope=(("alert_sms", Boolean()),)),
+         "change-scope variable 'alert_sms' is already in the model", "change-scope "),
+        (replace(base, triggers=base.triggers + (ghost,)),
+         "trigger watches unknown criterion 'ghost'", "trigger ghost "),
+        (replace(base, triggers=base.triggers + (ghost,), relaxation=(("ghost", 1.0),)),
+         "trigger watches unknown criterion 'ghost'", None),
+        (replace(base, adaptation_duration=-1),
+         "adaptation duration must be nonnegative", "duration "),
+        (replace(base, horizon=0), "horizon must be at least 1", "horizon "),
+        (evolution(MaxParameterChanges(-1)), "max-changes must be nonnegative", "max-changes "),
+        (evolution(ForbiddenValue("nope", 1)),
+         "evolution constraint value for non-parameter 'nope'", "forbid-value "),
+        (evolution(ForbiddenValue("alert_sms", 7)),
+         "evolution constraint value 7 outside the domain of 'alert_sms'", "forbid-value "),
+        (evolution(ForbiddenTransition((("alert_sms", 1),), (("capacity", 0),))),
+         "evolution constraint value for non-parameter 'capacity'", "forbid-transition "),
+        (evolution(ForbiddenValue("alert_sms", 1, UnlessCondition((("capacity", 1),), ">=", 1))),
+         "unless test value for non-monitored variable 'capacity'", "forbid-value "),
+        (evolution(ForbiddenValue("alert_sms", 1, UnlessCondition((("demand_shift", 99),), ">=", 1))),
+         "unless test value 99 outside the domain of 'demand_shift'", "forbid-value "),
+    ]
+
+
+@pytest.mark.parametrize("config, message, head", _bad_alert_configs())
+def test_simulation_and_parser_reject_a_bad_config_alike(config, message, head):
+    with pytest.raises(DefinitionError) as info:
+        run_simulation(alert_model(), EventTrace(()), config)
+    assert str(info.value) == message
+    if head is None:
+        return
+    text = serialize_model(ModelBundle(alert_model(), config))
+    line = next(n for n, record in enumerate(text.splitlines(), 1) if record.startswith(head))
+    with pytest.raises(ParseFailure) as parsed:
+        parse_model(text)
+    assert [(i.kind, i.line, i.message) for i in parsed.value.issues] == [
+        ("semantic", line, message)
+    ]
 
 
 def test_simulation_rejects_invalid_models():
