@@ -16,12 +16,15 @@ canonical order.
 The reported optimal-time fraction compares each tick's active specification
 against an omniscient rerun of the same configuration in which every
 detectable range is widened to the full domain.
+
+Each distinct (believed environment, active specification) pair is solved
+and checked once per run, and the omniscient rerun reuses those results.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence, Union
 
 from .domains import TOLERANCE, Domain, Value, domain_bounds, is_numeric
@@ -451,6 +454,21 @@ def config_violations(model: Model, config: SimulationConfig) -> list[Violation]
     return out
 
 
+# ``c`` with every value as its variable's domain holds it, so that it
+# compares equal to the canonical specifications and environments.
+def _canonical(model: Model, c: EvolutionConstraint) -> EvolutionConstraint:
+    def canon(pairs):
+        return tuple((name, model.variable_domain(name).canonical(value)) for name, value in pairs)
+
+    if isinstance(c, ForbiddenTransition):
+        return ForbiddenTransition(canon(c.from_values), canon(c.to_values))
+    if isinstance(c, ForbiddenValue):
+        unless = c.unless and replace(c.unless, tests=canon(c.unless.tests))
+        value = model.variable_domain(c.parameter).canonical(c.value)
+        return ForbiddenValue(c.parameter, value, unless)
+    return c
+
+
 @dataclass(frozen=True)
 class Period:
     """One maximal span of ticks with a fixed kind and active specification.
@@ -542,7 +560,7 @@ def _bind_events(
 def _replay(
     model: Model, events_by_tick: Mapping[int, list[Event]], config: SimulationConfig,
     triggers: tuple[AwarenessTrigger, ...], horizon: int, initial: Mapping[str, Value],
-    start: Optional[Specification], full_scope: bool,
+    start: Optional[Specification], full_scope: bool, memo: dict,
 ) -> _Replay:
     """One pass over the trace; a None ``start`` is solved for at tick 0."""
     out = _Replay()
@@ -562,18 +580,34 @@ def _replay(
     def env_key() -> tuple[tuple[str, Value], ...]:
         return tuple(sorted(believed.items()))
 
+    # ``memo`` holds, per believed environment and specification, the re-solve
+    # from that specification and its status (instance, fired triggers and
+    # feasibility).  Each is a pure function of that pair within one run, so
+    # the run's two passes share the memo.
+    def recall(kind: str, spec: Optional[Specification], compute):
+        key = (kind, env_key(), spec)
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
+
     def solve_target(
         fired_current: Optional[Specification],
     ) -> Union[Specification, NoFeasibleAdaptation]:
         """Returns the chosen target and updates the accepted set."""
         nonlocal accepted
-        accepted, target = _adaptation_step(
+        accepted, target = recall("solve", fired_current, lambda: _adaptation_step(
             rop(model, believed), fired_current, config.constraints, triggers, config.cap
-        )
+        ))
         return target
 
+    def status(spec: Specification) -> tuple[ProblemInstance, tuple[str, ...], bool]:
+        def compute():
+            instance = evaluate(model, spec, believed)
+            return instance, check_triggers(instance, triggers), is_feasible(model, spec, believed)
+        return recall("status", spec, compute)
+
     def open_period(kind: str, tick: int, spec: Specification) -> None:
-        out.opened[tick] = (kind, spec, evaluate(model, spec, believed))
+        out.opened[tick] = (kind, spec, status(spec)[0])
 
     for tick in range(horizon):
         for event in events_by_tick.get(tick, ()):
@@ -610,9 +644,7 @@ def _replay(
             out.fired[tick] += pending_fired
 
         if switch_tick is None:
-            instance = evaluate(model, current, believed)
-            fired = check_triggers(instance, triggers)
-            feasible_now = is_feasible(model, current, believed)
+            _, fired, feasible_now = status(current)
             handle = (fired or not feasible_now) and last_handled != (env_key(), current)
             if handle:
                 out.trigger_count += len(fired)
@@ -661,6 +693,7 @@ def run_simulation(
     problems = config_violations(model, config)
     if problems:
         raise DefinitionError(problems[0].message)
+    config = replace(config, constraints=tuple(_canonical(model, c) for c in config.constraints))
     initial = {
         n: model.monitored_variable(n).domain.canonical(v) for n, v in config.initial_exogenous
     }
@@ -674,8 +707,9 @@ def run_simulation(
     horizon = max(trace.last_tick() + 1, 1) if config.horizon is None else config.horizon
     triggers = relax(config.triggers, dict(config.relaxation), model)
 
-    main = _replay(model, events_by_tick, config, triggers, horizon, initial, start, False)
-    omni = _replay(model, events_by_tick, config, triggers, horizon, initial, start, True)
+    memo: dict = {}
+    main = _replay(model, events_by_tick, config, triggers, horizon, initial, start, False, memo)
+    omni = _replay(model, events_by_tick, config, triggers, horizon, initial, start, True, memo)
 
     ran = len(main.active)
     flags = [

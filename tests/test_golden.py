@@ -215,6 +215,8 @@ BROKEN: tuple[tuple[str, ...], ...] = (
     (*_MODEL, "[evolution]", "forbid-value p=7", "forbid-transition from p=0 to p=2"),
     (*_MODEL, "[evolution]", "forbid-value p=1 unless count(score=1,p=0) >= 1"),
     (*_MODEL, "[evolution]", "forbid-value p=1 unless count(m=3) >= 1"),
+    ("[simulation]", "horizon 0"),
+    ("[simulation]", "duration -1"),
 )
 
 

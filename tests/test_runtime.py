@@ -6,7 +6,8 @@ from dataclasses import replace
 
 import pytest
 
-from ropas.domains import Boolean, IntegerRange
+from ropas import runtime
+from ropas.domains import Boolean, IntegerRange, RealGrid
 from ropas.errors import DefinitionError, EvaluationError, SizeLimitError
 from ropas.fixtures import (
     alert_config,
@@ -22,8 +23,10 @@ from ropas.fixtures import (
 from ropas.formats import ModelBundle, ParseFailure, parse_model, serialize_model
 from ropas.model import (
     Criterion,
+    LinearConstraint,
     LookupTable,
     Model,
+    MonitoredVariable,
     Parameter,
     Specification,
     WeightedSum,
@@ -52,7 +55,7 @@ from ropas.runtime import (
 )
 from ropas.solver import rop, solve_rop
 
-from genmodels import random_runtime_scenario
+from genmodels import random_runtime_pair, random_runtime_scenario
 
 
 def broken_call_problem():
@@ -222,6 +225,48 @@ def test_forbidden_value_with_unless_condition():
     assert constraint_allows(c, None, radio, {"alert_sms_ok": 0, "alert_email_ok": 1})
     hard = ForbiddenValue("alert_radio", 1)
     assert not constraint_allows(hard, None, radio, {"alert_sms_ok": 0})
+
+
+def grid_model():
+    """``u = p`` over ``p`` in 0, 0.1, ..., 1 capped at 0.3, beside a grid monitor ``m``."""
+    return Model(
+        criteria=(Criterion("u", RealGrid(0.0, 1.0, 0.1), "utility", "higher-better"),),
+        parameters=(Parameter("p", RealGrid(0.0, 1.0, 0.1)),),
+        monitored=(MonitoredVariable("m", RealGrid(0.0, 1.0, 0.1)),),
+        depends=(
+            WeightedSum("u_total", "u", ("p",), (1.0,)),
+            LinearConstraint("cap", ("p",), (1.0,), "<=", 0.3),
+        ),
+        decision_rule="u",
+        decision_set=("p",),
+    )
+
+
+def grid_choice(constraint, start=None):
+    """The ``p`` that ``grid_model`` runs at tick 0 with ``m=0.3``: solved for,
+    or re-solved from ``p=start`` after a trigger that always fires."""
+    config = SimulationConfig(constraints=(constraint,), initial_exogenous=(("m", 0.3),))
+    if start is not None:
+        always = AwarenessTrigger("u", IntervalRange(lo=0.5))
+        spec = Specification.from_mapping({"p": start})
+        config = replace(config, initial_spec=spec, triggers=(always,))
+    timeline, _ = run_simulation(grid_model(), EventTrace(()), config)
+    return timeline.periods[0].spec["p"]
+
+
+def test_evolution_constraints_compare_real_grid_values_canonically():
+    grid = RealGrid(0.0, 1.0, 0.1)
+    # The grid holds 0.3 as 0.1 * 3 == 0.30000000000000004.
+    p3, p2 = grid.canonical(0.3), grid.canonical(0.2)
+    assert p3 != 0.3
+    assert grid_choice(MaxParameterChanges(1)) == p3
+    assert grid_choice(ForbiddenValue("p", 0.3)) == p2
+    assert grid_choice(MaxParameterChanges(9), start=0.0) == p3
+    assert grid_choice(ForbiddenTransition((("p", 0.0),), (("p", 0.3),)), start=0.0) == p2
+    held = UnlessCondition((("m", 0.3),), ">=", 1)
+    assert grid_choice(ForbiddenValue("p", 0.3, held)) == p3
+    unheld = UnlessCondition((("m", 0.3),), "==", 0)
+    assert grid_choice(ForbiddenValue("p", 0.3, unheld)) == p2
 
 
 def test_unless_condition_comparators():
@@ -770,3 +815,72 @@ def test_periods_tile_the_ticks_run_on_random_scenarios():
         horizon = config.horizon if config.horizon is not None else trace.last_tick() + 1
         if timeline.status == "completed":
             assert periods[-1].end == max(horizon, 1), index
+
+
+# ---------------------------------------------------------------------------
+# The per-run memo
+
+
+def record_solves(monkeypatch):
+    """Patch the simulator to log each ``adaptation_candidates`` call as
+    (full_scope of the replay making it, believed environment, current)."""
+    calls, scope = [], []
+    candidates, replay = runtime.adaptation_candidates, runtime._replay
+
+    def counted(problem, current, *args):
+        calls.append((scope[-1], problem.exogenous, current))
+        return candidates(problem, current, *args)
+
+    def scoped(*args):
+        scope.append(args[7])  # full_scope
+        return replay(*args)
+
+    monkeypatch.setattr(runtime, "adaptation_candidates", counted)
+    monkeypatch.setattr(runtime, "_replay", scoped)
+    return calls
+
+
+def test_the_omniscient_replay_reuses_every_solve_when_all_events_are_visible(monkeypatch):
+    calls = record_solves(monkeypatch)
+    runs = [(alert_model(), alert_failure_trace(), alert_config())]
+    runs.append((alert_model(), alert_failure_trace(), replace(alert_config(), initial_spec=None)))
+    rng = random.Random(11)
+    runs += [random_runtime_pair(rng) for _ in range(50)]
+    for index, (model, trace, config) in enumerate(runs):
+        assert all(apply_monitoring_scope(model, event) for event in trace.events), index
+        calls.clear()
+        run_simulation(model, trace, config)
+        assert calls and not [call for call in calls if call[0]], index
+
+
+def test_each_believed_environment_and_specification_is_solved_once_per_run(monkeypatch):
+    calls = record_solves(monkeypatch)
+    rng = random.Random(12)
+    for index in range(200):
+        calls.clear()
+        run_simulation(*random_runtime_scenario(rng))
+        pairs = [(exogenous, current) for _, exogenous, current in calls]
+        assert len(pairs) == len(set(pairs)), index
+
+
+def test_the_shared_memo_leaves_the_omniscient_replay_unchanged(monkeypatch):
+    passes = []
+    replay = runtime._replay
+
+    def kept(*args):
+        passes.append((args, replay(*args)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(runtime, "_replay", kept)
+    fields = (
+        "active", "accepted", "opened", "fired", "ignored",
+        "trigger_count", "ignored_count", "adaptation_ticks", "status",
+    )
+    for seed in range(200):
+        passes.clear()
+        run_simulation(*random_runtime_scenario(random.Random(seed)))
+        (main_args, _), (args, shared) = passes
+        assert args[-1] is main_args[-1] and args[7]  # the omniscient pass, one memo
+        fresh = replay(*args[:-1], {})
+        for field in fields:
+            assert getattr(shared, field) == getattr(fresh, field), (seed, field)
