@@ -6,6 +6,11 @@ Refinements are definite rules ``conclusion <- premise & premise & ...``;
 conflict pairs mark mutually inconsistent atoms.  Derivation is a forward-
 chaining closure; when a conflict pair is fully derived the distinguished
 falsum atom is added and, from falsehood, every atom follows.
+
+The goal solvers sweep the selections by increasing size over a compiled
+bitmask closure (one bit per atom); ``check_drp`` judges only the selections
+the sweep keeps, so ``derive_closure`` and ``check_drp`` remain the
+independent set-based verdict.
 """
 
 from __future__ import annotations
@@ -158,24 +163,62 @@ def check_drp(graph: GoalGraph, s_selection: Iterable[str]) -> DrpVerdict:
     return DrpVerdict(satisfaction=satisfaction, consistency=consistency, derived=derived)
 
 
-def _by_size(graph: GoalGraph, cap: int) -> Iterator[Iterator[tuple[str, ...]]]:
-    """Every selection as a sorted member tuple, one iterator per size from 0
-    up, each in lexicographic order; raises at once when 2^n exceeds the cap."""
+def _by_size(
+    graph: GoalGraph, goal: frozenset[str], cap: int
+) -> Iterator[list[tuple[tuple[str, ...], DrpVerdict]]]:
+    """For each size from 0 up, the selections of that size whose closure is
+    consistent and holds every goal atom, as sorted member tuples in
+    lexicographic order, each with its ``check_drp`` verdict.
+
+    The graph is compiled once into integers (one bit per atom, in sorted
+    order): every selection is closed by an integer fixed point, and only the
+    kept ones are turned into member tuples and judged by ``check_drp``.
+    Raises at once when 2^n exceeds the cap.
+    """
     ordered = sorted(graph.s_atoms)
     if 2 ** len(ordered) > cap:
         raise SizeLimitError(f"{2 ** len(ordered)} candidate selections exceed cap {cap}")
-    return (combinations(ordered, size) for size in range(len(ordered) + 1))
+    bit = {atom: 1 << i for i, atom in enumerate(sorted(graph.atoms))}
+
+    def mask(atoms: Iterable[str]) -> int:
+        return sum(bit[atom] for atom in atoms)
+
+    rules = [(mask(ref.premises), bit[ref.conclusion]) for ref in graph.refinements]
+    conflicts = [mask(pair) for pair in graph.conflicts]
+    base, want = mask(graph.k_atoms), mask(goal)
+    picks_of = {bit[atom]: atom for atom in ordered}
+
+    def kept(derived: int) -> bool:
+        changed = True
+        while changed:
+            changed = False
+            for premises, conclusion in rules:
+                if not derived & conclusion and derived & premises == premises:
+                    derived |= conclusion
+                    changed = True
+        return derived & want == want and all(derived & pair != pair for pair in conflicts)
+
+    def judged(size: int) -> list[tuple[tuple[str, ...], DrpVerdict]]:
+        found = []
+        for picks in combinations(picks_of, size):
+            if kept(base | sum(picks)):
+                members = tuple(picks_of[b] for b in picks)
+                verdict = check_drp(graph, members)
+                if verdict.consistency and goal <= verdict.derived:
+                    found.append((members, verdict))
+        return found
+
+    return map(judged, range(len(ordered) + 1))
 
 
 def _mandatory_selections(graph: GoalGraph, cap: int) -> list[tuple[tuple[str, ...], int]]:
     """Each consistent selection deriving every mandatory atom, with its count
     of derived non-mandatory atoms, in sorted-member-tuple order."""
-    kept = []
-    for selections in _by_size(graph, cap):
-        for members in selections:
-            verdict = check_drp(graph, members)
-            if verdict.consistency and graph.mandatory <= verdict.derived:
-                kept.append((members, len(verdict.derived & graph.non_mandatory)))
+    kept = [
+        (members, len(verdict.derived & graph.non_mandatory))
+        for found in _by_size(graph, graph.mandatory, cap)
+        for members, verdict in found
+    ]
     kept.sort()
     return kept
 
@@ -220,10 +263,9 @@ def solve_rdrp(graph: GoalGraph, cap: int = DEFAULT_SELECTION_CAP) -> list[froze
     increasing size, so the search stops at the first size that has one.
     Deterministic order as in ``solve_rp2``.
     """
-    for selections in _by_size(graph, cap):
-        found = [frozenset(s) for s in selections if check_drp(graph, s).satisfaction]
+    for found in _by_size(graph, graph.r_atoms, cap):
         if found:
-            return found
+            return [frozenset(members) for members, _ in found]
     return []
 
 

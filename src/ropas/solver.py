@@ -235,12 +235,18 @@ def brute_force_enumeration(
 
 OBJECTIVE_ID = "objective"
 DERIVED_SUFFIX = "__derived"
+STEP_SUFFIX = "__step"
 
 
-def _premise_reference(atom: str, graph: GoalGraph, derivable_s: set[str]) -> str:
-    if atom in derivable_s:
-        return atom + DERIVED_SUFFIX
-    return atom
+def _reachable(start: str, edges: Mapping[str, set[str]]) -> set[str]:
+    seen: set[str] = set()
+    stack = list(edges[start])
+    while stack:
+        atom = stack.pop()
+        if atom not in seen:
+            seen.add(atom)
+            stack.extend(edges[atom])
+    return seen
 
 
 def encode_rdrp(graph: GoalGraph) -> Rop:
@@ -248,27 +254,45 @@ def encode_rdrp(graph: GoalGraph) -> Rop:
 
     One binary parameter per selectable atom; one boolean criterion per
     requirement and knowledge atom, all forced to 1 through cardinality
-    constraints; refinements become boolean formulas tying conclusions to
-    premises; conflict pairs become incompatibility constraints.  The decision
-    rule maximises minus the number of selected atoms, so the optima are
-    exactly the minimum-cardinality satisfying selections.
+    constraints, and one derived-only criterion per atom outside the three
+    partitions; refinements become boolean formulas tying conclusions to
+    premises; conflict pairs become incompatibility constraints.  An atom on
+    a refinement cycle of m atoms is derived in m rounds of the closure's
+    fixed point: rounds 1 to m-1 are auxiliary criteria ``<id>__step<i>``,
+    each reading the previous round of the atoms on its cycle, and round m
+    is the atom itself.  The decision rule maximises minus the number of
+    selected atoms, so the optima are exactly the minimum-cardinality
+    satisfying selections.
     """
-    unpartitioned = graph.atoms - graph.r_atoms - graph.k_atoms - graph.s_atoms
-    if unpartitioned:
-        raise DefinitionError(
-            f"atoms outside the three partitions: {sorted(unpartitioned)}"
-        )
     if not graph.s_atoms:
         raise DefinitionError("no selectable atoms to encode")
-    reserved = {OBJECTIVE_ID} | {a + DERIVED_SUFFIX for a in graph.s_atoms}
-    clash = graph.atoms & reserved
-    if clash:
-        raise DefinitionError(f"atom names clash with encoder ids: {sorted(clash)}")
 
     by_conclusion: dict[str, list] = {}
     for ref in graph.refinements:
         by_conclusion.setdefault(ref.conclusion, []).append(ref)
     derivable_s = {a for a in graph.s_atoms if a in by_conclusion}
+    unpartitioned = graph.atoms - graph.r_atoms - graph.k_atoms - graph.s_atoms
+    # Atoms whose value a formula computes, and the atoms on a cycle with each.
+    computed = graph.r_atoms | derivable_s | unpartitioned
+    inputs = {
+        a: {p for ref in by_conclusion.get(a, []) for p in ref.premises if p in computed}
+        for a in computed
+    }
+    reach = {a: _reachable(a, inputs) for a in computed}
+    cycle = {a: {b for b in reach[a] if a in reach[b]} for a in computed}
+
+    def reference(atom: str, step: int = 0) -> str:
+        """The atom's value after ``step`` rounds of its cycle (0: final)."""
+        name = atom + DERIVED_SUFFIX if atom in derivable_s else atom
+        if step in (0, len(cycle.get(atom, ()))):
+            return name
+        return f"{name}{STEP_SUFFIX}{step}"
+
+    reserved = {OBJECTIVE_ID} | {a + DERIVED_SUFFIX for a in graph.s_atoms}
+    reserved |= {reference(a, step) for a in computed for step in range(1, len(cycle[a]))}
+    clash = graph.atoms & reserved
+    if clash:
+        raise DefinitionError(f"atom names clash with encoder ids: {sorted(clash)}")
 
     parameters = tuple(
         Parameter(id=a, domain=Boolean()) for a in sorted(graph.s_atoms)
@@ -276,32 +300,49 @@ def encode_rdrp(graph: GoalGraph) -> Rop:
     criteria: list[Criterion] = []
     depends: list = []
 
-    def rule_formula(conclusion: str):
+    def rule_formula(conclusion: str, step: int = 0):
+        """The conclusion's refinements in round ``step`` of its cycle: a
+        premise on the cycle is read from the previous round, and in round 1
+        it does not hold yet."""
+        ring = cycle[conclusion]
         alternatives = []
         for ref in by_conclusion.get(conclusion, []):
+            if step == 1 and ref.premises & ring:
+                continue
             terms = [
-                var(_premise_reference(p, graph, derivable_s))
+                var(reference(p, step - 1 if p in ring else 0))
                 for p in sorted(ref.premises)
             ]
             alternatives.append(and_(*terms))
         return or_(*alternatives)
 
+    def derive(atom: str, kind: str) -> None:
+        seed = (var(atom),) if atom in derivable_s else ()
+        # An atom on no cycle is derived once, in the final round 0.
+        for step in range(1, len(cycle[atom]) + 1) or [0]:
+            out = reference(atom, step)
+            criteria.append(
+                Criterion(
+                    id=out,
+                    domain=Boolean(),
+                    kind=kind if out == reference(atom) else "quality-variable",
+                )
+            )
+            depends.append(
+                BooleanFormula(
+                    id=f"derive_{out}",
+                    output=out,
+                    expr=or_(*seed, *rule_formula(atom, step)[1:]),
+                )
+            )
+
     for atom in sorted(graph.k_atoms):
         criteria.append(Criterion(id=atom, domain=Boolean(), kind="domain-knowledge"))
         depends.append(BooleanFormula(id=f"given_{atom}", output=atom, expr=and_()))
     for atom in sorted(graph.r_atoms):
-        criteria.append(Criterion(id=atom, domain=Boolean(), kind="requirement"))
-        depends.append(BooleanFormula(id=f"derive_{atom}", output=atom, expr=rule_formula(atom)))
-    for atom in sorted(derivable_s):
-        aux = atom + DERIVED_SUFFIX
-        criteria.append(Criterion(id=aux, domain=Boolean(), kind="quality-variable"))
-        depends.append(
-            BooleanFormula(
-                id=f"derive_{aux}",
-                output=aux,
-                expr=or_(var(atom), *rule_formula(atom)[1:]),
-            )
-        )
+        derive(atom, "requirement")
+    for atom in sorted(derivable_s | unpartitioned):
+        derive(atom, "quality-variable")
 
     if graph.r_atoms:
         depends.append(
@@ -326,8 +367,8 @@ def encode_rdrp(graph: GoalGraph) -> Rop:
         depends.append(
             Incompatibility(
                 id=f"conflict_{a}_{b}",
-                a=_premise_reference(a, graph, derivable_s),
-                b=_premise_reference(b, graph, derivable_s),
+                a=reference(a),
+                b=reference(b),
             )
         )
 

@@ -59,17 +59,25 @@ from ropas.solver import Rop, rop
 # Goal graphs
 
 
-def random_goal_graph(rng: random.Random, max_s: int = 10) -> GoalGraph:
-    """A partitioned, refinement-acyclic goal graph."""
+def random_goal_graph(rng: random.Random, max_s: int = 10, wide: bool = False) -> GoalGraph:
+    """A goal graph, partitioned and refinement-acyclic unless ``wide``.
+
+    With ``wide``, the graph also has atoms ``x<i>`` in no partition (refined
+    from any atoms and feeding requirements), refinements that may close
+    cycles (``s_j <- s_k`` with k > j, ``r <- r'``, a requirement feeding an
+    ``x`` atom, self-loops) and conflicts drawn from the refinements'
+    conclusions, so derived atoms clash too.
+    """
     n_s = rng.randint(1, max_s)
     s_atoms = [f"s{i}" for i in range(n_s)]
     r_atoms = [f"r{i}" for i in range(rng.randint(1, 3))]
     k_atoms = [f"k{i}" for i in range(rng.randint(0, 2))]
-    atoms = r_atoms + k_atoms + s_atoms
+    x_atoms = [f"x{i}" for i in range(rng.randint(0, 2))] if wide else []
+    atoms = r_atoms + k_atoms + s_atoms + x_atoms
     refinements: list[tuple[str, tuple[str, ...]]] = []
     for r in r_atoms:
         for _ in range(rng.randint(1, 3)):
-            pool = s_atoms + k_atoms
+            pool = s_atoms + k_atoms + x_atoms
             size = rng.randint(1, min(3, len(pool)))
             refinements.append((r, tuple(rng.sample(pool, size))))
     # Selectable atoms may be derivable from strictly earlier ones, which
@@ -79,11 +87,27 @@ def random_goal_graph(rng: random.Random, max_s: int = 10) -> GoalGraph:
             pool = s_atoms[:j] + k_atoms
             size = rng.randint(1, min(2, len(pool)))
             refinements.append((s_atoms[j], tuple(rng.sample(pool, size))))
+    if wide:
+        for x in x_atoms:
+            for _ in range(rng.randint(0, 2)):
+                refinements.append((x, tuple(rng.sample(atoms, rng.randint(1, 2)))))
+        for j in range(n_s - 1):
+            if rng.random() < 0.3:
+                refinements.append((s_atoms[j], (rng.choice(s_atoms[j + 1 :]),)))
+        for r in r_atoms:
+            if rng.random() < 0.4:
+                premises = {rng.choice(r_atoms)} | set(rng.sample(s_atoms, rng.randint(0, 1)))
+                refinements.append((r, tuple(sorted(premises))))
     conflicts: list[tuple[str, str]] = []
     if len(atoms) >= 2:
         for _ in range(rng.randint(0, 2)):
             a, b = rng.sample(atoms, 2)
             conflicts.append((a, b))
+    if wide and rng.random() < 0.5:
+        derived = sorted({conclusion for conclusion, _ in refinements})
+        a = rng.choice(derived)
+        b = rng.choice([atom for atom in atoms if atom != a])
+        conflicts.append((a, b))
     mandatory = [r for r in r_atoms if rng.random() < 0.6]
     return goal_graph(atoms, refinements, conflicts, r_atoms, k_atoms, s_atoms, mandatory)
 

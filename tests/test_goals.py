@@ -256,3 +256,93 @@ def test_rp2_and_rp3_match_a_subset_enumeration():
         rp3 = solve_rp3(g)
         assert rp3.selections == tuple(frozenset(m) for m, c in kept if c == best), index
         assert rp3.satisfied_count == best, index
+
+
+def _brute_force(g):
+    """RP2's kept selections with their non-mandatory counts, and RDRP's
+    answer, from every subset mask of the selectable atoms judged by check_drp."""
+    ordered = sorted(g.s_atoms)
+    kept, satisfying = [], []
+    for mask in range(1 << len(ordered)):
+        members = tuple(a for i, a in enumerate(ordered) if mask >> i & 1)
+        verdict = check_drp(g, members)
+        if verdict.consistency and g.mandatory <= verdict.derived:
+            kept.append((members, len(verdict.derived & g.non_mandatory)))
+        if verdict.satisfaction:
+            satisfying.append(members)
+    kept.sort()
+    smallest = min(map(len, satisfying), default=0)
+    rdrp = sorted(m for m in satisfying if len(m) == smallest)
+    return kept, [frozenset(m) for m in rdrp]
+
+
+def test_goal_solvers_match_a_brute_force_on_wide_graphs():
+    rng = random.Random(41)
+    for index in range(300):
+        g = random_goal_graph(rng, max_s=7, wide=True)
+        kept, rdrp = _brute_force(g)
+        assert solve_rp2(g) == [frozenset(m) for m, _ in kept], index
+        best = max((count for _, count in kept), default=0)
+        rp3 = solve_rp3(g)
+        assert rp3.selections == tuple(frozenset(m) for m, c in kept if c == best), index
+        assert rp3.satisfied_count == best, index
+        assert solve_rdrp(g) == rdrp, index
+
+
+def test_rdrp_judges_only_the_selections_it_returns(monkeypatch):
+    import ropas.goals as goals
+
+    calls = []
+
+    def counted(g, selection):
+        calls.append(frozenset(selection))
+        return check_drp(g, selection)
+
+    monkeypatch.setattr(goals, "check_drp", counted)
+    rng = random.Random(43)
+    for index in range(100):
+        g = random_goal_graph(rng, max_s=7, wide=True)
+        calls.clear()
+        assert solve_rdrp(g) == calls, index
+
+
+def test_default_cap_raises_before_any_closure(monkeypatch):
+    import ropas.goals as goals
+
+    def refuse(*args):
+        raise AssertionError("the sweep ran")
+
+    atoms = [f"s{i:02d}" for i in range(25)]
+    g = goal_graph(
+        atoms=("r", *atoms),
+        refinements=[("r", (a,)) for a in atoms],
+        r_atoms=("r",),
+        s_atoms=atoms,
+    )
+    for name in ("check_drp", "derive_closure", "combinations"):
+        monkeypatch.setattr(goals, name, refuse)
+    for solve in (solve_rp2, solve_rp3, solve_rdrp):
+        with pytest.raises(SizeLimitError, match="exceed cap"):
+            solve(g)
+
+
+def test_renaming_renames_the_answers_and_nothing_else():
+    def in_order(selections):
+        return sorted(selections, key=lambda sel: tuple(sorted(sel)))
+
+    rng = random.Random(47)
+    for index in range(150):
+        g = random_goal_graph(rng, max_s=7, wide=True)
+        ordered = sorted(g.atoms)
+        # The image reverses the sorted order, so every bit moves.
+        mapping = {a: f"a{len(ordered) - i:03d}" for i, a in enumerate(ordered)}
+        h = rename(g, mapping)
+
+        def image(sel):
+            return frozenset(mapping[a] for a in sel)
+
+        assert solve_rp2(h) == in_order(map(image, solve_rp2(g))), index
+        rp3, renamed = solve_rp3(g), solve_rp3(h)
+        assert list(renamed.selections) == in_order(map(image, rp3.selections)), index
+        assert renamed.satisfied_count == rp3.satisfied_count, index
+        assert solve_rdrp(h) == in_order(map(image, solve_rdrp(g))), index

@@ -352,9 +352,59 @@ def test_encode_dispatch_graph_finds_minimal_selections():
     assert decoded == set(solve_rdrp(g))
 
 
-def test_encode_requires_partitioned_atoms():
-    g = goal_graph(atoms=("a", "b"), s_atoms=("b",))
-    with pytest.raises(DefinitionError, match="outside the three partitions"):
+def _decoded(g, result):
+    if isinstance(result, Infeasible):
+        return []
+    return sorted((decode_selection(g, s) for s in result.optima), key=sorted)
+
+
+def test_encode_derives_atoms_outside_the_partitions():
+    g = goal_graph(
+        atoms=("r", "s", "x"),
+        refinements=(("x", ("s",)), ("r", ("x",))),
+        r_atoms=("r",),
+        s_atoms=("s",),
+    )
+    problem = encode_rdrp(g)
+    x = problem.model.criterion("x")
+    assert x.kind == "quality-variable"
+    assert _decoded(g, solve_rop(problem)) == solve_rdrp(g) == [frozenset({"s"})]
+
+
+def test_encode_unfolds_refinement_cycles():
+    # t and s derive each other, and r2 and r1 do too; a fixed point read as
+    # equations would also let r1 and r2 hold with nothing selected.
+    g = goal_graph(
+        atoms=("r1", "r2", "s", "t", "u"),
+        refinements=(
+            ("r1", ("r2",)),
+            ("r2", ("r1",)),
+            ("r2", ("t",)),
+            ("t", ("s",)),
+            ("s", ("t",)),
+            ("u", ("u", "s")),
+        ),
+        conflicts=(("r1", "u"),),
+        r_atoms=("r1", "r2"),
+        s_atoms=("s", "t", "u"),
+    )
+    problem = encode_rdrp(g)
+    assert validate_model(problem.model) == []
+    assert {c.id for c in problem.model.criteria} >= {"r1__step1", "t__derived__step1"}
+    assert _decoded(g, solve_rop(problem)) == solve_rdrp(g) == [
+        frozenset({"s"}),
+        frozenset({"t"}),
+    ]
+
+
+def test_encode_rejects_atoms_named_like_a_round():
+    g = goal_graph(
+        atoms=("r", "q", "s", "r__step1"),
+        refinements=(("r", ("q",)), ("q", ("r",)), ("q", ("s",))),
+        r_atoms=("r",),
+        s_atoms=("s",),
+    )
+    with pytest.raises(DefinitionError, match="clash"):
         encode_rdrp(g)
 
 
@@ -403,6 +453,13 @@ def test_encode_agrees_with_direct_search_on_random_graphs():
         assert decoded == set(direct), i
         for sel in decoded:
             assert check_drp(g, sel).satisfaction, i
+
+
+def test_encode_agrees_with_direct_search_on_wide_graphs():
+    rng = random.Random(6)
+    for i in range(200):
+        g = random_goal_graph(rng, max_s=7, wide=True)
+        assert _decoded(g, solve_rop(encode_rdrp(g))) == solve_rdrp(g), i
 
 
 # ---------------------------------------------------------------------------
