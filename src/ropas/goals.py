@@ -7,10 +7,12 @@ conflict pairs mark mutually inconsistent atoms.  Derivation is a forward-
 chaining closure; when a conflict pair is fully derived the distinguished
 falsum atom is added and, from falsehood, every atom follows.
 
-The goal solvers sweep the selections by increasing size over a compiled
-bitmask closure (one bit per atom); ``check_drp`` judges only the selections
-the sweep keeps, so ``derive_closure`` and ``check_drp`` remain the
-independent set-based verdict.
+The goal solvers walk the selections by increasing size over a compiled
+bitmask closure (one bit per atom), growing each selection from its parent's
+closure and pruning every branch that conflicts or cannot reach the goal
+atoms any more; ``check_drp`` judges only the selections the walk keeps, so
+``derive_closure`` and ``check_drp`` remain the independent set-based
+verdict.
 """
 
 from __future__ import annotations
@@ -163,6 +165,19 @@ def check_drp(graph: GoalGraph, s_selection: Iterable[str]) -> DrpVerdict:
     return DrpVerdict(satisfaction=satisfaction, consistency=consistency, derived=derived)
 
 
+def _close(rules: list[tuple[int, int]], derived: int) -> int:
+    """The integer fixed point of ``derived`` under compiled refinements,
+    each a (premise mask, conclusion bit) pair."""
+    changed = True
+    while changed:
+        changed = False
+        for premises, conclusion in rules:
+            if not derived & conclusion and derived & premises == premises:
+                derived |= conclusion
+                changed = True
+    return derived
+
+
 def _by_size(
     graph: GoalGraph, goal: frozenset[str], cap: int
 ) -> Iterator[list[tuple[tuple[str, ...], DrpVerdict]]]:
@@ -171,9 +186,15 @@ def _by_size(
     lexicographic order, each with its ``check_drp`` verdict.
 
     The graph is compiled once into integers (one bit per atom, in sorted
-    order): every selection is closed by an integer fixed point, and only the
-    kept ones are turned into member tuples and judged by ``check_drp``.
-    Raises at once when 2^n exceeds the cap.
+    order) and the selections are walked level by level, one level per
+    size.  A selection grows only by selectable atoms after its last member,
+    in increasing bit order, so every level is in lexicographic order, and
+    each child is closed starting from its parent's closure.  Closure is
+    monotone, so a branch is cut once its closure holds a conflict pair, or
+    once the closure of its closure with every later atom misses a goal atom
+    (not computed while the goal atoms are derived already).  Only the kept
+    selections are judged by ``check_drp``.  Raises before any closure when
+    2^n exceeds the cap.
     """
     ordered = sorted(graph.s_atoms)
     if 2 ** len(ordered) > cap:
@@ -185,30 +206,34 @@ def _by_size(
 
     rules = [(mask(ref.premises), bit[ref.conclusion]) for ref in graph.refinements]
     conflicts = [mask(pair) for pair in graph.conflicts]
-    base, want = mask(graph.k_atoms), mask(goal)
-    picks_of = {bit[atom]: atom for atom in ordered}
+    want = mask(goal)
+    picks = [bit[atom] for atom in ordered]
+    later = [mask(ordered[i:]) for i in range(len(ordered) + 1)]
 
-    def kept(derived: int) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for premises, conclusion in rules:
-                if not derived & conclusion and derived & premises == premises:
-                    derived |= conclusion
-                    changed = True
-        return derived & want == want and all(derived & pair != pair for pair in conflicts)
+    def consistent(derived: int) -> bool:
+        return all(derived & pair != pair for pair in conflicts)
 
-    def judged(size: int) -> list[tuple[tuple[str, ...], DrpVerdict]]:
+    root = _close(rules, mask(graph.k_atoms))
+    # Each entry: members, their closure, and the index of the first atom
+    # that may still be added.
+    level = [((), root, 0)] if consistent(root) else []
+    while level:
         found = []
-        for picks in combinations(picks_of, size):
-            if kept(base | sum(picks)):
-                members = tuple(picks_of[b] for b in picks)
+        for members, derived, _ in level:
+            if derived & want == want:
                 verdict = check_drp(graph, members)
                 if verdict.consistency and goal <= verdict.derived:
                     found.append((members, verdict))
-        return found
-
-    return map(judged, range(len(ordered) + 1))
+        yield found
+        grown = []
+        for members, derived, start in level:
+            if derived & want != want and _close(rules, derived | later[start]) & want != want:
+                continue
+            for i in range(start, len(ordered)):
+                child = _close(rules, derived | picks[i])
+                if consistent(child):
+                    grown.append(((*members, ordered[i]), child, i + 1))
+        level = grown
 
 
 def _mandatory_selections(graph: GoalGraph, cap: int) -> list[tuple[tuple[str, ...], int]]:

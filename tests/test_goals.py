@@ -1,6 +1,7 @@
 """Goal graphs: closure, consistency, and the requirement problems."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -310,7 +311,7 @@ def test_default_cap_raises_before_any_closure(monkeypatch):
     import ropas.goals as goals
 
     def refuse(*args):
-        raise AssertionError("the sweep ran")
+        raise AssertionError("the walk ran")
 
     atoms = [f"s{i:02d}" for i in range(25)]
     g = goal_graph(
@@ -319,17 +320,71 @@ def test_default_cap_raises_before_any_closure(monkeypatch):
         r_atoms=("r",),
         s_atoms=atoms,
     )
-    for name in ("check_drp", "derive_closure", "combinations"):
+    for name in ("check_drp", "derive_closure", "_close"):
         monkeypatch.setattr(goals, name, refuse)
     for solve in (solve_rp2, solve_rp3, solve_rdrp):
         with pytest.raises(SizeLimitError, match="exceed cap"):
             solve(g)
 
 
-def test_renaming_renames_the_answers_and_nothing_else():
-    def in_order(selections):
-        return sorted(selections, key=lambda sel: tuple(sorted(sel)))
+def test_rp2_walk_prunes_conflicting_branches(monkeypatch):
+    import ropas.goals as goals
 
+    atoms = [f"s{i:02d}" for i in range(20)]
+    g = goal_graph(
+        atoms=("k", "r", *atoms),
+        refinements=[("r", ("s00",))],
+        conflicts=[("k", a) for a in atoms[1:]],
+        r_atoms=("r",),
+        k_atoms=("k",),
+        s_atoms=atoms,
+        mandatory=("r",),
+    )
+    closures = []
+
+    def counted(rules, derived):
+        closures.append(derived)
+        return close(rules, derived)
+
+    close = goals._close
+    monkeypatch.setattr(goals, "_close", counted)
+    assert solve_rp2(g) == [frozenset({"s00"})]
+    # A sweep over every subset would close 2**20 selections.
+    assert len(closures) <= 4 * 20
+
+
+def _in_order(selections):
+    return sorted(selections, key=lambda sel: tuple(sorted(sel)))
+
+
+def test_the_solvers_keep_the_monotone_relations_the_walk_prunes_on():
+    """On 300 seeded graphs, alternately narrow and wide: a new conflict pair
+    never adds an RP2 selection; a fresh selectable atom that nothing uses
+    leaves RDRP unchanged and turns each RP2 selection into itself with and
+    without the atom; without conflicts, RP2 is closed under adding an atom."""
+    rng = random.Random(53)
+    for index in range(300):
+        g = random_goal_graph(rng, max_s=7, wide=index % 2 == 1)
+        rp2 = solve_rp2(g)
+
+        pair = frozenset(rng.sample(sorted(g.atoms), 2))
+        clashing = replace(g, conflicts=g.conflicts | {pair})
+        assert set(solve_rp2(clashing)) <= set(rp2), index
+
+        # The fresh atom sorts at a random place among the selectable atoms.
+        fresh = f"s{rng.randint(0, len(g.s_atoms))}_fresh"
+        grown = replace(g, atoms=g.atoms | {fresh}, s_atoms=g.s_atoms | {fresh})
+        assert solve_rdrp(grown) == solve_rdrp(g), index
+        doubled = [sel | extra for sel in rp2 for extra in ({fresh}, set())]
+        assert solve_rp2(grown) == _in_order(doubled), index
+
+        free = set(solve_rp2(replace(g, conflicts=frozenset())))
+        for sel in free:
+            for atom in g.s_atoms - sel:
+                assert sel | {atom} in free, index
+
+
+def test_renaming_renames_the_answers_and_nothing_else():
     rng = random.Random(47)
     for index in range(150):
         g = random_goal_graph(rng, max_s=7, wide=True)
@@ -341,8 +396,8 @@ def test_renaming_renames_the_answers_and_nothing_else():
         def image(sel):
             return frozenset(mapping[a] for a in sel)
 
-        assert solve_rp2(h) == in_order(map(image, solve_rp2(g))), index
+        assert solve_rp2(h) == _in_order(map(image, solve_rp2(g))), index
         rp3, renamed = solve_rp3(g), solve_rp3(h)
-        assert list(renamed.selections) == in_order(map(image, rp3.selections)), index
+        assert list(renamed.selections) == _in_order(map(image, rp3.selections)), index
         assert renamed.satisfied_count == rp3.satisfied_count, index
-        assert solve_rdrp(h) == in_order(map(image, solve_rdrp(g))), index
+        assert solve_rdrp(h) == _in_order(map(image, solve_rdrp(g))), index
