@@ -10,11 +10,21 @@ instance (one value per criterion).
 ``search_specifications`` is the one propagating search behind enumeration,
 solving and the simulator's adaptation re-solves.
 
+Values are canonicalized where they enter: the public ``evaluate`` and
+``is_feasible`` check the specification and the exogenous map and
+canonicalize each value once, then call ``_evaluated``, the one evaluation
+entry, which trusts canonical input and checks nothing again.  The search
+canonicalizes its exogenous map once per call and emits canonical
+specifications, so callers holding those (the simulator) call
+``_evaluated`` directly.
+
 Each ``Model`` indexes itself once, on first use, through cached properties:
 id lookups, the functional depends' evaluation order, its validation
-findings, and the search's compiled rows.  Every pure constraint compiles to
-one linear row (coefficients, comparator, bound, and each input's smallest
-and largest term): a cardinality constraint is an all-ones row and an
+findings, and the search's compiled view: the functional depends numbered in
+evaluation order, so that the search keeps their missing-input counts in a
+list, each well-formed formula with a boolean output as a closure, and the
+rows.  Every pure constraint compiles to one linear row (coefficients,
+comparator code, bound, and each input's smallest and largest term): a cardinality constraint is an all-ones row and an
 incompatibility the row ``a + b <= 1``.  When a weighted sum computes the
 decision rule, it compiles to a row as well.  The search keeps each row's
 interval over the completions of the current branch, updates it in O(1) as
@@ -34,7 +44,7 @@ worst build it twice, with equal results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from math import prod
 from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -169,6 +179,29 @@ def eval_expr(expr: BoolExpr, env: Mapping[str, Value]) -> int:
     return 1 - eval_expr(expr[1], env)
 
 
+def _compile_expr(expr: BoolExpr) -> Callable[[Mapping[str, Value]], int]:
+    """``expr`` as a closure computing ``eval_expr(expr, env)`` for an
+    ``env`` that holds every leaf (a missing leaf raises ``KeyError``); a
+    conjunction or disjunction stops at its first deciding child, as
+    ``eval_expr`` does."""
+    op = expr[0]
+    if op == "var":
+        name = expr[1]
+        return lambda env: 1 if env[name] else 0
+    if op not in ("and", "or"):
+        inner = _compile_expr(expr[1])
+        return lambda env: 1 - inner(env)
+    parts = tuple(_compile_expr(child) for child in expr[1:])
+    decisive = 0 if op == "and" else 1
+
+    def junction(env: Mapping[str, Value]) -> int:
+        for part in parts:
+            if part(env) == decisive:
+                return decisive
+        return 1 - decisive
+    return junction
+
+
 # ---------------------------------------------------------------------------
 # Depend relations
 
@@ -181,7 +214,7 @@ class BooleanFormula:
     output: str
     expr: BoolExpr
 
-    @property
+    @cached_property
     def inputs(self) -> tuple[str, ...]:
         return expr_vars(self.expr)
 
@@ -410,15 +443,17 @@ class Model:
 
     @cached_property
     def _search_index(self) -> _SearchIndex:
-        """The search's compiled view of the depends: functional depends by
-        the inputs they read, the domain of every functional output, one
-        linear row per pure constraint with its watch lists, and the row of
-        the decision rule for the objective cut."""
-        feeds: dict[str, list[FunctionalDepend]] = {}
-        for dep in self.topological_depends:
+        """The search's compiled view of the depends: the functional depends
+        numbered in evaluation order, each with its output and a function
+        computing it from the environment, the numbers of the depends reading
+        each variable, one linear row per pure constraint with its watch
+        lists, and the row of the decision rule for the objective cut."""
+        topo = self.topological_depends
+        feeds: dict[str, tuple[int, ...]] = {}
+        for number, dep in enumerate(topo):
             for name in dep.inputs:
-                feeds.setdefault(name, []).append(dep)
-        out_domains = {d.output: self.variable_domain(d.output) for d in self.topological_depends}
+                feeds[name] = feeds.get(name, ()) + (number,)
+        computes = tuple(_compile_functional(dep, self.variable_domain(dep.output)) for dep in topo)
         rows = tuple(_compile_row(self, con) for con in self.constraint_depends)
         objective = None
         rule = self.producers.get(self.decision_rule)  # type: ignore[arg-type]
@@ -426,7 +461,8 @@ class Model:
             row = _compile_row(self, rule)
             if None not in row.low:
                 objective = (row, _watch_lists(rows + (row,)))
-        return _SearchIndex(feeds, out_domains, rows, _watch_lists(rows), objective)
+        outputs = tuple(dep.output for dep in topo)
+        return _SearchIndex(outputs, computes, feeds, rows, _watch_lists(rows), objective)
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
@@ -672,6 +708,18 @@ def _apply_functional(
         raise EvaluationError(f"depend '{dep.id}': {exc}") from exc
 
 
+def _compile_functional(
+    dep: FunctionalDepend, out_domain: Domain
+) -> Callable[[Mapping[str, Value]], Value]:
+    """A function computing ``_apply_functional(dep, env, out_domain)`` for an
+    ``env`` that holds every input.  A well-formed formula with a boolean
+    output computes 0 or 1, which is already canonical, so it compiles to a
+    closure; every other depend goes through ``_apply_functional``."""
+    if isinstance(out_domain, Boolean) and isinstance(dep, BooleanFormula) and expr_ok(dep.expr):
+        return _compile_expr(dep.expr)
+    return partial(_apply_functional, dep, out_domain=out_domain)
+
+
 def _exogenous_values(
     model: Model, exogenous: Optional[Mapping[str, Value]]
 ) -> dict[str, Value]:
@@ -696,27 +744,40 @@ def _environment(
     spec: Specification,
     exogenous: Optional[Mapping[str, Value]] = None,
 ) -> tuple[dict[str, Value], dict[str, Value]]:
-    """Full value environment plus computed values for derived parameters.
-
-    Parameter values always come from the specification; a functional depend
-    whose output is a parameter contributes to the second mapping only (used
-    as an equality constraint by feasibility checking).
-    """
-    env: dict[str, Value] = {}
+    """``_evaluated`` on input checked and canonicalized first: unknown,
+    missing and out-of-domain parameters and bad exogenous values are
+    rejected with an evaluation error."""
+    values: dict[str, Value] = {}
     for pid, value in spec.items:
         try:
             domain = model.parameter(pid).domain
         except KeyError:
             raise EvaluationError(f"specification assigns unknown parameter '{pid}'")
         try:
-            env[pid] = domain.canonical(value)
+            values[pid] = domain.canonical(value)
         except DefinitionError as exc:
             raise EvaluationError(str(exc)) from exc
     for p in model.parameters:
-        if p.id not in env:
+        if p.id not in values:
             raise EvaluationError(f"specification misses parameter '{p.id}'")
-    env.update(_exogenous_values(model, exogenous))
+    canonical = Specification(tuple(values.items()))
+    return _evaluated(model, canonical, _exogenous_values(model, exogenous))
 
+
+def _evaluated(
+    model: Model, spec: Specification, given: Mapping[str, Value]
+) -> tuple[dict[str, Value], dict[str, Value]]:
+    """Full value environment plus computed values for derived parameters.
+
+    The one evaluation entry that trusts its input: ``spec`` must assign
+    every parameter a canonical value and ``given`` hold canonical values of
+    non-parameter variables (as ``_exogenous_values`` returns them); neither
+    is checked.  Parameter values always come from the specification; a
+    functional depend whose output is a parameter contributes to the second
+    mapping only (used as an equality constraint by feasibility checking).
+    """
+    env: dict[str, Value] = dict(spec.items)
+    env.update(given)
     derived_parameters: dict[str, Value] = {}
     for dep in model.topological_depends:
         value = _apply_functional(dep, env, model.variable_domain(dep.output))
@@ -725,6 +786,16 @@ def _environment(
         else:
             env[dep.output] = value
     return env, derived_parameters
+
+
+def _instance(model: Model, env: Mapping[str, Value]) -> ProblemInstance:
+    """The criteria's values in an evaluated environment."""
+    values: dict[str, Value] = {}
+    for c in model.criteria:
+        if c.id not in env:
+            raise EvaluationError(f"missing value for variable '{c.id}'")
+        values[c.id] = env[c.id]
+    return ProblemInstance.from_mapping(values)
 
 
 def evaluate(
@@ -738,13 +809,7 @@ def evaluate(
     the exogenous map; a missing value raises an evaluation error naming the
     variable.  Pure constraints are ignored here (see ``is_feasible``).
     """
-    env, _ = _environment(model, spec, exogenous)
-    values: dict[str, Value] = {}
-    for c in model.criteria:
-        if c.id not in env:
-            raise EvaluationError(f"missing value for variable '{c.id}'")
-        values[c.id] = env[c.id]
-    return ProblemInstance.from_mapping(values)
+    return _instance(model, _environment(model, spec, exogenous)[0])
 
 
 class _Row(NamedTuple):
@@ -759,7 +824,7 @@ class _Row(NamedTuple):
 
     inputs: tuple[str, ...]
     coefficients: tuple[float, ...]
-    comparator: str
+    code: int  # the comparator's: 0 for "==", 1 for "<=", 2 for ">="
     bound: float
     offset: float
     low: tuple[Optional[float], ...]
@@ -773,8 +838,11 @@ _Watch = dict[str, tuple[tuple[int, float, float, float], ...]]
 
 
 class _SearchIndex(NamedTuple):
-    feeds: dict[str, list[FunctionalDepend]]
-    out_domains: dict[str, Domain]
+    # Per functional depend, in ``topological_depends`` order: its output
+    # and the function computing that output from the environment.
+    outputs: tuple[str, ...]
+    computes: tuple[Callable[[Mapping[str, Value]], Value], ...]
+    feeds: dict[str, tuple[int, ...]]  # variable -> the numbers of the depends reading it
     rows: tuple[_Row, ...]  # one per pure constraint, in declaration order
     watch: _Watch
     # When a weighted sum over numeric inputs computes the decision rule: its
@@ -811,8 +879,8 @@ def _compile_row(model: Model, dep: Union[ConstraintDepend, WeightedSum]) -> _Ro
         high.append(max(ends))
     scale = abs(offset) + sum(max(-a, b) for a, b in zip(low, high) if a is not None)
     return _Row(
-        inputs, tuple(coefficients), comparator, bound, offset, tuple(low), tuple(high),
-        TOLERANCE * (1.0 + scale),
+        inputs, tuple(coefficients), {"==": 0, "<=": 1}.get(comparator, 2), bound, offset,
+        tuple(low), tuple(high), TOLERANCE * (1.0 + scale),
     )
 
 
@@ -842,13 +910,13 @@ def _row_interval(row: _Row, env: Mapping[str, Value]) -> tuple[float, float]:
 
 
 def _interval_allows(
-    lo: float, hi: float, comparator: str, bound: float, eps: float = TOLERANCE
+    lo: float, hi: float, code: int, bound: float, eps: float = TOLERANCE
 ) -> bool:
     """Whether some sum in ``[lo, hi]`` can satisfy ``sum <comparator> bound``
-    within ``eps``."""
-    if comparator == "==":
+    within ``eps``, the comparator given by its ``_Row.code``."""
+    if code == 0:
         return lo - eps <= bound <= hi + eps
-    if comparator == "<=":
+    if code == 1:
         return lo <= bound + eps
     return hi >= bound - eps
 
@@ -859,7 +927,7 @@ def _constraint_possible(row: _Row, env: Mapping[str, Value]) -> bool:
     Exact once every input has a value.
     """
     lo, hi = _row_interval(row, env)
-    return _interval_allows(lo, hi, row.comparator, row.bound)
+    return _interval_allows(lo, hi, row.code, row.bound)
 
 
 def is_feasible(
@@ -872,7 +940,13 @@ def is_feasible(
     The constraint environment is the specification united with the exogenous
     values and all computed functional outputs.
     """
-    env, derived_parameters = _environment(model, spec, exogenous)
+    return _feasible(model, *_environment(model, spec, exogenous))
+
+
+def _feasible(
+    model: Model, env: Mapping[str, Value], derived_parameters: Mapping[str, Value]
+) -> bool:
+    """``is_feasible`` on an environment ``_evaluated`` returned."""
     for pid, computed in derived_parameters.items():
         if env[pid] != computed:
             return False
@@ -949,7 +1023,7 @@ def search_specifications(
                 raise EvaluationError(f"missing value for variable '{name}'")
 
     compiled = model._search_index
-    feeds, out_domains = compiled.feeds, compiled.out_domains
+    outputs, computes, feeds = compiled.outputs, compiled.computes, compiled.feeds
     rows, watch = compiled.rows, compiled.watch
     objective = compiled.objective if maximize else None
     if objective is not None:
@@ -957,75 +1031,70 @@ def search_specifications(
         objective_row, watch = objective
         cut = len(rows)
         rows += (objective_row,)
-    missing: dict[str, int] = {
-        dep.id: sum(1 for name in dep.inputs if name not in env) for dep in topo
-    }
+    # Per functional depend (by number), its inputs without a value.
+    missing = [sum(1 for name in dep.inputs if name not in env) for dep in topo]
     # Each row's running interval, its number of inputs without a value, and
     # the bound it is compared against (the objective's floor starts at -inf).
     intervals = [_row_interval(row, env) for row in rows]
     lo = [interval[0] for interval in intervals]
     hi = [interval[1] for interval in intervals]
     left = [sum(1 for name in row.inputs if name not in env) for row in rows]
-    comparators = [row.comparator for row in rows]
+    codes = [row.code for row in rows]
     bounds = [row.bound for row in rows]
     tolerances = [row.tolerance for row in rows]
-    params = [model.parameter(pid) for pid in free_ids]
+    choices = [(pid, model.parameter(pid).domain.values()) for pid in free_ids]
     param_ids = [p.id for p in model.sorted_parameters]
 
-    # The trail records every reversible step as ("env", variable) for an
-    # environment entry, ("dec", depend id) for one missing-input decrement,
-    # or ("row", row number, lo, hi) for a row's interval before an input got
-    # a value, so undo stays exact even when propagation bails out partway
+    # A branch's trail is three flat lists, one per kind of reversible step:
+    # the variables that got an environment entry, the numbers of the depends
+    # whose missing-input count fell, and (row number, lo, hi) for a row's
+    # interval before an input got a value.  The branch's undo walks each list
+    # in reverse, so it stays exact even when propagation bails out partway
     # through.
 
-    def propagate(assigned: str, trail: list[tuple]) -> bool:
+    def propagate(assigned: str, env_trail: list, dec_trail: list, row_trail: list) -> bool:
         """Compute newly ready functional outputs; False once some row fails."""
         queue = [assigned]
         while queue:
             name = queue.pop()
-            for r, coeff, low, high in watch.get(name, ()):
-                trail.append(("row", r, lo[r], hi[r]))
+            watched = watch.get(name, ())
+            if watched:
+                as_float = float(env[name])  # type: ignore[arg-type]
+            for r, coeff, low, high in watched:
+                row_lo, row_hi = lo[r], hi[r]
+                row_trail.append((r, row_lo, row_hi))
                 left[r] -= 1
                 if left[r]:
                     # The running sums round differently from the leaf's, so
                     # a partial test only cuts beyond the row's tolerance.
-                    term = coeff * float(env[name])  # type: ignore[arg-type]
-                    lo[r] += term - low
-                    hi[r] += term - high
+                    term = coeff * as_float
+                    row_lo += term - low
+                    row_hi += term - high
                     eps = tolerances[r]
                 else:
                     # In full once the last input has a value, in the order
                     # ``is_feasible`` adds the terms.
-                    lo[r], hi[r] = _row_interval(rows[r], env)
+                    row_lo, row_hi = _row_interval(rows[r], env)
                     eps = TOLERANCE
-                if not _interval_allows(lo[r], hi[r], comparators[r], bounds[r], eps):
+                lo[r], hi[r] = row_lo, row_hi
+                if not _interval_allows(row_lo, row_hi, codes[r], bounds[r], eps):
                     return False
-            for dep in feeds.get(name, ()):
-                missing[dep.id] -= 1
-                trail.append(("dec", dep.id))
-                if missing[dep.id] == 0 and dep.output not in env:
-                    env[dep.output] = _apply_functional(dep, env, out_domains[dep.output])
-                    trail.append(("env", dep.output))
-                    queue.append(dep.output)
+            for number in feeds.get(name, ()):
+                missing[number] -= 1
+                dec_trail.append(number)
+                if not missing[number] and outputs[number] not in env:
+                    output = outputs[number]
+                    env[output] = computes[number](env)
+                    env_trail.append(output)
+                    queue.append(output)
         return True
-
-    def undo(trail: list[tuple]) -> None:
-        for entry in reversed(trail):
-            if entry[0] == "env":
-                del env[entry[1]]
-            elif entry[0] == "dec":
-                missing[entry[1]] += 1
-            else:
-                r = entry[1]
-                lo[r], hi[r] = entry[2], entry[3]
-                left[r] += 1
 
     # Propagate anything computable before search (constants, defaults).  The
     # prefix is never undone, so its trail is dropped.
-    for dep in topo:
-        if missing[dep.id] == 0 and dep.output not in env:
-            env[dep.output] = _apply_functional(dep, env, out_domains[dep.output])
-            if not propagate(dep.output, []):
+    for number, output in enumerate(outputs):
+        if not missing[number] and output not in env:
+            env[output] = computes[number](env)
+            if not propagate(output, [], [], []):
                 return
     for r, row in enumerate(compiled.rows):
         if not left[r] and not _constraint_possible(row, env):
@@ -1035,20 +1104,26 @@ def search_specifications(
     # was checked in full when its last input got a value, so every leaf is
     # feasible.
     def descend(index: int) -> None:
-        if index == len(params):
+        if index == len(choices):
             visit(Specification(tuple((pid, env[pid]) for pid in param_ids)), env)
             if objective is not None:
                 # Less the tolerance, so no leaf that ties the best is cut.
                 floor = float(env[rule]) - objective_row.tolerance  # type: ignore[arg-type]
                 bounds[cut] = max(bounds[cut], floor)
             return
-        p = params[index]
-        for value in p.domain.values():
-            env[p.id] = value
-            trail: list[tuple] = [("env", p.id)]
-            if propagate(p.id, trail):
+        pid, values = choices[index]
+        for value in values:
+            env[pid] = value
+            env_trail, dec_trail, row_trail = [pid], [], []
+            if propagate(pid, env_trail, dec_trail, row_trail):
                 descend(index + 1)
-            undo(trail)
+            for name in reversed(env_trail):
+                del env[name]
+            for number in reversed(dec_trail):
+                missing[number] += 1
+            for r, row_lo, row_hi in reversed(row_trail):
+                lo[r], hi[r] = row_lo, row_hi
+                left[r] += 1
 
     descend(0)
 
@@ -1090,9 +1165,10 @@ def enumerate_specifications(
     free = [p.id for p in model.parameters if p.id not in model.producers]
     result: list[Specification] = []
     search_specifications(model, free, exogenous, lambda spec, env: result.append(spec))
-    # A derived parameter can sort before a free one, so search order is not
-    # canonical order.
-    result.sort(key=lambda s: canonical_key(model, s))
+    # Search order is canonical order unless a depend computes a parameter,
+    # which can sort before a free one.
+    if len(free) < len(model.parameters):
+        result.sort(key=lambda s: canonical_key(model, s))
     return result
 
 

@@ -19,6 +19,15 @@ detectable range is widened to the full domain.
 
 Each distinct (believed environment, active specification) pair is solved
 and checked once per run, and the omniscient rerun reuses those results.
+
+``run_simulation`` canonicalizes the configuration (initial values, the
+initial specification, evolution-constraint values) and the trace events
+once, on entry.  From there every value the simulator holds is canonical, as
+are the search's candidates, so it evaluates through the model's trusted
+entry ``_evaluated``: each re-solve canonicalizes its exogenous map once,
+not once per candidate, and one evaluation of a specification gives both its
+instance and its feasibility.  The public ``adaptation_candidates`` and
+``select_adaptation`` still accept any ``Rop``.
 """
 
 from __future__ import annotations
@@ -35,11 +44,13 @@ from .model import (
     ProblemInstance,
     Specification,
     Violation,
+    _evaluated,
+    _exogenous_values,
+    _feasible,
+    _instance,
     canonical_key,
     enumerate_specifications,
-    evaluate,
     hamming,
-    is_feasible,
     pinned_values,
 )
 from .solver import Rop, rop
@@ -324,10 +335,13 @@ def adaptation_candidates(
         if all(spec[pid] == value for pid, value in pinned.items())
         and all(constraint_allows(c, current, spec, exogenous) for c in constraints)
     ]
+    # The search emits canonical specifications, so each is evaluated through
+    # the trusted entry against the exogenous map canonicalized once.
+    given = _exogenous_values(model, exogenous)
     calm = [
         spec
         for spec in allowed
-        if not check_triggers(evaluate(model, spec, exogenous), triggers)
+        if not check_triggers(_instance(model, _evaluated(model, spec, given)[0]), triggers)
     ]
     return tuple(calm if calm else allowed)
 
@@ -345,10 +359,10 @@ def _adaptation_step(
     if not pool:
         return (), NoFeasibleAdaptation()
     model = problem.model
-    exogenous = problem.exogenous_map()
+    given = _exogenous_values(model, problem.exogenous_map())
     rule = model.decision_rule
     assert rule is not None
-    values = [evaluate(model, spec, exogenous)[rule] for spec in pool]
+    values = [_evaluated(model, spec, given)[0][rule] for spec in pool]
     top = max(values)  # type: ignore[type-var]
     best = tuple(spec for spec, value in zip(pool, values) if value == top)
     if current is None:
@@ -600,10 +614,14 @@ def _replay(
         ))
         return target
 
+    # ``believed`` and every active specification hold canonical values (bound
+    # in ``run_simulation`` or emitted by the search), so a status is one
+    # trusted evaluation shared by the instance and the feasibility check.
     def status(spec: Specification) -> tuple[ProblemInstance, tuple[str, ...], bool]:
         def compute():
-            instance = evaluate(model, spec, believed)
-            return instance, check_triggers(instance, triggers), is_feasible(model, spec, believed)
+            env, derived = _evaluated(model, spec, believed)
+            instance = _instance(model, env)
+            return instance, check_triggers(instance, triggers), _feasible(model, env, derived)
         return recall("status", spec, compute)
 
     def open_period(kind: str, tick: int, spec: Specification) -> None:

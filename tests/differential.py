@@ -6,15 +6,25 @@ REV is checked out with ``git worktree`` into a temporary directory (and
 removed afterwards).  The same case list then runs once against each
 ``src/`` tree -- this checkout's working files and REV's -- each in its own
 process under ``PYTHONHASHSEED=0``, and the two outputs are compared case by
-case.  The inputs come from this checkout's seeded generators
-(``tests/genmodels.py``) and shipped fixtures, so both sides see the same
-ones:
+case: results by ``repr``, failures by exception type and message.  The
+inputs come from this checkout's seeded generators (``tests/genmodels.py``)
+and shipped fixtures, so both sides see the same ones:
 
 - ``solve_rp2``, ``solve_rp3`` and ``solve_rdrp`` on ``random_goal_graph``,
   narrow and wide, for each of ``SEEDS`` seeds;
 - ``encode_rdrp`` + ``solve_rop`` + ``decode_selection`` on the same graphs;
 - the ``SizeLimitError`` text of each goal solver under a cap just below
   the graph's selection count;
+- ``solve_rop`` and ``enumerate_specifications`` on ``random_rop``, every
+  second seed passed through ``with_derived_parameter``, for each of
+  ``SEEDS`` seeds; ``evaluate`` and ``is_feasible`` on up to 20 seeded
+  specifications of the model's cartesian product, on one with a
+  non-canonical value (``True`` for a boolean, ``2.0`` for an integer) and
+  on one invalid input (an unknown parameter, an out-of-domain value or an
+  exogenous value for a parameter, by seed);
+- ``run_simulation`` on ``random_runtime_scenario`` and
+  ``random_runtime_pair`` for each of ``SEEDS`` seeds: the timeline and the
+  metrics;
 - every CLI subcommand on ``fixtures/*.model`` (``simulate`` with each
   ``fixtures/*.trace``), in both report formats, with and without
   ``--oracle``: exit code, stdout and stderr.
@@ -94,6 +104,92 @@ def _goal_cases():
                 yield f"{name}: {what}", out
 
 
+def _attempt(run):
+    try:
+        return repr(run())
+    except Exception as err:
+        return _failure(err)
+
+
+def _product(model, rng: random.Random, count: int = 20):
+    """Up to ``count`` seeded specifications of the model's full cartesian
+    product, each as an item tuple sorted by parameter id."""
+    from itertools import islice, product
+
+    params = sorted(model.parameters, key=lambda p: p.id)
+    combos = list(islice(product(*(p.domain.values() for p in params)), 4096))
+    picked = combos if len(combos) <= count else rng.sample(combos, count)
+    return [tuple(zip((p.id for p in params), combo)) for combo in picked]
+
+
+def _rop_cases():
+    from genmodels import random_rop, with_derived_parameter
+    from ropas.domains import Boolean, IntegerRange
+    from ropas.model import Specification, enumerate_specifications, evaluate, is_feasible
+    from ropas.solver import solve_rop
+
+    for seed in range(SEEDS):
+        name = f"rop seed={seed}"
+        rng = random.Random(seed)
+        try:
+            problem = random_rop(rng)
+            if seed % 2:
+                problem = with_derived_parameter(rng, problem)
+        except Exception as err:
+            yield name, _failure(err)
+            continue
+        model, exogenous = problem.model, problem.exogenous_map()
+        yield f"{name}: solve", _attempt(lambda: solve_rop(problem))
+        yield f"{name}: enumerate", _attempt(lambda: enumerate_specifications(model, exogenous))
+        items = _product(model, rng)
+        for index, spec in enumerate(Specification(pairs) for pairs in items):
+            for what, run in (("evaluate", evaluate), ("is_feasible", is_feasible)):
+                yield f"{name}: {what} {index}", _attempt(lambda: run(model, spec, exogenous))
+        # One non-canonical value: True for a boolean, 2.0-style for an integer.
+        pairs = list(items[0])
+        for at, (pid, value) in enumerate(pairs):
+            domain = model.parameter(pid).domain
+            if isinstance(domain, Boolean):
+                pairs[at] = (pid, bool(value))
+                break
+            if isinstance(domain, IntegerRange):
+                pairs[at] = (pid, float(value))
+                break
+        # One invalid input, by seed: an unknown parameter, an out-of-domain
+        # value, or an exogenous value for a parameter.
+        pid, value = items[0][0]
+        bad_spec, bad_exogenous = list(items[0]), dict(exogenous)
+        kind = seed % 3
+        if kind == 0:
+            bad_spec.append(("zz_unknown", 0))
+        elif kind == 1:
+            bad_spec[0] = (pid, "out-of-domain")
+        else:
+            bad_exogenous[pid] = value
+        inputs = {
+            "non-canonical": (Specification(tuple(pairs)), exogenous),
+            "invalid": (Specification(tuple(bad_spec)), bad_exogenous),
+        }
+        for label, (spec, given) in inputs.items():
+            for what, run in (("evaluate", evaluate), ("is_feasible", is_feasible)):
+                yield f"{name}: {what} {label}", _attempt(lambda: run(model, spec, given))
+
+
+def _runtime_cases():
+    from genmodels import random_runtime_pair, random_runtime_scenario
+    from ropas.runtime import run_simulation
+
+    for seed in range(SEEDS):
+        for label, make in (("scenario", random_runtime_scenario), ("pair", random_runtime_pair)):
+            name = f"runtime {label} seed={seed}"
+            try:
+                inputs = make(random.Random(seed))
+            except Exception as err:
+                yield name, _failure(err)
+                continue
+            yield name, _attempt(lambda: run_simulation(*inputs))
+
+
 def _cli_argvs():
     models = sorted(path.name for path in FIXTURES.glob("*.model"))
     traces = sorted(path.name for path in FIXTURES.glob("*.trace"))
@@ -127,7 +223,7 @@ def _cli_cases():
 
 def emit() -> None:
     """Print one JSON line per case: its name and its output."""
-    for cases in (_goal_cases(), _cli_cases()):
+    for cases in (_goal_cases(), _rop_cases(), _runtime_cases(), _cli_cases()):
         for name, out in cases:
             print(json.dumps([name, out]))
 

@@ -1,5 +1,8 @@
 """Model declaration, validation, evaluation, and enumeration."""
 
+import random
+from itertools import product
+
 import pytest
 
 from ropas.domains import Boolean, Enumerated, IntegerRange
@@ -24,6 +27,11 @@ from ropas.model import (
     Specification,
     ThresholdStep,
     WeightedSum,
+    _compile_expr,
+    _evaluated,
+    _exogenous_values,
+    _feasible,
+    _instance,
     and_,
     canonical_key,
     complete_specification,
@@ -40,6 +48,8 @@ from ropas.model import (
     validate_model,
     var,
 )
+
+from genmodels import random_rop, with_derived_parameter
 
 
 def tiny_model(**overrides) -> Model:
@@ -73,6 +83,29 @@ def test_expr_evaluation():
 def test_expr_constants():
     assert eval_expr(and_(), {}) == 1
     assert eval_expr(or_(), {}) == 0
+
+
+def random_expr(rng: random.Random, names: tuple[str, ...], depth: int = 3):
+    """A nested and/or/not expression; and/or nodes may have no children."""
+    if depth == 0 or rng.random() < 0.3:
+        return var(rng.choice(names))
+    op = rng.choice(("and", "or", "not"))
+    if op == "not":
+        return not_(random_expr(rng, names, depth - 1))
+    children = [random_expr(rng, names, depth - 1) for _ in range(rng.randint(0, 3))]
+    return and_(*children) if op == "and" else or_(*children)
+
+
+def test_compiled_formulas_match_eval_expr_on_every_assignment():
+    rng = random.Random(5)
+    names = ("a", "b", "c", "d")
+    exprs = [and_(), or_(), not_(and_()), not_(or_()), and_(or_(), var("a"))]
+    exprs += [random_expr(rng, names) for _ in range(400)]
+    for expr in exprs:
+        compiled = _compile_expr(expr)
+        for values in product((0, 1), repeat=len(names)):
+            env = dict(zip(names, values))
+            assert compiled(env) == eval_expr(expr, env), (expr, env)
 
 
 def test_expr_vars_deduplicated_in_order():
@@ -301,8 +334,31 @@ def test_evaluate_alert_fixture():
 
 
 def test_evaluate_canonicalizes_parameter_values():
-    inst = evaluate(tiny_model(), Specification.from_mapping({"x": 1.0, "y": True}))
-    assert inst["score"] == 5
+    model = tiny_model(
+        parameters=(Parameter("x", Boolean()), Parameter("y", IntegerRange(0, 2))),
+    )
+    canonical = evaluate(model, Specification.from_mapping({"x": 1, "y": 1}))
+    assert canonical["score"] == 5
+    for given in ({"x": True, "y": 1.0}, {"x": 1.0, "y": True}):
+        spec = Specification.from_mapping(given)
+        assert repr(evaluate(model, spec)) == repr(canonical)
+        assert is_feasible(model, spec) is True
+
+
+def test_the_trusted_evaluation_entry_matches_the_public_path():
+    for seed in range(200):
+        rng = random.Random(seed)
+        problem = random_rop(rng, max_space=256)
+        if seed % 2:
+            problem = with_derived_parameter(rng, problem)
+        model, exogenous = problem.model, problem.exogenous_map()
+        given = _exogenous_values(model, exogenous)
+        params = model.sorted_parameters
+        for values in product(*(p.domain.values() for p in params)):
+            spec = Specification(tuple(zip((p.id for p in params), values)))
+            env, derived = _evaluated(model, spec, given)
+            assert repr(_instance(model, env)) == repr(evaluate(model, spec, exogenous)), seed
+            assert _feasible(model, env, derived) is is_feasible(model, spec, exogenous), seed
 
 
 def test_evaluate_missing_parameter():

@@ -362,6 +362,41 @@ def test_select_adaptation_breaks_ties_by_fewest_changes():
     assert fresh.as_dict() == {"x": 0, "y": 1}
 
 
+class CountedRange(IntegerRange):
+    """An integer range that counts the values it canonicalizes."""
+
+    calls = 0
+
+    def canonical(self, value):
+        CountedRange.calls += 1
+        return super().canonical(value)
+
+
+def test_a_re_solve_canonicalizes_its_exogenous_map_a_fixed_number_of_times():
+    counts = []
+    for size in (3, 4):
+        params = tuple(Parameter(f"p{i}", Boolean()) for i in range(size))
+        ids = tuple(p.id for p in params) + ("m",)
+        model = Model(
+            criteria=(Criterion("goal", IntegerRange(-20, 20), "utility", "higher-better"),),
+            parameters=params,
+            monitored=(MonitoredVariable("m", CountedRange(0, 3)),),
+            depends=(WeightedSum("def_goal", "goal", ids, (1.0,) * len(ids)),),
+            decision_rule="goal",
+            decision_set=tuple(p.id for p in params),
+        )
+        problem = rop(model, {"m": 1})
+        CountedRange.calls = 0
+        assert len(adaptation_candidates(problem, None)) == 2**size >= 8
+        candidates = CountedRange.calls
+        CountedRange.calls = 0
+        select_adaptation(None, problem)
+        counts.append((candidates, CountedRange.calls))
+    # The same for 8 candidates as for 16, and fewer than one per candidate.
+    assert counts[0] == counts[1]
+    assert max(counts[0]) < 8
+
+
 # ---------------------------------------------------------------------------
 # Simulation replay
 
