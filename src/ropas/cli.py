@@ -12,6 +12,7 @@ import argparse
 import functools
 import sys
 from dataclasses import replace
+from math import isfinite
 from typing import Optional, Sequence
 
 from .decisions import ALTERNATIVE_PARAMETER, daop_to_rop, expected_utility, rank_alternatives
@@ -33,7 +34,6 @@ from .model import DEFAULT_ENUMERATION_CAP, enumerate_specifications
 from .runtime import run_simulation
 from .solver import (
     Infeasible,
-    OptimalSolutions,
     brute_force_enumeration,
     brute_force_oracle,
     classify,
@@ -55,9 +55,16 @@ def _print_issues(issues: list[ParseIssue], stream) -> int:
     return USAGE if any(i.kind == "syntax" for i in issues) else FAILURE
 
 
+class _Unreadable(Exception):
+    """A file named on the command line that cannot be read as UTF-8 text."""
+
+
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise _Unreadable(path) from err
 
 
 def _need_model(bundle: ModelBundle) -> None:
@@ -100,14 +107,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     problem = rop(bundle.model, dict(bundle.config.initial_exogenous))
     result = solve_rop(problem, cap=args.cap)
     if args.oracle:
-        check = brute_force_oracle(problem, cap=args.cap)
-        if type(check) is not type(result) or (
-            isinstance(result, OptimalSolutions)
-            and (
-                check.optima != result.optima
-                or check.objective_value != result.objective_value
-            )
-        ):
+        if brute_force_oracle(problem, cap=args.cap) != result:
             print("oracle disagrees with the solver", file=sys.stderr)
             return FAILURE
     kind = classify(problem)
@@ -201,10 +201,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 print(f"--relax expects CRITERION=BAND, got '{item}'", file=sys.stderr)
                 return USAGE
             try:
-                widening.append((name, float(amount)))
+                band = float(amount)
             except ValueError:
                 print(f"--relax band '{amount}' is not a number", file=sys.stderr)
                 return USAGE
+            if not isfinite(band):
+                print(f"--relax band '{amount}' is not finite", file=sys.stderr)
+                return USAGE
+            widening.append((name, band))
         config = replace(config, relaxation=tuple(widening))
     if args.cap is not None:
         config = replace(config, cap=args.cap)
@@ -295,8 +299,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as err:
-        print(f"cannot read {err.filename}", file=sys.stderr)
+    except _Unreadable as err:
+        print(f"cannot read {err}", file=sys.stderr)
         return USAGE
     except ParseFailure as err:
         return _print_issues(err.issues, sys.stderr)

@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import groupby, product
 from typing import Mapping, Optional, Union
 
-from .domains import TOLERANCE, Enumerated, Value, domain_bounds, is_numeric
+from .domains import TOLERANCE, Enumerated, Value, domain_bounds, is_finite, is_numeric
 from .errors import DefinitionError, EvaluationError
 from .model import (
     Criterion,
@@ -29,6 +29,7 @@ from .model import (
     Violation,
     WeightedSum,
     _check_coverage,
+    _check_finite,
 )
 from .solver import Rop
 
@@ -55,7 +56,7 @@ def validate_lottery(lot: Lottery) -> Optional[Violation]:
     for value, p in lot.outcomes:
         if not is_numeric(p):
             return Violation("lottery", f"probability {p!r} is not a number")
-        if p < 0.0 or p > 1.0:
+        if not 0.0 <= p <= 1.0:
             return Violation("lottery", f"probability {p} outside [0, 1]")
     total = 0.0
     for _, p in lot.outcomes:
@@ -122,10 +123,15 @@ def validate_transform(transform: Transform) -> list[Violation]:
     if isinstance(transform, PowerTransform):
         if not is_numeric(transform.exponent) or transform.exponent <= 0:
             out.append(Violation("transform", f"exponent {transform.exponent!r} must be positive"))
+        elif not is_finite(transform.exponent):
+            out.append(Violation("transform", f"exponent {transform.exponent!r} must be finite"))
     elif isinstance(transform, TableTransform):
         pts = transform.points
         if len(pts) < 2:
             out.append(Violation("transform", "needs at least the two endpoint breakpoints"))
+            return out
+        if not all(is_finite(x) and is_finite(y) for x, y in pts):
+            out.append(Violation("transform", "breakpoints must be finite numbers"))
             return out
         if any(b[0] < a[0] for a, b in zip(pts, pts[1:])):
             out.append(Violation("transform", "breakpoints not sorted by probability"))
@@ -225,12 +231,14 @@ def validate_decision_model(dm: DecisionModel) -> list[Violation]:
     if isinstance(dm.utility, WeightedSum):
         if len(dm.utility.weights) != len(dm.utility.inputs):
             out.append(Violation("utility", "weight count differs from input count"))
+        _check_finite("utility", out, weight=dm.utility.weights, offset=(dm.utility.offset,))
         for attr in dm.attributes:
             if domain_bounds(attr.domain) is None:
                 out.append(
                     Violation("utility", f"attribute '{attr.id}' is not numeric")
                 )
     elif not out:
+        _check_finite("utility", out, value=(value for _, value in dm.utility.entries))
         domains = [a.domain for a in dm.attributes]
         _check_coverage("utility", domains, dm.utility.lookup, "attribute", out)
     out.extend(validate_transform(dm.transform))

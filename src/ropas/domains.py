@@ -4,12 +4,13 @@ Four concrete kinds exist: ``Boolean``, ``IntegerRange``, ``RealGrid``, and
 ``Enumerated``.  Every domain is a finite, explicitly ordered value set; no
 symbolic or interval reasoning happens anywhere downstream.  The declaration
 order of a domain's values is its canonical order, used for deterministic
-enumeration and tie sorting.
+enumeration and tie sorting.  No domain holds an infinite or nan value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Union
 
 from .errors import DefinitionError
@@ -71,7 +72,7 @@ class IntegerRange:
         if isinstance(value, bool):
             value = int(value)
         if isinstance(value, float):
-            if abs(value - round(value)) > TOLERANCE:
+            if not isfinite(value) or abs(value - round(value)) > TOLERANCE:
                 return False
             value = round(value)
         return isinstance(value, int) and self.lo <= value <= self.hi
@@ -100,11 +101,15 @@ class RealGrid:
     step: float
 
     def __post_init__(self) -> None:
+        if not all(is_finite(x) for x in (self.lo, self.hi, self.step)):
+            raise DefinitionError("grid bounds and step must be finite numbers")
         if self.step <= 0:
             raise DefinitionError("grid step must be positive")
         if self.hi < self.lo:
             raise DefinitionError(f"empty real grid [{self.lo}, {self.hi}]")
         span = (self.hi - self.lo) / self.step
+        if not isfinite(span):
+            raise DefinitionError(f"real grid [{self.lo}, {self.hi}] has too many points")
         if abs(span - round(span)) > 1e-6:
             raise DefinitionError(
                 f"grid upper bound {self.hi} is not a multiple of step {self.step}"
@@ -120,8 +125,15 @@ class RealGrid:
     def _slot(self, value: Value) -> int | None:
         if isinstance(value, str) or isinstance(value, bool):
             return None
-        idx = round((float(value) - self.lo) / self.step)
-        if idx < 0 or idx >= self.size:
+        size = self.size
+        try:
+            position = (float(value) - self.lo) / self.step
+        except OverflowError:  # an int too large for a float
+            return None
+        if not -1.0 < position < size:  # also false for nan
+            return None
+        idx = round(position)
+        if idx < 0 or idx >= size:
             return None
         if abs(self.lo + idx * self.step - float(value)) > TOLERANCE:
             return None
@@ -161,6 +173,8 @@ class Enumerated:
             raise DefinitionError("enumerated domain needs at least one value")
         if len(set(self.labels)) != len(self.labels):
             raise DefinitionError("enumerated domain values must be distinct")
+        if not all(is_finite(v) for v in self.labels if isinstance(v, float)):
+            raise DefinitionError("enumerated domain values must be finite")
 
     @property
     def size(self) -> int:
@@ -199,3 +213,8 @@ def domain_bounds(domain: Domain) -> tuple[float, float] | None:
 
 def is_numeric(value: Value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def is_finite(value: Value) -> bool:
+    """A numeric value that is neither infinite nor nan."""
+    return isfinite(value) if isinstance(value, float) else is_numeric(value)

@@ -20,21 +20,20 @@ specifications, so callers holding those (the simulator) call
 
 Each ``Model`` indexes itself once, on first use, through cached properties:
 id lookups, the functional depends' evaluation order, its validation
-findings, and the search's compiled view: the functional depends numbered in
-evaluation order, so that the search keeps their missing-input counts in a
-list, each well-formed formula with a boolean output as a closure, and the
-rows.  Every pure constraint compiles to one linear row (coefficients,
-comparator code, bound, and each input's smallest and largest term): a cardinality constraint is an all-ones row and an
-incompatibility the row ``a + b <= 1``.  When a weighted sum computes the
-decision rule, it compiles to a row as well.  The search keeps each row's
-interval over the completions of the current branch, updates it in O(1) as
-an input gets a value, and restores it from the trail on backtracking; it
-prunes on a partial interval only beyond the row's rounding tolerance, and
-tests the row exactly once its last input has a value.  When it maximises
-the decision rule, that row's upper bound cuts every branch that cannot
-reach the best leaf found so far (branch and bound); ties are never cut.
-Every evaluation, feasibility check and search of that model reuses the
-index.
+findings, and the compiled view.  There each functional depend is the one
+function computing its canonical output, for the search, ``_evaluated`` and
+``complete_specification`` alike, and each pure constraint is one linear row
+(coefficients, comparator code, bound, and each input's smallest and largest
+term): a cardinality constraint is an all-ones row and an incompatibility
+the row ``a + b <= 1``.  When a weighted sum computes the decision rule, it
+compiles to a row as well.  The search keeps each row's interval over the
+completions of the current branch, updates it in O(1) as an input gets a
+value, and restores it from the trail on backtracking; it prunes on a
+partial interval only beyond the row's rounding tolerance, and tests the row
+exactly once its last input has a value.  When it maximises the decision
+rule, that row's upper bound cuts every branch that cannot reach the best
+leaf found so far (branch and bound); ties are never cut.  Every evaluation,
+feasibility check and search of that model reuses the index.
 
 All operations are pure and deterministic.  Objects are immutable, so sharing
 them across threads is safe; two threads racing to build a model's index at
@@ -54,6 +53,7 @@ from .domains import (
     Domain,
     Value,
     domain_bounds,
+    is_finite,
 )
 from .errors import DefinitionError, EvaluationError, SizeLimitError
 
@@ -442,8 +442,8 @@ class Model:
         return tuple(ordered)
 
     @cached_property
-    def _search_index(self) -> _SearchIndex:
-        """The search's compiled view of the depends: the functional depends
+    def _compiled(self) -> _Compiled:
+        """The compiled view of the depends: the functional depends
         numbered in evaluation order, each with its output and a function
         computing it from the environment, the numbers of the depends reading
         each variable, one linear row per pure constraint with its watch
@@ -462,7 +462,7 @@ class Model:
             if None not in row.low:
                 objective = (row, _watch_lists(rows + (row,)))
         outputs = tuple(dep.output for dep in topo)
-        return _SearchIndex(outputs, computes, feeds, rows, _watch_lists(rows), objective)
+        return _Compiled(outputs, computes, feeds, rows, _watch_lists(rows), objective)
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
@@ -510,6 +510,15 @@ def _check_boolean_output(model: Model, dep, what: str, out: list[Violation]) ->
     domain = model._domains.get(dep.output)
     if domain is not None and not isinstance(domain, Boolean):
         out.append(Violation(dep.id, f"{what} output must be boolean"))
+
+
+def _check_finite(subject: str, out: list[Violation], **numbers: Iterable[float]) -> None:
+    """Each named number must be finite; reports the first one that is not."""
+    for what, values in numbers.items():
+        for value in values:
+            if not is_finite(value):
+                out.append(Violation(subject, f"{what} {value!r} is not a finite number"))
+                return
 
 
 def _check_coverage(
@@ -596,6 +605,7 @@ def validate_model(model: Model) -> list[Violation]:
                 out.append(Violation(dep.id, "weight count differs from input count"))
             if not dep.inputs:
                 out.append(Violation(dep.id, "weighted sum needs at least one input"))
+            _check_finite(dep.id, out, weight=dep.weights, offset=(dep.offset,))
             _check_inputs(model, dep, "numeric", out)
         elif isinstance(dep, LookupTable):
             if not dep.inputs:
@@ -619,6 +629,7 @@ def validate_model(model: Model) -> list[Violation]:
                                 Violation(dep.id, f"table value {val!r} outside output domain")
                             )
         elif isinstance(dep, ThresholdStep):
+            _check_finite(dep.id, out, cut=(dep.cut,))
             _check_inputs(model, dep, "numeric", out)
             _check_boolean_output(model, dep, "step", out)
         elif isinstance(dep, LinearConstraint):
@@ -626,6 +637,7 @@ def validate_model(model: Model) -> list[Violation]:
                 out.append(Violation(dep.id, "coefficient count differs from input count"))
             if dep.comparator not in COMPARATORS:
                 out.append(Violation(dep.id, f"unknown comparator '{dep.comparator}'"))
+            _check_finite(dep.id, out, coefficient=dep.coefficients, bound=(dep.bound,))
             _check_inputs(model, dep, "numeric", out)
         elif isinstance(dep, CardinalityConstraint):
             if dep.comparator not in COMPARATORS:
@@ -676,48 +688,45 @@ def validate_model(model: Model) -> list[Violation]:
 # Evaluation
 
 
-def _apply_functional(
-    dep: FunctionalDepend, env: Mapping[str, Value], out_domain: Domain
-) -> Value:
-    if isinstance(dep, BooleanFormula):
-        raw: Value = eval_expr(dep.expr, env)
-    elif isinstance(dep, WeightedSum):
-        total = dep.offset
-        for w, name in zip(dep.weights, dep.inputs):
-            if name not in env:
-                raise EvaluationError(f"missing value for variable '{name}'")
-            total += w * float(env[name])  # type: ignore[arg-type]
-        raw = total
-    elif isinstance(dep, LookupTable):
-        key = []
-        for name in dep.inputs:
-            if name not in env:
-                raise EvaluationError(f"missing value for variable '{name}'")
-            key.append(env[name])
-        table = dep.lookup
-        if tuple(key) not in table:
-            raise EvaluationError(f"depend '{dep.id}' has no table entry for {tuple(key)!r}")
-        raw = table[tuple(key)]
-    else:
-        if dep.input not in env:
-            raise EvaluationError(f"missing value for variable '{dep.input}'")
-        raw = 1 if float(env[dep.input]) >= dep.cut - TOLERANCE else 0  # type: ignore[arg-type]
-    try:
-        return out_domain.canonical(raw)
-    except DefinitionError as exc:
-        raise EvaluationError(f"depend '{dep.id}': {exc}") from exc
-
-
 def _compile_functional(
     dep: FunctionalDepend, out_domain: Domain
 ) -> Callable[[Mapping[str, Value]], Value]:
-    """A function computing ``_apply_functional(dep, env, out_domain)`` for an
-    ``env`` that holds every input.  A well-formed formula with a boolean
-    output computes 0 or 1, which is already canonical, so it compiles to a
-    closure; every other depend goes through ``_apply_functional``."""
-    if isinstance(out_domain, Boolean) and isinstance(dep, BooleanFormula) and expr_ok(dep.expr):
-        return _compile_expr(dep.expr)
-    return partial(_apply_functional, dep, out_domain=out_domain)
+    """The one function computing ``dep``'s canonical output from an
+    environment.  A missing input raises ``KeyError`` naming the first one
+    read (in ``eval_expr``'s order for a formula); an output outside
+    ``out_domain`` raises an evaluation error naming the depend.  A formula's
+    0 or 1 is canonicalized only for a non-boolean output; a malformed
+    formula, which validation rejects, is read by ``eval_expr``."""
+    if isinstance(dep, BooleanFormula):
+        raw = _compile_expr(dep.expr) if expr_ok(dep.expr) else partial(eval_expr, dep.expr)
+        if isinstance(out_domain, Boolean) and expr_ok(dep.expr):
+            return raw
+    elif isinstance(dep, WeightedSum):
+        offset, terms = dep.offset, tuple(zip(dep.weights, dep.inputs))
+
+        def raw(env: Mapping[str, Value]) -> Value:
+            total = offset
+            for weight, name in terms:
+                total += weight * float(env[name])  # type: ignore[arg-type]
+            return total
+    elif isinstance(dep, LookupTable):
+        inputs, table = dep.inputs, dep.lookup
+
+        def raw(env: Mapping[str, Value]) -> Value:
+            key = tuple([env[name] for name in inputs])
+            if key not in table:
+                raise EvaluationError(f"depend '{dep.id}' has no table entry for {key!r}")
+            return table[key]
+    else:
+        name, cut = dep.input, dep.cut - TOLERANCE
+        raw = lambda env: 1 if float(env[name]) >= cut else 0  # type: ignore[arg-type]
+
+    def compute(env: Mapping[str, Value]) -> Value:
+        try:
+            return out_domain.canonical(raw(env))
+        except DefinitionError as exc:
+            raise EvaluationError(f"depend '{dep.id}': {exc}") from exc
+    return compute
 
 
 def _exogenous_values(
@@ -779,12 +788,15 @@ def _evaluated(
     env: dict[str, Value] = dict(spec.items)
     env.update(given)
     derived_parameters: dict[str, Value] = {}
-    for dep in model.topological_depends:
-        value = _apply_functional(dep, env, model.variable_domain(dep.output))
-        if dep.output in model._parameters_by_id:
-            derived_parameters[dep.output] = value
-        else:
-            env[dep.output] = value
+    index = model._compiled
+    try:
+        for output, compute in zip(index.outputs, index.computes):
+            if output in model._parameters_by_id:
+                derived_parameters[output] = compute(env)
+            else:
+                env[output] = compute(env)
+    except KeyError as missing:
+        raise EvaluationError(f"missing value for variable '{missing.args[0]}'") from None
     return env, derived_parameters
 
 
@@ -837,7 +849,7 @@ class _Row(NamedTuple):
 _Watch = dict[str, tuple[tuple[int, float, float, float], ...]]
 
 
-class _SearchIndex(NamedTuple):
+class _Compiled(NamedTuple):
     # Per functional depend, in ``topological_depends`` order: its output
     # and the function computing that output from the environment.
     outputs: tuple[str, ...]
@@ -950,7 +962,7 @@ def _feasible(
     for pid, computed in derived_parameters.items():
         if env[pid] != computed:
             return False
-    for dep, row in zip(model.constraint_depends, model._search_index.rows):
+    for dep, row in zip(model.constraint_depends, model._compiled.rows):
         for name in dep.inputs:
             if name not in env:
                 raise EvaluationError(f"missing value for variable '{name}'")
@@ -1022,7 +1034,7 @@ def search_specifications(
             if name not in known:
                 raise EvaluationError(f"missing value for variable '{name}'")
 
-    compiled = model._search_index
+    compiled = model._compiled
     outputs, computes, feeds = compiled.outputs, compiled.computes, compiled.feeds
     rows, watch = compiled.rows, compiled.watch
     objective = compiled.objective if maximize else None
@@ -1205,9 +1217,9 @@ def complete_specification(
     for p in remaining:
         if p.id not in producers and p.id not in env and p.default is not None:
             env[p.id] = p.domain.canonical(p.default)
-    for dep in model.topological_depends:
+    for dep, compute in zip(model.topological_depends, model._compiled.computes):
         if all(name in env for name in dep.inputs) and dep.output not in env:
-            env[dep.output] = _apply_functional(dep, env, model.variable_domain(dep.output))
+            env[dep.output] = compute(env)
     values: dict[str, Value] = dict(decision_assignment)
     for p in remaining:
         if p.id in producers and p.id in env:

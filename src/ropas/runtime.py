@@ -36,7 +36,7 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence, Union
 
-from .domains import TOLERANCE, Domain, Value, domain_bounds, is_numeric
+from .domains import TOLERANCE, Domain, Value, domain_bounds, is_finite, is_numeric
 from .errors import DefinitionError
 from .model import (
     DEFAULT_ENUMERATION_CAP,
@@ -189,6 +189,8 @@ def relax(
     out = []
     for trigger in triggers:
         band = widening.get(trigger.criterion, 0.0)
+        if not is_finite(band):
+            raise DefinitionError(f"widening for '{trigger.criterion}' is not a finite number")
         if band < 0:
             raise DefinitionError(f"negative widening for '{trigger.criterion}'")
         if band == 0:
@@ -445,9 +447,13 @@ def config_violations(model: Model, config: SimulationConfig) -> list[Violation]
             bad("initial-spec", "initial-spec must assign exactly the parameters " + missing)
         given = [(name, value) for name, value in spec.items if name in wanted]
         check("initial-spec", "initial-spec", given, "parameter")
-    for name in (t.criterion for t in config.triggers):
+    for trigger in config.triggers:
+        name, tolerable = trigger.criterion, trigger.tolerable
         if not any(c.id == name for c in model.criteria):
             bad(f"trigger {name}", f"trigger watches unknown criterion '{name}'")
+        edges = (tolerable.lo, tolerable.hi) if isinstance(tolerable, IntervalRange) else ()
+        if not all(edge is None or is_finite(edge) for edge in edges):
+            bad(f"trigger {name}", "trigger range edges must be finite numbers")
     check("initial {}", "initial", config.initial_exogenous, "monitored variable")
     for name, _ in config.change_scope:
         if model.has_variable(name):

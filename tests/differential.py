@@ -25,6 +25,8 @@ and shipped fixtures, so both sides see the same ones:
 - ``run_simulation`` on ``random_runtime_scenario`` and
   ``random_runtime_pair`` for each of ``SEEDS`` seeds: the timeline and the
   metrics;
+- ``rank_alternatives`` and ``daop_to_rop`` + ``solve_rop`` on
+  ``random_decision_model`` for each of ``SEEDS`` seeds;
 - every CLI subcommand on ``fixtures/*.model`` (``simulate`` with each
   ``fixtures/*.trace``), in both report formats, with and without
   ``--oracle``: exit code, stdout and stderr.
@@ -190,6 +192,22 @@ def _runtime_cases():
             yield name, _attempt(lambda: run_simulation(*inputs))
 
 
+def _decision_cases():
+    from genmodels import random_decision_model
+    from ropas.decisions import daop_to_rop, rank_alternatives
+    from ropas.solver import solve_rop
+
+    for seed in range(SEEDS):
+        name = f"decision seed={seed}"
+        try:
+            dm = random_decision_model(random.Random(seed))
+        except Exception as err:
+            yield name, _failure(err)
+            continue
+        yield f"{name}: rank", _attempt(lambda: rank_alternatives(dm))
+        yield f"{name}: solve", _attempt(lambda: solve_rop(daop_to_rop(dm)))
+
+
 def _cli_argvs():
     models = sorted(path.name for path in FIXTURES.glob("*.model"))
     traces = sorted(path.name for path in FIXTURES.glob("*.trace"))
@@ -223,7 +241,8 @@ def _cli_cases():
 
 def emit() -> None:
     """Print one JSON line per case: its name and its output."""
-    for cases in (_goal_cases(), _rop_cases(), _runtime_cases(), _cli_cases()):
+    cases_by_kind = (_goal_cases(), _rop_cases(), _runtime_cases(), _decision_cases(), _cli_cases())
+    for cases in cases_by_kind:
         for name, out in cases:
             print(json.dumps([name, out]))
 

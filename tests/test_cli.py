@@ -6,14 +6,18 @@ underlying modules.
 """
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from ropas import cli
 from ropas.cli import FAILURE, OK, USAGE, main
+from ropas.decisions import ALTERNATIVE_PARAMETER
 from ropas.fixtures import dispatch_goals
 from ropas.formats import MODEL_HEADER, parse_model, serialize_model
 from ropas.goals import solve_rdrp
-from ropas.solver import decode_selection, rop, solve_rop
+from ropas.model import Specification
+from ropas.solver import Infeasible, OptimalSolutions, decode_selection, rop, solve_rop
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 ALERTS = str(FIXTURES / "alerts.model")
@@ -119,6 +123,19 @@ def test_missing_file_is_a_usage_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "validate", str(tmp_path / "absent.model"))
     assert code == USAGE
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("command", ("validate", "simulate"))
+@pytest.mark.parametrize("kind", ("directory", "not utf-8"))
+def test_an_unreadable_file_is_a_usage_error(capsys, tmp_path, command, kind):
+    path = tmp_path / "unreadable"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(MODEL_HEADER.encode() + b"\n\xff\xfe\n")
+    # simulate reads the model first, so the unreadable file is its trace.
+    argv = ["validate", str(path)] if command == "validate" else ["simulate", ALERTS, str(path)]
+    assert run_cli(capsys, *argv) == (USAGE, "", f"cannot read {path}\n")
 
 
 def test_unknown_subcommand_exits_with_usage():
@@ -482,6 +499,12 @@ def test_simulate_rejects_malformed_relax(capsys):
     assert "is not a number" in err
 
 
+@pytest.mark.parametrize("band", ("nan", "inf", "-Infinity"))
+def test_simulate_rejects_a_non_finite_relax_band(capsys, band):
+    code, out, err = run_cli(capsys, "simulate", "--relax", f"capacity={band}", ALERTS, ALERTS_TRACE)
+    assert (code, out, err) == (USAGE, "", f"--relax band '{band}' is not finite\n")
+
+
 def test_simulate_respects_the_cap(capsys):
     code, _, err = run_cli(capsys, "simulate", "--cap", "100", ALERTS, ALERTS_TRACE)
     assert code == FAILURE
@@ -577,3 +600,68 @@ def test_goal_graph_diagnostics_do_not_depend_on_the_hash_seed(tmp_path, body, a
         )
         assert done.returncode == FAILURE, done.stderr
         assert f"unknown atom {atom}" in done.stdout, (seed, done.stdout)
+
+
+# --- every oracle disagreement ---
+
+
+def _second_report_differs(real):
+    calls = []
+
+    def write_report(timeline, metrics, fmt):
+        calls.append(fmt)
+        return real(timeline, metrics, fmt) + "#" * len(calls)
+    return write_report
+
+
+@pytest.mark.parametrize(
+    "argv, name, replace, message",
+    [
+        (
+            ["enumerate", ALERTS], "brute_force_enumeration", lambda real: lambda *a: [],
+            "oracle disagrees with the enumeration",
+        ),
+        (
+            ["solve", ALERTS], "brute_force_oracle", lambda real: lambda *a, **k: Infeasible(),
+            "oracle disagrees with the solver",
+        ),
+        (
+            ["encode-rdrp", DISPATCH], "solve_rop", lambda real: lambda problem: Infeasible(),
+            "oracle found selections but the encoding is infeasible",
+        ),
+        (
+            ["encode-rdrp", DISPATCH], "solve_rdrp", lambda real: lambda graph: [],
+            "decoded optima differ from the direct goal solver",
+        ),
+        (
+            ["encode-rdrp", DISPATCH], "check_drp",
+            lambda real: lambda graph, selection: SimpleNamespace(satisfaction=False),
+            "a decoded selection fails its requirements",
+        ),
+        (
+            ["rank", RESPOND], "solve_rop", lambda real: lambda problem: Infeasible(),
+            "oracle reformulation came out infeasible",
+        ),
+        (
+            ["rank", RESPOND], "solve_rop",
+            lambda real: lambda problem: OptimalSolutions(
+                (Specification.from_mapping({ALTERNATIVE_PARAMETER: "nobody"}),), 0.0
+            ),
+            "oracle head group differs from the ranking",
+        ),
+        (
+            ["rank", RESPOND], "expected_utility",
+            lambda real: lambda decision, alternative: real(decision, alternative) + 1.0,
+            "oracle objective differs from the head expected utility",
+        ),
+        (
+            ["simulate", ALERTS, ALERTS_TRACE], "write_report", _second_report_differs,
+            "repeated run produced a different report",
+        ),
+    ],
+)
+def test_every_oracle_disagreement_fails_with_its_message(
+    capsys, monkeypatch, argv, name, replace, message
+):
+    monkeypatch.setattr(f"ropas.cli.{name}", replace(getattr(cli, name)))
+    assert run_cli(capsys, *argv, "--oracle") == (FAILURE, "", message + "\n")

@@ -10,6 +10,7 @@ from ropas.domains import (
     IntegerRange,
     RealGrid,
     domain_bounds,
+    is_finite,
     is_numeric,
 )
 from ropas.errors import DefinitionError
@@ -107,6 +108,45 @@ def test_is_numeric():
     assert is_numeric(3) and is_numeric(2.5)
     assert not is_numeric(True)
     assert not is_numeric("3")
+
+
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [Boolean(), IntegerRange(-3, 3), RealGrid(0.0, 1.0, 0.25), Enumerated((1, 2.5, "a"))],
+)
+def test_no_domain_holds_a_non_finite_value(domain):
+    assert not domain.contains(10**400)
+    for value in NON_FINITE:
+        assert not domain.contains(value)
+        with pytest.raises(DefinitionError):
+            domain.canonical(value)
+        with pytest.raises(DefinitionError):
+            domain.index_of(value)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: RealGrid(0.0, float("inf"), 1.0), "must be finite"),
+        (lambda: RealGrid(float("nan"), 1.0, 0.5), "must be finite"),
+        (lambda: RealGrid(0.0, 1.0, float("nan")), "must be finite"),
+        (lambda: RealGrid(0.0, 1e300, 1e-300), "too many points"),
+        (lambda: RealGrid(-1e308, 1e308, 1.0), "too many points"),
+        (lambda: Enumerated((1.0, float("nan"))), "must be finite"),
+        (lambda: Enumerated(("a", float("-inf"))), "must be finite"),
+    ],
+)
+def test_domains_reject_non_finite_definitions(make, message):
+    with pytest.raises(DefinitionError, match=message):
+        make()
+
+
+def test_is_finite():
+    assert is_finite(3) and is_finite(-2.5) and is_finite(10**400)
+    assert not any(is_finite(value) for value in (*NON_FINITE, True, "3"))
 
 
 @given(st.integers(-30, 30), st.integers(0, 20))

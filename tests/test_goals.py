@@ -392,6 +392,7 @@ def test_renaming_renames_the_answers_and_nothing_else():
         # The image reverses the sorted order, so every bit moves.
         mapping = {a: f"a{len(ordered) - i:03d}" for i, a in enumerate(ordered)}
         h = rename(g, mapping)
+        assert rename(h, {b: a for a, b in mapping.items()}) == g, index
 
         def image(sel):
             return frozenset(mapping[a] for a in sel)

@@ -217,6 +217,24 @@ BROKEN: tuple[tuple[str, ...], ...] = (
     (*_MODEL, "[evolution]", "forbid-value p=1 unless count(m=3) >= 1"),
     ("[simulation]", "horizon 0"),
     ("[simulation]", "duration -1"),
+    ("[variables]", "parameter p grid:0:inf:1"),
+    ("[variables]", "parameter p grid:0:1e300:1e-300"),
+    ("[variables]", "parameter p enum:1,nan"),
+    ("[variables]", "parameter p int:0:3 default=inf", "monitored m bool detect=nan"),
+    (*_MODEL, "weighted-sum w -> ok : inf*p"),
+    (*_MODEL, "weighted-sum w -> ok : 1.0*p + nan"),
+    (*_MODEL, "linear c : 1.0*p + 1.0*m <= nan"),
+    (*_MODEL, "linear c : -inf*p <= 1.0"),
+    (*_MODEL, "threshold-step t -> ok : p >= nan"),
+    (*_MODEL, "[triggers]", "trigger score in [nan,*]"),
+    (*_MODEL, "[simulation]", "initial m=nan"),
+    (*_MODEL, "[evolution]", "forbid-value p=inf"),
+    (*_DECISION, "alternative y", "lottery y a nan:1.0", "[utility]", "weighted-sum 1.0*a"),
+    (*_DECISION, "alternative y", "lottery y a 0:nan 1:1.0", "[utility]", "weighted-sum 1.0*a"),
+    (*_DECISION, "[utility]", "weighted-sum inf*a"),
+    (*_DECISION, "[utility]", "lookup-table 0=nan ; 1=1.0"),
+    (*_DECISION, "[utility]", "weighted-sum 1.0*a", "[transform]", "power nan"),
+    (*_DECISION, "[utility]", "weighted-sum 1.0*a", "[transform]", "table 0:0 0.5:nan 1:1"),
 )
 
 

@@ -1,6 +1,7 @@
 """Model declaration, validation, evaluation, and enumeration."""
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -48,6 +49,7 @@ from ropas.model import (
     validate_model,
     var,
 )
+from ropas.solver import brute_force_oracle, solve_rop
 
 from genmodels import random_rop, with_derived_parameter
 
@@ -361,6 +363,99 @@ def test_the_trusted_evaluation_entry_matches_the_public_path():
             assert _feasible(model, env, derived) is is_feasible(model, spec, exogenous), seed
 
 
+def test_every_evaluation_path_runs_on_the_compiled_depends(monkeypatch):
+    """``eval_expr`` is only the tests' reference: evaluation, feasibility,
+    the search and the oracle's completion all read a formula through its
+    compiled function."""
+
+    def refuse(expr, env):
+        raise AssertionError("a formula was read through eval_expr")
+
+    monkeypatch.setattr("ropas.model.eval_expr", refuse)
+    kinds: Counter = Counter()
+    for seed in range(120):
+        rng = random.Random(seed)
+        problem = random_rop(rng, max_space=256)
+        if seed % 2:
+            problem = with_derived_parameter(rng, problem)
+        model, exogenous = problem.model, problem.exogenous_map()
+        kinds.update(type(dep).__name__ for dep in model.depends)
+        params = model.sorted_parameters
+        feasible = []
+        for values in product(*(p.domain.values() for p in params)):
+            spec = Specification(tuple(zip((p.id for p in params), values)))
+            evaluate(model, spec, exogenous)
+            if is_feasible(model, spec, exogenous):
+                feasible.append(spec)
+        assert enumerate_specifications(model, exogenous) == feasible, seed
+        assert solve_rop(problem) == brute_force_oracle(problem), seed
+    functional = ("BooleanFormula", "WeightedSum", "LookupTable", "ThresholdStep")
+    assert all(kinds[kind] >= 10 for kind in functional), kinds
+
+
+def _one_depend_model(depend, domain, monitored=Boolean()):
+    """``tiny_model`` plus the criterion ``level`` over ``domain``, computed
+    by ``depend``, and the monitored variable ``load`` over ``monitored``."""
+    return tiny_model(
+        criteria=(
+            Criterion("score", IntegerRange(-10, 10), "utility", "higher-better"),
+            Criterion("level", domain, "quality-variable"),
+        ),
+        monitored=(MonitoredVariable("load", monitored),),
+        depends=(WeightedSum("score_sum", "score", ("x", "y"), (2.0, 3.0)), depend),
+    )
+
+
+@pytest.mark.parametrize(
+    "depend, domain, exogenous, message",
+    [
+        (
+            BooleanFormula("form", "level", or_(not_(var("x")), var("load"), var("zz"))),
+            Boolean(), {}, "missing value for variable 'load'",
+        ),
+        (
+            BooleanFormula("form", "level", and_(var("x"), var("load"))),
+            IntegerRange(2, 3), {"load": 1}, "depend 'form': value 1 not in integer range [2, 3]",
+        ),
+        (
+            WeightedSum("total", "level", ("x", "load", "y"), (1.0, 1.0, 1.0)),
+            IntegerRange(0, 3), {}, "missing value for variable 'load'",
+        ),
+        (
+            WeightedSum("total", "level", ("x", "load"), (1.0, 1.0), 0.5),
+            IntegerRange(0, 3), {"load": 1}, "depend 'total': value 2.5 not in integer range [0, 3]",
+        ),
+        (
+            LookupTable("table", "level", ("load", "zz"), (((0, 0), 0), ((1, 0), 1))),
+            IntegerRange(0, 3), {}, "missing value for variable 'load'",
+        ),
+        (
+            LookupTable("table", "level", ("x", "load"), (((1, 0), 0), ((0, 1), 1))),
+            IntegerRange(0, 3), {"load": 1}, "depend 'table' has no table entry for (1, 1)",
+        ),
+        (
+            LookupTable("table", "level", ("x", "load"), (((1, 1), 5),)),
+            IntegerRange(0, 3), {"load": 1}, "depend 'table': value 5 not in integer range [0, 3]",
+        ),
+        (
+            ThresholdStep("step", "level", "load", 1.0),
+            Boolean(), {}, "missing value for variable 'load'",
+        ),
+        (
+            ThresholdStep("step", "level", "load", 1.0),
+            IntegerRange(2, 3), {"load": 1}, "depend 'step': value 1 not in integer range [2, 3]",
+        ),
+    ],
+)
+def test_every_evaluation_error_text_of_each_depend_kind(depend, domain, exogenous, message):
+    model = _one_depend_model(depend, domain)
+    spec = Specification.from_mapping({"x": 1, "y": 0})
+    for check in (evaluate, is_feasible):
+        with pytest.raises(EvaluationError) as raised:
+            check(model, spec, exogenous)
+        assert str(raised.value) == message
+
+
 def test_evaluate_missing_parameter():
     with pytest.raises(EvaluationError, match="misses parameter"):
         evaluate(tiny_model(), Specification.from_mapping({"x": 1}))
@@ -546,14 +641,7 @@ def test_complete_specification_requires_default_or_derivation():
     ],
 )
 def test_functional_input_without_a_value_is_named(depend, domain):
-    model = tiny_model(
-        criteria=(
-            Criterion("score", IntegerRange(-10, 10), "utility", "higher-better"),
-            Criterion("level", domain, "quality-variable"),
-        ),
-        monitored=(MonitoredVariable("load", IntegerRange(0, 2)),),
-        depends=(WeightedSum("score_sum", "score", ("x", "y"), (2.0, 3.0)), depend),
-    )
+    model = _one_depend_model(depend, domain, IntegerRange(0, 2))
     assert validate_model(model) == []
     spec = Specification.from_mapping({"x": 1, "y": 0})
     for check in (evaluate, is_feasible):

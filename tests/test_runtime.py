@@ -172,6 +172,12 @@ def test_relax_rejects_negative_band():
         relax(alert_triggers(), {"capacity": -1.0}, alert_model())
 
 
+@pytest.mark.parametrize("band", (float("nan"), float("inf")))
+def test_relax_rejects_a_non_finite_band(band):
+    with pytest.raises(DefinitionError, match="^widening for 'capacity' is not a finite number$"):
+        relax(alert_triggers(), {"capacity": band}, alert_model())
+
+
 def test_relax_rejects_value_set_ranges():
     triggers = (AwarenessTrigger("capacity", ValueSetRange((80, 85))),)
     with pytest.raises(DefinitionError, match="value-set"):
