@@ -29,20 +29,6 @@ from ropas.decisions import (
     rank_alternatives,
     validate_decision_model,
 )
-from ropas.fixtures import (
-    ALERT_CHANNELS,
-    COVERAGE_FLOOR,
-    STORAGE_BACKENDS,
-    alert_config,
-    alert_exogenous,
-    alert_model,
-    alert_spec,
-    alert_triggers,
-    dispatch_goals,
-    shock_config,
-    shock_model,
-    shock_trace,
-)
 from ropas.formats import parse_model, parse_trace, serialize_model, serialize_trace
 from ropas.goals import (
     FALSUM,
@@ -69,6 +55,7 @@ from ropas.solver import (
     rop,
     solve_rop,
 )
+from shipped import alert_spec, load
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -117,15 +104,14 @@ def subsets(items):
 
 def test_criterion_01_fixture_enumerates_20_of_25(capsys):
     with criterion(1, time_limit=1.0):
-        model = alert_model()
-        exogenous = alert_exogenous()
+        alerts = load("alerts.model")
+        model, exogenous = alerts.model, dict(alerts.config.initial_exogenous)
         feasible = enumerate_specifications(model, exogenous)
         assert len(feasible) == 20
-        one_hot = [
-            alert_spec(channel, backend)
-            for channel in ALERT_CHANNELS
-            for backend in STORAGE_BACKENDS
-        ]
+        choices = [p.split("_", 1) for p in model.decision_set]
+        channels = [name for kind, name in choices if kind == "alert"]
+        backends = [name for kind, name in choices if kind == "store"]
+        one_hot = [alert_spec(c, b) for c in channels for b in backends]
         assert len(one_hot) == 25
         assert set(feasible) == {
             spec for spec in one_hot if is_feasible(model, spec, exogenous)
@@ -134,23 +120,25 @@ def test_criterion_01_fixture_enumerates_20_of_25(capsys):
 
 def test_criterion_02_failure_switch_targets_and_choice(capsys):
     with criterion(2, time_limit=1.0):
-        model = alert_model()
-        exogenous = alert_exogenous()
+        alerts = load("alerts.model")
+        model, triggers = alerts.model, alerts.config.triggers
+        exogenous = dict(alerts.config.initial_exogenous)
         exogenous["alert_call_ok"] = 0
         problem = rop(model, exogenous)
         current = alert_spec("call", "local")
-        candidates = adaptation_candidates(problem, current, (), alert_triggers())
+        candidates = adaptation_candidates(problem, current, (), triggers)
         assert set(candidates) == {
             alert_spec("radio", "local"),
             alert_spec("push", "local"),
         }
         email = alert_spec("email", "local")
         assert is_feasible(model, email, exogenous)
-        assert evaluate(model, email, exogenous)["coverage"] < COVERAGE_FLOOR
+        (coverage_floor,) = (t.tolerable.lo for t in triggers if t.criterion == "coverage")
+        assert evaluate(model, email, exogenous)["coverage"] < coverage_floor
         assert email not in candidates
-        chosen = select_adaptation(current, problem, (), alert_triggers())
+        chosen = select_adaptation(current, problem, (), triggers)
         assert chosen == alert_spec("radio", "local")
-        config = replace(alert_config(), horizon=12)
+        config = replace(alerts.config, horizon=12)
         trace = EventTrace((Event(10, "alert_call_ok", 0),))
         timeline, _ = run_simulation(model, trace, config)
         assert timeline.status == "completed"
@@ -160,7 +148,8 @@ def test_criterion_02_failure_switch_targets_and_choice(capsys):
 
 def test_criterion_03_goal_encoding_matches_direct_solver(capsys):
     with criterion(3, time_limit=30.0):
-        graphs = [dispatch_goals()]
+        dispatch = load("dispatch.model").goals
+        graphs = [dispatch]
         rng = random.Random(101)
         graphs.extend(random_goal_graph(rng, max_s=12) for _ in range(200))
         for index, graph in enumerate(graphs):
@@ -171,7 +160,7 @@ def test_criterion_03_goal_encoding_matches_direct_solver(capsys):
             else:
                 decoded = {decode_selection(graph, spec) for spec in result.optima}
                 assert decoded == set(expected), index
-        direct = solve_rdrp(dispatch_goals())
+        direct = solve_rdrp(dispatch)
         assert set(direct) == {
             frozenset({"send_als"}),
             frozenset({"send_bls"}),
@@ -307,7 +296,8 @@ def test_criterion_09_optimal_time_fraction_bounds(capsys):
             model, trace, config = random_runtime_pair(rng)
             _, metrics = run_simulation(model, trace, config)
             assert metrics.optimal_time_fraction == 1.0, index
-        _, blind = run_simulation(shock_model(), shock_trace(), shock_config())
+        shock = load("shock.model")
+        _, blind = run_simulation(shock.model, load("shock.trace"), shock.config)
         assert blind.optimal_time_fraction < 1.0
         assert blind.ignored_event_count >= 1
 

@@ -13,11 +13,11 @@ import pytest
 from ropas import cli
 from ropas.cli import FAILURE, OK, USAGE, main
 from ropas.decisions import ALTERNATIVE_PARAMETER
-from ropas.fixtures import dispatch_goals
 from ropas.formats import MODEL_HEADER, parse_model, serialize_model
 from ropas.goals import solve_rdrp
 from ropas.model import Specification
 from ropas.solver import Infeasible, OptimalSolutions, decode_selection, rop, solve_rop
+from shipped import load
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 ALERTS = str(FIXTURES / "alerts.model")
@@ -332,8 +332,9 @@ def test_encode_rdrp_emits_a_solvable_model_file(capsys):
     bundle = parse_model(out)
     assert bundle.model is not None
     result = solve_rop(rop(bundle.model, {}))
-    decoded = {decode_selection(dispatch_goals(), spec) for spec in result.optima}
-    assert decoded == set(solve_rdrp(dispatch_goals()))
+    goals = load("dispatch.model").goals
+    decoded = {decode_selection(goals, spec) for spec in result.optima}
+    assert decoded == set(solve_rdrp(goals))
 
 
 def test_encode_rdrp_output_reserializes_byte_identically(capsys):

@@ -1,8 +1,8 @@
 """Expected utility, rankings, and compilation into an optimization problem."""
 
 import random
+from dataclasses import replace
 from math import fsum
-from pathlib import Path
 
 import pytest
 
@@ -27,10 +27,9 @@ from ropas.decisions import (
 )
 from ropas.domains import Boolean, Enumerated, IntegerRange
 from ropas.errors import DefinitionError
-from ropas.fixtures import cautious_decision_model, respond_decision_model
-from ropas.formats import parse_model
 from ropas.model import Criterion, LookupTable, WeightedSum
 from ropas.solver import OptimalSolutions, solve_rop
+from shipped import load
 
 
 # ---------------------------------------------------------------------------
@@ -76,12 +75,13 @@ def test_transform_validation():
 
 
 def test_fixture_decision_models_are_valid():
-    assert validate_decision_model(respond_decision_model()) == []
-    assert validate_decision_model(cautious_decision_model()) == []
+    dm = load("respond.model").decision
+    assert validate_decision_model(dm) == []
+    assert validate_decision_model(replace(dm, transform=PowerTransform(2.0))) == []
 
 
 def test_every_attribute_needs_exactly_one_lottery():
-    dm = respond_decision_model()
+    dm = load("respond.model").decision
     broken = DecisionModel(
         alternatives=(Alternative("heli", dm.alternatives[0].lotteries[:1]),),
         attributes=dm.attributes,
@@ -91,7 +91,7 @@ def test_every_attribute_needs_exactly_one_lottery():
 
 
 def test_outcomes_must_sit_in_attribute_domains():
-    dm = respond_decision_model()
+    dm = load("respond.model").decision
     bad_alt = Alternative(
         "heli",
         (
@@ -108,7 +108,7 @@ def test_outcomes_must_sit_in_attribute_domains():
 
 
 def test_utility_inputs_must_match_attribute_order():
-    dm = respond_decision_model()
+    dm = load("respond.model").decision
     swapped = WeightedSum("utility", "utility", ("success", "response_time"), (60.0, -1.0))
     broken = DecisionModel(dm.alternatives, dm.attributes, swapped)
     assert any("in order" in v.message for v in validate_decision_model(broken))
@@ -137,14 +137,14 @@ def test_joint_utility_table_must_cover_combinations():
 
 
 def test_expected_utility_of_respond_fixture():
-    dm = respond_decision_model()
+    dm = load("respond.model").decision
     assert expected_utility(dm, "heli") == 46.2
     assert expected_utility(dm, "als_unit") == 39.0
     assert expected_utility(dm, "volunteer") == 16.0
 
 
 def test_probability_transform_changes_the_ordering_stakes():
-    dm = cautious_decision_model()
+    dm = replace(load("respond.model").decision, transform=PowerTransform(2.0))
     assert expected_utility(dm, "heli") == pytest.approx(44.58)
     assert expected_utility(dm, "als_unit") == pytest.approx(29.4)
     assert expected_utility(dm, "volunteer") == pytest.approx(11.6)
@@ -152,7 +152,7 @@ def test_probability_transform_changes_the_ordering_stakes():
 
 def test_expected_utility_unknown_alternative():
     with pytest.raises(DefinitionError, match="unknown alternative"):
-        expected_utility(respond_decision_model(), "walk")
+        expected_utility(load("respond.model").decision, "walk")
 
 
 def test_joint_utility_expected_value():
@@ -178,7 +178,7 @@ def test_joint_utility_expected_value():
 
 
 def test_ranking_orders_and_groups():
-    ranking = rank_alternatives(respond_decision_model())
+    ranking = rank_alternatives(load("respond.model").decision)
     assert [aid for aid, _ in ranking.entries] == ["heli", "als_unit", "volunteer"]
     assert ranking.groups == (("heli",), ("als_unit",), ("volunteer",))
     assert ranking.head_group() == ("heli",)
@@ -203,7 +203,7 @@ def test_ranking_groups_exact_ties():
 
 
 def test_compiled_problem_reproduces_the_ranking_head():
-    dm = respond_decision_model()
+    dm = load("respond.model").decision
     result = solve_rop(daop_to_rop(dm))
     assert isinstance(result, OptimalSolutions)
     assert [s["alternative"] for s in result.optima] == ["heli"]
@@ -211,7 +211,7 @@ def test_compiled_problem_reproduces_the_ranking_head():
 
 
 def test_compiled_utility_domain_holds_the_exact_expected_utilities():
-    dm = respond_decision_model()
+    dm = load("respond.model").decision
     domain = daop_to_rop(dm).model.criterion(UTILITY_CRITERION).domain
     exact = {expected_utility(dm, alt.id) for alt in dm.alternatives}
     assert domain.labels == tuple(sorted(exact))
@@ -230,7 +230,7 @@ def test_compiled_problem_rejects_reserved_ids():
 
 
 def test_compiled_problem_rejects_invalid_models():
-    dm = respond_decision_model()
+    dm = load("respond.model").decision
     broken = DecisionModel(
         alternatives=(),
         attributes=dm.attributes,
@@ -251,8 +251,7 @@ def test_parse_then_compile_validates_the_decision_model_once(monkeypatch):
     monkeypatch.setattr(ropas.decisions, "validate_decision_model", counting)
     # A module that imports the validator by name would bypass the patch above.
     monkeypatch.setattr(ropas.formats, "validate_decision_model", counting, raising=False)
-    fixture = Path(__file__).resolve().parent.parent / "fixtures" / "respond.model"
-    daop_to_rop(parse_model(fixture.read_text()).decision)
+    daop_to_rop(load("respond.model").decision)
     assert len(calls) == 1
 
 
@@ -271,7 +270,7 @@ def test_compilation_preserves_optima_on_random_models():
 
 
 def test_additive_utility_matches_independent_summation():
-    dm = respond_decision_model()
+    dm = load("respond.model").decision
     total = {}
     for alt in dm.alternatives:
         parts = [dm.utility.offset]

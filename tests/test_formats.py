@@ -5,16 +5,6 @@ from pathlib import Path
 import pytest
 
 from ropas.domains import Boolean, Enumerated, IntegerRange, RealGrid
-from ropas.fixtures import (
-    alert_config,
-    alert_failure_trace,
-    alert_model,
-    dispatch_goals,
-    respond_decision_model,
-    shock_config,
-    shock_model,
-    shock_trace,
-)
 from ropas.formats import (
     MODEL_HEADER,
     TRACE_HEADER,
@@ -38,6 +28,7 @@ from ropas.formats import (
 from ropas.formats import _RECORDS
 from ropas.model import and_, eval_expr, not_, or_, var
 from ropas.runtime import Event, EventTrace, run_simulation
+from shipped import load
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 EVERY_RECORD = Path(__file__).resolve().parent / "every_record.model"
@@ -156,31 +147,6 @@ def test_terms_without_offset():
 
 # ---------------------------------------------------------------------------
 # Model files
-
-
-def test_alert_fixture_file_parses_to_the_fixture_objects():
-    bundle = parse_model((FIXTURES / "alerts.model").read_text())
-    assert bundle.model == alert_model()
-    assert bundle.config == alert_config()
-    assert bundle.goals is None
-    assert bundle.decision is None
-
-
-def test_shock_fixture_file_parses_to_the_fixture_objects():
-    bundle = parse_model((FIXTURES / "shock.model").read_text())
-    assert bundle.model == shock_model()
-    assert bundle.config == shock_config()
-
-
-def test_dispatch_fixture_file_parses_to_the_goal_graph():
-    bundle = parse_model((FIXTURES / "dispatch.model").read_text())
-    assert bundle.model is None
-    assert bundle.goals == dispatch_goals()
-
-
-def test_respond_fixture_file_parses_to_the_decision_model():
-    bundle = parse_model((FIXTURES / "respond.model").read_text())
-    assert bundle.decision == respond_decision_model()
 
 
 @pytest.mark.parametrize(
@@ -352,13 +318,13 @@ def test_parse_model_accepts_comments_and_blank_lines():
 
 
 def test_trace_round_trip():
-    for trace in (alert_failure_trace(), shock_trace(), EventTrace(())):
+    for trace in (load("alerts_failure.trace"), load("shock.trace"), EventTrace(())):
         assert parse_trace(serialize_trace(trace)) == trace
 
 
 def test_trace_file_fixtures_parse():
-    assert parse_trace((FIXTURES / "alerts_failure.trace").read_text()) == alert_failure_trace()
-    assert parse_trace((FIXTURES / "shock.trace").read_text()) == shock_trace()
+    assert load("alerts_failure.trace") == EventTrace((Event(2, "alert_call_ok", 0),))
+    assert load("shock.trace") == EventTrace((Event(1, "power_grid", 0), Event(2, "shock", 1)))
 
 
 def test_trace_requires_header():
@@ -397,9 +363,8 @@ def test_number_formatting():
 
 
 def test_machine_report_shape():
-    timeline, metrics = run_simulation(
-        alert_model(), alert_failure_trace(), alert_config()
-    )
+    alerts = load("alerts.model")
+    timeline, metrics = run_simulation(alerts.model, load("alerts_failure.trace"), alerts.config)
     report = write_report(timeline, metrics)
     lines = report.strip().splitlines()
     assert len(lines) == 3
@@ -415,7 +380,8 @@ def test_machine_report_shape():
 
 
 def test_machine_report_includes_ignored_events():
-    timeline, metrics = run_simulation(shock_model(), shock_trace(), shock_config())
+    shock = load("shock.model")
+    timeline, metrics = run_simulation(shock.model, load("shock.trace"), shock.config)
     report = write_report(timeline, metrics)
     assert "ignored=power_grid@1=0,shock@2=1" in report
     assert "optimal=1100" in report
@@ -423,7 +389,8 @@ def test_machine_report_includes_ignored_events():
 
 
 def test_human_report_shape():
-    timeline, metrics = run_simulation(shock_model(), shock_trace(), shock_config())
+    shock = load("shock.model")
+    timeline, metrics = run_simulation(shock.model, load("shock.trace"), shock.config)
     report = write_report(timeline, metrics, fmt="human")
     assert "status: completed" in report
     assert "period 1: stability ticks [0, 4)" in report
@@ -431,8 +398,10 @@ def test_human_report_shape():
 
 
 def test_reports_are_deterministic():
-    first = run_simulation(alert_model(), alert_failure_trace(), alert_config())
-    second = run_simulation(alert_model(), alert_failure_trace(), alert_config())
+    first, second = (
+        run_simulation(alerts.model, load("alerts_failure.trace"), alerts.config)
+        for alerts in (load("alerts.model"), load("alerts.model"))
+    )
     assert write_report(*first) == write_report(*second)
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from genmodels import random_goal_graph
 from ropas.errors import DefinitionError, SizeLimitError
-from ropas.fixtures import dispatch_goals
 from ropas.goals import (
     FALSUM,
     check_drp,
@@ -18,6 +17,7 @@ from ropas.goals import (
     solve_rp2,
     solve_rp3,
 )
+from shipped import load
 
 
 def test_falsum_atom_is_reserved():
@@ -100,7 +100,7 @@ def test_conflict_forces_everything():
 
 
 def test_check_drp_on_dispatch_fixture():
-    g = dispatch_goals()
+    g = load("dispatch.model").goals
     assert check_drp(g, {"send_als"}).satisfaction
     assert check_drp(g, {"send_bls"}).satisfaction
     assert check_drp(g, {"send_volunteer"}).satisfaction is False
@@ -127,11 +127,11 @@ def test_inconsistent_closure_never_counts_as_satisfaction():
 
 def test_check_drp_rejects_non_selectable_atoms():
     with pytest.raises(DefinitionError, match="non-selectable"):
-        check_drp(dispatch_goals(), {"station_staffed"})
+        check_drp(load("dispatch.model").goals, {"station_staffed"})
 
 
 def test_rp2_on_dispatch_fixture():
-    g = dispatch_goals()
+    g = load("dispatch.model").goals
     selections = solve_rp2(g)
     assert len(selections) == 21
     for sel in selections:
@@ -141,14 +141,14 @@ def test_rp2_on_dispatch_fixture():
 
 
 def test_rp3_equals_rp2_when_no_optional_requirements():
-    g = dispatch_goals()
+    g = load("dispatch.model").goals
     result = solve_rp3(g)
     assert list(result.selections) == solve_rp2(g)
     assert result.satisfied_count == 0
 
 
 def test_rdrp_keeps_only_smallest_selections():
-    assert solve_rdrp(dispatch_goals()) == [
+    assert solve_rdrp(load("dispatch.model").goals) == [
         frozenset({"send_als"}),
         frozenset({"send_bls"}),
         frozenset({"send_heli"}),
@@ -191,14 +191,14 @@ def test_selection_caps_raise():
 
 
 def test_rename_round_trip():
-    g = dispatch_goals()
+    g = load("dispatch.model").goals
     fwd = {a: f"x_{a}" for a in g.atoms}
     back = {v: k for k, v in fwd.items()}
     assert rename(rename(g, fwd), back) == g
 
 
 def test_rename_requires_total_injective_mapping():
-    g = dispatch_goals()
+    g = load("dispatch.model").goals
     with pytest.raises(DefinitionError, match="misses atoms"):
         rename(g, {"send_als": "x"})
     squash = {a: "same" for a in g.atoms}

@@ -8,12 +8,6 @@ import pytest
 
 from ropas.domains import Boolean, Enumerated, IntegerRange
 from ropas.errors import DefinitionError, EvaluationError, SizeLimitError
-from ropas.fixtures import (
-    alert_exogenous,
-    alert_model,
-    alert_spec,
-    shock_model,
-)
 from ropas.model import (
     BooleanFormula,
     CardinalityConstraint,
@@ -52,6 +46,7 @@ from ropas.model import (
 from ropas.solver import brute_force_oracle, solve_rop
 
 from genmodels import random_rop, with_derived_parameter
+from shipped import alert_spec, load
 
 
 def tiny_model(**overrides) -> Model:
@@ -127,8 +122,8 @@ def test_expr_ok_rejects_malformed():
 
 
 def test_fixture_models_are_valid():
-    assert validate_model(alert_model()) == []
-    assert validate_model(shock_model()) == []
+    assert validate_model(load("alerts.model").model) == []
+    assert validate_model(load("shock.model").model) == []
 
 
 def test_tiny_model_is_valid():
@@ -329,7 +324,9 @@ def test_evaluate_tiny_model():
 
 
 def test_evaluate_alert_fixture():
-    inst = evaluate(alert_model(), alert_spec("call", "local"), alert_exogenous())
+    alerts = load("alerts.model")
+    exogenous = dict(alerts.config.initial_exogenous)
+    inst = evaluate(alerts.model, alert_spec("call", "local"), exogenous)
     assert inst["capacity"] == 85
     assert inst["coverage"] == 60
     assert inst["utility"] == 145
@@ -468,7 +465,7 @@ def test_evaluate_unknown_parameter():
 
 def test_evaluate_missing_exogenous_value():
     with pytest.raises(EvaluationError, match="missing value"):
-        evaluate(alert_model(), alert_spec("call", "local"))
+        evaluate(load("alerts.model").model, alert_spec("call", "local"))
 
 
 def test_evaluate_rejects_exogenous_for_parameter():
@@ -543,14 +540,16 @@ def test_linear_constraint_comparators():
 
 def test_search_space_size():
     assert search_space_size(tiny_model()) == 4
-    assert search_space_size(alert_model()) == 1024
-    assert search_space_size(alert_model(), over=("alert_sms",)) == 2
+    alerts = load("alerts.model").model
+    assert search_space_size(alerts) == 1024
+    assert search_space_size(alerts, over=("alert_sms",)) == 2
 
 
 def test_enumerate_alert_fixture():
-    specs = enumerate_specifications(alert_model(), alert_exogenous())
+    alerts = load("alerts.model")
+    m = alerts.model
+    specs = enumerate_specifications(m, dict(alerts.config.initial_exogenous))
     assert len(specs) == 20
-    m = alert_model()
     for spec in specs:
         channels = sum(spec[f"alert_{c}"] for c in ("sms", "email", "push", "call", "radio"))
         stores = sum(spec[f"store_{b}"] for b in ("local", "cloud", "edge", "mirror", "tape"))
@@ -560,8 +559,9 @@ def test_enumerate_alert_fixture():
 
 
 def test_enumerate_respects_cap():
+    alerts = load("alerts.model")
     with pytest.raises(SizeLimitError):
-        enumerate_specifications(alert_model(), alert_exogenous(), cap=100)
+        enumerate_specifications(alerts.model, dict(alerts.config.initial_exogenous), cap=100)
 
 
 def test_canonical_key_orders_by_parameter_then_domain():

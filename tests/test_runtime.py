@@ -9,17 +9,6 @@ import pytest
 from ropas import runtime
 from ropas.domains import Boolean, IntegerRange, RealGrid
 from ropas.errors import DefinitionError, EvaluationError, SizeLimitError
-from ropas.fixtures import (
-    alert_config,
-    alert_exogenous,
-    alert_failure_trace,
-    alert_model,
-    alert_spec,
-    alert_triggers,
-    shock_config,
-    shock_model,
-    shock_trace,
-)
 from ropas.formats import ModelBundle, ParseFailure, parse_model, serialize_model
 from ropas.model import (
     Criterion,
@@ -56,13 +45,15 @@ from ropas.runtime import (
 from ropas.solver import rop, solve_rop
 
 from genmodels import random_runtime_pair, random_runtime_scenario
+from shipped import alert_spec, load
 
 
 def broken_call_problem():
     """The alert fixture after the call channel's component has failed."""
-    exogenous = dict(alert_exogenous())
+    alerts = load("alerts.model")
+    exogenous = dict(alerts.config.initial_exogenous)
     exogenous["alert_call_ok"] = 0
-    return rop(alert_model(), exogenous)
+    return rop(alerts.model, exogenous)
 
 
 # ---------------------------------------------------------------------------
@@ -82,19 +73,19 @@ def test_trace_last_tick():
 
 
 def test_monitoring_scope_full_range_by_default():
-    m = alert_model()
+    m = load("alerts.model").model
     assert apply_monitoring_scope(m, Event(0, "alert_call_ok", 0))
     assert apply_monitoring_scope(m, Event(0, "demand_shift", -30))
 
 
 def test_monitoring_scope_restricted_range():
-    m = shock_model()
+    m = load("shock.model").model
     assert apply_monitoring_scope(m, Event(0, "shock", 0))
     assert not apply_monitoring_scope(m, Event(0, "shock", 1))
 
 
 def test_monitoring_scope_unknown_variable_or_value():
-    m = alert_model()
+    m = load("alerts.model").model
     assert not apply_monitoring_scope(m, Event(0, "nothing", 1))
     assert not apply_monitoring_scope(m, Event(0, "demand_shift", 99))
 
@@ -124,20 +115,23 @@ def test_value_set_range():
 
 
 def test_check_triggers_reports_sorted_ids():
-    m = alert_model()
-    exogenous = dict(alert_exogenous())
+    alerts = load("alerts.model")
+    m = alerts.model
+    exogenous = dict(alerts.config.initial_exogenous)
     exogenous["demand_shift"] = -30
     from ropas.model import evaluate
 
     instance = evaluate(m, alert_spec("email", "cloud"), exogenous)
-    fired = check_triggers(instance, alert_triggers())
+    fired = check_triggers(instance, alerts.config.triggers)
     assert fired == ("capacity", "coverage")
 
 
 def test_check_triggers_unknown_criterion():
     from ropas.model import evaluate
 
-    instance = evaluate(alert_model(), alert_spec("call", "local"), alert_exogenous())
+    alerts = load("alerts.model")
+    exogenous = dict(alerts.config.initial_exogenous)
+    instance = evaluate(alerts.model, alert_spec("call", "local"), exogenous)
     with pytest.raises(DefinitionError, match="unknown criterion"):
         check_triggers(instance, (AwarenessTrigger("ghost", IntervalRange(0.0, 1.0)),))
 
@@ -151,46 +145,51 @@ def test_relax_widens_finite_edges_only():
         AwarenessTrigger("capacity", IntervalRange(70.0, 200.0)),
         AwarenessTrigger("coverage", IntervalRange(lo=45.0)),
     )
-    widened = relax(triggers, {"capacity": 10.0, "coverage": 5.0}, alert_model())
+    widened = relax(triggers, {"capacity": 10.0, "coverage": 5.0}, load("alerts.model").model)
     assert widened[0].tolerable == IntervalRange(60.0, 210.0)
     assert widened[1].tolerable == IntervalRange(lo=40.0)
 
 
 def test_relax_zero_band_is_identity():
-    triggers = alert_triggers()
-    assert relax(triggers, {}, alert_model()) == tuple(triggers)
-    assert relax(triggers, {"capacity": 0.0}, alert_model()) == tuple(triggers)
+    alerts = load("alerts.model")
+    triggers = alerts.config.triggers
+    assert relax(triggers, {}, alerts.model) == tuple(triggers)
+    assert relax(triggers, {"capacity": 0.0}, alerts.model) == tuple(triggers)
 
 
 def test_relax_rejects_unknown_criteria():
+    alerts = load("alerts.model")
     with pytest.raises(DefinitionError, match="untriggered criteria"):
-        relax(alert_triggers(), {"ghost": 1.0}, alert_model())
+        relax(alerts.config.triggers, {"ghost": 1.0}, alerts.model)
 
 
 def test_relax_rejects_negative_band():
+    alerts = load("alerts.model")
     with pytest.raises(DefinitionError, match="negative widening"):
-        relax(alert_triggers(), {"capacity": -1.0}, alert_model())
+        relax(alerts.config.triggers, {"capacity": -1.0}, alerts.model)
 
 
 @pytest.mark.parametrize("band", (float("nan"), float("inf")))
 def test_relax_rejects_a_non_finite_band(band):
+    alerts = load("alerts.model")
     with pytest.raises(DefinitionError, match="^widening for 'capacity' is not a finite number$"):
-        relax(alert_triggers(), {"capacity": band}, alert_model())
+        relax(alerts.config.triggers, {"capacity": band}, alerts.model)
 
 
 def test_relax_rejects_value_set_ranges():
     triggers = (AwarenessTrigger("capacity", ValueSetRange((80, 85))),)
     with pytest.raises(DefinitionError, match="value-set"):
-        relax(triggers, {"capacity": 1.0}, alert_model())
+        relax(triggers, {"capacity": 1.0}, load("alerts.model").model)
 
 
 def test_relax_must_stay_inside_domain_bounds():
+    alerts = load("alerts.model")
     triggers = (AwarenessTrigger("coverage", IntervalRange(45.0, None)),)
     with pytest.raises(DefinitionError, match="below its domain minimum"):
-        relax(triggers, {"coverage": 100.0}, alert_model())
+        relax(triggers, {"coverage": 100.0}, alerts.model)
     triggers = (AwarenessTrigger("coverage", IntervalRange(None, 240.0)),)
     with pytest.raises(DefinitionError, match="above its domain maximum"):
-        relax(triggers, {"coverage": 20.0}, alert_model())
+        relax(triggers, {"coverage": 20.0}, alerts.model)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +289,7 @@ def test_unless_condition_comparators():
 def test_candidates_prefer_trigger_calming_targets():
     problem = broken_call_problem()
     pool = adaptation_candidates(
-        problem, alert_spec("call", "local"), triggers=alert_triggers()
+        problem, alert_spec("call", "local"), triggers=load("alerts.model").config.triggers
     )
     named = [(s["alert_radio"], s["alert_push"], s["store_local"]) for s in pool]
     assert len(pool) == 2
@@ -298,11 +297,12 @@ def test_candidates_prefer_trigger_calming_targets():
 
 
 def test_candidates_fall_back_when_nothing_calms():
-    exogenous = dict(alert_exogenous())
+    alerts = load("alerts.model")
+    exogenous = dict(alerts.config.initial_exogenous)
     exogenous["demand_shift"] = -30
-    problem = rop(alert_model(), exogenous)
+    problem = rop(alerts.model, exogenous)
     pool = adaptation_candidates(
-        problem, alert_spec("radio", "local"), triggers=alert_triggers()
+        problem, alert_spec("radio", "local"), triggers=alerts.config.triggers
     )
     assert len(pool) == 20
 
@@ -310,7 +310,7 @@ def test_candidates_fall_back_when_nothing_calms():
 def test_select_adaptation_picks_best_calming_target():
     problem = broken_call_problem()
     chosen = select_adaptation(
-        alert_spec("call", "local"), problem, triggers=alert_triggers()
+        alert_spec("call", "local"), problem, triggers=load("alerts.model").config.triggers
     )
     assert isinstance(chosen, Specification)
     assert chosen == alert_spec("radio", "local")
@@ -322,18 +322,19 @@ def test_select_adaptation_respects_change_budget():
         alert_spec("call", "local"),
         problem,
         constraints=(MaxParameterChanges(1),),
-        triggers=alert_triggers(),
+        triggers=load("alerts.model").config.triggers,
     )
     assert isinstance(chosen, NoFeasibleAdaptation)
     assert chosen.reason
 
 
 def test_select_adaptation_respects_forbidden_values_and_transitions():
+    alerts = load("alerts.model")
     problem = broken_call_problem()
     current = alert_spec("call", "local")
     chosen = select_adaptation(
         current, problem, constraints=(ForbiddenValue("alert_radio", 1),),
-        triggers=alert_triggers(),
+        triggers=alerts.config.triggers,
     )
     assert chosen == alert_spec("push", "local")
     chosen = select_adaptation(
@@ -342,7 +343,7 @@ def test_select_adaptation_respects_forbidden_values_and_transitions():
         constraints=(
             ForbiddenTransition((("alert_call", 1),), (("alert_radio", 1),)),
         ),
-        triggers=alert_triggers(),
+        triggers=alerts.config.triggers,
     )
     assert chosen == alert_spec("push", "local")
 
@@ -408,8 +409,9 @@ def test_a_re_solve_canonicalizes_its_exogenous_map_a_fixed_number_of_times():
 
 
 def test_component_failure_switches_inline_with_duration_zero():
+    alerts = load("alerts.model")
     timeline, metrics = run_simulation(
-        alert_model(), alert_failure_trace(), alert_config()
+        alerts.model, load("alerts_failure.trace"), alerts.config
     )
     assert timeline.status == "completed"
     assert len(timeline.periods) == 2
@@ -426,9 +428,9 @@ def test_component_failure_switches_inline_with_duration_zero():
 
 
 def test_component_failure_with_adaptation_period():
-    timeline, metrics = run_simulation(
-        alert_model(), alert_failure_trace(), alert_config(adaptation_duration=2)
-    )
+    alerts = load("alerts.model")
+    config = replace(alerts.config, adaptation_duration=2)
+    timeline, metrics = run_simulation(alerts.model, load("alerts_failure.trace"), config)
     assert [p.kind for p in timeline.periods] == ["stability", "adaptation", "stability"]
     stable, adapting, recovered = timeline.periods
     assert (adapting.start, adapting.end) == (2, 4)
@@ -442,14 +444,15 @@ def test_component_failure_with_adaptation_period():
 
 
 def test_trigger_firing_counts_and_environment_suppression():
+    alerts = load("alerts.model")
     config = SimulationConfig(
         adaptation_duration=0,
-        triggers=alert_triggers(),
-        initial_exogenous=tuple(sorted(alert_exogenous().items())),
+        triggers=alerts.config.triggers,
+        initial_exogenous=alerts.config.initial_exogenous,
         horizon=5,
     )
     trace = EventTrace((Event(1, "demand_shift", -30), Event(3, "demand_shift", -29)))
-    timeline, metrics = run_simulation(alert_model(), trace, config)
+    timeline, metrics = run_simulation(alerts.model, trace, config)
     assert timeline.status == "completed"
     assert len(timeline.periods) == 1
     period = timeline.periods[0]
@@ -460,15 +463,16 @@ def test_trigger_firing_counts_and_environment_suppression():
 
 
 def test_trigger_switch_opens_a_new_period():
+    alerts = load("alerts.model")
     config = SimulationConfig(
         adaptation_duration=0,
-        triggers=alert_triggers(),
-        initial_exogenous=tuple(sorted(alert_exogenous().items())),
+        triggers=alerts.config.triggers,
+        initial_exogenous=alerts.config.initial_exogenous,
         initial_spec=alert_spec("call", "local"),
         horizon=4,
     )
     trace = EventTrace((Event(2, "demand_shift", -20),))
-    timeline, metrics = run_simulation(alert_model(), trace, config)
+    timeline, metrics = run_simulation(alerts.model, trace, config)
     assert [p.kind for p in timeline.periods] == ["stability", "stability"]
     before, after = timeline.periods
     assert before.spec == alert_spec("call", "local")
@@ -479,23 +483,25 @@ def test_trigger_switch_opens_a_new_period():
 
 
 def test_relaxation_prevents_the_firing():
+    alerts = load("alerts.model")
     config = SimulationConfig(
         adaptation_duration=0,
-        triggers=alert_triggers(),
+        triggers=alerts.config.triggers,
         relaxation=(("coverage", 20.0),),
-        initial_exogenous=tuple(sorted(alert_exogenous().items())),
+        initial_exogenous=alerts.config.initial_exogenous,
         initial_spec=alert_spec("call", "local"),
         horizon=4,
     )
     trace = EventTrace((Event(2, "demand_shift", -10),))
-    timeline, metrics = run_simulation(alert_model(), trace, config)
+    timeline, metrics = run_simulation(alerts.model, trace, config)
     assert len(timeline.periods) == 1
     assert timeline.periods[0].spec == alert_spec("call", "local")
     assert metrics.trigger_count == 0
 
 
 def test_halt_when_no_adaptation_target_survives():
-    config = alert_config()
+    alerts = load("alerts.model")
+    config = alerts.config
     config = SimulationConfig(
         adaptation_duration=0,
         triggers=config.triggers,
@@ -504,7 +510,7 @@ def test_halt_when_no_adaptation_target_survives():
         initial_spec=config.initial_spec,
         horizon=config.horizon,
     )
-    timeline, metrics = run_simulation(alert_model(), alert_failure_trace(), config)
+    timeline, metrics = run_simulation(alerts.model, load("alerts_failure.trace"), config)
     assert timeline.status == "no-feasible-adaptation"
     assert len(timeline.periods) == 1
     assert timeline.periods[0].end == 2
@@ -513,7 +519,8 @@ def test_halt_when_no_adaptation_target_survives():
 
 
 def test_halt_at_the_end_of_an_adaptation_period():
-    base = alert_config(adaptation_duration=2)
+    alerts = load("alerts.model")
+    base = alerts.config
     config = SimulationConfig(
         adaptation_duration=2,
         triggers=base.triggers,
@@ -522,7 +529,7 @@ def test_halt_at_the_end_of_an_adaptation_period():
         initial_spec=base.initial_spec,
         horizon=base.horizon,
     )
-    timeline, metrics = run_simulation(alert_model(), alert_failure_trace(), config)
+    timeline, metrics = run_simulation(alerts.model, load("alerts_failure.trace"), config)
     assert timeline.status == "no-feasible-adaptation"
     assert [p.kind for p in timeline.periods] == ["stability", "adaptation"]
     assert (timeline.periods[1].start, timeline.periods[1].end) == (2, 4)
@@ -530,7 +537,8 @@ def test_halt_at_the_end_of_an_adaptation_period():
 
 
 def test_undetectable_events_are_ignored_but_scored():
-    timeline, metrics = run_simulation(shock_model(), shock_trace(), shock_config())
+    shock = load("shock.model")
+    timeline, metrics = run_simulation(shock.model, load("shock.trace"), shock.config)
     assert timeline.status == "completed"
     assert len(timeline.periods) == 1
     period = timeline.periods[0]
@@ -543,75 +551,81 @@ def test_undetectable_events_are_ignored_but_scored():
 
 
 def test_default_horizon_is_one_past_the_last_event():
+    alerts = load("alerts.model")
     config = SimulationConfig(
-        initial_exogenous=tuple(sorted(alert_exogenous().items())),
+        initial_exogenous=alerts.config.initial_exogenous,
         initial_spec=alert_spec("call", "local"),
     )
     trace = EventTrace((Event(2, "demand_shift", 5),))
-    timeline, _ = run_simulation(alert_model(), trace, config)
+    timeline, _ = run_simulation(alerts.model, trace, config)
     assert timeline.periods[-1].end == 3
-    timeline, _ = run_simulation(alert_model(), EventTrace(()), config)
+    timeline, _ = run_simulation(alerts.model, EventTrace(()), config)
     assert timeline.periods[-1].end == 1
 
 
 def test_event_binding_errors():
-    config = alert_config()
+    alerts = load("alerts.model")
+    config = alerts.config
     with pytest.raises(DefinitionError, match="neither monitored"):
-        run_simulation(alert_model(), EventTrace((Event(0, "ghost", 1),)), config)
+        run_simulation(alerts.model, EventTrace((Event(0, "ghost", 1),)), config)
     with pytest.raises(DefinitionError, match="is not monitored"):
-        run_simulation(alert_model(), EventTrace((Event(0, "alert_sms", 1),)), config)
+        run_simulation(alerts.model, EventTrace((Event(0, "alert_sms", 1),)), config)
     with pytest.raises(DefinitionError, match="outside the domain"):
         run_simulation(
-            alert_model(), EventTrace((Event(0, "demand_shift", 99),)), config
+            alerts.model, EventTrace((Event(0, "demand_shift", 99),)), config
         )
 
 
 def test_simulation_requires_initial_monitored_values():
     config = SimulationConfig(initial_spec=alert_spec("call", "local"))
     with pytest.raises(DefinitionError, match="no initial value"):
-        run_simulation(alert_model(), EventTrace(()), config)
+        run_simulation(load("alerts.model").model, EventTrace(()), config)
 
 
 def test_simulation_rejects_bad_configs():
+    alerts = load("alerts.model")
     config = SimulationConfig(
         adaptation_duration=-1,
-        initial_exogenous=tuple(sorted(alert_exogenous().items())),
+        initial_exogenous=alerts.config.initial_exogenous,
     )
     with pytest.raises(DefinitionError, match="nonnegative"):
-        run_simulation(alert_model(), EventTrace(()), config)
+        run_simulation(alerts.model, EventTrace(()), config)
     partial = Specification.from_mapping({"alert_sms": 1})
     config = SimulationConfig(
-        initial_exogenous=tuple(sorted(alert_exogenous().items())),
+        initial_exogenous=alerts.config.initial_exogenous,
         initial_spec=partial,
     )
-    missing = sorted(p.id for p in alert_model().parameters if p.id != "alert_sms")
+    missing = sorted(p.id for p in alerts.model.parameters if p.id != "alert_sms")
     message = f"initial-spec must assign exactly the parameters (missing {missing}, extra [])"
     with pytest.raises(DefinitionError, match=f"^{re.escape(message)}$"):
-        run_simulation(alert_model(), EventTrace(()), config)
+        run_simulation(alerts.model, EventTrace(()), config)
 
 
 def test_simulation_rejects_a_horizon_below_one():
+    alerts = load("alerts.model")
     for horizon in (0, -2):
-        config = replace(alert_config(), horizon=horizon)
+        config = replace(alerts.config, horizon=horizon)
         with pytest.raises(DefinitionError, match="^horizon must be at least 1$"):
-            run_simulation(alert_model(), EventTrace(()), config)
+            run_simulation(alerts.model, EventTrace(()), config)
 
 
 def test_simulation_rejects_an_undeclared_initial_variable():
-    config = alert_config()
+    alerts = load("alerts.model")
+    config = alerts.config
     config = replace(config, initial_exogenous=config.initial_exogenous + (("ghost", 1),))
     with pytest.raises(
         DefinitionError, match="^initial value for non-monitored variable 'ghost'$"
     ):
-        run_simulation(alert_model(), EventTrace(()), config)
+        run_simulation(alerts.model, EventTrace(()), config)
 
 
 def _bad_alert_configs():
     """(config, message, head of the record a model file reports it at, or
     None for a library-only case), one fault each, on the alert fixture."""
-    base = alert_config()
+    alerts = load("alerts.model")
+    base = alerts.config
     spec = alert_spec("call", "local").as_dict()
-    exogenous = alert_exogenous()
+    exogenous = dict(alerts.config.initial_exogenous)
     ghost = AwarenessTrigger("ghost", IntervalRange(0.0, None))
 
     def evolution(constraint):
@@ -652,12 +666,13 @@ def _bad_alert_configs():
 
 @pytest.mark.parametrize("config, message, head", _bad_alert_configs())
 def test_simulation_and_parser_reject_a_bad_config_alike(config, message, head):
+    alerts = load("alerts.model")
     with pytest.raises(DefinitionError) as info:
-        run_simulation(alert_model(), EventTrace(()), config)
+        run_simulation(alerts.model, EventTrace(()), config)
     assert str(info.value) == message
     if head is None:
         return
-    text = serialize_model(ModelBundle(alert_model(), config))
+    text = serialize_model(ModelBundle(alerts.model, config))
     line = next(n for n, record in enumerate(text.splitlines(), 1) if record.startswith(head))
     with pytest.raises(ParseFailure) as parsed:
         parse_model(text)
@@ -678,18 +693,20 @@ def test_simulation_rejects_invalid_models():
 
 
 def test_simulation_needs_a_decision_rule_and_a_decision_set():
+    alerts = load("alerts.model")
     for model in (
-        replace(alert_model(), decision_rule=None),
-        replace(alert_model(), decision_set=()),
+        replace(alerts.model, decision_rule=None),
+        replace(alerts.model, decision_set=()),
     ):
         with pytest.raises(
             DefinitionError, match="^simulation needs a decision rule and a decision set$"
         ):
-            run_simulation(model, EventTrace(()), alert_config())
+            run_simulation(model, EventTrace(()), alerts.config)
 
 
 def test_simulation_cap_limits_the_solver():
-    config = alert_config()
+    alerts = load("alerts.model")
+    config = alerts.config
     config = SimulationConfig(
         adaptation_duration=0,
         triggers=config.triggers,
@@ -698,7 +715,7 @@ def test_simulation_cap_limits_the_solver():
         cap=100,
     )
     with pytest.raises(SizeLimitError):
-        run_simulation(alert_model(), EventTrace(()), config)
+        run_simulation(alerts.model, EventTrace(()), config)
 
 
 # ---------------------------------------------------------------------------
@@ -755,16 +772,17 @@ def test_resolve_without_a_default_fails_like_solve_rop():
 
 def alert_run(events, horizon, adaptation_duration=0, constraints=()):
     """The alert fixture from call+local, with ``power_grid`` in the change scope."""
+    alerts = load("alerts.model")
     config = SimulationConfig(
         adaptation_duration=adaptation_duration,
-        triggers=alert_triggers(),
+        triggers=alerts.config.triggers,
         constraints=constraints,
-        initial_exogenous=tuple(sorted(alert_exogenous().items())),
+        initial_exogenous=alerts.config.initial_exogenous,
         initial_spec=alert_spec("call", "local"),
         horizon=horizon,
         change_scope=(("power_grid", Boolean()),),
     )
-    return run_simulation(alert_model(), EventTrace(tuple(events)), config)
+    return run_simulation(alerts.model, EventTrace(tuple(events)), config)
 
 
 def spans(timeline):
@@ -882,9 +900,11 @@ def record_solves(monkeypatch):
 
 
 def test_the_omniscient_replay_reuses_every_solve_when_all_events_are_visible(monkeypatch):
+    alerts = load("alerts.model")
     calls = record_solves(monkeypatch)
-    runs = [(alert_model(), alert_failure_trace(), alert_config())]
-    runs.append((alert_model(), alert_failure_trace(), replace(alert_config(), initial_spec=None)))
+    runs = [(alerts.model, load("alerts_failure.trace"), alerts.config)]
+    blank = replace(alerts.config, initial_spec=None)
+    runs.append((alerts.model, load("alerts_failure.trace"), blank))
     rng = random.Random(11)
     runs += [random_runtime_pair(rng) for _ in range(50)]
     for index, (model, trace, config) in enumerate(runs):

@@ -13,7 +13,6 @@ from genmodels import (
 )
 from ropas.domains import Boolean, Enumerated, IntegerRange, RealGrid
 from ropas.errors import DefinitionError, EvaluationError, RopasError, SizeLimitError
-from ropas.fixtures import alert_exogenous, alert_model, dispatch_goals
 from ropas.goals import check_drp, goal_graph, solve_rdrp
 from ropas.model import (
     BooleanFormula,
@@ -44,6 +43,7 @@ from ropas.solver import (
     rop,
     solve_rop,
 )
+from shipped import load
 
 
 def linear_toy(depends=None, parameters=None, decision_set=("x", "y")) -> Model:
@@ -72,7 +72,8 @@ def test_classify_binary_linear():
 
 
 def test_classify_alert_fixture_binary_general():
-    c = classify(rop(alert_model(), alert_exogenous()))
+    alerts = load("alerts.model")
+    c = classify(rop(alerts.model, dict(alerts.config.initial_exogenous)))
     assert c.variable_kind == "binary"
     assert c.depend_kind == "general"
 
@@ -142,7 +143,8 @@ def test_solve_reports_infeasible():
 
 
 def test_solve_alert_fixture_optimum():
-    result = solve_rop(rop(alert_model(), alert_exogenous()))
+    alerts = load("alerts.model")
+    result = solve_rop(rop(alerts.model, dict(alerts.config.initial_exogenous)))
     assert isinstance(result, OptimalSolutions)
     assert result.objective_value == 165
     assert len(result.optima) == 1
@@ -216,11 +218,12 @@ def test_solve_fills_in_derived_parameters():
 
 
 def test_solve_cap():
-    m = alert_model()
+    alerts = load("alerts.model")
+    problem = rop(alerts.model, dict(alerts.config.initial_exogenous))
     with pytest.raises(SizeLimitError):
-        solve_rop(rop(m, alert_exogenous()), cap=100)
+        solve_rop(problem, cap=100)
     with pytest.raises(SizeLimitError):
-        brute_force_oracle(rop(m, alert_exogenous()), cap=100)
+        brute_force_oracle(problem, cap=100)
 
 
 def test_search_agrees_with_oracle_on_random_problems():
@@ -337,7 +340,7 @@ def test_enumeration_sorts_a_derived_parameter_before_a_free_one():
 
 
 def test_encode_dispatch_graph_finds_minimal_selections():
-    g = dispatch_goals()
+    g = load("dispatch.model").goals
     problem = encode_rdrp(g)
     assert validate_model(problem.model) == []
     result = solve_rop(problem)
@@ -646,9 +649,10 @@ def test_rop_validates_each_model_once(monkeypatch):
 
     for module in (model_module, solver):
         monkeypatch.setattr(module, "validate_model", counted, raising=False)
-    m = alert_model()
+    alerts = load("alerts.model")
+    m, exogenous = alerts.model, dict(alerts.config.initial_exogenous)
     for _ in range(100):
-        rop(m, alert_exogenous())
+        rop(m, exogenous)
     assert len(calls) == 1
     assert validate_model(m) == [] and validate_model(m) is not validate_model(m)
 
