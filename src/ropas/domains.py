@@ -4,11 +4,13 @@ Four concrete kinds exist: ``Boolean``, ``IntegerRange``, ``RealGrid``, and
 ``Enumerated``.  Every domain is a finite, explicitly ordered value set; no
 symbolic or interval reasoning happens anywhere downstream.  The declaration
 order of a domain's values is its canonical order, used for deterministic
-enumeration and tie sorting.  No domain holds an infinite or nan value.
+enumeration and tie sorting.  No domain holds an infinite or nan value, or
+an integer too large for a float.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import isfinite
 from typing import Union
@@ -58,6 +60,8 @@ class IntegerRange:
     def __post_init__(self) -> None:
         if not (isinstance(self.lo, int) and isinstance(self.hi, int)):
             raise DefinitionError("integer range bounds must be integers")
+        if not (is_finite(self.lo) and is_finite(self.hi)):
+            raise DefinitionError("integer range bounds must fit a float")
         if self.lo > self.hi:
             raise DefinitionError(f"empty integer range [{self.lo}, {self.hi}]")
 
@@ -173,7 +177,7 @@ class Enumerated:
             raise DefinitionError("enumerated domain needs at least one value")
         if len(set(self.labels)) != len(self.labels):
             raise DefinitionError("enumerated domain values must be distinct")
-        if not all(is_finite(v) for v in self.labels if isinstance(v, float)):
+        if not all(is_finite(v) for v in self.labels if is_numeric(v)):
             raise DefinitionError("enumerated domain values must be finite")
 
     @property
@@ -216,5 +220,7 @@ def is_numeric(value: Value) -> bool:
 
 
 def is_finite(value: Value) -> bool:
-    """A numeric value that is neither infinite nor nan."""
-    return isfinite(value) if isinstance(value, float) else is_numeric(value)
+    """A numeric value that is neither infinite nor nan and that fits a float."""
+    if isinstance(value, float):
+        return isfinite(value)
+    return is_numeric(value) and abs(value) <= sys.float_info.max

@@ -644,6 +644,7 @@ def validate_model(model: Model) -> list[Violation]:
                 out.append(Violation(dep.id, f"unknown comparator '{dep.comparator}'"))
             if not dep.inputs:
                 out.append(Violation(dep.id, "cardinality needs at least one input"))
+            _check_finite(dep.id, out, bound=(dep.bound,))
             _check_inputs(model, dep, "boolean", out, "cardinality ")
         elif isinstance(dep, Incompatibility):
             if dep.a == dep.b:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence, Union
 
 from .domains import TOLERANCE, Domain, Value, domain_bounds, is_finite, is_numeric
-from .errors import DefinitionError
+from .errors import DefinitionError, SizeLimitError
 from .model import (
     DEFAULT_ENUMERATION_CAP,
     Model,
@@ -400,7 +400,7 @@ class SimulationConfig:
     ``change_scope`` declares extra trace variables that are outside the
     model; their events are always ignored.  ``horizon`` must be at least 1
     and defaults to one past the last event tick (or a single tick for an
-    empty trace).
+    empty trace).  ``cap`` bounds each re-solve's search space and the horizon.
     """
 
     adaptation_duration: int = 0
@@ -428,7 +428,9 @@ def config_violations(model: Model, config: SimulationConfig) -> list[Violation]
     def check(subject: str, what: str, pairs, kind: str) -> None:
         """Each name must be a ``kind`` with its value in that variable's domain;
         ``{}`` in ``subject`` stands for the name."""
-        find = model.parameter if kind == "parameter" else model.monitored_variable
+        find = {"parameter": model.parameter, "criterion": model.criterion}.get(
+            kind, model.monitored_variable
+        )
         for name, value in pairs:
             at = subject.format(name)
             try:
@@ -451,6 +453,8 @@ def config_violations(model: Model, config: SimulationConfig) -> list[Violation]
         name, tolerable = trigger.criterion, trigger.tolerable
         if not any(c.id == name for c in model.criteria):
             bad(f"trigger {name}", f"trigger watches unknown criterion '{name}'")
+        elif isinstance(tolerable, ValueSetRange):
+            check(f"trigger {name}", "trigger", ((name, v) for v in tolerable.values), "criterion")
         edges = (tolerable.lo, tolerable.hi) if isinstance(tolerable, IntervalRange) else ()
         if not all(edge is None or is_finite(edge) for edge in edges):
             bad(f"trigger {name}", "trigger range edges must be finite numbers")
@@ -475,8 +479,8 @@ def config_violations(model: Model, config: SimulationConfig) -> list[Violation]
 
 
 # ``c`` with every value as its variable's domain holds it, so that it
-# compares equal to the canonical specifications and environments.
-def _canonical(model: Model, c: EvolutionConstraint) -> EvolutionConstraint:
+# compares equal to the canonical specifications, environments and instances.
+def _canonical(model: Model, c: Union[EvolutionConstraint, AwarenessTrigger]):
     def canon(pairs):
         return tuple((name, model.variable_domain(name).canonical(value)) for name, value in pairs)
 
@@ -486,6 +490,9 @@ def _canonical(model: Model, c: EvolutionConstraint) -> EvolutionConstraint:
         unless = c.unless and replace(c.unless, tests=canon(c.unless.tests))
         value = model.variable_domain(c.parameter).canonical(c.value)
         return ForbiddenValue(c.parameter, value, unless)
+    if isinstance(c, AwarenessTrigger) and isinstance(c.tolerable, ValueSetRange):
+        domain = model.criterion(c.criterion).domain
+        return replace(c, tolerable=ValueSetRange(tuple(map(domain.canonical, c.tolerable.values))))
     return c
 
 
@@ -707,7 +714,8 @@ def run_simulation(
     Identical inputs always produce identical timelines.  A run halts with
     status "no-feasible-adaptation" (keeping the partial timeline) when no
     switch target survives the constraints.  An invalid model, a config that
-    ``config_violations`` rejects or a missing initial value raises DefinitionError.
+    ``config_violations`` rejects or a missing initial value raises DefinitionError;
+    a horizon above ``config.cap`` raises SizeLimitError before any tick runs.
     """
     violations = model.violations
     if violations:
@@ -717,7 +725,11 @@ def run_simulation(
     problems = config_violations(model, config)
     if problems:
         raise DefinitionError(problems[0].message)
-    config = replace(config, constraints=tuple(_canonical(model, c) for c in config.constraints))
+    config = replace(
+        config,
+        constraints=tuple(_canonical(model, c) for c in config.constraints),
+        triggers=tuple(_canonical(model, t) for t in config.triggers),
+    )
     initial = {
         n: model.monitored_variable(n).domain.canonical(v) for n, v in config.initial_exogenous
     }
@@ -729,6 +741,8 @@ def run_simulation(
     )
     events_by_tick = _bind_events(model, trace, dict(config.change_scope))
     horizon = max(trace.last_tick() + 1, 1) if config.horizon is None else config.horizon
+    if horizon > config.cap:
+        raise SizeLimitError(f"horizon {horizon} exceeds cap {config.cap}")
     triggers = relax(config.triggers, dict(config.relaxation), model)
 
     memo: dict = {}

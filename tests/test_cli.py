@@ -510,6 +510,8 @@ def test_simulate_respects_the_cap(capsys):
     code, _, err = run_cli(capsys, "simulate", "--cap", "100", ALERTS, ALERTS_TRACE)
     assert code == FAILURE
     assert "exceeds cap" in err
+    code, out, err = run_cli(capsys, "simulate", "--cap", "3", SHOCK, SHOCK_TRACE)
+    assert (code, out, err) == (FAILURE, "", "horizon 4 exceeds cap 3\n")
 
 
 # --- decision set, parser, hash seed ---

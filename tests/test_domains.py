@@ -137,6 +137,8 @@ def test_no_domain_holds_a_non_finite_value(domain):
         (lambda: RealGrid(-1e308, 1e308, 1.0), "too many points"),
         (lambda: Enumerated((1.0, float("nan"))), "must be finite"),
         (lambda: Enumerated(("a", float("-inf"))), "must be finite"),
+        (lambda: Enumerated((1, 10**400)), "must be finite"),
+        (lambda: IntegerRange(-(10**400), 30), "must fit a float"),
     ],
 )
 def test_domains_reject_non_finite_definitions(make, message):
@@ -145,8 +147,8 @@ def test_domains_reject_non_finite_definitions(make, message):
 
 
 def test_is_finite():
-    assert is_finite(3) and is_finite(-2.5) and is_finite(10**400)
-    assert not any(is_finite(value) for value in (*NON_FINITE, True, "3"))
+    assert is_finite(3) and is_finite(-2.5) and is_finite(-(10**308))
+    assert not any(is_finite(value) for value in (*NON_FINITE, 10**400, -(10**309), True, "3"))
 
 
 @given(st.integers(-30, 30), st.integers(0, 20))

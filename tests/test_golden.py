@@ -79,6 +79,9 @@ _DECISION = (
     "lottery x a 1:1.0",
 )
 
+# An integer literal too large for a float.
+_HUGE = "9" * 400
+
 # First lines that stand in for a missing header.
 _NOT_A_MODEL = "something else"
 _NOT_A_TRACE = "not a trace"
@@ -235,6 +238,10 @@ BROKEN: tuple[tuple[str, ...], ...] = (
     (*_DECISION, "[utility]", "lookup-table 0=nan ; 1=1.0"),
     (*_DECISION, "[utility]", "weighted-sum 1.0*a", "[transform]", "power nan"),
     (*_DECISION, "[utility]", "weighted-sum 1.0*a", "[transform]", "table 0:0 0.5:nan 1:1"),
+    (*_MODEL, "[triggers]", "trigger score in {3,99,nan}"),
+    ("[variables]", f"monitored m int:-{_HUGE}:30"),
+    ("[variables]", f"parameter p enum:1,{_HUGE}"),
+    (*_MODEL, f"cardinality c : p >= -{_HUGE}"),
 )
 
 

@@ -661,6 +661,8 @@ def _bad_alert_configs():
          "unless test value for non-monitored variable 'capacity'", "forbid-value "),
         (evolution(ForbiddenValue("alert_sms", 1, UnlessCondition((("demand_shift", 99),), ">=", 1))),
          "unless test value 99 outside the domain of 'demand_shift'", "forbid-value "),
+        (replace(base, triggers=(AwarenessTrigger("capacity", ValueSetRange((85, 301))),)),
+         "trigger value 301 outside the domain of 'capacity'", "trigger capacity "),
     ]
 
 
@@ -716,6 +718,38 @@ def test_simulation_cap_limits_the_solver():
     )
     with pytest.raises(SizeLimitError):
         run_simulation(alerts.model, EventTrace(()), config)
+
+
+def test_a_horizon_above_the_cap_raises_before_any_tick(monkeypatch):
+    def replay(*args):
+        raise AssertionError("a tick ran")
+
+    monkeypatch.setattr(runtime, "_replay", replay)
+    alerts = load("alerts.model")
+    late = EventTrace((Event(1024, "alert_call_ok", 0),))
+    for trace, horizon, ticks in ((EventTrace(()), 10**12, 10**12), (late, None, 1025)):
+        config = replace(alerts.config, horizon=horizon, cap=1024)
+        with pytest.raises(SizeLimitError, match=f"^horizon {ticks} exceeds cap 1024$"):
+            run_simulation(alerts.model, trace, config)
+
+
+def test_a_value_set_trigger_compares_canonical_values():
+    """``0.1 * 3`` is the grid point 0.30000000000000004, which the set's 0.3 names."""
+    model = Model(
+        criteria=(Criterion("c", RealGrid(0.0, 1.0, 0.1), "utility", "higher-better"),),
+        parameters=(Parameter("p", IntegerRange(0, 10), 0),),
+        depends=(WeightedSum("cdef", "c", ("p",), (0.1,)),),
+        decision_rule="c",
+        decision_set=("p",),
+    )
+    config = SimulationConfig(
+        triggers=(AwarenessTrigger("c", ValueSetRange((0.3,))),),
+        initial_spec=Specification.from_mapping({"p": 3}),
+        horizon=2,
+    )
+    timeline, metrics = run_simulation(model, EventTrace(()), config)
+    assert [(period.spec["p"], period.fired) for period in timeline.periods] == [(3, ())]
+    assert metrics.trigger_count == 0
 
 
 # ---------------------------------------------------------------------------
