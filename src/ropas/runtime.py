@@ -480,7 +480,9 @@ def config_violations(model: Model, config: SimulationConfig) -> list[Violation]
 
 # ``c`` with every value as its variable's domain holds it, so that it
 # compares equal to the canonical specifications, environments and instances.
-def _canonical(model: Model, c: Union[EvolutionConstraint, AwarenessTrigger]):
+def _canonical(
+    model: Model, c: Union[EvolutionConstraint, AwarenessTrigger]
+) -> Union[EvolutionConstraint, AwarenessTrigger]:
     def canon(pairs):
         return tuple((name, model.variable_domain(name).canonical(value)) for name, value in pairs)
 

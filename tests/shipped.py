@@ -1,7 +1,8 @@
 """Read the example models and traces shipped under ``fixtures/``.
 
-The files are the one source of the examples: tests derive every builder
-they need from the parsed bundle instead of rebuilding a model in code.
+The files are the one source of the example models: tests take what they
+need (a model, its simulation setup, triggers, initial values) from the
+parsed bundle.
 """
 
 from __future__ import annotations
