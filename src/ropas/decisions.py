@@ -109,8 +109,6 @@ class TableTransform:
             return pts[0][1]
         for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
             if p <= x1:
-                if x1 == x0:
-                    return y1
                 return y0 + (y1 - y0) * (p - x0) / (x1 - x0)
         return pts[-1][1]
 

@@ -21,13 +21,14 @@ Each distinct (believed environment, active specification) pair is solved
 and checked once per run, and the omniscient rerun reuses those results.
 
 ``run_simulation`` canonicalizes the configuration (initial values, the
-initial specification, evolution-constraint values) and the trace events
-once, on entry.  From there every value the simulator holds is canonical, as
-are the search's candidates, so it evaluates through the model's trusted
-entry ``_evaluated``: each re-solve canonicalizes its exogenous map once,
+initial specification, value-set trigger values) and the trace events once,
+on entry, and every re-solve, public ones included, canonicalizes the values
+of its evolution constraints and value-set triggers.  So every value compared
+is canonical, as are the search's candidates, and evaluation goes through the
+model's trusted entry ``_evaluated``: a re-solve canonicalizes its exogenous
+map a fixed three times (in the search, the trigger filter and the argmax),
 not once per candidate, and one evaluation of a specification gives both its
-instance and its feasibility.  The public ``adaptation_candidates`` and
-``select_adaptation`` still accept any ``Rop``.
+instance and its feasibility.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .model import (
     _exogenous_values,
     _feasible,
     _instance,
-    canonical_key,
     enumerate_specifications,
     hamming,
     pinned_values,
@@ -157,7 +157,7 @@ class AwarenessTrigger:
 def check_triggers(
     instance: ProblemInstance, triggers: Sequence[AwarenessTrigger]
 ) -> tuple[str, ...]:
-    """Criterion ids of the triggers that fire, sorted."""
+    """Criterion ids of the triggers that fire, sorted; values are compared as given."""
     fired = []
     for trigger in triggers:
         try:
@@ -299,6 +299,32 @@ def constraint_allows(
     return constraint.unless.holds(exogenous)
 
 
+# ``c`` with each value as its variable's domain holds it, so that it compares
+# equal to the canonical specifications, environments and instances.  A value
+# of an undeclared name or outside its domain stays as given: it matches
+# nothing, and an unknown trigger criterion still raises.
+def _canonical(
+    model: Model, c: Union[EvolutionConstraint, AwarenessTrigger]
+) -> Union[EvolutionConstraint, AwarenessTrigger]:
+    def canon(name: str, value: Value) -> Value:
+        if model.has_variable(name) and model.variable_domain(name).contains(value):
+            return model.variable_domain(name).canonical(value)
+        return value
+
+    def pairs(items: tuple[tuple[str, Value], ...]) -> tuple[tuple[str, Value], ...]:
+        return tuple((name, canon(name, value)) for name, value in items)
+
+    if isinstance(c, ForbiddenTransition):
+        return ForbiddenTransition(pairs(c.from_values), pairs(c.to_values))
+    if isinstance(c, ForbiddenValue):
+        unless = c.unless and replace(c.unless, tests=pairs(c.unless.tests))
+        return ForbiddenValue(c.parameter, canon(c.parameter, c.value), unless)
+    if isinstance(c, AwarenessTrigger) and isinstance(c.tolerable, ValueSetRange):
+        values = tuple(canon(c.criterion, value) for value in c.tolerable.values)
+        return replace(c, tolerable=ValueSetRange(values))
+    return c
+
+
 # ---------------------------------------------------------------------------
 # Adaptation target selection
 
@@ -325,21 +351,24 @@ def adaptation_candidates(
     the feasible specifications so pinned that every evolution constraint
     allows; among those, only specifications whose evaluated instance keeps
     every trigger inside its tolerable range are kept, unless no candidate
-    does, in which case the constraint-filtered set stands.
+    does, in which case the constraint-filtered set stands.  Constraint and
+    trigger values are compared canonical: ``0.3`` names the grid point ``0.1 * 3``.
     """
     model = problem.model
     exogenous = problem.exogenous_map()
+    constraints = [_canonical(model, c) for c in constraints]
+    triggers = [_canonical(model, t) for t in triggers]
     pinned = pinned_values(model, model.decision_set, current)
     feasible = enumerate_specifications(model, exogenous, cap)
+    # The search emits canonical specifications, so each is judged against the
+    # canonical exogenous map and evaluated through the trusted entry.
+    given = _exogenous_values(model, exogenous)
     allowed = [
         spec
         for spec in feasible
         if all(spec[pid] == value for pid, value in pinned.items())
-        and all(constraint_allows(c, current, spec, exogenous) for c in constraints)
+        and all(constraint_allows(c, current, spec, given) for c in constraints)
     ]
-    # The search emits canonical specifications, so each is evaluated through
-    # the trusted entry against the exogenous map canonicalized once.
-    given = _exogenous_values(model, exogenous)
     calm = [
         spec
         for spec in allowed
@@ -369,7 +398,8 @@ def _adaptation_step(
     best = tuple(spec for spec, value in zip(pool, values) if value == top)
     if current is None:
         return best, best[0]
-    return best, min(best, key=lambda s: (hamming(current, s), canonical_key(model, s)))
+    # The pool is in canonical order, and ``min`` keeps the first of equals.
+    return best, min(best, key=lambda s: hamming(current, s))
 
 
 def select_adaptation(
@@ -478,26 +508,6 @@ def config_violations(model: Model, config: SimulationConfig) -> list[Violation]
     return out
 
 
-# ``c`` with every value as its variable's domain holds it, so that it
-# compares equal to the canonical specifications, environments and instances.
-def _canonical(
-    model: Model, c: Union[EvolutionConstraint, AwarenessTrigger]
-) -> Union[EvolutionConstraint, AwarenessTrigger]:
-    def canon(pairs):
-        return tuple((name, model.variable_domain(name).canonical(value)) for name, value in pairs)
-
-    if isinstance(c, ForbiddenTransition):
-        return ForbiddenTransition(canon(c.from_values), canon(c.to_values))
-    if isinstance(c, ForbiddenValue):
-        unless = c.unless and replace(c.unless, tests=canon(c.unless.tests))
-        value = model.variable_domain(c.parameter).canonical(c.value)
-        return ForbiddenValue(c.parameter, value, unless)
-    if isinstance(c, AwarenessTrigger) and isinstance(c.tolerable, ValueSetRange):
-        domain = model.criterion(c.criterion).domain
-        return replace(c, tolerable=ValueSetRange(tuple(map(domain.canonical, c.tolerable.values))))
-    return c
-
-
 @dataclass(frozen=True)
 class Period:
     """One maximal span of ticks with a fixed kind and active specification.
@@ -560,44 +570,49 @@ class _Replay:
 
 def _bind_events(
     model: Model, trace: EventTrace, change_scope: Mapping[str, Domain]
-) -> dict[int, list[Event]]:
-    by_tick: dict[int, list[Event]] = {}
+) -> dict[int, list[tuple[Event, bool, bool]]]:
+    """Each tick's canonical events, with whether the observed pass sees each
+    and whether the omniscient pass does (its variable is monitored)."""
+    by_tick: dict[int, list[tuple[Event, bool, bool]]] = {}
     for event in trace.events:
         try:
             domain = model.monitored_variable(event.variable).domain
         except KeyError:
-            if event.variable in change_scope:
-                domain = change_scope[event.variable]
-            elif model.has_variable(event.variable):
-                raise DefinitionError(
-                    f"event variable '{event.variable}' is not monitored"
+            if event.variable not in change_scope:
+                why = "not monitored" if model.has_variable(event.variable) else (
+                    "neither monitored nor declared in the change scope"
                 )
-            else:
-                raise DefinitionError(
-                    f"event variable '{event.variable}' is neither monitored "
-                    "nor declared in the change scope"
-                )
+                raise DefinitionError(f"event variable '{event.variable}' is {why}")
+            domain = change_scope[event.variable]
         if not domain.contains(event.value):
             raise DefinitionError(
                 f"event value {event.value!r} outside the domain of '{event.variable}'"
             )
         bound = Event(event.tick, event.variable, domain.canonical(event.value))
-        by_tick.setdefault(event.tick, []).append(bound)
+        entry = (bound, apply_monitoring_scope(model, bound), model.has_variable(event.variable))
+        by_tick.setdefault(event.tick, []).append(entry)
     return by_tick
 
 
 def _replay(
-    model: Model, events_by_tick: Mapping[int, list[Event]], config: SimulationConfig,
-    triggers: tuple[AwarenessTrigger, ...], horizon: int, initial: Mapping[str, Value],
-    start: Optional[Specification], full_scope: bool, memo: dict,
+    model: Model, events_by_tick: Mapping[int, list[tuple[Event, bool, bool]]],
+    config: SimulationConfig, triggers: tuple[AwarenessTrigger, ...], horizon: int,
+    initial: Mapping[str, Value], start: Optional[Specification], full_scope: bool, memo: dict,
 ) -> _Replay:
-    """One pass over the trace; a None ``start`` is solved for at tick 0."""
+    """One pass over the trace; a None ``start`` is solved for at tick 0.
+
+    Only the switch step changes the active specification: the memoized
+    re-solve from it, a halt when no target survives, and a stability period
+    opened on the target, always at tick 0 and at the end of an adaptation
+    period, and at a zero adaptation duration only when the target differs.
+    """
     out = _Replay()
     believed = dict(initial)
     current: Optional[Specification] = start
     accepted: tuple[Specification, ...] = () if start is None else (start,)
-    # The tick an adaptation period ends at, and the marks of its firing.
-    switch_tick: Optional[int] = None
+    # The tick of the next switch (tick 0 to solve for a None ``start``, else
+    # the end of an adaptation period), and the marks of the firing it ends.
+    switch_tick: Optional[int] = 0 if start is None else None
     pending_fired: tuple[str, ...] = ()
     # Firings are re-handled only when the believed environment or the active
     # specification changed since the last handled firing.  Without this, an
@@ -619,16 +634,6 @@ def _replay(
             memo[key] = compute()
         return memo[key]
 
-    def solve_target(
-        fired_current: Optional[Specification],
-    ) -> Union[Specification, NoFeasibleAdaptation]:
-        """Returns the chosen target and updates the accepted set."""
-        nonlocal accepted
-        accepted, target = recall("solve", fired_current, lambda: _adaptation_step(
-            rop(model, believed), fired_current, config.constraints, triggers, config.cap
-        ))
-        return target
-
     # ``believed`` and every active specification hold canonical values (bound
     # in ``run_simulation`` or emitted by the search), so a status is one
     # trusted evaluation shared by the instance and the feasibility check.
@@ -642,62 +647,51 @@ def _replay(
     def open_period(kind: str, tick: int, spec: Specification) -> None:
         out.opened[tick] = (kind, spec, status(spec)[0])
 
+    # The switch step; False when it halts the run.
+    def switch(tick: int, always_open: bool) -> bool:
+        nonlocal accepted, current, last_handled
+        accepted, target = recall("solve", current, lambda: _adaptation_step(
+            rop(model, believed), current, config.constraints, triggers, config.cap
+        ))
+        if isinstance(target, NoFeasibleAdaptation):
+            out.status = "no-feasible-adaptation"
+            return False
+        last_handled = (env_key(), target)
+        if always_open or target != current:
+            current = target
+            open_period("stability", tick, current)
+        return True
+
     for tick in range(horizon):
-        for event in events_by_tick.get(tick, ()):
-            if full_scope:
-                visible = model.has_variable(event.variable)
-            else:
-                visible = apply_monitoring_scope(model, event)
-            if visible:
+        for event, observed, omniscient in events_by_tick.get(tick, ()):
+            if omniscient if full_scope else observed:
                 believed[event.variable] = event.value
             else:
                 # The period that ran before the event lists it.
                 out.ignored_count += 1
                 out.ignored[max(tick - 1, 0)].append(event)
 
-        if tick == 0:
-            if current is None:
-                chosen = solve_target(None)
-                if isinstance(chosen, NoFeasibleAdaptation):
-                    out.status = "no-feasible-adaptation"
-                    return out
-                current = chosen
-                last_handled = (env_key(), current)
-            open_period("stability", tick, current)
-
+        if tick == 0 and start is not None:
+            open_period("stability", tick, start)
         if tick == switch_tick:
-            chosen = solve_target(current)
-            if isinstance(chosen, NoFeasibleAdaptation):
-                out.status = "no-feasible-adaptation"
+            if not switch(tick, True):
                 return out
             switch_tick = None
-            current = chosen
-            last_handled = (env_key(), current)
-            open_period("stability", tick, current)
             out.fired[tick] += pending_fired
 
         if switch_tick is None:
             _, fired, feasible_now = status(current)
-            handle = (fired or not feasible_now) and last_handled != (env_key(), current)
-            if handle:
+            if (fired or not feasible_now) and last_handled != (env_key(), current):
                 out.trigger_count += len(fired)
                 marks = fired + (() if feasible_now else (INFEASIBLE_MARKER,))
-                if config.adaptation_duration == 0:
-                    chosen = solve_target(current)
-                    if isinstance(chosen, NoFeasibleAdaptation):
-                        # The last period, which ran up to this tick, lists them.
-                        out.fired[tick - 1] += marks
-                        out.status = "no-feasible-adaptation"
-                        return out
-                    last_handled = (env_key(), chosen)
-                    if chosen != current:
-                        current = chosen
-                        open_period("stability", tick, current)
-                else:
-                    last_handled = (env_key(), current)
+                if config.adaptation_duration:
                     switch_tick = tick + config.adaptation_duration
                     pending_fired = marks
                     open_period("adaptation", tick, current)
+                elif not switch(tick, False):
+                    # The last period, which ran up to this tick, lists them.
+                    out.fired[tick - 1] += marks
+                    return out
                 out.fired[tick] += marks
 
         if switch_tick is not None:
@@ -727,11 +721,7 @@ def run_simulation(
     problems = config_violations(model, config)
     if problems:
         raise DefinitionError(problems[0].message)
-    config = replace(
-        config,
-        constraints=tuple(_canonical(model, c) for c in config.constraints),
-        triggers=tuple(_canonical(model, t) for t in config.triggers),
-    )
+    config = replace(config, triggers=tuple(_canonical(model, t) for t in config.triggers))
     initial = {
         n: model.monitored_variable(n).domain.canonical(v) for n, v in config.initial_exogenous
     }

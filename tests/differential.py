@@ -29,7 +29,12 @@ and shipped fixtures, so both sides see the same ones:
   ``random_decision_model`` for each of ``SEEDS`` seeds;
 - every CLI subcommand on ``fixtures/*.model`` (``simulate`` with each
   ``fixtures/*.trace``), in both report formats, with and without
-  ``--oracle``: exit code, stdout and stderr.
+  ``--oracle``: exit code, stdout and stderr;
+- the mutants ``tests/test_mutants.mutant(seed)`` for each of
+  ``MUTANT_SEEDS`` seeds, run through the CLI as that test runs them
+  (``validate``, then every run its source file supports): exit code,
+  stdout and stderr.  Both sides write each mutant to the same path, so a
+  message that names the file reads the same.
 
 Prints the first differing case with its seed and exits 1; otherwise prints
 how many cases agreed and exits 0.  Its name has no ``test_`` prefix, so
@@ -54,6 +59,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 FIXTURES = ROOT / "fixtures"
 SEEDS = 500
+MUTANT_SEEDS = 500
 
 
 def _failure(err: Exception) -> str:
@@ -223,34 +229,59 @@ def _cli_argvs():
                 yield ["simulate", model, trace, "--format", fmt, "--oracle"]
 
 
-def _cli_cases():
+def _run_cli(argv: list[str]) -> list:
+    """The exit code, stdout and stderr of ``ropas argv``."""
     from ropas.cli import main
 
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+        except Exception as error:
+            code = _failure(error)
+    return [code, out.getvalue(), err.getvalue()]
+
+
+def _cli_cases():
     fixtures = {path.name: str(path) for path in FIXTURES.iterdir()}
     for argv in _cli_argvs():
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = main([fixtures.get(arg, arg) for arg in argv])
-            except SystemExit as stop:
-                code = stop.code
-            except Exception as error:
-                code = _failure(error)
-        yield f"ropas {' '.join(argv)}", [code, out.getvalue(), err.getvalue()]
+        yield f"ropas {' '.join(argv)}", _run_cli([fixtures.get(arg, arg) for arg in argv])
 
 
-def emit() -> None:
-    """Print one JSON line per case: its name and its output."""
-    cases_by_kind = (_goal_cases(), _rop_cases(), _runtime_cases(), _decision_cases(), _cli_cases())
+def _mutant_cases(workdir: Path):
+    from test_mutants import EVERY_RECORD_TRACE, MUTANT, SOURCES, mutant
+
+    workdir.mkdir(parents=True, exist_ok=True)
+    trace = workdir / "every_record.trace"
+    trace.write_text(EVERY_RECORD_TRACE, encoding="utf-8")
+    for seed in range(MUTANT_SEEDS):
+        index, data = mutant(seed)
+        source, runs = SOURCES[index]
+        path = workdir / f"mutant{source.suffix}"
+        path.write_bytes(data)
+        for run in (("validate", MUTANT), *runs):
+            argv = [{MUTANT: str(path), trace.name: str(trace)}.get(arg, arg) for arg in run]
+            yield f"mutant seed={seed} ({source.name}): ropas {run[0]}", _run_cli(argv)
+
+
+def emit(workdir: Path) -> None:
+    """Print one JSON line per case: its name and its output.  The mutants
+    are written under ``workdir``."""
+    cases_by_kind = (
+        _goal_cases(), _rop_cases(), _runtime_cases(), _decision_cases(), _cli_cases(),
+        _mutant_cases(workdir),
+    )
     for cases in cases_by_kind:
         for name, out in cases:
             print(json.dumps([name, out]))
 
 
-def _run_side(src: Path) -> list:
+def _run_side(src: Path, mutants: Path) -> list:
     env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.pathsep.join([str(src), str(HERE)]))
     done = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--emit"],
+        [sys.executable, str(Path(__file__).resolve()), "--emit", str(mutants)],
         capture_output=True,
         text=True,
         env=env,
@@ -273,8 +304,8 @@ def compare(rev: str) -> int:
         shutil.rmtree(workdir, ignore_errors=True)
         sys.exit(f"cannot check out {rev}:\n{added.stderr}")
     try:
-        theirs = _run_side(tree / "src")
-        ours = _run_side(ROOT / "src")
+        theirs = _run_side(tree / "src", workdir / "mutants")
+        ours = _run_side(ROOT / "src", workdir / "mutants")
     finally:
         subprocess.run(
             ["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
@@ -300,10 +331,10 @@ def compare(rev: str) -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", nargs="?", help="git revision to compare against")
-    parser.add_argument("--emit", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--emit", type=Path, metavar="DIR", help=argparse.SUPPRESS)
     args = parser.parse_args()
-    if args.emit:
-        emit()
+    if args.emit is not None:
+        emit(args.emit)
         return 0
     if args.rev is None:
         parser.error("a git revision is required")

@@ -190,6 +190,24 @@ def _alerts_without_demand_shift(tmp_path):
     return str(path)
 
 
+def test_solve_names_a_decision_rule_that_nothing_computes(capsys, tmp_path):
+    path = tmp_path / "unset_rule.model"
+    path.write_text(
+        "ropas-model v1\n"
+        "\n"
+        "[variables]\n"
+        "criterion score int:0:10 kind=utility pref=higher-better\n"
+        "parameter x bool default=0\n"
+        "\n"
+        "[decision]\n"
+        "rule score\n"
+        "set x\n"
+    )
+    assert run_cli(capsys, "validate", str(path)) == (OK, "ok\n", "")
+    missing = "missing value for variable 'score'\n"
+    assert run_cli(capsys, "solve", str(path)) == (FAILURE, "", missing)
+
+
 def test_enumerate_names_a_monitored_input_without_a_value(capsys, tmp_path):
     path = _alerts_without_demand_shift(tmp_path)
     for extra in ((), ("--oracle",)):

@@ -1,7 +1,8 @@
 """No input escapes the exit codes: seeded mutants of the shipped files, run through the CLI.
 
 Each mutant changes one record of a file under ``fixtures/`` or of
-``tests/every_record.model``: one numeric token becomes a hostile literal, a
+``tests/every_record.model``: one numeric token becomes a hostile literal
+(a special value, or one just outside a domain, off a grid or negative), a
 record is dropped, duplicated or swapped with another, a line is cut short,
 or a non-UTF-8 byte goes in.  Each mutant runs through ``ropas.cli.main``:
 ``validate`` first, then every subcommand its source file supports, with
@@ -27,7 +28,10 @@ MUTANTS = 2000
 DEADLINE = 2.0
 
 HUGE = "9" * 400
-HOSTILE = ("nan", "-inf", "1e308", HUGE, "-" + HUGE, "-0", "0", "-1", "1e-300", "")
+HOSTILE = (
+    "nan", "-inf", "1e308", HUGE, "-" + HUGE, "-0", "0", "-1", "1e-300", "",
+    "-0.5", "0.05", "1.0000000001", "-2", "1e6",
+)
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?(?![\w.])")
 
 MUTANT = "<mutant>"

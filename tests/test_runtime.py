@@ -750,6 +750,25 @@ def test_a_value_set_trigger_compares_canonical_values():
     timeline, metrics = run_simulation(model, EventTrace(()), config)
     assert [(period.spec["p"], period.fired) for period in timeline.periods] == [(3, ())]
     assert metrics.trigger_count == 0
+    # The public re-solve canonicalizes the set too: only p=3 keeps it calm.
+    pool = adaptation_candidates(rop(model), None, triggers=config.triggers)
+    assert pool == (Specification.from_mapping({"p": 3}),)
+
+
+def test_the_public_re_solve_compares_canonical_constraint_values():
+    """``0.3`` forbids the grid point ``0.1 * 3``, so the best allowed is 0.2."""
+    model = Model(
+        criteria=(Criterion("u", RealGrid(0.0, 1.0, 0.1), "utility", "higher-better"),),
+        parameters=(Parameter("q", RealGrid(0.0, 1.0, 0.1), 0.0),),
+        depends=(
+            WeightedSum("udef", "u", ("q",), (1.0,)),
+            LinearConstraint("cap", ("q",), (1.0,), "<=", 0.3),
+        ),
+        decision_rule="u",
+        decision_set=("q",),
+    )
+    chosen = select_adaptation(None, rop(model), constraints=(ForbiddenValue("q", 0.3),))
+    assert chosen == Specification.from_mapping({"q": 0.2})
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,20 @@ def test_solve_fills_in_derived_parameters():
     assert fast == slow
 
 
+def test_solve_names_a_decision_rule_that_nothing_computes():
+    """No depend computes ``score`` and no exogenous value gives it, so the
+    search reaches a leaf without the value it maximizes."""
+    m = Model(
+        criteria=(Criterion("score", IntegerRange(0, 10), "utility", "higher-better"),),
+        parameters=(Parameter("x", Boolean(), 0),),
+        decision_rule="score",
+        decision_set=("x",),
+    )
+    assert validate_model(m) == []
+    with pytest.raises(EvaluationError, match="^missing value for variable 'score'$"):
+        solve_rop(rop(m))
+
+
 def test_solve_cap():
     alerts = load("alerts.model")
     problem = rop(alerts.model, dict(alerts.config.initial_exogenous))
