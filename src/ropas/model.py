@@ -28,12 +28,14 @@ term): a cardinality constraint is an all-ones row and an incompatibility
 the row ``a + b <= 1``.  When a weighted sum computes the decision rule, it
 compiles to a row as well.  The search keeps each row's interval over the
 completions of the current branch, updates it in O(1) as an input gets a
-value, and restores it from the trail on backtracking; it prunes on a
-partial interval only beyond the row's rounding tolerance, and tests the row
-exactly once its last input has a value.  When it maximises the decision
-rule, that row's upper bound cuts every branch that cannot reach the best
-leaf found so far (branch and bound); ties are never cut.  Every evaluation,
-feasibility check and search of that model reuses the index.
+value, and undoes it from one search-wide trail on backtracking; it prunes
+on a partial interval only beyond the row's rounding tolerance, and tests
+the row exactly once its last input has a value: an exact row (integer
+coefficients over boolean and integer inputs) from its running sums, any
+other summed again.  When it maximises the decision rule, that row's upper
+bound cuts every branch that cannot reach the best leaf found so far (branch
+and bound); ties are never cut.  Every evaluation, feasibility check and
+search of that model reuses the index.
 
 All operations are pure and deterministic.  Objects are immutable, so sharing
 them across threads is safe; two threads racing to build a model's index at
@@ -51,6 +53,7 @@ from .domains import (
     TOLERANCE,
     Boolean,
     Domain,
+    IntegerRange,
     Value,
     domain_bounds,
     is_finite,
@@ -832,7 +835,10 @@ class _Row(NamedTuple):
     ``low`` and ``high`` hold each input's smallest and largest term over its
     domain bounds, or None when the domain has no numeric bounds.
     ``tolerance`` is larger than any rounding of a sum of the terms in any
-    order: ``TOLERANCE`` scaled by a bound on every partial sum.
+    order: ``TOLERANCE`` scaled by a bound on every partial sum.  A row is
+    ``exact`` when its coefficients and offset are integers, its inputs are
+    ``Boolean`` or ``IntegerRange`` and that bound is below 2**50: then every
+    term and partial sum is an integer that a float holds exactly.
     """
 
     inputs: tuple[str, ...]
@@ -843,6 +849,7 @@ class _Row(NamedTuple):
     low: tuple[Optional[float], ...]
     high: tuple[Optional[float], ...]
     tolerance: float
+    exact: bool
 
 
 # Variable -> (row number, coefficient, low term, high term) for each of its
@@ -891,9 +898,12 @@ def _compile_row(model: Model, dep: Union[ConstraintDepend, WeightedSum]) -> _Ro
         low.append(min(ends))
         high.append(max(ends))
     scale = abs(offset) + sum(max(-a, b) for a, b in zip(low, high) if a is not None)
+    exact = scale < 2.0**50 and all(
+        isinstance(model._domains.get(name), (Boolean, IntegerRange)) for name in inputs
+    ) and all(float(x).is_integer() for x in (offset, *coefficients))
     return _Row(
         inputs, tuple(coefficients), {"==": 0, "<=": 1}.get(comparator, 2), bound, offset,
-        tuple(low), tuple(high), TOLERANCE * (1.0 + scale),
+        tuple(low), tuple(high), TOLERANCE * (1.0 + scale), exact,
     )
 
 
@@ -934,15 +944,6 @@ def _interval_allows(
     return hi >= bound - eps
 
 
-def _constraint_possible(row: _Row, env: Mapping[str, Value]) -> bool:
-    """False only when no completion of the partial assignment can satisfy.
-
-    Exact once every input has a value.
-    """
-    lo, hi = _row_interval(row, env)
-    return _interval_allows(lo, hi, row.code, row.bound)
-
-
 def is_feasible(
     model: Model,
     spec: Specification,
@@ -967,7 +968,7 @@ def _feasible(
         for name in dep.inputs:
             if name not in env:
                 raise EvaluationError(f"missing value for variable '{name}'")
-        if not _constraint_possible(row, env):
+        if not _interval_allows(*_row_interval(row, env), row.code, row.bound):
             return False
     return True
 
@@ -1011,14 +1012,16 @@ def search_specifications(
     Each constraint is a linear row whose interval over the completions of
     the current branch is kept up to date as its inputs get values, tested
     within the row's rounding tolerance while some input has none, and
-    tested in full once its last input has one.  With ``maximize``, when a
-    weighted sum computes the model's decision rule, that sum is one more
-    row, whose floor is the best value of a leaf visited so far less the
-    row's tolerance: a branch whose sum cannot reach the floor is cut
-    (branch and bound).  So ``visit`` still gets every leaf that ties or
-    beats the best value so far, in the same order, but skips leaves that
-    cannot.  An evaluation error is raised only from a branch the search
-    reaches, so a cut branch raises none.
+    tested in full once its last input has one: from those running sums when
+    the row is ``exact``, else summed again.  Every change goes on one
+    search-wide trail, and a branch undoes back to the length it marked.  With
+    ``maximize``, when a weighted sum computes the model's decision rule,
+    that sum is one more row, whose floor is the best value of a leaf
+    visited so far less the row's tolerance: a branch whose sum cannot reach
+    the floor is cut (branch and bound).  So ``visit`` still gets every leaf
+    that ties or beats the best value so far, in the same order, but skips
+    leaves that cannot.  An evaluation error is raised only from a branch
+    the search reaches, so a cut branch raises none.
     """
     free_ids = sorted(free)
     producers = model.producers
@@ -1058,14 +1061,15 @@ def search_specifications(
     choices = [(pid, model.parameter(pid).domain.values()) for pid in free_ids]
     param_ids = [p.id for p in model.sorted_parameters]
 
-    # A branch's trail is three flat lists, one per kind of reversible step:
-    # the variables that got an environment entry, the numbers of the depends
-    # whose missing-input count fell, and (row number, lo, hi) for a row's
-    # interval before an input got a value.  The branch's undo walks each list
-    # in reverse, so it stays exact even when propagation bails out partway
-    # through.
+    # One trail for the whole search holds every reversible step: a variable
+    # that got an environment entry, the number of a depend whose
+    # missing-input count fell, and (row number, lo, hi) for a row's interval
+    # before an input got a value.  A branch marks the trail's length and
+    # undoes back to that mark in reverse, so the undo stays exact even when
+    # propagation stops part-way through.
+    trail: list = []
 
-    def propagate(assigned: str, env_trail: list, dec_trail: list, row_trail: list) -> bool:
+    def propagate(assigned: str) -> bool:
         """Compute newly ready functional outputs; False once some row fails."""
         queue = [assigned]
         while queue:
@@ -1075,7 +1079,7 @@ def search_specifications(
                 as_float = float(env[name])  # type: ignore[arg-type]
             for r, coeff, low, high in watched:
                 row_lo, row_hi = lo[r], hi[r]
-                row_trail.append((r, row_lo, row_hi))
+                trail.append((r, row_lo, row_hi))
                 left[r] -= 1
                 if left[r]:
                     # The running sums round differently from the leaf's, so
@@ -1084,33 +1088,41 @@ def search_specifications(
                     row_lo += term - low
                     row_hi += term - high
                     eps = tolerances[r]
+                elif rows[r].exact:
+                    # Both running sums are now the row's sum, exactly.
+                    row_lo = row_hi = row_lo + coeff * as_float - low
+                    eps = TOLERANCE
                 else:
                     # In full once the last input has a value, in the order
                     # ``is_feasible`` adds the terms.
                     row_lo, row_hi = _row_interval(rows[r], env)
                     eps = TOLERANCE
                 lo[r], hi[r] = row_lo, row_hi
-                if not _interval_allows(row_lo, row_hi, codes[r], bounds[r], eps):
+                # ``_interval_allows``, inlined: the call costs a solve about 7%.
+                code, bound = codes[r], bounds[r]
+                if not (row_lo <= bound + eps if code == 1 else row_hi >= bound - eps if code == 2
+                        else row_lo - eps <= bound <= row_hi + eps):
                     return False
             for number in feeds.get(name, ()):
                 missing[number] -= 1
-                dec_trail.append(number)
+                trail.append(number)
                 if not missing[number] and outputs[number] not in env:
                     output = outputs[number]
                     env[output] = computes[number](env)
-                    env_trail.append(output)
+                    trail.append(output)
                     queue.append(output)
         return True
 
     # Propagate anything computable before search (constants, defaults).  The
-    # prefix is never undone, so its trail is dropped.
+    # prefix is never undone: every branch's mark lies above its steps.  A
+    # row known in full from the start holds its ``_row_interval`` sum.
     for number, output in enumerate(outputs):
         if not missing[number] and output not in env:
             env[output] = computes[number](env)
-            if not propagate(output, [], [], []):
+            if not propagate(output):
                 return
-    for r, row in enumerate(compiled.rows):
-        if not left[r] and not _constraint_possible(row, env):
+    for r in range(len(compiled.rows)):
+        if not left[r] and not _interval_allows(lo[r], hi[r], codes[r], bounds[r]):
             return
 
     # Every input is known by the leaves (checked above), and each constraint
@@ -1125,18 +1137,22 @@ def search_specifications(
                 bounds[cut] = max(bounds[cut], floor)
             return
         pid, values = choices[index]
+        mark = len(trail)
         for value in values:
             env[pid] = value
-            env_trail, dec_trail, row_trail = [pid], [], []
-            if propagate(pid, env_trail, dec_trail, row_trail):
+            if propagate(pid):
                 descend(index + 1)
-            for name in reversed(env_trail):
-                del env[name]
-            for number in reversed(dec_trail):
-                missing[number] += 1
-            for r, row_lo, row_hi in reversed(row_trail):
-                lo[r], hi[r] = row_lo, row_hi
-                left[r] += 1
+            while len(trail) > mark:
+                step = trail.pop()
+                if step.__class__ is tuple:
+                    r, lo[r], hi[r] = step
+                    left[r] += 1
+                elif step.__class__ is int:
+                    missing[step] += 1
+                else:
+                    del env[step]
+        # ``pid`` itself is not on the trail: each value overwrites it.
+        del env[pid]
 
     descend(0)
 

@@ -299,13 +299,14 @@ def constraint_allows(
     return constraint.unless.holds(exogenous)
 
 
-# ``c`` with each value as its variable's domain holds it, so that it compares
-# equal to the canonical specifications, environments and instances.  A value
-# of an undeclared name or outside its domain stays as given: it matches
-# nothing, and an unknown trigger criterion still raises.
+# ``c`` (a constraint, a trigger or a specification) with each value as its
+# variable's domain holds it, so that it compares equal to the canonical
+# specifications, environments and instances.  A value of an undeclared name
+# or outside its domain stays as given: it matches nothing, and an unknown
+# trigger criterion still raises.
 def _canonical(
-    model: Model, c: Union[EvolutionConstraint, AwarenessTrigger]
-) -> Union[EvolutionConstraint, AwarenessTrigger]:
+    model: Model, c: Union[EvolutionConstraint, AwarenessTrigger, Specification]
+) -> Union[EvolutionConstraint, AwarenessTrigger, Specification]:
     def canon(name: str, value: Value) -> Value:
         if model.has_variable(name) and model.variable_domain(name).contains(value):
             return model.variable_domain(name).canonical(value)
@@ -314,6 +315,8 @@ def _canonical(
     def pairs(items: tuple[tuple[str, Value], ...]) -> tuple[tuple[str, Value], ...]:
         return tuple((name, canon(name, value)) for name, value in items)
 
+    if isinstance(c, Specification):
+        return Specification(pairs(c.items))
     if isinstance(c, ForbiddenTransition):
         return ForbiddenTransition(pairs(c.from_values), pairs(c.to_values))
     if isinstance(c, ForbiddenValue):
@@ -351,10 +354,11 @@ def adaptation_candidates(
     the feasible specifications so pinned that every evolution constraint
     allows; among those, only specifications whose evaluated instance keeps
     every trigger inside its tolerable range are kept, unless no candidate
-    does, in which case the constraint-filtered set stands.  Constraint and
-    trigger values are compared canonical: ``0.3`` names the grid point ``0.1 * 3``.
+    does, in which case the constraint-filtered set stands.  Current,
+    constraint and trigger values compare canonical: ``0.3`` is ``0.1 * 3``.
     """
     model = problem.model
+    current = current and _canonical(model, current)  # type: ignore[assignment]
     exogenous = problem.exogenous_map()
     constraints = [_canonical(model, c) for c in constraints]
     triggers = [_canonical(model, t) for t in triggers]
@@ -412,8 +416,9 @@ def select_adaptation(
     """Pick the switch target: best candidate by the decision rule.
 
     Ties are broken by the fewest parameter changes from the current
-    specification, then by canonical order.
+    specification, whose values are compared canonical, then by canonical order.
     """
+    current = current and _canonical(problem.model, current)  # type: ignore[assignment]
     return _adaptation_step(problem, current, constraints, triggers, cap)[1]
 
 

@@ -22,6 +22,9 @@ and shipped fixtures, so both sides see the same ones:
   non-canonical value (``True`` for a boolean, ``2.0`` for an integer) and
   on one invalid input (an unknown parameter, an out-of-domain value or an
   exogenous value for a parameter, by seed);
+- ``solve_rop`` and ``enumerate_specifications`` on ``large_integral_rows``
+  (integer rows whose scale lies on either side of 2**50) for each of
+  ``INTEGRAL_SEEDS`` seeds;
 - ``run_simulation`` on ``random_runtime_scenario`` and
   ``random_runtime_pair`` for each of ``SEEDS`` seeds: the timeline and the
   metrics;
@@ -59,6 +62,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 FIXTURES = ROOT / "fixtures"
 SEEDS = 500
+INTEGRAL_SEEDS = 200
 MUTANT_SEEDS = 500
 
 
@@ -183,6 +187,22 @@ def _rop_cases():
                 yield f"{name}: {what} {label}", _attempt(lambda: run(model, spec, given))
 
 
+def _integral_cases():
+    from genmodels import large_integral_rows
+    from ropas.model import enumerate_specifications
+    from ropas.solver import rop, solve_rop
+
+    for seed in range(INTEGRAL_SEEDS):
+        name = f"integral rows seed={seed}"
+        try:
+            model = large_integral_rows(random.Random(seed))
+        except Exception as err:
+            yield name, _failure(err)
+            continue
+        yield f"{name}: solve", _attempt(lambda: solve_rop(rop(model)))
+        yield f"{name}: enumerate", _attempt(lambda: enumerate_specifications(model))
+
+
 def _runtime_cases():
     from genmodels import random_runtime_pair, random_runtime_scenario
     from ropas.runtime import run_simulation
@@ -270,8 +290,8 @@ def emit(workdir: Path) -> None:
     """Print one JSON line per case: its name and its output.  The mutants
     are written under ``workdir``."""
     cases_by_kind = (
-        _goal_cases(), _rop_cases(), _runtime_cases(), _decision_cases(), _cli_cases(),
-        _mutant_cases(workdir),
+        _goal_cases(), _rop_cases(), _integral_cases(), _runtime_cases(), _decision_cases(),
+        _cli_cases(), _mutant_cases(workdir),
     )
     for cases in cases_by_kind:
         for name, out in cases:

@@ -411,6 +411,57 @@ def with_real_coefficients(rng: random.Random, problem: Rop) -> Rop:
     return rop(model, problem.exogenous_map())
 
 
+def large_integral_rows(rng: random.Random) -> Model:
+    """Integer rows whose scale (the bound on every partial sum) lies within
+    12,000 of 2**50, on either side, over boolean and small integer
+    parameters.  Below 2**50 the search tests such a row from its running
+    sums; from 2**50 on it sums the row again.  Each bound is the row's sum
+    at one leaf drawn for the model, moved by -1, 0 or 1 for an inequality;
+    the utility's weights are drawn the same way as the rows'."""
+    n = rng.randint(3, 6)
+    ids = [f"p{j}" for j in range(n)]
+    domains = {
+        pid: Boolean()
+        if rng.random() < 0.5
+        else IntegerRange(-rng.randint(0, 1), rng.randint(1, 2))
+        for pid in ids
+    }
+    leaf = {pid: rng.choice(domain.values()) for pid, domain in domains.items()}
+
+    def coefficients(inputs) -> tuple[int, ...]:
+        raw = [rng.choice((1, -1)) * rng.randint(1, 1000) for _ in inputs]
+        span = sum(
+            abs(c) * max(map(abs, domain_bounds(domains[name])))
+            for c, name in zip(raw, inputs)
+        )
+        times = int(2**50 // span) + rng.choice((0, 1))
+        return tuple(c * times for c in raw)
+
+    weights = coefficients(ids)
+    top = sum(abs(w) * 2 for w in weights)
+    depends = [WeightedSum("def_u", "u", tuple(ids), tuple(map(float, weights)))]
+    for c in range(rng.randint(1, 3)):
+        inputs = tuple(rng.sample(ids, rng.randint(2, n)))
+        row = coefficients(inputs)
+        total = sum(w * leaf[name] for w, name in zip(row, inputs))
+        comparator = rng.choice(("==", "==", "<=", ">="))
+        if comparator != "==":
+            total += rng.choice((-1, 0, 1))
+        depends.append(
+            LinearConstraint(f"c{c}", inputs, tuple(map(float, row)), comparator, float(total))
+        )
+    model = Model(
+        criteria=(Criterion("u", IntegerRange(-top, top), "utility", "higher-better"),),
+        parameters=tuple(Parameter(pid, domain) for pid, domain in domains.items()),
+        depends=tuple(depends),
+        decision_rule="u",
+        decision_set=tuple(ids),
+    )
+    problems = validate_model(model)
+    assert not problems, problems
+    return model
+
+
 def _find_domain(name, params, monitored, criteria) -> Domain:
     for p in params:
         if p.id == name:

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from ropas.domains import Boolean, Enumerated, IntegerRange
+from ropas.domains import Boolean, Enumerated, IntegerRange, RealGrid
 from ropas.errors import DefinitionError, EvaluationError, SizeLimitError
 from ropas.model import (
     BooleanFormula,
@@ -672,3 +672,47 @@ def test_constraint_input_without_a_value_is_named():
     assert validate_model(model) == []
     with pytest.raises(EvaluationError, match="^missing value for variable 'load'$"):
         is_feasible(model, Specification.from_mapping({"x": 1, "y": 0}))
+
+
+def test_compiled_rows_are_exact_only_over_integers():
+    """A row is exact when its coefficients and offset are integers, its
+    inputs boolean or integer-ranged, and its scale below 2**50."""
+    m = Model(
+        criteria=(Criterion("u", IntegerRange(-10, 10), "utility", "higher-better"),),
+        parameters=(
+            Parameter("a", Boolean()),
+            Parameter("b", Boolean()),
+            Parameter("n", IntegerRange(-3, 3)),
+            Parameter("g", RealGrid(0.0, 1.0, 0.5)),
+            Parameter("e", Enumerated((0, 1, 2))),
+            Parameter("three", IntegerRange(0, 3)),
+            Parameter("four", IntegerRange(0, 4)),
+        ),
+        depends=(
+            WeightedSum("u_sum", "u", ("a", "n"), (2.0, 1.0), 1.0),
+            CardinalityConstraint("card", ("a", "b"), ">=", 1),
+            Incompatibility("inc", "a", "b"),
+            LinearConstraint("lin", ("a", "n"), (2.0, -3.0), "<=", 4.0),
+            LinearConstraint("tenth", ("a", "n"), (0.1, 1.0), "<=", 4.0),
+            LinearConstraint("grid", ("a", "g"), (1.0, 1.0), "<=", 4.0),
+            LinearConstraint("enum", ("a", "e"), (1.0, 1.0), "<=", 4.0),
+            # Scales 3 * 2**48 and 4 * 2**48 == 2**50.
+            LinearConstraint("below", ("three",), (2.0**48,), "<=", 0.0),
+            LinearConstraint("at", ("four",), (2.0**48,), "<=", 0.0),
+        ),
+        decision_rule="u",
+        decision_set=("a", "b", "n"),
+    )
+    compiled = m._compiled
+    exact = {con.id: row.exact for con, row in zip(m.constraint_depends, compiled.rows)}
+    assert exact == {
+        "card": True,
+        "inc": True,
+        "lin": True,
+        "tenth": False,
+        "grid": False,
+        "enum": False,
+        "below": True,
+        "at": False,
+    }
+    assert compiled.objective is not None and compiled.objective[0].exact

@@ -771,6 +771,39 @@ def test_the_public_re_solve_compares_canonical_constraint_values():
     assert chosen == Specification.from_mapping({"q": 0.2})
 
 
+def test_the_public_re_solve_reads_the_current_specification_canonical():
+    """``current`` may name the grid point ``0.1 * 3`` as ``0.3``: q outside
+    the decision set is pinned to that point, and a transition from it is
+    matched."""
+    model = Model(
+        criteria=(Criterion("u", IntegerRange(0, 3), "utility", "higher-better"),),
+        parameters=(
+            Parameter("p", IntegerRange(0, 3)),
+            Parameter("q", RealGrid(0.0, 1.0, 0.1), 0.0),
+        ),
+        depends=(WeightedSum("udef", "u", ("p",), (1.0,)),),
+        decision_rule="u",
+        decision_set=("p",),
+    )
+    point = 0.1 * 3
+    expected = tuple(Specification.from_mapping({"p": p, "q": point}) for p in range(4))
+    no_three = (ForbiddenTransition((("q", point),), (("p", 3),)),)
+    for q in (0.3, point):
+        current = Specification.from_mapping({"p": 0, "q": q})
+        assert adaptation_candidates(rop(model), current) == expected, q
+        assert select_adaptation(current, rop(model)) == expected[3], q
+        assert select_adaptation(current, rop(model), no_three) == expected[2], q
+    # Every r ties, so the fewest changes from ``r=0.3`` keep the point 0.1 * 3.
+    ties = replace(
+        model,
+        parameters=(Parameter("r", RealGrid(0.0, 1.0, 0.1)),),
+        depends=(WeightedSum("udef", "u", ("r",), (0.0,)),),
+        decision_set=("r",),
+    )
+    chosen = select_adaptation(Specification.from_mapping({"r": 0.3}), rop(ties))
+    assert chosen == Specification.from_mapping({"r": point})
+
+
 # ---------------------------------------------------------------------------
 # The decision set
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from genmodels import (
+    large_integral_rows,
     random_goal_graph,
     random_rop,
     with_derived_parameter,
@@ -601,6 +602,61 @@ def test_search_agrees_with_oracle_on_large_real_rows():
         assert enumerate_specifications(problem.model) == brute_force_enumeration(
             problem.model
         ), i
+
+
+def test_search_agrees_with_oracle_on_large_integral_rows():
+    rng = random.Random(3141)
+    exact = set()
+    for i in range(200):
+        model = large_integral_rows(rng)
+        exact.update(row.exact for row in model._compiled.rows)
+        problem = rop(model)
+        assert solve_rop(problem) == brute_force_oracle(problem), i
+        assert enumerate_specifications(model) == brute_force_enumeration(model), i
+    # The rows' scales fall on both sides of 2**50.
+    assert exact == {False, True}
+
+
+def test_search_undoes_a_branch_that_fails_part_way_through_propagation():
+    # x=0 computes c=1, which updates ``c + y == 1`` and then fails ``c <= 0``
+    # in the same propagation.  Its sibling x=1 must see c recomputed as 0 and
+    # the first row's interval restored, so only y=1 completes it.
+    m = Model(
+        criteria=(Criterion("c", IntegerRange(0, 1), "utility", "higher-better"),),
+        parameters=(Parameter("x", Boolean()), Parameter("y", Boolean())),
+        depends=(
+            WeightedSum("c_of_x", "c", ("x",), (-1.0,), 1.0),
+            LinearConstraint("pair", ("c", "y"), (1.0, 1.0), "==", 1.0),
+            LinearConstraint("low", ("c",), (1.0,), "<=", 0.0),
+        ),
+        decision_rule="c",
+        decision_set=("x", "y"),
+    )
+    assert validate_model(m) == []
+    assert m._compiled.watch["c"][0][0] == 0  # "pair" is updated before "low"
+    expected = [Specification.from_mapping({"x": 1, "y": 1})]
+    assert enumerate_specifications(m) == brute_force_enumeration(m) == expected
+    assert solve_rop(rop(m)) == brute_force_oracle(rop(m))
+
+
+def test_solve_sums_exact_rows_only_while_setting_up(monkeypatch):
+    import ropas.model as model_module
+
+    calls = []
+    row_interval = model_module._row_interval
+
+    def counted(row, env):
+        calls.append(row)
+        return row_interval(row, env)
+
+    monkeypatch.setattr(model_module, "_row_interval", counted)
+    alerts = load("alerts.model")
+    problem = rop(alerts.model, dict(alerts.config.initial_exogenous))
+    compiled = alerts.model._compiled
+    rows = compiled.rows + (compiled.objective[0],)
+    assert isinstance(solve_rop(problem), OptimalSolutions)
+    assert calls == list(rows)
+    assert all(row.exact for row in rows)
 
 
 def narrow_rule(producer) -> Model:
