@@ -174,10 +174,11 @@ def cmd_rank(args: argparse.Namespace) -> int:
         if result.objective_value != head_eu:
             print("oracle objective differs from the head expected utility", file=sys.stderr)
             return FAILURE
+    utilities = dict(ranking.entries)  # ids are distinct in a parsed model
     position = 1
     for group in ranking.groups:
         for alt_id in group:
-            eu = next(e for a, e in ranking.entries if a == alt_id)
+            eu = utilities[alt_id]
             if args.format == "human":
                 print(f"{position}. {alt_id} (expected utility {eu:.6f})")
             else:

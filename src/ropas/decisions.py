@@ -28,6 +28,7 @@ from .model import (
     Parameter,
     Violation,
     WeightedSum,
+    _canonical_key,
     _check_coverage,
     _check_finite,
 )
@@ -50,16 +51,16 @@ def lottery(*pairs: tuple[Value, float]) -> Lottery:
 
 
 def validate_lottery(lot: Lottery) -> Optional[Violation]:
-    """None when valid, otherwise a violation describing the failure."""
+    """None when valid, otherwise a violation describing the failure: the
+    first bad probability, else a sum off 1, else the first repeated outcome."""
     if not lot.outcomes:
         return Violation("lottery", "no outcomes")
-    for value, p in lot.outcomes:
-        if not is_numeric(p):
+    total = 0.0
+    for _, p in lot.outcomes:
+        if type(p) is not float and not is_numeric(p):  # a parsed one is a float
             return Violation("lottery", f"probability {p!r} is not a number")
         if not 0.0 <= p <= 1.0:
             return Violation("lottery", f"probability {p} outside [0, 1]")
-    total = 0.0
-    for _, p in lot.outcomes:
         total += p
     if abs(total - 1.0) > TOLERANCE:
         return Violation("lottery", f"probabilities sum to {total!r}, not 1")
@@ -153,11 +154,14 @@ class Alternative:
     id: str
     lotteries: tuple[tuple[str, Lottery], ...]
 
+    @cached_property
+    def _by_attribute(self) -> dict[str, Lottery]:
+        """Each attribute's first lottery, keyed once (reversed, so that an
+        earlier pair overwrites a later one)."""
+        return dict(reversed(self.lotteries))
+
     def lottery_for(self, attribute_id: str) -> Lottery:
-        for aid, lot in self.lotteries:
-            if aid == attribute_id:
-                return lot
-        raise KeyError(attribute_id)
+        return self._by_attribute[attribute_id]
 
 
 @dataclass(frozen=True)
@@ -175,11 +179,19 @@ class DecisionModel:
     utility: Union[WeightedSum, LookupTable]
     transform: Transform = IdentityTransform()
 
+    @cached_property
+    def _by_id(self) -> dict[str, Alternative]:
+        """Each id's first alternative, keyed once."""
+        return {alt.id: alt for alt in reversed(self.alternatives)}
+
+    @cached_property
+    def _contributions(self) -> dict[tuple[str, int], float]:
+        """(alternative id, attribute index) -> additive contribution, filled
+        as ``_contribution`` computes each one."""
+        return {}
+
     def alternative(self, alt_id: str) -> Alternative:
-        for alt in self.alternatives:
-            if alt.id == alt_id:
-                return alt
-        raise KeyError(alt_id)
+        return self._by_id[alt_id]
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
@@ -200,9 +212,10 @@ def validate_decision_model(dm: DecisionModel) -> list[Violation]:
     if len(set(attr_ids)) != len(attr_ids):
         out.append(Violation("decision model", "duplicate attribute ids"))
 
+    sorted_attr_ids = sorted(attr_ids)
     for alt in dm.alternatives:
         declared = [aid for aid, _ in alt.lotteries]
-        if sorted(declared) != sorted(attr_ids):
+        if sorted(declared) != sorted_attr_ids:
             out.append(
                 Violation(alt.id, "must declare exactly one lottery per attribute")
             )
@@ -238,7 +251,8 @@ def validate_decision_model(dm: DecisionModel) -> list[Violation]:
     elif not out:
         _check_finite("utility", out, value=(value for _, value in dm.utility.entries))
         domains = [a.domain for a in dm.attributes]
-        _check_coverage("utility", domains, dm.utility.lookup, "attribute", out)
+        keys = (_canonical_key(domains, key) for key in dm.utility.lookup)
+        _check_coverage("utility", domains, keys, "attribute", out)
     out.extend(validate_transform(dm.transform))
     return out
 
@@ -263,12 +277,23 @@ def _additive_contribution(dm: DecisionModel, alt: Alternative, index: int) -> f
     return weight * inner
 
 
+def _contribution(dm: DecisionModel, alt: Alternative, index: int) -> float:
+    """``_additive_contribution``, computed once per model and pair; ``alt``
+    is the model's alternative of its id.  A failure is not kept, so it is
+    raised again on the next call."""
+    key = (alt.id, index)
+    memo = dm._contributions
+    if key not in memo:
+        memo[key] = _additive_contribution(dm, alt, index)
+    return memo[key]
+
+
 def expected_utility(dm: DecisionModel, alternative_id: str) -> float:
     """Expected utility of one alternative under the model's transform.
 
-    Additive (weighted-sum) utilities sum per-attribute contributions; joint
-    (lookup-table) utilities sum over all outcome combinations with product
-    probabilities.
+    Additive (weighted-sum) utilities sum per-attribute contributions, in
+    attribute order; joint (lookup-table) utilities sum over all outcome
+    combinations with product probabilities.
     """
     try:
         alt = dm.alternative(alternative_id)
@@ -277,7 +302,7 @@ def expected_utility(dm: DecisionModel, alternative_id: str) -> float:
     if isinstance(dm.utility, WeightedSum):
         total = dm.utility.offset
         for i in range(len(dm.attributes)):
-            total += _additive_contribution(dm, alt, i)
+            total += _contribution(dm, alt, i)
         return total
     table = dm.utility.lookup
     lots = [alt.lottery_for(attr.id) for attr in dm.attributes]
@@ -365,9 +390,7 @@ def daop_to_rop(dm: DecisionModel) -> Rop:
             if any(cid == a.id for a in dm.attributes) or cid in alt_ids:
                 raise DefinitionError(f"id '{cid}' clashes with a declared id")
             contribution_ids.append(cid)
-            per_alt = {
-                alt.id: _additive_contribution(dm, alt, i) for alt in dm.alternatives
-            }
+            per_alt = {alt.id: _contribution(dm, alt, i) for alt in dm.alternatives}
             totals = {aid: totals[aid] + per_alt[aid] for aid in alt_ids}
             values = tuple(sorted(set(per_alt.values())))
             criteria.append(

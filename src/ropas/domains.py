@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from math import isfinite
 from typing import Union
 
@@ -73,6 +74,8 @@ class IntegerRange:
         return tuple(range(self.lo, self.hi + 1))
 
     def contains(self, value: Value) -> bool:
+        if type(value) is int:
+            return self.lo <= value <= self.hi
         if isinstance(value, bool):
             value = int(value)
         if isinstance(value, float):
@@ -177,7 +180,7 @@ class Enumerated:
             raise DefinitionError("enumerated domain needs at least one value")
         if len(set(self.labels)) != len(self.labels):
             raise DefinitionError("enumerated domain values must be distinct")
-        if not all(is_finite(v) for v in self.labels if is_numeric(v)):
+        if not all(map(is_finite, filter(is_numeric, self.labels))):
             raise DefinitionError("enumerated domain values must be finite")
 
     @property
@@ -187,16 +190,38 @@ class Enumerated:
     def values(self) -> tuple[Value, ...]:
         return self.labels
 
+    @cached_property
+    def _positions(self) -> dict[Value, int]:
+        """Each label's position, built once.  A value equal to a label
+        hashes as the label does (ints, floats, bools and strings keep that
+        rule), so a lookup finds what a scan of ``labels`` would."""
+        return {label: index for index, label in enumerate(self.labels)}
+
+    @cached_property
+    def _bounds(self) -> tuple[float, float] | None:
+        """``domain_bounds`` of this domain, found once."""
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in self.labels):
+            return (min(self.labels), max(self.labels))  # type: ignore[type-var]
+        return None
+
     def contains(self, value: Value) -> bool:
-        return value in self.labels
+        try:
+            return value in self._positions
+        except TypeError:  # unhashable: compared label by label
+            return value in self.labels
 
     def canonical(self, value: Value) -> Value:
         return self.labels[self.index_of(value)]
 
     def index_of(self, value: Value) -> int:
-        if value not in self.labels:
-            raise DefinitionError(f"value {value!r} not among enumerated values")
-        return self.labels.index(value)
+        try:
+            return self._positions[value]
+        except KeyError:
+            pass
+        except TypeError:  # unhashable: compared label by label
+            if value in self.labels:
+                return self.labels.index(value)
+        raise DefinitionError(f"value {value!r} not among enumerated values")
 
 
 Domain = Union[Boolean, IntegerRange, RealGrid, Enumerated]
@@ -210,9 +235,7 @@ def domain_bounds(domain: Domain) -> tuple[float, float] | None:
         return (float(domain.lo), float(domain.hi))
     if isinstance(domain, RealGrid):
         return (domain.lo, domain.hi)
-    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in domain.labels):
-        return (min(domain.labels), max(domain.labels))  # type: ignore[type-var]
-    return None
+    return domain._bounds
 
 
 def is_numeric(value: Value) -> bool:

@@ -68,7 +68,14 @@ MODEL_HEADER = "ropas-model v1"
 TRACE_HEADER = "ropas-trace v1"
 
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_INT = re.compile(r"^[+-]?\d+$")
+
+
+def _integer_shaped(token: str) -> bool:
+    """An optional sign, then one or more Unicode decimal digits (what
+    ``re`` calls ``\\d``).  Like a pattern ending in ``$``, it allows one
+    final newline, which no line of a file holds."""
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    return digits.removesuffix("\n").isdecimal()
 
 
 @dataclass(frozen=True)
@@ -136,7 +143,7 @@ def format_scalar(value: Value) -> str:
 
 def parse_scalar(token: str) -> Value:
     """Type a literal by shape: integer, then float, then bare label."""
-    if _INT.match(token):
+    if _integer_shaped(token):
         return int(token)
     try:
         return float(token)
@@ -161,7 +168,7 @@ def parse_domain(token: str) -> Domain:
     parts = token.split(":")
     try:
         if token.startswith("int:"):
-            if len(parts) != 3 or not (_INT.match(parts[1]) and _INT.match(parts[2])):
+            if len(parts) != 3 or not (_integer_shaped(parts[1]) and _integer_shaped(parts[2])):
                 raise ValueError(f"bad integer domain '{token}'")
             return IntegerRange(int(parts[1]), int(parts[2]))
         if token.startswith("grid:"):
@@ -389,6 +396,7 @@ class _ModelParser(_Parser):
         self.attributes: list[Criterion] = []
         self.alt_order: list[str] = []
         self.lotteries: dict[str, list[tuple[str, Lottery]]] = {}
+        self.outcomes: dict[str, Value] = {}  # outcome text -> its value, typed once
         self.utility: Optional[Union[WeightedSum, LookupTable]] = None
         self.transform: Transform = IdentityTransform()
 
@@ -531,7 +539,7 @@ def _declared(v, **options: Optional[str]) -> str:
 
 def _whole(p: _ModelParser, rest: str) -> int:
     """An integer record value; anything else is a syntax issue."""
-    if not _INT.match(rest):
+    if not _integer_shaped(rest):
         raise _Syntax(f"expected '{p.head} N'")
     return int(rest)
 
@@ -702,7 +710,7 @@ def _read_cardinality(p: _ModelParser, rest: str) -> None:
     name, body = _constraint(p, rest)
     left, comparator, bound = _compared(body)
     inputs = tuple(t.strip() for t in left.split(",") if t.strip())
-    if not _INT.match(bound):
+    if not _integer_shaped(bound):
         raise ValueError(f"cardinality bound '{bound}' is not an integer")
     p.depend(CardinalityConstraint(name, inputs, comparator, int(bound)))
 
@@ -904,12 +912,20 @@ def _read_lottery(p: _ModelParser, rest: str) -> None:
     if len(tokens) < 3:
         raise _Syntax("expected 'lottery ALT ATTR V:P V:P ...'")
     pairs = []
+    typed = p.outcomes
     for token in tokens[2:]:
         vtext, sep, ptext = token.rpartition(":")
         if not sep:
             raise _Syntax(f"bad outcome '{token}'")
         try:
-            pairs.append((parse_scalar(vtext), float(ptext)))
+            value = typed.get(vtext)
+            if value is None:
+                value = parse_scalar(vtext)
+                # A nan is typed afresh: one nan object in two outcomes would
+                # be a duplicate, since `in` tests identity before equality.
+                if value == value:
+                    typed[vtext] = value
+            pairs.append((value, float(ptext)))
         except ValueError:
             raise _Syntax(f"bad probability in '{token}'")
     p.lotteries.setdefault(tokens[0], []).append((tokens[1], Lottery(tuple(pairs))))

@@ -524,15 +524,29 @@ def _check_finite(subject: str, out: list[Violation], **numbers: Iterable[float]
                 return
 
 
+def _canonical_key(domains: Sequence[Domain], key: tuple) -> Optional[tuple]:
+    """``key`` with each value canonical in its domain; None when the arity
+    differs or a value lies outside its domain."""
+    if len(key) != len(domains):
+        return None
+    try:
+        return tuple([d.canonical(v) for d, v in zip(domains, key)])
+    except DefinitionError:
+        return None
+
+
 def _check_coverage(
-    subject: str, domains: Sequence[Domain], keys: Iterable[tuple], what: str, out: list[Violation]
+    subject: str,
+    domains: Sequence[Domain],
+    keys: Iterable[Optional[tuple]],
+    what: str,
+    out: list[Violation],
 ) -> None:
-    """A table's keys must cover every combination of the domains' values."""
-    covered = {
-        tuple(d.canonical(v) for d, v in zip(domains, key))
-        for key in keys
-        if len(key) == len(domains) and all(d.contains(v) for d, v in zip(domains, key))
-    }
+    """A table's keys, each made canonical by ``_canonical_key`` (None for
+    one outside the domains), must cover every combination of the domains'
+    values."""
+    covered = set(keys)
+    covered.discard(None)
     expected = prod(d.size for d in domains)
     if len(covered) < expected:
         message = f"table covers {len(covered)} of {expected} {what} combinations"
@@ -618,12 +632,13 @@ def validate_model(model: Model) -> list[Violation]:
                 table = dep.lookup
                 if len(table) != len(dep.entries):
                     out.append(Violation(dep.id, "duplicate table keys"))
-                for key in table:
+                canonical_keys = [_canonical_key(domains, key) for key in table]
+                for key, canonical in zip(table, canonical_keys):
                     if len(key) != len(dep.inputs):
                         out.append(Violation(dep.id, f"key {key!r} has wrong arity"))
-                    elif not all(d.contains(v) for d, v in zip(domains, key)):
+                    elif canonical is None:
                         out.append(Violation(dep.id, f"key {key!r} outside input domains"))
-                _check_coverage(dep.id, domains, table, "input", out)
+                _check_coverage(dep.id, domains, canonical_keys, "input", out)
                 if model.has_variable(dep.output):
                     odom = model.variable_domain(dep.output)
                     for key, val in dep.entries:

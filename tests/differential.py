@@ -33,11 +33,15 @@ and shipped fixtures, so both sides see the same ones:
 - every CLI subcommand on ``fixtures/*.model`` (``simulate`` with each
   ``fixtures/*.trace``), in both report formats, with and without
   ``--oracle``: exit code, stdout and stderr;
+- ``validate``, ``rank`` and ``rank --oracle`` through the CLI on the
+  decision file ``decision_file`` writes (32 alternatives x 4 attributes,
+  decimal probabilities, the float-split pair) for each of
+  ``DECISION_FILE_SEEDS`` seeds: exit code, stdout and stderr;
 - the mutants ``tests/test_mutants.mutant(seed)`` for each of
   ``MUTANT_SEEDS`` seeds, run through the CLI as that test runs them
   (``validate``, then every run its source file supports): exit code,
-  stdout and stderr.  Both sides write each mutant to the same path, so a
-  message that names the file reads the same.
+  stdout and stderr.  Both sides write each decision file and each mutant
+  to the same path, so a message that names the file reads the same.
 
 Prints the first differing case with its seed and exits 1; otherwise prints
 how many cases agreed and exits 0.  Its name has no ``test_`` prefix, so
@@ -63,6 +67,7 @@ ROOT = HERE.parent
 FIXTURES = ROOT / "fixtures"
 SEEDS = 500
 INTEGRAL_SEEDS = 200
+DECISION_FILE_SEEDS = 100
 MUTANT_SEEDS = 500
 
 
@@ -270,6 +275,18 @@ def _cli_cases():
         yield f"ropas {' '.join(argv)}", _run_cli([fixtures.get(arg, arg) for arg in argv])
 
 
+def _decision_file_cases(workdir: Path):
+    from genmodels import decision_file
+
+    workdir.mkdir(parents=True, exist_ok=True)
+    path = workdir / "decision.model"
+    for seed in range(DECISION_FILE_SEEDS):
+        path.write_text(decision_file(random.Random(seed)), encoding="utf-8")
+        for command in (["validate"], ["rank"], ["rank", "--oracle"]):
+            argv = [command[0], str(path), *command[1:]]
+            yield f"decision file seed={seed}: ropas {' '.join(command)}", _run_cli(argv)
+
+
 def _mutant_cases(workdir: Path):
     from test_mutants import EVERY_RECORD_TRACE, MUTANT, SOURCES, mutant
 
@@ -287,21 +304,21 @@ def _mutant_cases(workdir: Path):
 
 
 def emit(workdir: Path) -> None:
-    """Print one JSON line per case: its name and its output.  The mutants
-    are written under ``workdir``."""
+    """Print one JSON line per case: its name and its output.  The decision
+    files and the mutants are written under ``workdir``."""
     cases_by_kind = (
         _goal_cases(), _rop_cases(), _integral_cases(), _runtime_cases(), _decision_cases(),
-        _cli_cases(), _mutant_cases(workdir),
+        _cli_cases(), _decision_file_cases(workdir), _mutant_cases(workdir),
     )
     for cases in cases_by_kind:
         for name, out in cases:
             print(json.dumps([name, out]))
 
 
-def _run_side(src: Path, mutants: Path) -> list:
+def _run_side(src: Path, inputs: Path) -> list:
     env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.pathsep.join([str(src), str(HERE)]))
     done = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--emit", str(mutants)],
+        [sys.executable, str(Path(__file__).resolve()), "--emit", str(inputs)],
         capture_output=True,
         text=True,
         env=env,
@@ -324,8 +341,8 @@ def compare(rev: str) -> int:
         shutil.rmtree(workdir, ignore_errors=True)
         sys.exit(f"cannot check out {rev}:\n{added.stderr}")
     try:
-        theirs = _run_side(tree / "src", workdir / "mutants")
-        ours = _run_side(ROOT / "src", workdir / "mutants")
+        theirs = _run_side(tree / "src", workdir / "inputs")
+        ours = _run_side(ROOT / "src", workdir / "inputs")
     finally:
         subprocess.run(
             ["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],

@@ -22,6 +22,7 @@ from ropas.decisions import (
     TableTransform,
 )
 from ropas.domains import Boolean, Domain, Enumerated, IntegerRange, RealGrid, domain_bounds
+from ropas.formats import format_scalar, parse_domain
 from ropas.goals import GoalGraph, goal_graph
 from ropas.model import (
     BooleanFormula,
@@ -182,6 +183,54 @@ def random_decision_model(rng: random.Random) -> DecisionModel:
     else:
         transform = random_table_transform(rng)
     return DecisionModel(tuple(alternatives), attributes=tuple(attributes), utility=utility, transform=transform)
+
+
+# The pair whose expected utilities are both 9/10 on paper but split in
+# floats: 0.7*0 + 0.3*3 = 0.8999999999999999 and 0.1*0 + 0.9*1 = 0.9.
+FLOAT_SPLIT_PAIR = (((0, "0.7"), (3, "0.3")), ((0, "0.1"), (1, "0.9")))
+
+
+def _decimal_probabilities(rng: random.Random, count: int) -> list[str]:
+    """``count`` decimal literals summing to 1 on paper: multiples of 1/4 or
+    1/64 (exact in a float) or of 1/10 or 1/100 (most of them not)."""
+    denominator = rng.choice((4, 10, 64, 100))
+    cuts = sorted(rng.sample(range(1, denominator), count - 1))
+    return [repr((b - a) / denominator) for a, b in zip([0] + cuts, cuts + [denominator])]
+
+
+def decision_file(rng: random.Random, alternatives: int = 32, attributes: int = 4) -> str:
+    """The text of a valid decision model file, ``alternatives`` x
+    ``attributes`` lotteries of one to three outcomes each (the size of the
+    ``cli-rank`` benchmark's files).  Attribute ``x0`` is ``int:-5:5``; the
+    others are integer ranges, booleans or numeric enumerations mixing ints
+    and floats, each holding 0.  The last two alternatives are
+    ``FLOAT_SPLIT_PAIR`` on ``x0`` with every other outcome 0.  The utility
+    is an integer-weighted sum; the transform is the identity, a power or a
+    table."""
+    domains = ["int:-5:5"]
+    for _ in range(attributes - 1):
+        domains.append(rng.choice(("int:-5:5", "int:0:3", "bool", "enum:-1.5,0,0.25,2,7.5")))
+    values = [[format_scalar(v) for v in parse_domain(d).values()] for d in domains]
+    names = [f"x{i}" for i in range(attributes)]
+    lines = ["ropas-model v1", "", "[attributes]"]
+    lines += [f"attribute {name} {domain}" for name, domain in zip(names, domains)]
+    lines += ["", "[alternatives]"]
+    alt_ids = [f"alt{n:02d}" for n in range(alternatives - 2)] + ["tie_x", "tie_y"]
+    lines += [f"alternative {alt}" for alt in alt_ids]
+    for alt in alt_ids[:-2]:
+        for name, choices in zip(names, values):
+            outcomes = rng.sample(choices, rng.randint(1, min(3, len(choices))))
+            probabilities = _decimal_probabilities(rng, len(outcomes))
+            pairs = " ".join(f"{v}:{p}" for v, p in zip(outcomes, probabilities))
+            lines.append(f"lottery {alt} {name} {pairs}")
+    for alt, split in zip(alt_ids[-2:], FLOAT_SPLIT_PAIR):
+        lines.append(f"lottery {alt} x0 " + " ".join(f"{v}:{p}" for v, p in split))
+        lines += [f"lottery {alt} {name} 0:1.0" for name in names[1:]]
+    weights = [rng.randint(-5, 5) or 1 for _ in names]
+    terms = " + ".join(f"{w}.0*{name}" for w, name in zip(weights, names))
+    lines += ["", "[utility]", f"weighted-sum {terms} + {rng.randint(-3, 3)}.0", "", "[transform]"]
+    lines.append(rng.choice(("identity", "identity", "power 2.0", "table 0.0:0.0 0.5:0.6 1.0:1.0")))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

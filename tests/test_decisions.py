@@ -1,6 +1,9 @@
 """Expected utility, rankings, and compilation into an optimization problem."""
 
+import io
 import random
+from collections import Counter
+from contextlib import redirect_stdout
 from dataclasses import replace
 from math import fsum
 
@@ -8,7 +11,8 @@ import pytest
 
 import ropas.decisions
 import ropas.formats
-from genmodels import random_decision_model
+from genmodels import decision_file, random_decision_model
+from ropas.cli import main
 from ropas.decisions import (
     Alternative,
     DecisionModel,
@@ -26,10 +30,10 @@ from ropas.decisions import (
     validate_transform,
 )
 from ropas.domains import Boolean, Enumerated, IntegerRange
-from ropas.errors import DefinitionError
+from ropas.errors import DefinitionError, EvaluationError
 from ropas.model import Criterion, LookupTable, WeightedSum
 from ropas.solver import OptimalSolutions, solve_rop
-from shipped import load
+from shipped import FIXTURES, load
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +257,74 @@ def test_parse_then_compile_validates_the_decision_model_once(monkeypatch):
     monkeypatch.setattr(ropas.formats, "validate_decision_model", counting, raising=False)
     daop_to_rop(load("respond.model").decision)
     assert len(calls) == 1
+
+
+def test_rank_oracle_computes_each_contribution_once(monkeypatch):
+    calls = Counter()
+    contribution = ropas.decisions._additive_contribution
+
+    def counting(dm, alt, index):
+        calls[alt.id, dm.attributes[index].id] += 1
+        return contribution(dm, alt, index)
+
+    monkeypatch.setattr(ropas.decisions, "_additive_contribution", counting)
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(["rank", "--oracle", str(FIXTURES / "respond.model")]) == 0
+    assert out.getvalue().splitlines()[0] == "rank 1 heli 46.200000"
+    dm = load("respond.model").decision
+    assert calls == Counter({(a.id, attr.id): 1 for a in dm.alternatives for attr in dm.attributes})
+
+
+def _decision_models():
+    yield load("respond.model").decision
+    yield ropas.formats.parse_model(decision_file(random.Random(3))).decision
+    rng = random.Random(31)
+    for _ in range(30):
+        yield random_decision_model(rng)
+
+
+def test_expected_utility_reads_the_same_after_ranking_and_compiling():
+    for fresh, used in zip(_decision_models(), _decision_models()):
+        before = {alt.id: repr(expected_utility(fresh, alt.id)) for alt in fresh.alternatives}
+        ranking = rank_alternatives(used)
+        daop_to_rop(used)
+        after = {alt.id: repr(expected_utility(used, alt.id)) for alt in used.alternatives}
+        assert after == before
+        assert {alt_id: repr(eu) for alt_id, eu in ranking.entries} == before
+
+
+def test_a_non_numeric_outcome_names_its_alternative_and_attribute():
+    # A boolean domain holds True, so validation passes and evaluation fails.
+    attributes = (Criterion("x", Boolean()), Criterion("y", Boolean()))
+    alternatives = (
+        Alternative("a", (("x", lottery((1, 1.0),)), ("y", lottery((True, 1.0),)))),
+        Alternative("b", (("x", lottery((True, 1.0),)), ("y", lottery((1, 1.0),)))),
+    )
+    utility = WeightedSum("utility", "utility", ("x", "y"), (1.0, 1.0))
+
+    def model():
+        dm = DecisionModel(alternatives, attributes, utility)
+        assert validate_decision_model(dm) == []
+        return dm
+
+    a_y = r"outcome True of 'a/y' is not numeric"
+    b_x = r"outcome True of 'b/x' is not numeric"
+    # Ranking reads alternative by alternative, compiling attribute by
+    # attribute, so each names the first bad pair in its own order.
+    with pytest.raises(EvaluationError, match=a_y):
+        rank_alternatives(model())
+    with pytest.raises(EvaluationError, match=b_x):
+        daop_to_rop(model())
+    dm = model()
+    for _ in range(2):  # a failure is raised again, not remembered
+        with pytest.raises(EvaluationError, match=a_y):
+            rank_alternatives(dm)
+        with pytest.raises(EvaluationError, match=b_x):
+            daop_to_rop(dm)
+        with pytest.raises(EvaluationError, match=a_y):
+            expected_utility(dm, "a")
+        with pytest.raises(EvaluationError, match=b_x):
+            expected_utility(dm, "b")
 
 
 def test_compilation_preserves_optima_on_random_models():

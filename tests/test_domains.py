@@ -1,5 +1,7 @@
 """Domain membership, canonical order, and bounds."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -38,6 +40,8 @@ def test_integer_range_values_in_order():
     assert d.values() == (-2, -1, 0, 1, 2, 3)
     assert d.index_of(-2) == 0
     assert d.index_of(3) == 5
+    assert d.contains(-2) and d.contains(3) and d.contains(True)
+    assert not d.contains(-3) and not d.contains(4) and not d.contains("2")
 
 
 def test_integer_range_accepts_integral_floats():
@@ -102,6 +106,52 @@ def test_domain_bounds():
     assert domain_bounds(RealGrid(0.5, 2.5, 0.5)) == (0.5, 2.5)
     assert domain_bounds(Enumerated((3, 1.5, 7))) == (1.5, 7)
     assert domain_bounds(Enumerated(("a", "b"))) is None
+
+
+LABEL_POOL = ("a", "b", "0", "1", "", 0, 1, 2, -1, 7, 0.0, -0.0, 0.5, 1.5, 2.0, -3.25)
+QUERIES = (
+    0, 1, 2, -1, 3, 7, 0.0, -0.0, 0.5, 1.0, 1.5, 2.0, -3.25, 0.25,
+    True, False, "a", "b", "0", "1", "", "zz", [0], {"a": 1}, (0,),
+)
+
+
+def _tuple_rule(labels, value):
+    """(found, position) as a scan of the label tuple gives them."""
+    if value in labels:
+        return True, labels.index(value)
+    return False, None
+
+
+def _old_bounds(labels):
+    """Enumerated bounds as a scan of every label found them."""
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in labels):
+        return (min(labels), max(labels))
+    return None
+
+
+def test_enumerated_answers_as_a_scan_of_its_labels():
+    rng = random.Random(5)
+    for _ in range(300):
+        labels = []
+        for label in rng.sample(LABEL_POOL, rng.randint(1, len(LABEL_POOL))):
+            if label not in labels:  # 0, 0.0 and -0.0 are one value
+                labels.append(label)
+        if rng.random() < 0.3:  # an all-numeric domain, which has bounds
+            labels = [v for v in labels if not isinstance(v, str)] or [0.5]
+        labels = tuple(labels)
+        domain = Enumerated(labels)
+        for value in rng.sample(QUERIES, len(QUERIES)) * 2:  # the second pass reads the cache
+            found, position = _tuple_rule(labels, value)
+            assert domain.contains(value) is found, (labels, value)
+            if found:
+                assert domain.index_of(value) == position
+                assert domain.canonical(value) is labels[position]
+            else:
+                with pytest.raises(DefinitionError, match="not among enumerated values"):
+                    domain.index_of(value)
+                with pytest.raises(DefinitionError, match="not among enumerated values"):
+                    domain.canonical(value)
+        assert repr(domain_bounds(domain)) == repr(_old_bounds(labels)), labels
 
 
 def test_is_numeric():

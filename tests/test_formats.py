@@ -1,5 +1,7 @@
 """Text formats: scalars, domains, expressions, model files, traces, reports."""
 
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,6 +56,72 @@ def test_scalar_lexical_typing():
     assert parse_scalar("1e3") == 1000.0
     assert parse_scalar("radio") == "radio"
     assert parse_scalar("x7") == "x7"
+
+
+# token -> its value: an optional sign, then Unicode decimal digits, is an
+# int; anything float() takes is a float; the rest is a label.
+SCALARS = {
+    "+7": 7,
+    "-0": 0,
+    "007": 7,
+    "1_0": 10.0,
+    "\u0663": 3,  # ARABIC-INDIC DIGIT THREE, a decimal digit
+    "\u00b2": "\u00b2",  # SUPERSCRIPT TWO, a digit but not a decimal one
+    "1e3": 1000.0,
+    "1.": 1.0,
+    "0x10": "0x10",
+    "+-1": "+-1",
+    "-": "-",
+    "nan": float("nan"),
+}
+
+
+def _outcome_issue(token: str) -> str:
+    """The message a lone outcome ``token`` outside its attribute's domain
+    gets; it shows the outcome's ``repr``."""
+    text = (
+        "ropas-model v1\n[attributes]\nattribute x enum:zz\n"
+        f"[alternatives]\nalternative a\nlottery a x {token}:1.0\n"
+        "[utility]\nweighted-sum 1.0*x\n"
+    )
+    with pytest.raises(ParseFailure) as failure:
+        parse_model(text)
+    found = [i.message for i in failure.value.issues if "outcome" in i.message]
+    assert len(found) == 1, failure.value.issues
+    return found[0]
+
+
+@pytest.mark.parametrize("token, value", SCALARS.items(), ids=[ascii(t) for t in SCALARS])
+def test_scalar_typing_by_shape(token, value):
+    typed = parse_scalar(token)
+    assert (type(typed), repr(typed)) == (type(value), repr(value))
+    assert _outcome_issue(token) == f"a/x: outcome {value!r} outside the attribute domain"
+
+
+def test_integer_shape_is_unicode_decimal_digits():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    decimal = set(re.findall(r"\d", every))
+    assert decimal == {ch for ch in every if ch.isdecimal()}
+    assert all(type(parse_scalar(ch)) is int and type(parse_scalar("-" + ch)) is int for ch in decimal)
+    others = [ch for ch in every if (ch.isdigit() or ch.isnumeric()) and ch not in decimal]
+    assert others and not any(type(parse_scalar(ch)) is int for ch in others)
+
+
+def test_nan_outcomes_stay_two_values():
+    text = (
+        "ropas-model v1\n[attributes]\nattribute x int:0:1\n"
+        "[alternatives]\nalternative a\nalternative b\n"
+        "lottery a x nan:0.5 nan:0.5\nlottery b x nan:1.0\n"
+        "[utility]\nweighted-sum 1.0*x\n"
+    )
+    with pytest.raises(ParseFailure) as failure:
+        parse_model(text)
+    messages = [i.message for i in failure.value.issues]
+    assert messages == [
+        "a/x: outcome nan outside the attribute domain",
+        "a/x: outcome nan outside the attribute domain",
+        "b/x: outcome nan outside the attribute domain",
+    ]
 
 
 def test_scalar_round_trip():

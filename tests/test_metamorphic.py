@@ -3,7 +3,9 @@ known from the definitions alone.
 
 - Declaration order carries no meaning: shuffling a model's criteria,
   parameters, monitored variables and depends changes no solve, enumeration
-  or simulation.
+  or simulation, and shuffling the ``alternative`` and ``lottery`` records
+  of a decision file changes no byte of ``validate``, ``rank`` or
+  ``rank --oracle`` (attribute order is left alone: it orders the sum).
 - A constraint only removes specifications: adding one leaves exactly the
   old feasible specifications that also satisfy it.
 - A cap only refuses work: raising it never changes a result that fit under
@@ -12,12 +14,21 @@ known from the definitions alone.
 Renaming a goal graph's atoms is covered in ``test_goals.py``.
 """
 
+import io
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
 import pytest
 
-from genmodels import random_goal_graph, random_rop, random_runtime_scenario, with_derived_parameter
+from genmodels import (
+    decision_file,
+    random_goal_graph,
+    random_rop,
+    random_runtime_scenario,
+    with_derived_parameter,
+)
+from ropas.cli import main
 from ropas.domains import domain_bounds
 from ropas.errors import SizeLimitError
 from ropas.goals import solve_rdrp, solve_rp2, solve_rp3
@@ -74,6 +85,40 @@ def test_shuffled_declarations_simulate_the_same():
         shuffled = _shuffled(rng, model)
         expected = repr(run_simulation(model, trace, config))
         assert repr(run_simulation(shuffled, trace, config)) == expected, seed
+
+
+def _cli_outputs(path) -> list:
+    outputs = []
+    for argv in (["validate", path], ["rank", path], ["rank", "--oracle", path]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        outputs.append((code, out.getvalue(), err.getvalue()))
+    return outputs
+
+
+def _shuffled_alternatives(rng: random.Random, text: str) -> str:
+    """``text`` with the records of its ``[alternatives]`` section shuffled."""
+    lines = text.splitlines(keepends=True)
+    start = lines.index("[alternatives]\n") + 1
+    end = lines.index("\n", start)
+    records = lines[start:end]
+    rng.shuffle(records)
+    return "".join(lines[:start] + records + lines[end:])
+
+
+def test_shuffled_alternative_records_rank_the_same(tmp_path):
+    path = tmp_path / "decision.model"
+    for seed in range(16):
+        rng = random.Random(seed)
+        text = decision_file(rng)
+        path.write_text(text, encoding="utf-8")
+        expected = _cli_outputs(str(path))
+        assert [code for code, _, _ in expected] == [0, 0, 0], seed
+        shuffled = _shuffled_alternatives(rng, text)
+        assert shuffled != text
+        path.write_text(shuffled, encoding="utf-8")
+        assert _cli_outputs(str(path)) == expected, seed
 
 
 def test_an_added_constraint_only_filters_the_enumeration():
