@@ -267,13 +267,14 @@ def _additive_contribution(dm: DecisionModel, alt: Alternative, index: int) -> f
     attr = dm.attributes[index]
     weight = dm.utility.weights[index]
     lot = alt.lottery_for(attr.id)
+    apply = dm.transform.apply
     inner = 0.0
     for value, p in lot.outcomes:
-        if not is_numeric(value):
+        if type(value) is not int and not is_numeric(value):  # most parsed ones are ints
             raise EvaluationError(
                 f"outcome {value!r} of '{alt.id}/{attr.id}' is not numeric"
             )
-        inner += dm.transform.apply(p) * float(value)
+        inner += apply(p) * float(value)
     return weight * inner
 
 
