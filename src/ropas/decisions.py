@@ -134,11 +134,11 @@ def validate_transform(transform: Transform) -> list[Violation]:
             return out
         if any(b[0] < a[0] for a, b in zip(pts, pts[1:])):
             out.append(Violation("transform", "breakpoints not sorted by probability"))
-        if any(b[1] < a[1] - 1e-12 for a, b in zip(pts, pts[1:])):
+        if any(b[1] < a[1] for a, b in zip(pts, pts[1:])):
             out.append(Violation("transform", "breakpoint values decrease"))
-        if abs(pts[0][0]) > 1e-12 or abs(pts[0][1]) > 1e-12:
+        if tuple(pts[0]) != (0, 0):
             out.append(Violation("transform", "first breakpoint must be (0, 0)"))
-        if abs(pts[-1][0] - 1.0) > 1e-12 or abs(pts[-1][1] - 1.0) > 1e-12:
+        if tuple(pts[-1]) != (1, 1):
             out.append(Violation("transform", "last breakpoint must be (1, 1)"))
     return out
 
@@ -257,6 +257,13 @@ def validate_decision_model(dm: DecisionModel) -> list[Violation]:
     return out
 
 
+def _check_valid(dm: DecisionModel) -> None:
+    """The one validity check of every evaluation: raise the definition error
+    ``invalid decision model: …`` naming each finding of an invalid model."""
+    if dm.violations:
+        raise DefinitionError("invalid decision model: " + "; ".join(map(str, dm.violations)))
+
+
 # ---------------------------------------------------------------------------
 # Expected utility
 
@@ -294,8 +301,10 @@ def expected_utility(dm: DecisionModel, alternative_id: str) -> float:
 
     Additive (weighted-sum) utilities sum per-attribute contributions, in
     attribute order; joint (lookup-table) utilities sum over all outcome
-    combinations with product probabilities.
+    combinations with product probabilities.  An invalid model raises
+    ``_check_valid``'s definition error.
     """
+    _check_valid(dm)
     try:
         alt = dm.alternative(alternative_id)
     except KeyError:
@@ -339,7 +348,9 @@ class Ranking:
 
 
 def rank_alternatives(dm: DecisionModel) -> Ranking:
-    """Rank every alternative; ties share a group, order is deterministic."""
+    """Rank every alternative; ties share a group, order is deterministic.
+    An invalid model raises ``_check_valid``'s definition error."""
+    _check_valid(dm)
     scored = [(alt.id, expected_utility(dm, alt.id)) for alt in dm.alternatives]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     groups = tuple(
@@ -366,11 +377,7 @@ def daop_to_rop(dm: DecisionModel) -> Rop:
     utility a single lookup produces the expected utility directly.  Solving
     the result yields exactly the top ranking group.
     """
-    problems = dm.violations
-    if problems:
-        raise DefinitionError(
-            "invalid decision model: " + "; ".join(str(v) for v in problems)
-        )
+    _check_valid(dm)
     alt_ids = tuple(alt.id for alt in dm.alternatives)
     reserved = {ALTERNATIVE_PARAMETER, UTILITY_CRITERION}
     clash = reserved & set(alt_ids) | reserved & {a.id for a in dm.attributes}

@@ -12,9 +12,10 @@ class SizeLimitError(RopasError):
 class EvaluationError(RopasError):
     """A specification could not be evaluated.
 
-    Raised when a required input value is missing (the message names the
-    variable), a lookup table has no entry for the input tuple, or a computed
-    value falls outside the output variable's domain.
+    Raised when an evaluation's input is unknown, missing or outside its
+    domain (the message names the variable), or a weighted sum's value falls
+    outside its output's domain.  An invalid model raises a definition error
+    instead.
     """
 
 

@@ -10,32 +10,42 @@ instance (one value per criterion).
 ``search_specifications`` is the one propagating search behind enumeration,
 solving and the simulator's adaptation re-solves.
 
+Only a valid model is evaluated: ``Model._compiled`` is the one validity
+gate, raising the definition error ``invalid model: …`` with every
+``validate_model`` finding, and every evaluation entry reads it before it
+evaluates anything (``evaluate``, ``is_feasible``, ``search_specifications``
+and with it enumeration and solving, ``complete_specification``, and the
+solver's brute-force oracles).  The file formats report the same findings
+when a file is parsed.
+
 Values are canonicalized where they enter: the public ``evaluate`` and
 ``is_feasible`` check the specification and the exogenous map and
 canonicalize each value once, then call ``_evaluated``, the one evaluation
 entry, which trusts canonical input and checks nothing again.  The search
-canonicalizes its exogenous map once per call and emits canonical
-specifications, so callers holding those (the simulator) call
-``_evaluated`` directly.
+and ``complete_specification`` canonicalize their exogenous map once per
+call and the search emits canonical specifications, so callers holding
+those (the simulator) call ``_evaluated`` directly.
 
 Each ``Model`` indexes itself once, on first use, through cached properties:
 id lookups, the functional depends' evaluation order, its validation
 findings, and the compiled view.  There each functional depend is the one
 function computing its canonical output, for the search, ``_evaluated`` and
-``complete_specification`` alike, and each pure constraint is one linear row
-(coefficients, comparator code, bound, and each input's smallest and largest
-term): a cardinality constraint is an all-ones row and an incompatibility
-the row ``a + b <= 1``.  When a weighted sum computes the decision rule, it
-compiles to a row as well.  The search keeps each row's interval over the
-completions of the current branch, updates it in O(1) as an input gets a
-value, and undoes it from one search-wide trail on backtracking; it prunes
-on a partial interval only beyond the row's rounding tolerance, and tests
-the row exactly once its last input has a value: an exact row (integer
-coefficients over boolean and integer inputs) from its running sums, any
-other summed again.  When it maximises the decision rule, that row's upper
-bound cuts every branch that cannot reach the best leaf found so far (branch
-and bound); ties are never cut.  Every evaluation, feasibility check and
-search of that model reuses the index.
+``complete_specification`` alike: a lookup table is a dict from canonical
+key to canonical value, a formula or a step yields its boolean 0 or 1, and
+only a weighted sum canonicalizes its value as it computes it.  Each pure
+constraint is one linear row (coefficients, comparator code, bound, and each
+input's smallest and largest term): a cardinality constraint is an all-ones
+row and an incompatibility the row ``a + b <= 1``.  When a weighted sum
+computes the decision rule, it compiles to a row as well.  The search keeps
+each row's interval over the completions of the current branch, updates it
+in O(1) as an input gets a value, and undoes it from one search-wide trail
+on backtracking; it prunes on a partial interval only beyond the row's
+rounding tolerance, and tests the row exactly once its last input has a
+value: an exact row (integer coefficients over boolean and integer inputs)
+from its running sums, any other summed again.  When it maximises the
+decision rule, that row's upper bound cuts every branch that cannot reach
+the best leaf found so far (branch and bound); ties are never cut.  Every
+evaluation, feasibility check and search of that model reuses the index.
 
 All operations are pure and deterministic.  Objects are immutable, so sharing
 them across threads is safe; two threads racing to build a model's index at
@@ -45,7 +55,7 @@ worst build it twice, with equal results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from math import prod
 from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -107,8 +117,17 @@ class MonitoredVariable:
     detectable_range: tuple[Value, ...] = ()
 
     def detects(self, value: Value) -> bool:
-        rng = self.detectable_range or self.domain.values()
-        return value in rng
+        """Whether monitoring reports ``value``: it lies in the domain and, when
+        a detectable range is given, is one of its values.  Values compare
+        canonical, so ``detect=0.3`` on ``grid:0:0.5:0.1`` names the grid
+        point ``0.1 * 3``."""
+        domain = self.domain
+        if not domain.contains(value):
+            return False
+        value = domain.canonical(value)
+        return not self.detectable_range or value in [
+            domain.canonical(v) for v in self.detectable_range if domain.contains(v)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -450,20 +469,25 @@ class Model:
         numbered in evaluation order, each with its output and a function
         computing it from the environment, the numbers of the depends reading
         each variable, one linear row per pure constraint with its watch
-        lists, and the row of the decision rule for the objective cut."""
+        lists, and the row of the decision rule for the objective cut.
+
+        The validity gate: on a model with ``violations`` it raises the
+        definition error ``invalid model: …`` naming them all (and caches
+        nothing), so what reads it compiles and evaluates valid models only."""
+        if self.violations:
+            raise DefinitionError("invalid model: " + "; ".join(map(str, self.violations)))
         topo = self.topological_depends
         feeds: dict[str, tuple[int, ...]] = {}
         for number, dep in enumerate(topo):
             for name in dep.inputs:
                 feeds[name] = feeds.get(name, ()) + (number,)
-        computes = tuple(_compile_functional(dep, self.variable_domain(dep.output)) for dep in topo)
+        computes = tuple(_compile_functional(self, dep) for dep in topo)
         rows = tuple(_compile_row(self, con) for con in self.constraint_depends)
         objective = None
         rule = self.producers.get(self.decision_rule)  # type: ignore[arg-type]
         if isinstance(rule, WeightedSum):
             row = _compile_row(self, rule)
-            if None not in row.low:
-                objective = (row, _watch_lists(rows + (row,)))
+            objective = (row, _watch_lists(rows + (row,)))
         outputs = tuple(dep.output for dep in topo)
         return _Compiled(outputs, computes, feeds, rows, _watch_lists(rows), objective)
 
@@ -708,44 +732,39 @@ def validate_model(model: Model) -> list[Violation]:
 
 
 def _compile_functional(
-    dep: FunctionalDepend, out_domain: Domain
+    model: Model, dep: FunctionalDepend
 ) -> Callable[[Mapping[str, Value]], Value]:
     """The one function computing ``dep``'s canonical output from an
-    environment.  A missing input raises ``KeyError`` naming the first one
-    read (in ``eval_expr``'s order for a formula); an output outside
-    ``out_domain`` raises an evaluation error naming the depend.  A formula's
-    0 or 1 is canonicalized only for a non-boolean output; a malformed
-    formula, which validation rejects, is read by ``eval_expr``."""
+    environment of canonical values, for a valid ``model``.  A missing input
+    raises ``KeyError`` naming the first one read (in ``eval_expr``'s order
+    for a formula).  A formula or a step returns its 0 or 1 (its output is
+    boolean), and a table the canonical value under the canonical key, as
+    ``_canonical_key`` makes it.  Only a weighted sum canonicalizes its value
+    as it computes it; one outside the output domain raises an evaluation
+    error naming the depend."""
     if isinstance(dep, BooleanFormula):
-        raw = _compile_expr(dep.expr) if expr_ok(dep.expr) else partial(eval_expr, dep.expr)
-        if isinstance(out_domain, Boolean) and expr_ok(dep.expr):
-            return raw
-    elif isinstance(dep, WeightedSum):
-        offset, terms = dep.offset, tuple(zip(dep.weights, dep.inputs))
-
-        def raw(env: Mapping[str, Value]) -> Value:
-            total = offset
-            for weight, name in terms:
-                total += weight * float(env[name])  # type: ignore[arg-type]
-            return total
-    elif isinstance(dep, LookupTable):
-        inputs, table = dep.inputs, dep.lookup
-
-        def raw(env: Mapping[str, Value]) -> Value:
-            key = tuple([env[name] for name in inputs])
-            if key not in table:
-                raise EvaluationError(f"depend '{dep.id}' has no table entry for {key!r}")
-            return table[key]
-    else:
+        return _compile_expr(dep.expr)
+    if isinstance(dep, ThresholdStep):
         name, cut = dep.input, dep.cut - TOLERANCE
-        raw = lambda env: 1 if float(env[name]) >= cut else 0  # type: ignore[arg-type]
+        return lambda env: 1 if float(env[name]) >= cut else 0  # type: ignore[arg-type]
+    out_domain = model.variable_domain(dep.output)
+    if isinstance(dep, LookupTable):
+        inputs, domains = dep.inputs, [model.variable_domain(name) for name in dep.inputs]
+        table = {
+            _canonical_key(domains, key): out_domain.canonical(value) for key, value in dep.entries
+        }
+        return lambda env: table[tuple([env[name] for name in inputs])]
+    offset, terms = dep.offset, tuple(zip(dep.weights, dep.inputs))
 
-    def compute(env: Mapping[str, Value]) -> Value:
+    def weighted_sum(env: Mapping[str, Value]) -> Value:
+        total = offset
+        for weight, name in terms:
+            total += weight * float(env[name])  # type: ignore[arg-type]
         try:
-            return out_domain.canonical(raw(env))
+            return out_domain.canonical(total)
         except DefinitionError as exc:
             raise EvaluationError(f"depend '{dep.id}': {exc}") from exc
-    return compute
+    return weighted_sum
 
 
 def _exogenous_values(
@@ -772,9 +791,11 @@ def _environment(
     spec: Specification,
     exogenous: Optional[Mapping[str, Value]] = None,
 ) -> tuple[dict[str, Value], dict[str, Value]]:
-    """``_evaluated`` on input checked and canonicalized first: unknown,
-    missing and out-of-domain parameters and bad exogenous values are
-    rejected with an evaluation error."""
+    """``_evaluated`` on input checked and canonicalized first: an invalid
+    model is rejected with the definition error of ``Model._compiled``, then
+    unknown, missing and out-of-domain parameters and bad exogenous values
+    with an evaluation error."""
+    model._compiled  # the validity gate
     values: dict[str, Value] = {}
     for pid, value in spec.items:
         try:
@@ -848,7 +869,7 @@ class _Row(NamedTuple):
     compared against ``bound``.
 
     ``low`` and ``high`` hold each input's smallest and largest term over its
-    domain bounds, or None when the domain has no numeric bounds.
+    domain bounds (validation requires numeric inputs).
     ``tolerance`` is larger than any rounding of a sum of the terms in any
     order: ``TOLERANCE`` scaled by a bound on every partial sum.  A row is
     ``exact`` when its coefficients and offset are integers, its inputs are
@@ -861,8 +882,8 @@ class _Row(NamedTuple):
     code: int  # the comparator's: 0 for "==", 1 for "<=", 2 for ">="
     bound: float
     offset: float
-    low: tuple[Optional[float], ...]
-    high: tuple[Optional[float], ...]
+    low: tuple[float, ...]
+    high: tuple[float, ...]
     tolerance: float
     exact: bool
 
@@ -880,8 +901,8 @@ class _Compiled(NamedTuple):
     feeds: dict[str, tuple[int, ...]]  # variable -> the numbers of the depends reading it
     rows: tuple[_Row, ...]  # one per pure constraint, in declaration order
     watch: _Watch
-    # When a weighted sum over numeric inputs computes the decision rule: its
-    # row, and the watch lists of ``rows`` followed by that row.
+    # When a weighted sum computes the decision rule: its row, and the watch
+    # lists of ``rows`` followed by that row.
     objective: Optional[tuple[_Row, _Watch]]
 
 
@@ -899,22 +920,17 @@ def _compile_row(model: Model, dep: Union[ConstraintDepend, WeightedSum]) -> _Ro
     else:
         coefficients, comparator, bound = dep.weights, ">=", float("-inf")
         offset = dep.offset
-    inputs = tuple(name for _, name in zip(coefficients, dep.inputs))
-    low: list[Optional[float]] = []
-    high: list[Optional[float]] = []
+    inputs = dep.inputs
+    low: list[float] = []
+    high: list[float] = []
     for coeff, name in zip(coefficients, inputs):
-        domain = model._domains.get(name)
-        bounds = domain_bounds(domain) if domain is not None else None
-        if bounds is None:
-            low.append(None)
-            high.append(None)
-            continue
-        ends = (coeff * bounds[0], coeff * bounds[1])
+        bounds = domain_bounds(model.variable_domain(name))
+        ends = (coeff * bounds[0], coeff * bounds[1])  # type: ignore[index]
         low.append(min(ends))
         high.append(max(ends))
-    scale = abs(offset) + sum(max(-a, b) for a, b in zip(low, high) if a is not None)
+    scale = abs(offset) + sum(max(-a, b) for a, b in zip(low, high))
     exact = scale < 2.0**50 and all(
-        isinstance(model._domains.get(name), (Boolean, IntegerRange)) for name in inputs
+        isinstance(model.variable_domain(name), (Boolean, IntegerRange)) for name in inputs
     ) and all(float(x).is_integer() for x in (offset, *coefficients))
     return _Row(
         inputs, tuple(coefficients), {"==": 0, "<=": 1}.get(comparator, 2), bound, offset,
@@ -939,11 +955,9 @@ def _row_interval(row: _Row, env: Mapping[str, Value]) -> tuple[float, float]:
             term = coeff * float(env[name])  # type: ignore[arg-type]
             lo += term
             hi += term
-        elif low is None:
-            raise DefinitionError("constraint input over non-numeric domain")
         else:
             lo += low
-            hi += high  # type: ignore[operator]
+            hi += high
     return lo, hi
 
 
@@ -1021,8 +1035,10 @@ def search_specifications(
     depend or pinned to its default.  Functional outputs are computed as soon
     as their inputs are known, and a branch is pruned once some pure
     constraint can no longer hold.  ``visit`` gets every feasible leaf's full
-    specification and value environment (valid only during the call).  A
-    depend input with no way to get a value raises an evaluation error first.
+    specification and value environment (valid only during the call).  An
+    invalid model raises ``Model._compiled``'s definition error before
+    anything else, and a depend input with no way to get a value raises an
+    evaluation error before the search starts.
 
     Each constraint is a linear row whose interval over the completions of
     the current branch is kept up to date as its inputs get values, tested
@@ -1038,6 +1054,7 @@ def search_specifications(
     leaves that cannot.  An evaluation error is raised only from a branch
     the search reaches, so a cut branch raises none.
     """
+    compiled = model._compiled
     free_ids = sorted(free)
     producers = model.producers
     # A computed value wins over an exogenous one, as in ``evaluate``.
@@ -1053,7 +1070,6 @@ def search_specifications(
             if name not in known:
                 raise EvaluationError(f"missing value for variable '{name}'")
 
-    compiled = model._compiled
     outputs, computes, feeds = compiled.outputs, compiled.computes, compiled.feeds
     rows, watch = compiled.rows, compiled.watch
     objective = compiled.objective if maximize else None
@@ -1238,18 +1254,18 @@ def complete_specification(
 
     Parameters outside the assignment take their computed value when they are
     the output of a functional depend, otherwise their declared default.
-    Computed values read the assignment, the exogenous values and the
-    defaults.
+    Computed values read the assignment, the exogenous values (canonicalized
+    and checked as ``evaluate`` does) and the defaults.
     """
+    computes = model._compiled.computes
     env: dict[str, Value] = dict(decision_assignment)
-    if exogenous:
-        env.update(exogenous)
+    env.update(_exogenous_values(model, exogenous))
     producers = model.producers
     remaining = [p for p in model.sorted_parameters if p.id not in decision_assignment]
     for p in remaining:
         if p.id not in producers and p.id not in env and p.default is not None:
             env[p.id] = p.domain.canonical(p.default)
-    for dep, compute in zip(model.topological_depends, model._compiled.computes):
+    for dep, compute in zip(model.topological_depends, computes):
         if all(name in env for name in dep.inputs) and dep.output not in env:
             env[dep.output] = compute(env)
     values: dict[str, Value] = dict(decision_assignment)

@@ -103,9 +103,7 @@ def apply_monitoring_scope(model: Model, event: Event) -> bool:
         mv = model.monitored_variable(event.variable)
     except KeyError:
         return False
-    if not mv.domain.contains(event.value):
-        return False
-    return mv.detects(mv.domain.canonical(event.value))
+    return mv.detects(event.value)
 
 
 # ---------------------------------------------------------------------------
@@ -718,9 +716,7 @@ def run_simulation(
     ``config_violations`` rejects or a missing initial value raises DefinitionError;
     a horizon above ``config.cap`` raises SizeLimitError before any tick runs.
     """
-    violations = model.violations
-    if violations:
-        raise DefinitionError("invalid model: " + "; ".join(str(v) for v in violations))
+    model._compiled  # an invalid model raises its findings here
     if model.decision_rule is None or not model.decision_set:
         raise DefinitionError("simulation needs a decision rule and a decision set")
     problems = config_violations(model, config)

@@ -57,11 +57,7 @@ class Rop:
     exogenous: tuple[tuple[str, Value], ...] = ()
 
     def __post_init__(self) -> None:
-        violations = self.model.violations
-        if violations:
-            raise DefinitionError(
-                "invalid model: " + "; ".join(str(v) for v in violations)
-            )
+        self.model._compiled  # an invalid model raises its findings here
         if self.model.decision_rule is None:
             raise DefinitionError("model has no decision rule")
         if not self.model.decision_set:

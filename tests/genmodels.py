@@ -654,3 +654,51 @@ def random_runtime_scenario(
         horizon=rng.choice((None, rng.randint(1, 16))),
     )
     return model, EventTrace(tuple(early) + later), config
+
+
+# ---------------------------------------------------------------------------
+# Grid-keyed lookup tables
+
+
+def grid_table_files(rng: random.Random) -> tuple[str, str]:
+    """The text of a valid model file and of a trace over one ``RealGrid``
+    whose points both files name by their short decimal literals: ``0.3``
+    for the grid point ``0.1 * 3``.
+
+    The grid is the domain of the parameter ``g`` and of the monitored
+    variable ``m``, which has an ``initial`` value and, in half the files, a
+    ``detect=`` subset.  The table ``t`` maps each point of ``m`` to
+    ``level``, the table ``s`` each pair of ``g`` and ``m`` to ``bonus``, and
+    the decision rule is ``u = level + bonus + 2*p`` over the decision set
+    ``g,p``, watched by one trigger.  The trace moves ``m`` through grid
+    points.
+    """
+    step, scale = rng.choice(((1, 10), (2, 10), (5, 10), (5, 100), (25, 100)))
+    first = rng.randint(0, 3)
+    points = [f"{(first + i) * step / scale:g}" for i in range(rng.randint(2, 6))]
+    grid = f"grid:{points[0]}:{points[-1]}:{step / scale:g}"
+    top = rng.randint(1, 5)
+    detect = ""
+    if rng.random() < 0.5:
+        detect = " detect=" + ",".join(rng.sample(points, rng.randint(1, len(points))))
+    level = " ; ".join(f"{point}={rng.randint(0, top)}" for point in points)
+    bonus = " ; ".join(
+        f"{a},{b}={rng.randint(0, top)}" for a, b in product(points, points)
+    )
+    lines = [
+        "ropas-model v1", "", "[variables]",
+        f"criterion level int:0:{top} kind=quality-variable",
+        f"criterion bonus int:0:{top} kind=quality-variable",
+        f"criterion u int:0:{2 * top + 4} kind=utility pref=higher-better",
+        f"parameter g {grid}", "parameter p int:0:2", f"monitored m {grid}{detect}",
+        "", "[depends]",
+        f"lookup-table t -> level : m : {level}",
+        f"lookup-table s -> bonus : g,m : {bonus}",
+        "weighted-sum w -> u : 1*level + 1*bonus + 2*p",
+        "", "[decision]", "rule u", "set g,p",
+        "", "[triggers]", f"trigger u in [{rng.randint(0, 2 * top + 4)},*]",
+        "", "[simulation]", f"initial m={rng.choice(points)}",
+    ]
+    ticks = sorted(rng.sample(range(1, 12), rng.randint(1, 5)))
+    events = [f"t={tick} m={rng.choice(points)}" for tick in ticks]
+    return "\n".join(lines) + "\n", "\n".join(["ropas-trace v1", *events]) + "\n"

@@ -5,6 +5,7 @@ stderr against behaviour already pinned down by the unit tests for the
 underlying modules.
 """
 
+import random
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,7 +17,15 @@ from ropas.decisions import ALTERNATIVE_PARAMETER
 from ropas.formats import MODEL_HEADER, parse_model, serialize_model
 from ropas.goals import solve_rdrp
 from ropas.model import Specification
-from ropas.solver import Infeasible, OptimalSolutions, decode_selection, rop, solve_rop
+from ropas.solver import (
+    Infeasible,
+    OptimalSolutions,
+    brute_force_oracle,
+    decode_selection,
+    rop,
+    solve_rop,
+)
+from genmodels import grid_table_files
 from shipped import load
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -563,6 +572,71 @@ def test_solve_and_simulate_agree_on_a_parameter_outside_the_decision_set(capsys
     assert code == OK
     assert "spec=p=1,q=0 instance=u=1 " in out
     assert "optimal_time_fraction=1.000000" in out
+
+
+GRID_TABLE = """ropas-model v1
+
+[variables]
+criterion level int:0:5 kind=quality-variable
+criterion u int:0:9 kind=utility pref=higher-better
+parameter p int:0:2
+monitored m grid:0:0.5:0.1
+
+[depends]
+lookup-table t -> level : m : 0=0 ; 0.1=1 ; 0.2=2 ; 0.3=3 ; 0.4=4 ; 0.5=5
+weighted-sum w -> u : 1*level + 2*p
+
+[decision]
+rule u
+set p
+
+[simulation]
+initial m=0.3
+"""
+
+
+def test_a_table_key_names_a_grid_point_by_its_literal(capsys, tmp_path):
+    # ``0.3`` keys the grid point ``0.1 * 3``, which is 0.30000000000000004.
+    path = tmp_path / "grid.model"
+    path.write_text(GRID_TABLE, encoding="utf-8")
+    for oracle in ((), ("--oracle",)):
+        code, out, err = run_cli(capsys, "solve", *oracle, str(path))
+        assert (code, out.splitlines()[1:], err) == (OK, ["objective 7", "optimum p=2"], "")
+
+
+def test_grid_keyed_tables_pass_every_subcommand(capsys, tmp_path):
+    model, trace = tmp_path / "grid.model", tmp_path / "grid.trace"
+    for seed in range(20):
+        model_text, trace_text = grid_table_files(random.Random(seed))
+        model.write_text(model_text, encoding="utf-8")
+        trace.write_text(trace_text, encoding="utf-8")
+        for argv in (
+            ("validate",), ("solve",), ("solve", "--oracle"), ("enumerate", "--oracle"),
+        ):
+            code, _, err = run_cli(capsys, *argv, str(model))
+            assert (code, err) == (OK, ""), (seed, argv)
+        code, _, err = run_cli(capsys, "simulate", str(model), str(trace))
+        assert (code, err) == (OK, ""), seed
+        bundle = parse_model(model_text)
+        problem = rop(bundle.model, dict(bundle.config.initial_exogenous))
+        assert solve_rop(problem) == brute_force_oracle(problem), seed
+
+
+def test_detect_names_a_grid_point_by_its_literal(capsys, tmp_path):
+    # ``detect=0,0.3`` sees the event ``m=0.3`` and ignores only ``m=0.2``.
+    path, trace = tmp_path / "detect.model", tmp_path / "detect.trace"
+    path.write_text(
+        "ropas-model v1\n\n[variables]\ncriterion u int:0:4 kind=utility pref=higher-better\n"
+        "parameter p int:0:2\nmonitored m grid:0:0.5:0.1 detect=0,0.3\n\n[depends]\n"
+        "weighted-sum w -> u : 2*p\n\n[decision]\nrule u\nset p\n\n"
+        "[simulation]\ninitial m=0\n",
+        encoding="utf-8",
+    )
+    trace.write_text("ropas-trace v1\nt=1 m=0.3\nt=2 m=0.2\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", str(path), str(trace))
+    assert (code, err) == (OK, "")
+    assert " ignored=m@2=0.2 " in out
+    assert out.endswith(" ignored_event_count=1\n")
 
 
 def test_main_builds_the_parser_once(capsys, monkeypatch):

@@ -49,6 +49,8 @@ def test_lottery_rejects_bad_probabilities():
     assert "outside" in validate_lottery(lottery((1, 1.5), (2, -0.5))).message
     assert "sum" in validate_lottery(lottery((1, 0.5), (2, 0.4))).message
     assert "duplicate" in validate_lottery(lottery((1, 0.5), (1, 0.5))).message
+    problem = validate_lottery(lottery((1, "0.5"), (2, 0.5)))
+    assert problem.message == "probability '0.5' is not a number"
 
 
 def test_identity_and_power_transforms():
@@ -72,6 +74,19 @@ def test_transform_validation():
     assert validate_transform(TableTransform(((0.0, 0.0), (0.5, 0.9), (1.0, 0.8))))
     assert validate_transform(TableTransform(((0.1, 0.0), (1.0, 1.0))))
     assert not validate_transform(TableTransform(((0.0, 0.0), (1.0, 1.0))))
+    # Breakpoints are checked exactly: no margin lets an endpoint or a step
+    # down by 1e-13 through.
+    assert validate_transform(TableTransform(((0.0, 1e-13), (1.0, 1.0))))
+    assert validate_transform(TableTransform(((0.0, 0.0), (1.0, 1.0 - 1e-13))))
+    assert validate_transform(TableTransform(((0.0, 0.0), (0.5, 0.5), (0.6, 0.5 - 1e-13), (1, 1))))
+
+
+def test_a_table_transform_starting_off_zero_is_rejected(capsys, tmp_path):
+    path = tmp_path / "shifted.model"
+    text = (FIXTURES / "respond.model").read_text(encoding="utf-8")
+    path.write_text(text.replace("\nidentity\n", "\ntable 1e-13:0 1:1\n"), encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == "line 19: semantic: transform: first breakpoint must be (0, 0)\n"
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,29 @@ QUERIES = (
 )
 
 
+class _UnhashableInt(int):
+    """Equal to the int label it wraps, but no dict key."""
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+def test_membership_refuses_non_numbers_and_scans_for_unhashables():
+    grid = RealGrid(0.0, 1.0, 0.25)
+    # A string or a bool is no grid point, even where it would compare equal;
+    # an int too large for a float and a value that rounds just off either
+    # end lie outside.
+    for value in ("0.5", True, False, 10**400, -0.2, 1.2):
+        assert not grid.contains(value), value
+        with pytest.raises(DefinitionError, match="not on grid"):
+            grid.canonical(value)
+    domain = Enumerated(("a", 0, 1))
+    one = _UnhashableInt(1)
+    assert domain.contains(one) and domain.index_of(one) == 2 and domain.canonical(one) == 1
+    assert not domain.contains([1])
+    with pytest.raises(DefinitionError, match="not among enumerated values"):
+        domain.index_of([1])
+
+
 def _tuple_rule(labels, value):
     """(found, position) as a scan of the label tuple gives them."""
     if value in labels:

@@ -43,7 +43,8 @@ from ropas.model import (
     validate_model,
     var,
 )
-from ropas.solver import brute_force_oracle, solve_rop
+from ropas.decisions import Alternative, DecisionModel, daop_to_rop, lottery, rank_alternatives
+from ropas.solver import brute_force_oracle, rop, solve_rop
 
 from genmodels import random_rop, with_derived_parameter
 from shipped import alert_spec, load
@@ -169,6 +170,17 @@ def test_detectable_value_outside_domain():
     assert any("detectable value" in v.message for v in validate_model(m))
 
 
+def test_detectable_values_compare_canonical():
+    grid = RealGrid(0.0, 0.5, 0.1)
+    watched = MonitoredVariable("m", grid, detectable_range=(0, 0.3))
+    assert grid.canonical(0.3) != 0.3
+    assert watched.detects(grid.canonical(0.3)) and watched.detects(0.3) and watched.detects(0.0)
+    for value in (grid.canonical(0.2), 0.7, "0.3"):
+        assert not watched.detects(value), value
+    assert MonitoredVariable("m", grid).detects(0.2)
+    assert not MonitoredVariable("m", grid).detects(0.7)
+
+
 def test_functional_output_must_exist():
     m = tiny_model(
         depends=(WeightedSum("s", "nowhere", ("x",), (1.0,)),),
@@ -221,11 +233,16 @@ def test_lookup_table_value_outside_output_domain():
 
 
 def test_lookup_table_duplicate_keys_are_reported_and_the_last_one_wins():
+    # The table's ``lookup`` keeps the last value of a repeated key; the model
+    # is invalid, so evaluation refuses it rather than reading either value.
     entries = tuple(((a, b), a + b) for a in (0, 1) for b in (0, 1)) + (((1, 1), 7),)
-    m = tiny_model(depends=(LookupTable("t", "score", ("x", "y"), entries),))
+    table = LookupTable("t", "score", ("x", "y"), entries)
+    assert table.lookup[(1, 1)] == 7
+    m = tiny_model(depends=(table,))
     assert [str(v) for v in validate_model(m)] == ["t: duplicate table keys"]
     spec = Specification.from_mapping({"x": 1, "y": 1})
-    assert evaluate(m, spec) == ProblemInstance.from_mapping({"score": 7})
+    with pytest.raises(DefinitionError, match=r"^invalid model: t: duplicate table keys$"):
+        evaluate(m, spec)
 
 
 def test_threshold_step_output_must_be_boolean():
@@ -291,6 +308,9 @@ def test_cycle_names_the_first_producer_that_reaches_it():
     assert [(v.subject, v.message) for v in cycles] == [("a", "functional depend cycle")]
     with pytest.raises(DefinitionError, match="cycle through 'b'"):
         m.topological_depends
+    # Every search reads the validity gate before the evaluation order.
+    with pytest.raises(DefinitionError, match="^invalid model: a: functional depend cycle$"):
+        enumerate_specifications(m)
 
 
 def test_decision_rule_must_be_higher_better_criterion():
@@ -407,12 +427,12 @@ def _one_depend_model(depend, domain, monitored=Boolean()):
     "depend, domain, exogenous, message",
     [
         (
-            BooleanFormula("form", "level", or_(not_(var("x")), var("load"), var("zz"))),
+            BooleanFormula("form", "level", or_(not_(var("x")), var("load"))),
             Boolean(), {}, "missing value for variable 'load'",
         ),
         (
             BooleanFormula("form", "level", and_(var("x"), var("load"))),
-            IntegerRange(2, 3), {"load": 1}, "depend 'form': value 1 not in integer range [2, 3]",
+            IntegerRange(2, 3), {"load": 1}, "invalid model: form: formula output must be boolean",
         ),
         (
             WeightedSum("total", "level", ("x", "load", "y"), (1.0, 1.0, 1.0)),
@@ -423,16 +443,19 @@ def _one_depend_model(depend, domain, monitored=Boolean()):
             IntegerRange(0, 3), {"load": 1}, "depend 'total': value 2.5 not in integer range [0, 3]",
         ),
         (
-            LookupTable("table", "level", ("load", "zz"), (((0, 0), 0), ((1, 0), 1))),
+            LookupTable("table", "level", ("load",), (((0,), 0), ((1,), 1))),
             IntegerRange(0, 3), {}, "missing value for variable 'load'",
         ),
         (
             LookupTable("table", "level", ("x", "load"), (((1, 0), 0), ((0, 1), 1))),
-            IntegerRange(0, 3), {"load": 1}, "depend 'table' has no table entry for (1, 1)",
+            IntegerRange(0, 3), {"load": 1},
+            "invalid model: table: table covers 2 of 4 input combinations",
         ),
         (
             LookupTable("table", "level", ("x", "load"), (((1, 1), 5),)),
-            IntegerRange(0, 3), {"load": 1}, "depend 'table': value 5 not in integer range [0, 3]",
+            IntegerRange(0, 3), {"load": 1},
+            "invalid model: table: table covers 1 of 4 input combinations;"
+            " table: table value 5 outside output domain",
         ),
         (
             ThresholdStep("step", "level", "load", 1.0),
@@ -440,16 +463,109 @@ def _one_depend_model(depend, domain, monitored=Boolean()):
         ),
         (
             ThresholdStep("step", "level", "load", 1.0),
-            IntegerRange(2, 3), {"load": 1}, "depend 'step': value 1 not in integer range [2, 3]",
+            IntegerRange(2, 3), {"load": 1}, "invalid model: step: step output must be boolean",
         ),
     ],
 )
 def test_every_evaluation_error_text_of_each_depend_kind(depend, domain, exogenous, message):
+    # A valid model fails evaluation on a missing value or a weighted sum
+    # outside its range; an invalid one is refused with its findings.
     model = _one_depend_model(depend, domain)
     spec = Specification.from_mapping({"x": 1, "y": 0})
+    error = DefinitionError if message.startswith("invalid model: ") else EvaluationError
     for check in (evaluate, is_feasible):
-        with pytest.raises(EvaluationError) as raised:
+        with pytest.raises(error) as raised:
             check(model, spec, exogenous)
+        assert str(raised.value) == message
+
+
+def _invalid(*depends, parameters=()) -> Model:
+    """``tiny_model`` plus the criteria ``flag`` (boolean) and ``level``,
+    the given parameters, and the given depends."""
+    return tiny_model(
+        criteria=tiny_model().criteria + (
+            Criterion("flag", Boolean(), "quality-variable"),
+            Criterion("level", IntegerRange(0, 3), "quality-variable"),
+        ),
+        parameters=tiny_model().parameters + parameters,
+        depends=tiny_model().depends + depends,
+    )
+
+
+def _decision_model(*lotteries) -> DecisionModel:
+    """One alternative ``p`` with the given lotteries (none without any)
+    over the boolean attributes ``a`` and ``b``, under an additive utility."""
+    attributes = (Criterion("a", Boolean()), Criterion("b", Boolean()))
+    utility = WeightedSum("utility", "utility", ("a", "b"), (1.0, 1.0))
+    alternatives = (Alternative("p", lotteries),) if lotteries else ()
+    return DecisionModel(alternatives, attributes, utility)
+
+
+@pytest.mark.parametrize(
+    "invalid, message",
+    [
+        (_invalid(parameters=(Parameter("", Boolean()),)), "invalid model: parameter: empty id"),
+        (
+            _invalid(BooleanFormula("f", "flag", ("xor", ("var", "x")))),
+            "invalid model: f: malformed formula expression",
+        ),
+        (
+            _invalid(WeightedSum("w", "level", (), ())),
+            "invalid model: w: weighted sum needs at least one input",
+        ),
+        (
+            _invalid(LookupTable("t", "level", (), (((), 0),))),
+            "invalid model: t: lookup table needs at least one input",
+        ),
+        (
+            _invalid(CardinalityConstraint("c", (), "<=", 1)),
+            "invalid model: c: cardinality needs at least one input",
+        ),
+        (
+            _invalid(LinearConstraint("l", ("x", "y"), (1.0,), "<=", 1.0)),
+            "invalid model: l: coefficient count differs from input count",
+        ),
+        (
+            _invalid(LinearConstraint("l", ("x",), (1.0,), "<", 1.0)),
+            "invalid model: l: unknown comparator '<'",
+        ),
+        (
+            _invalid(CardinalityConstraint("c", ("x", "y"), "!=", 1)),
+            "invalid model: c: unknown comparator '!='",
+        ),
+        (
+            _invalid(
+                LinearConstraint("l", ("mode",), (1.0,), "<=", 1.0),
+                parameters=(Parameter("mode", Enumerated(("a", "x")), "a"),),
+            ),
+            "invalid model: l: input 'mode' is not numeric",
+        ),
+        (
+            _decision_model(("a", lottery((0, 0.5), (1, 0.5)))),
+            "invalid decision model: p: must declare exactly one lottery per attribute",
+        ),
+        (
+            _decision_model(("a", lottery((0, 0.6), (1, 0.6))), ("b", lottery((1, 1.0)))),
+            "invalid decision model: p/a: probabilities sum to 1.2, not 1",
+        ),
+        (_decision_model(), "invalid decision model: decision model: no alternatives"),
+    ],
+)
+def test_every_entry_refuses_an_invalid_model(invalid, message):
+    """Each finding that no other test reaches, and the decision models that
+    ranking once read (a ``KeyError``, a ranked total of 1.2 and an empty
+    ranking), raise the model's findings from every entry."""
+    if isinstance(invalid, DecisionModel):
+        entries = [lambda: rank_alternatives(invalid), lambda: daop_to_rop(invalid)]
+    else:
+        spec = Specification.from_mapping({p.id: 0 for p in invalid.parameters})
+        entries = [
+            lambda: evaluate(invalid, spec), lambda: is_feasible(invalid, spec),
+            lambda: enumerate_specifications(invalid), lambda: rop(invalid),
+        ]
+    for entry in entries:
+        with pytest.raises(DefinitionError) as raised:
+            entry()
         assert str(raised.value) == message
 
 

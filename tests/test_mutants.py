@@ -6,11 +6,12 @@ Each mutant changes one record of a file under ``fixtures/`` or of
 record is dropped, duplicated or swapped with another, a line is cut short,
 or a non-UTF-8 byte goes in.  Each mutant runs through ``ropas.cli.main``:
 ``validate`` first, then every subcommand its source file supports, with
-``--cap 4096``.  Every run must return 0, 1 or 2 within ``DEADLINE`` seconds,
-and no exception may escape.
+``--cap 4096`` (and, for ``shock.model`` and ``every_record.model``,
+``enumerate`` and ``solve`` again with ``--oracle``).  Every run must
+return 0, 1 or 2 within ``DEADLINE`` seconds, and no exception may escape.
 
 The budget is ``MUTANTS`` mutants, from the seeds ``0 .. MUTANTS - 1``: about
-5 s with Python 3.11 on one core of a 2-core x86-64 VM.
+6 s with Python 3.11 on one core of a 2-core x86-64 VM.
 """
 
 import io
@@ -38,6 +39,8 @@ MUTANT = "<mutant>"
 CAP = ("--cap", "4096")
 ALERTS, SHOCK = str(FIXTURES / "alerts.model"), str(FIXTURES / "shock.model")
 EVERY_RECORD_TRACE = TRACE_HEADER + "\nt=1 load=5\nt=3 outage=1\nt=4 weather=rain\n"
+# The brute-force oracles: the full product, completed by ``complete_specification``.
+ORACLES = (("enumerate", "--oracle", MUTANT, *CAP), ("solve", "--oracle", MUTANT, *CAP))
 
 # Each source file with the runs after ``validate``; MUTANT stands for the
 # mutated file, and "every_record.trace" for EVERY_RECORD_TRACE.
@@ -47,13 +50,13 @@ SOURCES = (
         ("simulate", MUTANT, str(FIXTURES / "alerts_failure.trace"), *CAP),
     )),
     (FIXTURES / "shock.model", (
-        ("enumerate", MUTANT, *CAP), ("solve", MUTANT, *CAP),
+        ("enumerate", MUTANT, *CAP), ("solve", MUTANT, *CAP), *ORACLES,
         ("simulate", MUTANT, str(FIXTURES / "shock.trace"), *CAP),
     )),
     (FIXTURES / "dispatch.model", (("encode-rdrp", MUTANT),)),
     (FIXTURES / "respond.model", (("rank", MUTANT),)),
     (Path(__file__).resolve().parent / "every_record.model", (
-        ("enumerate", MUTANT, *CAP), ("solve", MUTANT, *CAP), ("encode-rdrp", MUTANT),
+        ("enumerate", MUTANT, *CAP), ("solve", MUTANT, *CAP), *ORACLES, ("encode-rdrp", MUTANT),
         ("rank", MUTANT), ("simulate", MUTANT, "every_record.trace", *CAP),
     )),
     (FIXTURES / "alerts_failure.trace", (("simulate", ALERTS, MUTANT, *CAP),)),

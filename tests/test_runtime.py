@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from ropas import runtime
-from ropas.domains import Boolean, IntegerRange, RealGrid
+from ropas.domains import Boolean, Enumerated, IntegerRange, RealGrid
 from ropas.errors import DefinitionError, EvaluationError, SizeLimitError
 from ropas.formats import ModelBundle, ParseFailure, parse_model, serialize_model
 from ropas.model import (
@@ -182,6 +182,13 @@ def test_relax_rejects_value_set_ranges():
         relax(triggers, {"capacity": 1.0}, load("alerts.model").model)
 
 
+def test_relax_rejects_a_non_numeric_criterion():
+    labelled = Model(criteria=(Criterion("grade", Enumerated(("lo", "hi"))),))
+    triggers = (AwarenessTrigger("grade", IntervalRange(lo=1.0)),)
+    with pytest.raises(DefinitionError, match="^criterion 'grade' is not numeric$"):
+        relax(triggers, {"grade": 0.5}, labelled)
+
+
 def test_relax_must_stay_inside_domain_bounds():
     alerts = load("alerts.model")
     triggers = (AwarenessTrigger("coverage", IntervalRange(45.0, None)),)
@@ -305,6 +312,16 @@ def test_candidates_fall_back_when_nothing_calms():
         problem, alert_spec("radio", "local"), triggers=alerts.config.triggers
     )
     assert len(pool) == 20
+
+
+def test_a_forbidden_value_outside_its_domain_forbids_nothing():
+    problem = broken_call_problem()
+    current = alert_spec("call", "local")
+    triggers = load("alerts.model").config.triggers
+    pool = adaptation_candidates(problem, current, triggers=triggers)
+    for value in (7, "yes"):
+        forbidden = (ForbiddenValue("alert_radio", value),)
+        assert adaptation_candidates(problem, current, forbidden, triggers) == pool
 
 
 def test_select_adaptation_picks_best_calming_target():
