@@ -190,6 +190,12 @@ class DecisionModel:
         as ``_contribution`` computes each one."""
         return {}
 
+    @cached_property
+    def _joint_table(self) -> dict[Optional[tuple], Value]:
+        """A lookup-table utility keyed by ``_canonical_key``, made once."""
+        domains, table = [a.domain for a in self.attributes], self.utility.lookup  # type: ignore
+        return {_canonical_key(domains, key): value for key, value in table.items()}
+
     def alternative(self, alt_id: str) -> Alternative:
         return self._by_id[alt_id]
 
@@ -251,8 +257,7 @@ def validate_decision_model(dm: DecisionModel) -> list[Violation]:
     elif not out:
         _check_finite("utility", out, value=(value for _, value in dm.utility.entries))
         domains = [a.domain for a in dm.attributes]
-        keys = (_canonical_key(domains, key) for key in dm.utility.lookup)
-        _check_coverage("utility", domains, keys, "attribute", out)
+        _check_coverage("utility", domains, dm._joint_table, "attribute", out)
     out.extend(validate_transform(dm.transform))
     return out
 
@@ -300,9 +305,10 @@ def expected_utility(dm: DecisionModel, alternative_id: str) -> float:
     """Expected utility of one alternative under the model's transform.
 
     Additive (weighted-sum) utilities sum per-attribute contributions, in
-    attribute order; joint (lookup-table) utilities sum over all outcome
-    combinations with product probabilities.  An invalid model raises
-    ``_check_valid``'s definition error.
+    attribute order; joint (lookup-table) utilities sum, over all outcome
+    combinations, the product of their probabilities times the table's value
+    at their canonical key.  An invalid model raises ``_check_valid``'s
+    definition error.
     """
     _check_valid(dm)
     try:
@@ -314,17 +320,15 @@ def expected_utility(dm: DecisionModel, alternative_id: str) -> float:
         for i in range(len(dm.attributes)):
             total += _contribution(dm, alt, i)
         return total
-    table = dm.utility.lookup
-    lots = [alt.lottery_for(attr.id) for attr in dm.attributes]
+    # Outcomes lie in their domains and the table covers every canonical key.
+    lots = [[(a.domain.canonical(v), p) for v, p in alt.lottery_for(a.id).outcomes]
+            for a in dm.attributes]
     total = 0.0
-    for combo in product(*(lot.outcomes for lot in lots)):
-        key = tuple(value for value, _ in combo)
-        if key not in table:
-            raise EvaluationError(f"outcome combination {key!r} missing from utility table")
+    for combo in product(*lots):
         weight = 1.0
         for _, p in combo:
             weight *= dm.transform.apply(p)
-        total += weight * float(table[key])  # type: ignore[arg-type]
+        total += weight * float(dm._joint_table[tuple(value for value, _ in combo)])  # type: ignore
     return total
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import FrozenSet, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .errors import DefinitionError, SizeLimitError
 
@@ -292,28 +292,3 @@ def solve_rdrp(graph: GoalGraph, cap: int = DEFAULT_SELECTION_CAP) -> list[froze
         if found:
             return [frozenset(members) for members, _ in found]
     return []
-
-
-def rename(graph: GoalGraph, mapping: Mapping[str, str]) -> GoalGraph:
-    """Apply a bijective atom renaming; structure is otherwise untouched."""
-    missing = graph.atoms - set(mapping)
-    if missing:
-        raise DefinitionError(f"renaming misses atoms: {sorted(missing)}")
-    image = [mapping[a] for a in graph.atoms]
-    if len(set(image)) != len(image):
-        raise DefinitionError("renaming is not injective")
-
-    def m(atoms: FrozenSet[str]) -> frozenset[str]:
-        return frozenset(mapping[a] for a in atoms)
-
-    return GoalGraph(
-        atoms=m(graph.atoms),
-        refinements=tuple(
-            Refinement(mapping[r.conclusion], m(r.premises)) for r in graph.refinements
-        ),
-        conflicts=frozenset(m(pair) for pair in graph.conflicts),
-        r_atoms=m(graph.r_atoms),
-        k_atoms=m(graph.k_atoms),
-        s_atoms=m(graph.s_atoms),
-        mandatory=m(graph.mandatory),
-    )

@@ -7,9 +7,6 @@ restrict which value combinations are feasible.  A specification assigns every
 parameter; evaluating it against exogenous monitored values yields a problem
 instance (one value per criterion).
 
-``search_specifications`` is the one propagating search behind enumeration,
-solving and the simulator's adaptation re-solves.
-
 Only a valid model is evaluated: ``Model._compiled`` is the one validity
 gate, raising the definition error ``invalid model: …`` with every
 ``validate_model`` finding, and every evaluation entry reads it before it
@@ -27,25 +24,26 @@ call and the search emits canonical specifications, so callers holding
 those (the simulator) call ``_evaluated`` directly.
 
 Each ``Model`` indexes itself once, on first use, through cached properties:
-id lookups, the functional depends' evaluation order, its validation
-findings, and the compiled view.  There each functional depend is the one
-function computing its canonical output, for the search, ``_evaluated`` and
-``complete_specification`` alike: a lookup table is a dict from canonical
-key to canonical value, a formula or a step yields its boolean 0 or 1, and
-only a weighted sum canonicalizes its value as it computes it.  Each pure
-constraint is one linear row (coefficients, comparator code, bound, and each
-input's smallest and largest term): a cardinality constraint is an all-ones
-row and an incompatibility the row ``a + b <= 1``.  When a weighted sum
-computes the decision rule, it compiles to a row as well.  The search keeps
-each row's interval over the completions of the current branch, updates it
-in O(1) as an input gets a value, and undoes it from one search-wide trail
-on backtracking; it prunes on a partial interval only beyond the row's
-rounding tolerance, and tests the row exactly once its last input has a
-value: an exact row (integer coefficients over boolean and integer inputs)
-from its running sums, any other summed again.  When it maximises the
-decision rule, that row's upper bound cuts every branch that cannot reach
-the best leaf found so far (branch and bound); ties are never cut.  Every
+id lookups, the functional depends' evaluation order, each lookup table's
+canonical keys, its validation findings, and the compiled view.  There each
+functional depend is the one function computing its canonical output, for
+the search, ``_evaluated`` and ``complete_specification`` alike: a lookup
+table is a dict from canonical key to canonical value, a formula or a step
+yields its boolean 0 or 1, and only a weighted sum canonicalizes its value
+as it computes it.  Each pure constraint is one linear row: a cardinality
+constraint is an all-ones row and an incompatibility the row ``a + b <= 1``.
+A weighted sum computing the decision rule is a row as well.  Every
 evaluation, feasibility check and search of that model reuses the index.
+
+``search_specifications``, the one propagating search behind enumeration,
+solving and the simulator's re-solves, keeps each row's interval over the
+current branch's completions on one undo trail and prunes a branch once some
+row cannot hold.  Maximising the decision rule, it also cuts every branch
+whose rule row cannot reach the best leaf so far (branch and bound), bounding
+that row with its at-most-one groups: of the inputs with a positive term in
+one ``<= 1`` or ``== 1`` row over 0/1 inputs, only the largest open term
+counts.  It visits the same leaves in the same order as without the groups,
+never cuts a tie, and a cut branch raises no evaluation error.
 
 All operations are pure and deterministic.  Objects are immutable, so sharing
 them across threads is safe; two threads racing to build a model's index at
@@ -187,25 +185,10 @@ def expr_ok(expr: object) -> bool:
     return False
 
 
-def eval_expr(expr: BoolExpr, env: Mapping[str, Value]) -> int:
-    op = expr[0]
-    if op == "var":
-        name = expr[1]
-        if name not in env:
-            raise EvaluationError(f"missing value for variable '{name}'")
-        return 1 if env[name] else 0
-    if op == "and":
-        return 1 if all(eval_expr(c, env) for c in expr[1:]) else 0
-    if op == "or":
-        return 1 if any(eval_expr(c, env) for c in expr[1:]) else 0
-    return 1 - eval_expr(expr[1], env)
-
-
 def _compile_expr(expr: BoolExpr) -> Callable[[Mapping[str, Value]], int]:
-    """``expr`` as a closure computing ``eval_expr(expr, env)`` for an
-    ``env`` that holds every leaf (a missing leaf raises ``KeyError``); a
-    conjunction or disjunction stops at its first deciding child, as
-    ``eval_expr`` does."""
+    """``expr`` as a closure computing its 0 or 1 (a leaf is 1 when truthy,
+    a missing one raises ``KeyError``); ``and``/``or`` stop at the first
+    deciding child."""
     op = expr[0]
     if op == "var":
         name = expr[1]
@@ -464,12 +447,22 @@ class Model:
         return tuple(ordered)
 
     @cached_property
+    def _table_keys(self) -> dict[int, list[Optional[tuple]]]:
+        """Each lookup table's keys made canonical, by the depend's ``id``."""
+        keys = {}
+        for dep in self.depends:
+            if isinstance(dep, LookupTable) and all(map(self.has_variable, dep.inputs)):
+                domains = [self.variable_domain(name) for name in dep.inputs]
+                keys[id(dep)] = [_canonical_key(domains, key) for key in dep.lookup]
+        return keys
+
+    @cached_property
     def _compiled(self) -> _Compiled:
         """The compiled view of the depends: the functional depends
         numbered in evaluation order, each with its output and a function
         computing it from the environment, the numbers of the depends reading
         each variable, one linear row per pure constraint with its watch
-        lists, and the row of the decision rule for the objective cut.
+        lists, and the decision rule's row and groups for the objective cut.
 
         The validity gate: on a model with ``violations`` it raises the
         definition error ``invalid model: …`` naming them all (and caches
@@ -487,7 +480,7 @@ class Model:
         rule = self.producers.get(self.decision_rule)  # type: ignore[arg-type]
         if isinstance(rule, WeightedSum):
             row = _compile_row(self, rule)
-            objective = (row, _watch_lists(rows + (row,)))
+            objective = (row, _watch_lists(rows + (row,)), _at_most_one_groups(rows, row))
         outputs = tuple(dep.output for dep in topo)
         return _Compiled(outputs, computes, feeds, rows, _watch_lists(rows), objective)
 
@@ -653,11 +646,10 @@ def validate_model(model: Model) -> list[Violation]:
                 out.append(Violation(dep.id, "lookup table needs at least one input"))
             elif _check_inputs(model, dep, None, out):
                 domains = [model.variable_domain(n) for n in dep.inputs]
-                table = dep.lookup
-                if len(table) != len(dep.entries):
+                if len(dep.lookup) != len(dep.entries):
                     out.append(Violation(dep.id, "duplicate table keys"))
-                canonical_keys = [_canonical_key(domains, key) for key in table]
-                for key, canonical in zip(table, canonical_keys):
+                canonical_keys = model._table_keys[id(dep)]
+                for key, canonical in zip(dep.lookup, canonical_keys):
                     if len(key) != len(dep.inputs):
                         out.append(Violation(dep.id, f"key {key!r} has wrong arity"))
                     elif canonical is None:
@@ -736,12 +728,11 @@ def _compile_functional(
 ) -> Callable[[Mapping[str, Value]], Value]:
     """The one function computing ``dep``'s canonical output from an
     environment of canonical values, for a valid ``model``.  A missing input
-    raises ``KeyError`` naming the first one read (in ``eval_expr``'s order
-    for a formula).  A formula or a step returns its 0 or 1 (its output is
-    boolean), and a table the canonical value under the canonical key, as
-    ``_canonical_key`` makes it.  Only a weighted sum canonicalizes its value
-    as it computes it; one outside the output domain raises an evaluation
-    error naming the depend."""
+    raises ``KeyError`` naming the first one read.  A formula or a step
+    returns its 0 or 1 (its output is boolean), and a table the canonical
+    value under the canonical key.  Only a weighted sum canonicalizes its
+    value as it computes it; one outside the output domain raises an
+    evaluation error naming the depend."""
     if isinstance(dep, BooleanFormula):
         return _compile_expr(dep.expr)
     if isinstance(dep, ThresholdStep):
@@ -749,10 +740,8 @@ def _compile_functional(
         return lambda env: 1 if float(env[name]) >= cut else 0  # type: ignore[arg-type]
     out_domain = model.variable_domain(dep.output)
     if isinstance(dep, LookupTable):
-        inputs, domains = dep.inputs, [model.variable_domain(name) for name in dep.inputs]
-        table = {
-            _canonical_key(domains, key): out_domain.canonical(value) for key, value in dep.entries
-        }
+        inputs, keys = dep.inputs, model._table_keys[id(dep)]
+        table = {key: out_domain.canonical(value) for key, value in zip(keys, dep.lookup.values())}
         return lambda env: table[tuple([env[name] for name in inputs])]
     offset, terms = dep.offset, tuple(zip(dep.weights, dep.inputs))
 
@@ -892,6 +881,10 @@ class _Row(NamedTuple):
 # occurrences in a row.
 _Watch = dict[str, tuple[tuple[int, float, float, float], ...]]
 
+# Per at-most-one group: the number of its row and its members, each with
+# its largest objective term, largest first.
+_Groups = tuple[tuple[int, tuple[tuple[str, float], ...]], ...]
+
 
 class _Compiled(NamedTuple):
     # Per functional depend, in ``topological_depends`` order: its output
@@ -901,9 +894,9 @@ class _Compiled(NamedTuple):
     feeds: dict[str, tuple[int, ...]]  # variable -> the numbers of the depends reading it
     rows: tuple[_Row, ...]  # one per pure constraint, in declaration order
     watch: _Watch
-    # When a weighted sum computes the decision rule: its row, and the watch
-    # lists of ``rows`` followed by that row.
-    objective: Optional[tuple[_Row, _Watch]]
+    # When a weighted sum computes the decision rule: its row, the watch
+    # lists of ``rows`` followed by that row, and its at-most-one groups.
+    objective: Optional[tuple[_Row, _Watch, _Groups]]
 
 
 def _compile_row(model: Model, dep: Union[ConstraintDepend, WeightedSum]) -> _Row:
@@ -936,6 +929,24 @@ def _compile_row(model: Model, dep: Union[ConstraintDepend, WeightedSum]) -> _Ro
         inputs, tuple(coefficients), {"==": 0, "<=": 1}.get(comparator, 2), bound, offset,
         tuple(low), tuple(high), TOLERANCE * (1.0 + scale), exact,
     )
+
+
+def _at_most_one_groups(rows: tuple[_Row, ...], objective: _Row) -> _Groups:
+    """Each exact row ``sum of 0/1 inputs <= 1`` or ``== 1`` groups its inputs
+    with a positive objective term, each in the first such row holding two."""
+    best: dict[str, float] = {}
+    for name, high in zip(objective.inputs, objective.high):
+        best[name] = best.get(name, 0.0) + high
+    groups, taken = [], set()
+    for r, row in enumerate(rows):
+        members = [n for n in dict.fromkeys(row.inputs) if best.get(n, 0) > 0 and n not in taken]
+        if len(members) > 1 and row.exact and row.code < 2 and row.bound == 1 and (
+            set(zip(row.coefficients, row.low, row.high)) == {(1, 0, 1)}
+        ):
+            taken.update(members)
+            members.sort(key=lambda name: -best[name])
+            groups.append((r, tuple((name, best[name]) for name in members)))
+    return tuple(groups)
 
 
 def _watch_lists(rows: tuple[_Row, ...]) -> _Watch:
@@ -1049,10 +1060,15 @@ def search_specifications(
     ``maximize``, when a weighted sum computes the model's decision rule,
     that sum is one more row, whose floor is the best value of a leaf
     visited so far less the row's tolerance: a branch whose sum cannot reach
-    the floor is cut (branch and bound).  So ``visit`` still gets every leaf
-    that ties or beats the best value so far, in the same order, but skips
-    leaves that cannot.  An evaluation error is raised only from a branch
-    the search reaches, so a cut branch raises none.
+    the floor is cut (branch and bound).  Before a node branches, the sum's
+    upper bound also drops, in each at-most-one group (a cardinality ``<= 1``
+    or ``== 1``, an incompatibility), every open member's term but the
+    largest, and that one too once an input of the group's row is 1.  Only
+    inputs with a positive term are members: a negative term loses nothing at
+    0.  The bound holds for every feasible completion, so ``visit`` gets the
+    same leaves in the same order as without it: every leaf that ties or
+    beats the best value so far.  An evaluation error is raised only from a
+    branch the search reaches, so a cut branch raises none.
     """
     compiled = model._compiled
     free_ids = sorted(free)
@@ -1071,11 +1087,11 @@ def search_specifications(
                 raise EvaluationError(f"missing value for variable '{name}'")
 
     outputs, computes, feeds = compiled.outputs, compiled.computes, compiled.feeds
-    rows, watch = compiled.rows, compiled.watch
+    rows = compiled.rows
     objective = compiled.objective if maximize else None
+    objective_row, watch, groups = objective or (None, compiled.watch, ())
     if objective is not None:
         rule = model.decision_rule
-        objective_row, watch = objective
         cut = len(rows)
         rows += (objective_row,)
     # Per functional depend (by number), its inputs without a value.
@@ -1167,6 +1183,18 @@ def search_specifications(
                 floor = float(env[rule]) - objective_row.tolerance  # type: ignore[arg-type]
                 bounds[cut] = max(bounds[cut], floor)
             return
+        if groups:
+            # The objective's upper bound keeps only the largest open member
+            # of each group, none once some input of its row is 1.
+            reach = hi[cut]
+            for r, members in groups:
+                keep = lo[r] < 1
+                for name, high in members:
+                    if name not in env:
+                        reach -= 0.0 if keep else high
+                        keep = False
+            if reach < bounds[cut] - tolerances[cut]:
+                return
         pid, values = choices[index]
         mark = len(trail)
         for value in values:
@@ -1195,10 +1223,7 @@ def search_specifications(
 def search_space_size(model: Model, over: Optional[Iterable[str]] = None) -> int:
     """Product of domain sizes over the given parameters (default: all)."""
     pids = sorted(over) if over is not None else [p.id for p in model.sorted_parameters]
-    total = 1
-    for pid in pids:
-        total *= model.parameter(pid).domain.size
-    return total
+    return prod(model.parameter(pid).domain.size for pid in pids)
 
 
 def _check_space(

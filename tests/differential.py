@@ -23,8 +23,9 @@ and shipped fixtures, so both sides see the same ones:
   on one invalid input (an unknown parameter, an out-of-domain value or an
   exogenous value for a parameter, by seed);
 - ``solve_rop`` and ``enumerate_specifications`` on ``large_integral_rows``
-  (integer rows whose scale lies on either side of 2**50) for each of
-  ``INTEGRAL_SEEDS`` seeds;
+  (integer rows whose scale lies on either side of 2**50), and ``solve_rop``
+  on ``at_most_one_rop`` (booleans in at-most-one rows under a utility of
+  both signs), for each of ``INTEGRAL_SEEDS`` seeds;
 - ``run_simulation`` on ``random_runtime_scenario`` and
   ``random_runtime_pair`` for each of ``SEEDS`` seeds: the timeline and the
   metrics;
@@ -193,7 +194,7 @@ def _rop_cases():
 
 
 def _integral_cases():
-    from genmodels import large_integral_rows
+    from genmodels import at_most_one_rop, large_integral_rows
     from ropas.model import enumerate_specifications
     from ropas.solver import rop, solve_rop
 
@@ -206,6 +207,14 @@ def _integral_cases():
             continue
         yield f"{name}: solve", _attempt(lambda: solve_rop(rop(model)))
         yield f"{name}: enumerate", _attempt(lambda: enumerate_specifications(model))
+    for seed in range(INTEGRAL_SEEDS):
+        name = f"at-most-one seed={seed}"
+        try:
+            problem = at_most_one_rop(random.Random(seed))
+        except Exception as err:
+            yield name, _failure(err)
+            continue
+        yield f"{name}: solve", _attempt(lambda: solve_rop(problem))
 
 
 def _runtime_cases():

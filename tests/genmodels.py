@@ -9,6 +9,7 @@ always land inside an integer-range criterion domain.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import replace
 from itertools import product
 from math import ceil, floor
@@ -511,6 +512,75 @@ def large_integral_rows(rng: random.Random) -> Model:
     return model
 
 
+def at_most_one_rop(rng: random.Random) -> Rop:
+    """A valid random problem whose booleans fall into at-most-one rows under
+    a utility with weights of both signs.
+
+    Two or three groups of two or three boolean parameters each get the row
+    ``cardinality ... == 1``, ``cardinality ... <= 1`` or an incompatibility
+    of its first two inputs, which are shuffled.  One member of the first
+    group is an input of the second group's row too.  Each of the monitored
+    boolean ``m`` (exogenous), the boolean ``fix`` outside the decision set
+    (pinned to its default) and the boolean criterion ``d`` (a formula over
+    two members) joins one group's row in most problems.  The utility ``u``
+    weighs all of them and the free ``q int:0:2`` by integers from -6 to 6,
+    or in half the problems by tenths of those over a ``RealGrid`` of step
+    0.1.
+    """
+    groups = [[f"b{g}{j}" for j in range(rng.randint(2, 3))] for g in range(rng.randint(2, 3))]
+    booleans = [name for group in groups for name in group]
+    rows = [list(group) for group in groups]
+    rows[1].append(rng.choice(groups[0]))
+    for extra in ("m", "fix", "d"):
+        if rng.random() < 0.8:
+            rng.choice(rows).append(extra)
+    depends: list = []
+    for r, inputs in enumerate(rows):
+        rng.shuffle(inputs)
+        kind = rng.choice(("==", "<=", "incompatibility"))
+        if kind == "incompatibility":
+            depends.append(Incompatibility(f"g{r}", inputs[0], inputs[1]))
+        else:
+            depends.append(CardinalityConstraint(f"g{r}", tuple(inputs), kind, 1))
+    x, y = rng.sample(booleans, 2)
+    depends.append(
+        BooleanFormula("def_d", "d", rng.choice((and_, or_))(var(x), not_(var(y))))
+    )
+    weighed = booleans + ["m", "fix", "d", "q"]
+    weights = [rng.randint(-6, 6) for _ in weighed]
+    offset = rng.randint(-5, 5)
+    lo = offset + sum(min(0, w * (2 if n == "q" else 1)) for w, n in zip(weights, weighed))
+    hi = offset + sum(max(0, w * (2 if n == "q" else 1)) for w, n in zip(weights, weighed))
+    scale: float = 1
+    domain: Domain = IntegerRange(lo, hi)
+    if rng.random() < 0.5:
+        scale, domain = 10.0, RealGrid(lo / 10, hi / 10, 0.1)
+    depends.insert(
+        0,
+        WeightedSum(
+            "def_u", "u", tuple(weighed), tuple(w / scale for w in weights), offset / scale
+        ),
+    )
+    model = Model(
+        criteria=(
+            Criterion("u", domain, "utility", "higher-better"),
+            Criterion("d", Boolean(), "quality-variable"),
+        ),
+        parameters=(
+            *(Parameter(name, Boolean()) for name in booleans),
+            Parameter("fix", Boolean(), default=rng.randint(0, 1)),
+            Parameter("q", IntegerRange(0, 2)),
+        ),
+        monitored=(MonitoredVariable("m", Boolean()),),
+        depends=tuple(depends),
+        decision_rule="u",
+        decision_set=tuple(booleans) + ("q",),
+    )
+    problems = validate_model(model)
+    assert not problems, problems
+    return rop(model, {"m": rng.randint(0, 1)})
+
+
 def _find_domain(name, params, monitored, criteria) -> Domain:
     for p in params:
         if p.id == name:
@@ -702,3 +772,49 @@ def grid_table_files(rng: random.Random) -> tuple[str, str]:
     ticks = sorted(rng.sample(range(1, 12), rng.randint(1, 5)))
     events = [f"t={tick} m={rng.choice(points)}" for tick in ticks]
     return "\n".join(lines) + "\n", "\n".join(["ropas-trace v1", *events]) + "\n"
+
+
+def grid_decision_files(rng: random.Random) -> tuple[str, str]:
+    """The texts of two valid decision files that differ only in how they
+    name grid points.  The second names each point by its short decimal
+    literal (``0.3``); the first names each outcome and each table key, at
+    random, by that literal or by the ``repr`` of the grid's own float
+    (``0.30000000000000004`` for ``0.1 * 3``).
+
+    One or two attributes range over grids of two to four points, the
+    utility is a lookup table over every combination of their points, and
+    two to four alternatives hold lotteries of one to three outcomes.
+    """
+    grids = []
+    for _ in range(rng.randint(1, 2)):
+        step, scale = rng.choice(((1, 10), (2, 10), (5, 10), (5, 100), (25, 100)))
+        first = rng.randint(0, 3)
+        short = [f"{(first + i) * step / scale:g}" for i in range(rng.randint(2, 4))]
+        domain = f"grid:{short[0]}:{short[-1]}:{step / scale:g}"
+        grids.append((domain, short, [repr(v) for v in parse_domain(domain).values()]))
+    # The template names point i of attribute g as <g.i>.
+    lines = ["ropas-model v1", "", "[attributes]"]
+    lines += [f"attribute a{g} {domain}" for g, (domain, _, _) in enumerate(grids)]
+    alternatives = [f"alt{n}" for n in range(rng.randint(2, 4))]
+    lines += ["", "[alternatives]"] + [f"alternative {alt}" for alt in alternatives]
+    for alt in alternatives:
+        for g, (_, short, _) in enumerate(grids):
+            points = rng.sample(range(len(short)), rng.randint(1, min(3, len(short))))
+            probabilities = _decimal_probabilities(rng, len(points))
+            pairs = " ".join(f"<{g}.{i}>:{p}" for i, p in zip(points, probabilities))
+            lines.append(f"lottery {alt} a{g} {pairs}")
+    keys = product(*(range(len(short)) for _, short, _ in grids))
+    entries = (",".join(f"<{g}.{i}>" for g, i in enumerate(key)) for key in keys)
+    table = " ; ".join(f"{entry}={rng.randint(0, 9)}" for entry in entries)
+    template = "\n".join(lines + ["", "[utility]", f"lookup-table {table}"]) + "\n"
+
+    def point(match: re.Match, mixed: bool) -> str:
+        _, short, exact = grids[int(match[1])]
+        names = (short[int(match[2])], exact[int(match[2])])
+        return rng.choice(names) if mixed else names[0]
+
+    pattern = re.compile(r"<(\d)\.(\d)>")
+    return (
+        pattern.sub(lambda match: point(match, True), template),
+        pattern.sub(lambda match: point(match, False), template),
+    )

@@ -25,7 +25,7 @@ from ropas.solver import (
     rop,
     solve_rop,
 )
-from genmodels import grid_table_files
+from genmodels import grid_decision_files, grid_table_files
 from shipped import load
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -445,6 +445,35 @@ def test_rank_ties_share_a_position(capsys, tmp_path):
         "rank 1 b 2.000000",
         "rank 3 c 1.000000",
     ]
+
+
+def test_rank_looks_a_grid_outcome_up_by_its_grid_point(capsys, tmp_path):
+    # The outcome 0.30000000000000004 and the table key 0.3 name one grid
+    # point, 0.1 * 3.
+    path = tmp_path / "grid.model"
+    path.write_text(
+        "ropas-model v1\n\n[attributes]\nattribute a grid:0:0.5:0.1\n\n"
+        "[alternatives]\nalternative x\nalternative y\n"
+        "lottery x a 0.30000000000000004:1.0\nlottery y a 0.2:0.5 0.5:0.5\n\n"
+        "[utility]\nlookup-table 0=0 ; 0.1=1 ; 0.2=2 ; 0.3=3 ; 0.4=4 ; 0.5=5\n"
+    )
+    assert run_cli(capsys, "validate", str(path)) == (OK, "ok\n", "")
+    expected = (OK, "rank 1 y 3.500000\nrank 2 x 3.000000\n", "")
+    assert run_cli(capsys, "rank", str(path)) == expected
+    assert run_cli(capsys, "rank", "--oracle", str(path)) == expected
+
+
+def test_grid_outcomes_rank_as_their_short_literals(capsys, tmp_path):
+    mixed, plain = tmp_path / "mixed.model", tmp_path / "plain.model"
+    for seed in range(20):
+        mixed_text, plain_text = grid_decision_files(random.Random(seed))
+        mixed.write_text(mixed_text, encoding="utf-8")
+        plain.write_text(plain_text, encoding="utf-8")
+        expected = run_cli(capsys, "rank", str(plain))
+        assert expected[0] == OK, seed
+        assert run_cli(capsys, "validate", str(mixed)) == (OK, "ok\n", ""), seed
+        assert run_cli(capsys, "rank", str(mixed)) == expected, seed
+        assert run_cli(capsys, "rank", "--oracle", str(mixed)) == expected, seed
 
 
 def test_rank_needs_a_decision_model(capsys):

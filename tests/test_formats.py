@@ -28,8 +28,9 @@ from ropas.formats import (
     write_report,
 )
 from ropas.formats import _RECORDS
-from ropas.model import and_, eval_expr, not_, or_, var
+from ropas.model import and_, not_, or_, var
 from ropas.runtime import Event, EventTrace, run_simulation
+from reference import eval_expr
 from shipped import load
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"

@@ -12,11 +12,11 @@ from ropas.goals import (
     check_drp,
     derive_closure,
     goal_graph,
-    rename,
     solve_rdrp,
     solve_rp2,
     solve_rp3,
 )
+from reference import rename
 from shipped import load
 
 

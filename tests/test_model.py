@@ -31,7 +31,6 @@ from ropas.model import (
     canonical_key,
     complete_specification,
     enumerate_specifications,
-    eval_expr,
     evaluate,
     expr_ok,
     expr_vars,
@@ -47,6 +46,7 @@ from ropas.decisions import Alternative, DecisionModel, daop_to_rop, lottery, ra
 from ropas.solver import brute_force_oracle, rop, solve_rop
 
 from genmodels import random_rop, with_derived_parameter
+from reference import eval_expr
 from shipped import alert_spec, load
 
 
@@ -380,15 +380,13 @@ def test_the_trusted_evaluation_entry_matches_the_public_path():
             assert _feasible(model, env, derived) is is_feasible(model, spec, exogenous), seed
 
 
-def test_every_evaluation_path_runs_on_the_compiled_depends(monkeypatch):
-    """``eval_expr`` is only the tests' reference: evaluation, feasibility,
-    the search and the oracle's completion all read a formula through its
-    compiled function."""
+def test_every_evaluation_path_runs_on_the_compiled_depends():
+    """``eval_expr`` is only the tests' reference, so the library has none:
+    evaluation, feasibility, the search and the oracle's completion all read
+    a formula through its compiled function."""
+    import ropas.model as model_module
 
-    def refuse(expr, env):
-        raise AssertionError("a formula was read through eval_expr")
-
-    monkeypatch.setattr("ropas.model.eval_expr", refuse)
+    assert not hasattr(model_module, "eval_expr")
     kinds: Counter = Counter()
     for seed in range(120):
         rng = random.Random(seed)

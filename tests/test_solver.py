@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from genmodels import (
+    at_most_one_rop,
     large_integral_rows,
     random_goal_graph,
     random_rop,
@@ -29,6 +30,7 @@ from ropas.model import (
     WeightedSum,
     LinearConstraint,
     enumerate_specifications,
+    evaluate,
     not_,
     validate_model,
     var,
@@ -542,6 +544,85 @@ def test_objective_cut_keeps_every_tie_in_order():
     assert isinstance(fast, OptimalSolutions)
     assert len(fast.optima) == (k - 1) * k
     assert fast == brute_force_oracle(problem)
+
+
+class _TriedBooleans(Boolean):
+    """The boolean domain, noting in ``tries`` each value the search tries."""
+
+    def __init__(self, tries: list) -> None:
+        object.__setattr__(self, "tries", tries)
+
+    def values(self):
+        tries = self.tries
+
+        class Tried:
+            def __iter__(self):
+                for value in (0, 1):
+                    tries.append(value)
+                    yield value
+
+        return Tried()
+
+
+def test_at_most_one_bound_halves_the_tries_and_keeps_every_leaf(monkeypatch):
+    """The one-hot model of the ``solve-onehot`` benchmark: exactly one of
+    ten channels and one of ten stores, the channel only while its ``ok``
+    reads 1, under the benchmark's seed-3 weights, solved in its 64
+    environments of three failed channels each.  The objective row alone
+    bounds each channel's store subtree by every open store's weight; the
+    ``== 1`` rows let at most one of them count."""
+    rng = random.Random("solve-onehot/3")
+    k = 10
+    weights = [rng.randint(1, 12) for _ in range(2 * k)]
+    environments = []
+    for _ in range(64):
+        failed = set(rng.sample(range(k), 3))
+        environments.append({f"ok{i:02d}": int(i not in failed) for i in range(k)})
+    channels, stores = [f"a{i:02d}" for i in range(k)], [f"s{i:02d}" for i in range(k)]
+    tries: list = []
+    m = Model(
+        criteria=(Criterion("u", IntegerRange(0, sum(weights)), "utility", "higher-better"),),
+        parameters=tuple(Parameter(p, _TriedBooleans(tries), 0) for p in channels + stores),
+        monitored=tuple(MonitoredVariable(f"ok{i:02d}", Boolean()) for i in range(k)),
+        depends=(
+            WeightedSum("u_sum", "u", tuple(channels + stores), tuple(map(float, weights))),
+            CardinalityConstraint("one_channel", tuple(channels), "==", 1),
+            CardinalityConstraint("one_store", tuple(stores), "==", 1),
+            *(
+                LinearConstraint(f"gate_{a}", (a, f"ok{i:02d}"), (1.0, -1.0), "<=", 0.0)
+                for i, a in enumerate(channels)
+            ),
+        ),
+        decision_rule="u",
+        decision_set=tuple(channels + stores),
+    )
+    # Branch and bound visits, in search order, each feasible leaf that ties
+    # or beats every leaf before it.
+    expected = []
+    for env in environments:
+        best = None
+        for spec in enumerate_specifications(m, env):
+            value = evaluate(m, spec, env)["u"]
+            if best is None or value >= best:
+                best = value
+                expected.append(spec)
+    leaves = _count_leaves(monkeypatch)
+    tries.clear()
+    for env in environments:
+        assert isinstance(solve_rop(rop(m, env)), OptimalSolutions)
+    assert leaves == expected
+    # Without the at-most-one bound, the 64 solves tried 42,118 values.
+    assert 2 * len(tries) <= 42_118, len(tries)
+
+
+def test_search_agrees_with_oracle_on_at_most_one_groups():
+    rng = random.Random(1967)
+    grouped = 0
+    for i in range(200):
+        problem = at_most_one_rop(rng)
+        grouped += bool(problem.model._compiled.objective[2])
+        assert solve_rop(problem) == brute_force_oracle(problem), i
+    assert grouped >= 120, grouped
 
 
 def test_search_agrees_with_oracle_with_real_coefficients():
