@@ -6,10 +6,14 @@ weighs outcome utilities by transformed probabilities.  The identity transform
 gives classical expected utility; any monotone map fixing 0 and 1 (a power
 curve or an interpolated table) generalizes it.
 
-An entire decision model compiles into an equivalent one-parameter
-optimisation problem (``daop_to_rop``): choosing the alternative is the only
-decision, per-attribute expected contributions become lookup depends, and the
-utility criterion is the decision rule.
+Each outcome is read as the canonical value of its attribute's domain, so
+two spellings of one grid point score alike.  Every alternative's expected
+utility is computed once per model (``DecisionModel._utilities``); ranking,
+``expected_utility`` and the compilation all read that one table.  An entire
+decision model compiles into an equivalent one-parameter optimisation
+problem (``daop_to_rop``): choosing the alternative is the only decision, one
+lookup depend maps it to its expected utility, and that utility criterion is
+the decision rule.
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby, product
-from typing import Mapping, Optional, Union
+from typing import Optional, Union
 
 from .domains import TOLERANCE, Enumerated, Value, domain_bounds, is_finite, is_numeric
-from .errors import DefinitionError, EvaluationError
+from .errors import DefinitionError
 from .model import (
     Criterion,
     LookupTable,
@@ -185,16 +189,45 @@ class DecisionModel:
         return {alt.id: alt for alt in reversed(self.alternatives)}
 
     @cached_property
-    def _contributions(self) -> dict[tuple[str, int], float]:
-        """(alternative id, attribute index) -> additive contribution, filled
-        as ``_contribution`` computes each one."""
-        return {}
-
-    @cached_property
     def _joint_table(self) -> dict[Optional[tuple], Value]:
         """A lookup-table utility keyed by ``_canonical_key``, made once."""
         domains, table = [a.domain for a in self.attributes], self.utility.lookup  # type: ignore
         return {_canonical_key(domains, key): value for key, value in table.items()}
+
+    @cached_property
+    def _utilities(self) -> dict[str, float]:
+        """Each alternative's expected utility, in declaration order, computed
+        once per model; callers run ``_check_valid`` first.
+
+        Each outcome is read once, as its domain's canonical value with its
+        transformed probability.  An additive (weighted-sum) utility adds, to
+        the offset in attribute order, each weight times its attribute's
+        probability-weighted outcome sum; a joint (lookup-table) utility sums,
+        over all outcome combinations, the product of their probabilities
+        times the table's value at their canonical key.
+        """
+        apply, utility = self.transform.apply, self.utility
+        totals = {}
+        for alt in self.alternatives:
+            # Outcomes lie in their domains and a joint table covers every key.
+            lots = [[(a.domain.canonical(v), apply(p)) for v, p in alt.lottery_for(a.id).outcomes]
+                    for a in self.attributes]
+            if isinstance(utility, WeightedSum):
+                total = utility.offset
+                for weight, lot in zip(utility.weights, lots):
+                    inner = 0.0
+                    for value, q in lot:
+                        inner += q * float(value)
+                    total += weight * inner
+            else:
+                total = 0.0
+                for combo in product(*lots):
+                    weight = 1.0
+                    for _, q in combo:
+                        weight *= q
+                    total += weight * float(self._joint_table[tuple(value for value, _ in combo)])  # type: ignore
+            totals[alt.id] = total
+        return totals
 
     def alternative(self, alt_id: str) -> Alternative:
         return self._by_id[alt_id]
@@ -232,14 +265,20 @@ def validate_decision_model(dm: DecisionModel) -> list[Violation]:
             if problem is not None:
                 out.append(Violation(f"{alt.id}/{attr.id}", problem.message))
                 continue
+            # Evaluation reads each outcome as its canonical value, so two
+            # spellings of one grid point repeat an outcome.
+            canonical, points = attr.domain.canonical, set()
             for value, _ in lot.outcomes:
-                if not attr.domain.contains(value):
-                    out.append(
-                        Violation(
-                            f"{alt.id}/{attr.id}",
-                            f"outcome {value!r} outside the attribute domain",
-                        )
-                    )
+                try:
+                    point = canonical(value)
+                except DefinitionError:
+                    message = f"outcome {value!r} outside the attribute domain"
+                else:
+                    if point not in points:
+                        points.add(point)
+                        continue
+                    message = f"duplicate outcome {value!r}"
+                out.append(Violation(f"{alt.id}/{attr.id}", message))
 
     if tuple(dm.utility.inputs) != tuple(attr_ids):
         out.append(
@@ -273,63 +312,15 @@ def _check_valid(dm: DecisionModel) -> None:
 # Expected utility
 
 
-def _additive_contribution(dm: DecisionModel, alt: Alternative, index: int) -> float:
-    """Weight times transformed-probability-weighted outcome sum for one attribute."""
-    assert isinstance(dm.utility, WeightedSum)
-    attr = dm.attributes[index]
-    weight = dm.utility.weights[index]
-    lot = alt.lottery_for(attr.id)
-    apply = dm.transform.apply
-    inner = 0.0
-    for value, p in lot.outcomes:
-        if type(value) is not int and not is_numeric(value):  # most parsed ones are ints
-            raise EvaluationError(
-                f"outcome {value!r} of '{alt.id}/{attr.id}' is not numeric"
-            )
-        inner += apply(p) * float(value)
-    return weight * inner
-
-
-def _contribution(dm: DecisionModel, alt: Alternative, index: int) -> float:
-    """``_additive_contribution``, computed once per model and pair; ``alt``
-    is the model's alternative of its id.  A failure is not kept, so it is
-    raised again on the next call."""
-    key = (alt.id, index)
-    memo = dm._contributions
-    if key not in memo:
-        memo[key] = _additive_contribution(dm, alt, index)
-    return memo[key]
-
-
 def expected_utility(dm: DecisionModel, alternative_id: str) -> float:
-    """Expected utility of one alternative under the model's transform.
-
-    Additive (weighted-sum) utilities sum per-attribute contributions, in
-    attribute order; joint (lookup-table) utilities sum, over all outcome
-    combinations, the product of their probabilities times the table's value
-    at their canonical key.  An invalid model raises ``_check_valid``'s
-    definition error.
-    """
+    """Expected utility of one alternative under the model's transform, read
+    from the model's one table (``DecisionModel._utilities``).  An invalid
+    model raises ``_check_valid``'s definition error."""
     _check_valid(dm)
     try:
-        alt = dm.alternative(alternative_id)
+        return dm._utilities[alternative_id]
     except KeyError:
         raise DefinitionError(f"unknown alternative '{alternative_id}'")
-    if isinstance(dm.utility, WeightedSum):
-        total = dm.utility.offset
-        for i in range(len(dm.attributes)):
-            total += _contribution(dm, alt, i)
-        return total
-    # Outcomes lie in their domains and the table covers every canonical key.
-    lots = [[(a.domain.canonical(v), p) for v, p in alt.lottery_for(a.id).outcomes]
-            for a in dm.attributes]
-    total = 0.0
-    for combo in product(*lots):
-        weight = 1.0
-        for _, p in combo:
-            weight *= dm.transform.apply(p)
-        total += weight * float(dm._joint_table[tuple(value for value, _ in combo)])  # type: ignore
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +346,7 @@ def rank_alternatives(dm: DecisionModel) -> Ranking:
     """Rank every alternative; ties share a group, order is deterministic.
     An invalid model raises ``_check_valid``'s definition error."""
     _check_valid(dm)
-    scored = [(alt.id, expected_utility(dm, alt.id)) for alt in dm.alternatives]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    scored = sorted(dm._utilities.items(), key=lambda pair: (-pair[1], pair[0]))
     groups = tuple(
         tuple(alt_id for alt_id, _ in tied)
         for _, tied in groupby(scored, key=lambda pair: pair[1])
@@ -375,80 +365,36 @@ UTILITY_CRITERION = "utility"
 def daop_to_rop(dm: DecisionModel) -> Rop:
     """Compile the decision model into a one-parameter optimisation problem.
 
-    The single enumerated parameter selects the alternative.  With an additive
-    utility, one lookup depend per attribute produces that attribute's
-    expected contribution and the utility criterion sums them; with a joint
-    utility a single lookup produces the expected utility directly.  Solving
-    the result yields exactly the top ranking group.
+    The single enumerated parameter selects the alternative, and one lookup
+    depend maps it to its expected utility from the model's table, for either
+    utility kind.  Solving the result yields exactly the top ranking group.
     """
     _check_valid(dm)
-    alt_ids = tuple(alt.id for alt in dm.alternatives)
+    totals = dm._utilities
     reserved = {ALTERNATIVE_PARAMETER, UTILITY_CRITERION}
-    clash = reserved & set(alt_ids) | reserved & {a.id for a in dm.attributes}
+    clash = reserved & set(totals) | reserved & {a.id for a in dm.attributes}
     if clash:
         raise DefinitionError(f"ids clash with compiled names: {sorted(clash)}")
 
-    parameters = (Parameter(id=ALTERNATIVE_PARAMETER, domain=Enumerated(alt_ids)),)
-    criteria: list[Criterion] = []
-    depends: list = []
-
-    if isinstance(dm.utility, WeightedSum):
-        # Each total adds the contributions to the offset in attribute order, as
-        # expected_utility does, so it is the same float.
-        totals = {aid: dm.utility.offset for aid in alt_ids}
-        contribution_ids = []
-        for i, attr in enumerate(dm.attributes):
-            cid = f"eu_{attr.id}"
-            if any(cid == a.id for a in dm.attributes) or cid in alt_ids:
-                raise DefinitionError(f"id '{cid}' clashes with a declared id")
-            contribution_ids.append(cid)
-            per_alt = {alt.id: _contribution(dm, alt, i) for alt in dm.alternatives}
-            totals = {aid: totals[aid] + per_alt[aid] for aid in alt_ids}
-            values = tuple(sorted(set(per_alt.values())))
-            criteria.append(
-                Criterion(id=cid, domain=Enumerated(values), kind="quality-variable")
-            )
-            depends.append(
-                LookupTable(
-                    id=f"contrib_{attr.id}",
-                    output=cid,
-                    inputs=(ALTERNATIVE_PARAMETER,),
-                    entries=tuple(((aid,), per_alt[aid]) for aid in alt_ids),
-                )
-            )
-        depends.append(
-            WeightedSum(
-                id="total_utility",
-                output=UTILITY_CRITERION,
-                inputs=tuple(contribution_ids),
-                weights=(1.0,) * len(contribution_ids),
-                offset=dm.utility.offset,
-            )
-        )
-    else:
-        totals = {aid: expected_utility(dm, aid) for aid in alt_ids}
-        depends.append(
+    model = Model(
+        criteria=(
+            Criterion(
+                id=UTILITY_CRITERION,
+                domain=Enumerated(tuple(sorted(set(totals.values())))),
+                kind="utility",
+                preference="higher-better",
+            ),
+        ),
+        parameters=(Parameter(id=ALTERNATIVE_PARAMETER, domain=Enumerated(tuple(totals))),),
+        monitored=(),
+        depends=(
             LookupTable(
                 id="total_utility",
                 output=UTILITY_CRITERION,
                 inputs=(ALTERNATIVE_PARAMETER,),
-                entries=tuple(((aid,), totals[aid]) for aid in alt_ids),
-            )
-        )
-    criteria.append(
-        Criterion(
-            id=UTILITY_CRITERION,
-            domain=Enumerated(tuple(sorted(set(totals.values())))),
-            kind="utility",
-            preference="higher-better",
-        )
-    )
-
-    model = Model(
-        criteria=tuple(criteria),
-        parameters=parameters,
-        monitored=(),
-        depends=tuple(depends),
+                entries=tuple(((aid,), total) for aid, total in totals.items()),
+            ),
+        ),
         decision_rule=UTILITY_CRITERION,
         decision_set=(ALTERNATIVE_PARAMETER,),
     )

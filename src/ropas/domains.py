@@ -85,6 +85,8 @@ class IntegerRange:
         return isinstance(value, int) and self.lo <= value <= self.hi
 
     def canonical(self, value: Value) -> int:
+        if type(value) is int and self.lo <= value <= self.hi:
+            return value  # most parsed values
         if not self.contains(value):
             raise DefinitionError(
                 f"value {value!r} not in integer range [{self.lo}, {self.hi}]"

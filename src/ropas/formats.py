@@ -1189,7 +1189,7 @@ def format_listing(items: tuple[tuple[str, Value], ...]) -> str:
 
 
 def _format_event(event: Event) -> str:
-    return f"{event.variable}@{event.tick}={format_scalar(event.value)}"
+    return f"{event.variable}@{event.tick}={format_number(event.value)}"
 
 
 def _optimal_bits(period: Period) -> str:

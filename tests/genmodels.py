@@ -782,8 +782,9 @@ def grid_decision_files(rng: random.Random) -> tuple[str, str]:
     (``0.30000000000000004`` for ``0.1 * 3``).
 
     One or two attributes range over grids of two to four points, the
-    utility is a lookup table over every combination of their points, and
-    two to four alternatives hold lotteries of one to three outcomes.
+    utility is a weighted sum of them with small integer weights or a lookup
+    table over every combination of their points, and two to four
+    alternatives hold lotteries of one to three outcomes.
     """
     grids = []
     for _ in range(rng.randint(1, 2)):
@@ -803,10 +804,14 @@ def grid_decision_files(rng: random.Random) -> tuple[str, str]:
             probabilities = _decimal_probabilities(rng, len(points))
             pairs = " ".join(f"<{g}.{i}>:{p}" for i, p in zip(points, probabilities))
             lines.append(f"lottery {alt} a{g} {pairs}")
-    keys = product(*(range(len(short)) for _, short, _ in grids))
-    entries = (",".join(f"<{g}.{i}>" for g, i in enumerate(key)) for key in keys)
-    table = " ; ".join(f"{entry}={rng.randint(0, 9)}" for entry in entries)
-    template = "\n".join(lines + ["", "[utility]", f"lookup-table {table}"]) + "\n"
+    if rng.random() < 0.5:
+        terms = " + ".join(f"{rng.randint(1, 3)}*a{g}" for g in range(len(grids)))
+        utility = f"weighted-sum {terms}"
+    else:
+        keys = product(*(range(len(short)) for _, short, _ in grids))
+        entries = (",".join(f"<{g}.{i}>" for g, i in enumerate(key)) for key in keys)
+        utility = "lookup-table " + " ; ".join(f"{entry}={rng.randint(0, 9)}" for entry in entries)
+    template = "\n".join(lines + ["", "[utility]", utility]) + "\n"
 
     def point(match: re.Match, mixed: bool) -> str:
         _, short, exact = grids[int(match[1])]

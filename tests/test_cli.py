@@ -476,6 +476,38 @@ def test_grid_outcomes_rank_as_their_short_literals(capsys, tmp_path):
         assert run_cli(capsys, "rank", "--oracle", str(mixed)) == expected, seed
 
 
+GRID_DECISION = (
+    "ropas-model v1\n\n[attributes]\nattribute a grid:0:0.5:0.1\n\n"
+    "[alternatives]\nalternative x\nalternative y\n{lotteries}\n\n"
+    "[utility]\nweighted-sum 1.0*a\n"
+)
+
+
+def test_two_spellings_of_a_grid_outcome_tie_under_a_weighted_sum(capsys, tmp_path):
+    # 0.3 and 0.30000000000000004 name one grid point, 0.1 * 3.
+    path = tmp_path / "spellings.model"
+    path.write_text(
+        GRID_DECISION.format(lotteries="lottery x a 0.3:1.0\nlottery y a 0.30000000000000004:1.0"),
+        encoding="utf-8",
+    )
+    expected = (OK, "rank 1 x 0.300000\nrank 1 y 0.300000\n", "")
+    assert run_cli(capsys, "rank", str(path)) == expected
+    assert run_cli(capsys, "rank", "--oracle", str(path)) == expected
+
+
+def test_validate_rejects_two_spellings_of_one_outcome_in_a_lottery(capsys, tmp_path):
+    path = tmp_path / "repeated.model"
+    path.write_text(
+        GRID_DECISION.format(
+            lotteries="lottery x a 0.3:0.5 0.30000000000000004:0.5\nlottery y a 0.3:1.0"
+        ),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, err) == (FAILURE, "")
+    assert out == "line 13: semantic: x/a: duplicate outcome 0.30000000000000004\n"
+
+
 def test_rank_needs_a_decision_model(capsys):
     code, _, err = run_cli(capsys, "rank", DISPATCH)
     assert code == FAILURE
@@ -664,7 +696,7 @@ def test_detect_names_a_grid_point_by_its_literal(capsys, tmp_path):
     trace.write_text("ropas-trace v1\nt=1 m=0.3\nt=2 m=0.2\n", encoding="utf-8")
     code, out, err = run_cli(capsys, "simulate", str(path), str(trace))
     assert (code, err) == (OK, "")
-    assert " ignored=m@2=0.2 " in out
+    assert " ignored=m@2=0.200000 " in out
     assert out.endswith(" ignored_event_count=1\n")
 
 

@@ -2,7 +2,6 @@
 
 import io
 import random
-from collections import Counter
 from contextlib import redirect_stdout
 from dataclasses import replace
 from math import fsum
@@ -30,7 +29,7 @@ from ropas.decisions import (
     validate_transform,
 )
 from ropas.domains import Boolean, Enumerated, IntegerRange
-from ropas.errors import DefinitionError, EvaluationError
+from ropas.errors import DefinitionError
 from ropas.model import Criterion, LookupTable, WeightedSum
 from ropas.solver import OptimalSolutions, solve_rop
 from shipped import FIXTURES, load
@@ -274,20 +273,42 @@ def test_parse_then_compile_validates_the_decision_model_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_rank_oracle_computes_each_contribution_once(monkeypatch):
-    calls = Counter()
-    contribution = ropas.decisions._additive_contribution
+JOINT_DECISION = (
+    "ropas-model v1\n\n[attributes]\nattribute a int:0:2\nattribute b bool\n\n"
+    "[alternatives]\nalternative x\nalternative y\nalternative z\n"
+    "lottery x a 0:0.5 2:0.5\nlottery x b 0:0.25 1:0.75\n"
+    "lottery y a 1:1.0\nlottery y b 0:0.5 1:0.5\n"
+    "lottery z a 0:0.2 1:0.3 2:0.5\nlottery z b 1:1.0\n\n"
+    "[utility]\nlookup-table 0,0=0 ; 0,1=3 ; 1,0=2 ; 1,1=5 ; 2,0=4 ; 2,1=6\n\n"
+    "[transform]\npower 2\n"
+)
 
-    def counting(dm, alt, index):
-        calls[alt.id, dm.attributes[index].id] += 1
-        return contribution(dm, alt, index)
 
-    monkeypatch.setattr(ropas.decisions, "_additive_contribution", counting)
+@pytest.mark.parametrize("kind", ("additive", "joint"))
+def test_rank_oracle_transforms_each_outcome_once(monkeypatch, tmp_path, kind):
+    if kind == "additive":
+        path = FIXTURES / "respond.model"
+    else:
+        path = tmp_path / "joint.model"
+        path.write_text(JOINT_DECISION, encoding="utf-8")
+    dm = ropas.formats.parse_model(path.read_text(encoding="utf-8")).decision
+    transform = type(dm.transform)
+    calls = []
+    apply = transform.apply
+
+    def counting(self, p):
+        calls.append(p)
+        return apply(self, p)
+
+    monkeypatch.setattr(transform, "apply", counting)
     with redirect_stdout(io.StringIO()) as out:
-        assert main(["rank", "--oracle", str(FIXTURES / "respond.model")]) == 0
-    assert out.getvalue().splitlines()[0] == "rank 1 heli 46.200000"
-    dm = load("respond.model").decision
-    assert calls == Counter({(a.id, attr.id): 1 for a in dm.alternatives for attr in dm.attributes})
+        assert main(["rank", "--oracle", str(path)]) == 0
+    assert out.getvalue().splitlines()[0] == (
+        "rank 1 heli 46.200000" if kind == "additive" else "rank 1 z 2.070000"
+    )
+    outcomes = [p for alt in dm.alternatives for attr in dm.attributes
+                for _, p in alt.lottery_for(attr.id).outcomes]
+    assert sorted(calls) == sorted(outcomes)
 
 
 def _decision_models():
@@ -308,38 +329,24 @@ def test_expected_utility_reads_the_same_after_ranking_and_compiling():
         assert {alt_id: repr(eu) for alt_id, eu in ranking.entries} == before
 
 
-def test_a_non_numeric_outcome_names_its_alternative_and_attribute():
-    # A boolean domain holds True, so validation passes and evaluation fails.
+def test_a_true_outcome_ranks_compiles_and_scores_like_one():
     attributes = (Criterion("x", Boolean()), Criterion("y", Boolean()))
-    alternatives = (
-        Alternative("a", (("x", lottery((1, 1.0),)), ("y", lottery((True, 1.0),)))),
-        Alternative("b", (("x", lottery((True, 1.0),)), ("y", lottery((1, 1.0),)))),
-    )
-    utility = WeightedSum("utility", "utility", ("x", "y"), (1.0, 1.0))
+    utility = WeightedSum("utility", "utility", ("x", "y"), (1.0, 2.0))
 
-    def model():
-        dm = DecisionModel(alternatives, attributes, utility)
-        assert validate_decision_model(dm) == []
-        return dm
+    def model(one):
+        alternatives = (
+            Alternative("a", (("x", lottery((1, 1.0),)), ("y", lottery((one, 0.5), (0, 0.5))))),
+            Alternative("b", (("x", lottery((one, 1.0),)), ("y", lottery((1, 1.0),)))),
+            Alternative("c", (("x", lottery((0, 1.0),)), ("y", lottery((one, 1.0),)))),
+        )
+        return DecisionModel(alternatives, attributes, utility)
 
-    a_y = r"outcome True of 'a/y' is not numeric"
-    b_x = r"outcome True of 'b/x' is not numeric"
-    # Ranking reads alternative by alternative, compiling attribute by
-    # attribute, so each names the first bad pair in its own order.
-    with pytest.raises(EvaluationError, match=a_y):
-        rank_alternatives(model())
-    with pytest.raises(EvaluationError, match=b_x):
-        daop_to_rop(model())
-    dm = model()
-    for _ in range(2):  # a failure is raised again, not remembered
-        with pytest.raises(EvaluationError, match=a_y):
-            rank_alternatives(dm)
-        with pytest.raises(EvaluationError, match=b_x):
-            daop_to_rop(dm)
-        with pytest.raises(EvaluationError, match=a_y):
-            expected_utility(dm, "a")
-        with pytest.raises(EvaluationError, match=b_x):
-            expected_utility(dm, "b")
+    plain, boolean = model(1), model(True)
+    assert validate_decision_model(boolean) == []
+    assert [expected_utility(boolean, aid) for aid in "abc"] == [2.0, 3.0, 2.0]
+    assert rank_alternatives(boolean) == rank_alternatives(plain)
+    assert rank_alternatives(boolean).groups == (("b",), ("a", "c"))
+    assert solve_rop(daop_to_rop(boolean)) == solve_rop(daop_to_rop(plain))
 
 
 def test_compilation_preserves_optima_on_random_models():
