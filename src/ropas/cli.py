@@ -216,7 +216,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     timeline, metrics = run_simulation(bundle.model, trace, config)
     report = write_report(timeline, metrics, args.format)
     if args.oracle:
-        again, again_metrics = run_simulation(bundle.model, trace, config)
+        # A fresh copy of the model, so the repeated run shares no memo.
+        again, again_metrics = run_simulation(replace(bundle.model), trace, config)
         if write_report(again, again_metrics, args.format) != report:
             print("repeated run produced a different report", file=sys.stderr)
             return FAILURE

@@ -1036,6 +1036,16 @@ def parse_model(text: str) -> ModelBundle:
     decision: Optional[DecisionModel] = None
     if seen & {"attributes", "alternatives", "utility", "transform"}:
         utility_line = (lines("utility") or [1])[-1]
+
+        def lottery_line(subject: str) -> int:
+            """The line of the lottery record ``ALT/ATTR`` names, looked up only
+            for a finding; any other undeclared subject gets the [utility] line."""
+            head = ["lottery", *subject.split("/")]
+            return next(
+                (line for line, section, record in records
+                 if section == "alternatives" and record.split()[:3] == head),
+                utility_line,
+            )
         if p.utility is None:
             p.semantic(utility_line, "decision model lacks a [utility] section")
         else:
@@ -1048,7 +1058,8 @@ def parse_model(text: str) -> ModelBundle:
                 transform=p.transform,
             )
             for violation in decision.violations:
-                p.semantic(p.decl.get(violation.subject, utility_line), str(violation))
+                p.semantic(p.decl.get(violation.subject) or lottery_line(violation.subject),
+                           str(violation))
 
     config = SimulationConfig(
         adaptation_duration=p.duration,

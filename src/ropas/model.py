@@ -47,7 +47,9 @@ never cuts a tie, and a cut branch raises no evaluation error.
 
 All operations are pure and deterministic.  Objects are immutable, so sharing
 them across threads is safe; two threads racing to build a model's index at
-worst build it twice, with equal results.
+worst build it twice, with equal results.  The one mutable piece, the
+simulator's memo on a model (``Model._simulation_memo``), holds only pure
+results, so two racing runs at worst compute an entry twice.
 """
 
 from __future__ import annotations
@@ -483,6 +485,14 @@ class Model:
             objective = (row, _watch_lists(rows + (row,)), _at_most_one_groups(rows, row))
         outputs = tuple(dep.output for dep in topo)
         return _Compiled(outputs, computes, feeds, rows, _watch_lists(rows), objective)
+
+    @cached_property
+    def _simulation_memo(self) -> dict:
+        """The simulator's re-solves and statuses of this model, keyed by the
+        configuration they read (``runtime.run_simulation``).  Every run of
+        this model object shares it; a fresh parse or ``replace`` starts
+        empty."""
+        return {}
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:

@@ -18,7 +18,10 @@ against an omniscient rerun of the same configuration in which every
 detectable range is widened to the full domain.
 
 Each distinct (believed environment, active specification) pair is solved
-and checked once per run, and the omniscient rerun reuses those results.
+and checked once per model and configuration: the results live on the model
+object, where the omniscient rerun and every later run of that model with the
+same evolution constraints, triggers and cap reuse them.  A run that finds
+more than ``MODEL_MEMO_LIMIT`` entries there empties them first.
 
 ``run_simulation`` canonicalizes the configuration (initial values, the
 initial specification, value-set trigger values) and the trace events once,
@@ -56,6 +59,10 @@ from .model import (
 from .solver import Rop, rop
 
 INFEASIBLE_MARKER = "infeasible"
+
+# The most entries a model's memo keeps from earlier runs: each configuration
+# held counts one, and each re-solve and status one more.
+MODEL_MEMO_LIMIT = 1 << 12
 
 
 # ---------------------------------------------------------------------------
@@ -623,19 +630,19 @@ def _replay(
     # on every tick and, with a nonzero duration, would oscillate between
     # adaptation periods forever.
     last_handled: Optional[tuple[tuple[tuple[str, Value], ...], Specification]] = None
-
-    def env_key() -> tuple[tuple[str, Value], ...]:
-        return tuple(sorted(believed.items()))
+    # The believed environment's key, made again whenever an event changes it.
+    env = tuple(sorted(believed.items()))
 
     # ``memo`` holds, per believed environment and specification, the re-solve
     # from that specification and its status (instance, fired triggers and
-    # feasibility).  Each is a pure function of that pair within one run, so
-    # the run's two passes share the memo.
+    # feasibility).  Each is a pure function of that pair for one model and
+    # configuration, so both passes and every run sharing those share the memo.
     def recall(kind: str, spec: Optional[Specification], compute):
-        key = (kind, env_key(), spec)
-        if key not in memo:
-            memo[key] = compute()
-        return memo[key]
+        key = (kind, env, spec)
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = compute()
+        return found
 
     # ``believed`` and every active specification hold canonical values (bound
     # in ``run_simulation`` or emitted by the search), so a status is one
@@ -659,20 +666,24 @@ def _replay(
         if isinstance(target, NoFeasibleAdaptation):
             out.status = "no-feasible-adaptation"
             return False
-        last_handled = (env_key(), target)
+        last_handled = (env, target)
         if always_open or target != current:
             current = target
             open_period("stability", tick, current)
         return True
 
     for tick in range(horizon):
+        seen = False
         for event, observed, omniscient in events_by_tick.get(tick, ()):
             if omniscient if full_scope else observed:
                 believed[event.variable] = event.value
+                seen = True
             else:
                 # The period that ran before the event lists it.
                 out.ignored_count += 1
                 out.ignored[max(tick - 1, 0)].append(event)
+        if seen:
+            env = tuple(sorted(believed.items()))
 
         if tick == 0 and start is not None:
             open_period("stability", tick, start)
@@ -684,7 +695,7 @@ def _replay(
 
         if switch_tick is None:
             _, fired, feasible_now = status(current)
-            if (fired or not feasible_now) and last_handled != (env_key(), current):
+            if (fired or not feasible_now) and last_handled != (env, current):
                 out.trigger_count += len(fired)
                 marks = fired + (() if feasible_now else (INFEASIBLE_MARKER,))
                 if config.adaptation_duration:
@@ -712,9 +723,17 @@ def run_simulation(
 
     Identical inputs always produce identical timelines.  A run halts with
     status "no-feasible-adaptation" (keeping the partial timeline) when no
-    switch target survives the constraints.  An invalid model, a config that
-    ``config_violations`` rejects or a missing initial value raises DefinitionError;
-    a horizon above ``config.cap`` raises SizeLimitError before any tick runs.
+    switch target survives the constraints.
+
+    Each re-solve and status is computed once per model object and
+    configuration (evolution constraints, relaxed triggers, cap) and kept on
+    the model, so a later run of that model reuses what an earlier run
+    computed; a run that finds more than ``MODEL_MEMO_LIMIT`` entries there
+    empties them first.
+
+    An invalid model, a config that ``config_violations`` rejects or a missing
+    initial value raises DefinitionError; a horizon above ``config.cap`` raises
+    SizeLimitError before any tick runs.
     """
     model._compiled  # an invalid model raises its findings here
     if model.decision_rule is None or not model.decision_set:
@@ -738,7 +757,10 @@ def run_simulation(
         raise SizeLimitError(f"horizon {horizon} exceeds cap {config.cap}")
     triggers = relax(config.triggers, dict(config.relaxation), model)
 
-    memo: dict = {}
+    memos = model._simulation_memo
+    if len(memos) + sum(map(len, memos.values())) > MODEL_MEMO_LIMIT:
+        memos.clear()
+    memo = memos.setdefault((config.constraints, triggers, config.cap), {})
     main = _replay(model, events_by_tick, config, triggers, horizon, initial, start, False, memo)
     omni = _replay(model, events_by_tick, config, triggers, horizon, initial, start, True, memo)
 

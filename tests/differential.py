@@ -27,8 +27,9 @@ and shipped fixtures, so both sides see the same ones:
   on ``at_most_one_rop`` (booleans in at-most-one rows under a utility of
   both signs), for each of ``INTEGRAL_SEEDS`` seeds;
 - ``run_simulation`` on ``random_runtime_scenario`` and
-  ``random_runtime_pair`` for each of ``SEEDS`` seeds: the timeline and the
-  metrics;
+  ``random_runtime_pair`` for each of ``SEEDS`` seeds, then once more on the
+  same model object (the case name ends in ``again``), which reads what the
+  first run left in the model's memo: the timeline and the metrics;
 - ``rank_alternatives`` and ``daop_to_rop`` + ``solve_rop`` on
   ``random_decision_model`` for each of ``SEEDS`` seeds;
 - every CLI subcommand on ``fixtures/*.model`` (``simulate`` with each
@@ -230,6 +231,8 @@ def _runtime_cases():
                 yield name, _failure(err)
                 continue
             yield name, _attempt(lambda: run_simulation(*inputs))
+            # Again on the same model object, which now holds the first run's memo.
+            yield f"{name} again", _attempt(lambda: run_simulation(*inputs))
 
 
 def _decision_cases():

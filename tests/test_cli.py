@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ropas import cli
+from ropas import cli, runtime
 from ropas.cli import FAILURE, OK, USAGE, main
 from ropas.decisions import ALTERNATIVE_PARAMETER
 from ropas.formats import MODEL_HEADER, parse_model, serialize_model
@@ -505,7 +505,7 @@ def test_validate_rejects_two_spellings_of_one_outcome_in_a_lottery(capsys, tmp_
     )
     code, out, err = run_cli(capsys, "validate", str(path))
     assert (code, err) == (FAILURE, "")
-    assert out == "line 13: semantic: x/a: duplicate outcome 0.30000000000000004\n"
+    assert out == "line 9: semantic: x/a: duplicate outcome 0.30000000000000004\n"
 
 
 def test_rank_needs_a_decision_model(capsys):
@@ -549,6 +549,26 @@ def test_simulate_oracle_agrees(capsys):
     assert code == OK
     assert out == plain
     assert err == ""
+
+
+def test_simulate_oracle_solves_its_repeated_run_afresh(capsys, monkeypatch):
+    # The repeated run gets a fresh copy of the model: it must re-solve, not
+    # read back the first run's memo.
+    solves, run, candidates = [], runtime.run_simulation, runtime.adaptation_candidates
+
+    def counted_run(*args):
+        solves.append(0)
+        return run(*args)
+
+    def counted_candidates(*args):
+        solves[-1] += 1
+        return candidates(*args)
+
+    monkeypatch.setattr(cli, "run_simulation", counted_run)
+    monkeypatch.setattr(runtime, "adaptation_candidates", counted_candidates)
+    code, _, err = run_cli(capsys, "simulate", "--oracle", ALERTS, ALERTS_TRACE)
+    assert (code, err) == (OK, "")
+    assert len(solves) == 2 and solves[0] == solves[1] > 0
 
 
 def test_simulate_repeated_runs_match_byte_for_byte(capsys):

@@ -980,7 +980,7 @@ def test_periods_tile_the_ticks_run_on_random_scenarios():
 
 
 # ---------------------------------------------------------------------------
-# The per-run memo
+# The model's memo, shared by the two passes of a run and by later runs
 
 
 def record_solves(monkeypatch):
@@ -1048,3 +1048,75 @@ def test_the_shared_memo_leaves_the_omniscient_replay_unchanged(monkeypatch):
         fresh = replay(*args[:-1], {})
         for field in fields:
             assert getattr(shared, field) == getattr(fresh, field), (seed, field)
+
+
+def outcome(model, trace, config):
+    """The timeline and metrics of a run, or the type and text of its error."""
+    try:
+        return run_simulation(model, trace, config)
+    except (DefinitionError, EvaluationError, SizeLimitError) as err:
+        return type(err), str(err)
+
+
+def memo_variants(config):
+    """``config``, and variants differing in what a re-solve reads (the
+    constraints, the relaxed triggers, the cap) or in what it does not (the
+    adaptation duration)."""
+    return (
+        config,
+        replace(config, constraints=()),
+        replace(config, relaxation=((config.triggers[0].criterion, 3.0),)),
+        replace(config, cap=4),
+        replace(config, adaptation_duration=config.adaptation_duration + 1),
+    )
+
+
+@pytest.mark.parametrize("make", (random_runtime_scenario, random_runtime_pair))
+def test_warm_runs_agree_with_cold_ones(make):
+    for seed in range(60):
+        model, trace, config = make(random.Random(seed))
+        variants = memo_variants(config)
+        cold = [outcome(replace(model), trace, c) for c in variants]
+        for _ in range(2):  # the second round reads only the memo
+            assert [outcome(model, trace, c) for c in variants] == cold, seed
+
+
+def test_a_repeated_run_makes_no_re_solve(monkeypatch):
+    calls = record_solves(monkeypatch)
+    alerts = load("alerts.model")
+    runs = [(alerts.model, load("alerts_failure.trace"), alerts.config)]
+    runs += [random_runtime_scenario(random.Random(seed)) for seed in range(50)]
+    made = 0
+    for index, (model, trace, config) in enumerate(runs):
+        calls.clear()
+        first = outcome(model, trace, config)
+        made += len(calls)
+        calls.clear()
+        assert outcome(model, trace, config) == first and not calls, index
+        assert model._simulation_memo and not replace(model)._simulation_memo, index
+    assert made
+
+
+def memo_size(model):
+    memos = model._simulation_memo
+    return len(memos) + sum(map(len, memos.values()))
+
+
+def test_the_model_memo_is_emptied_above_its_bound(monkeypatch):
+    limit = 6
+    monkeypatch.setattr(runtime, "MODEL_MEMO_LIMIT", limit)
+    model, trace, config = random_runtime_scenario(random.Random(5))
+    cleared = 0
+    for index, variant in enumerate(memo_variants(config) * 3):
+        before = memo_size(model)
+        outcome(model, trace, variant)
+        fresh = replace(model)
+        outcome(fresh, trace, variant)
+        own, after = memo_size(fresh), memo_size(model)
+        if before > limit:
+            cleared += 1
+            assert after == own, index
+        else:
+            assert after <= before + own, index
+        assert after <= limit + own, index
+    assert cleared
