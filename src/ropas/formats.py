@@ -929,6 +929,7 @@ def _read_lottery(p: _ModelParser, rest: str) -> None:
         except ValueError:
             raise _Syntax(f"bad probability in '{token}'")
     p.lotteries.setdefault(tokens[0], []).append((tokens[1], Lottery(tuple(pairs))))
+    p.declare(f"{tokens[0]}/{tokens[1]}")  # a finding's subject is ALT/ATTR
 
 
 @_record("utility", "weighted-sum",
@@ -1036,16 +1037,6 @@ def parse_model(text: str) -> ModelBundle:
     decision: Optional[DecisionModel] = None
     if seen & {"attributes", "alternatives", "utility", "transform"}:
         utility_line = (lines("utility") or [1])[-1]
-
-        def lottery_line(subject: str) -> int:
-            """The line of the lottery record ``ALT/ATTR`` names, looked up only
-            for a finding; any other undeclared subject gets the [utility] line."""
-            head = ["lottery", *subject.split("/")]
-            return next(
-                (line for line, section, record in records
-                 if section == "alternatives" and record.split()[:3] == head),
-                utility_line,
-            )
         if p.utility is None:
             p.semantic(utility_line, "decision model lacks a [utility] section")
         else:
@@ -1058,8 +1049,7 @@ def parse_model(text: str) -> ModelBundle:
                 transform=p.transform,
             )
             for violation in decision.violations:
-                p.semantic(p.decl.get(violation.subject) or lottery_line(violation.subject),
-                           str(violation))
+                p.semantic(p.decl.get(violation.subject, utility_line), str(violation))
 
     config = SimulationConfig(
         adaptation_duration=p.duration,

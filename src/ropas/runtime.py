@@ -20,8 +20,8 @@ detectable range is widened to the full domain.
 Each distinct (believed environment, active specification) pair is solved
 and checked once per model and configuration: the results live on the model
 object, where the omniscient rerun and every later run of that model with the
-same evolution constraints, triggers and cap reuse them.  A run that finds
-more than ``MODEL_MEMO_LIMIT`` entries there empties them first.
+same evolution constraints, triggers and cap reuse them.  A run that leaves
+more than ``MODEL_MEMO_LIMIT`` there, counted by ``_memo_size``, empties it.
 
 ``run_simulation`` canonicalizes the configuration (initial values, the
 initial specification, value-set trigger values) and the trace events once,
@@ -60,9 +60,19 @@ from .solver import Rop, rop
 
 INFEASIBLE_MARKER = "infeasible"
 
-# The most entries a model's memo keeps from earlier runs: each configuration
-# held counts one, and each re-solve and status one more.
+# The most a model's memo keeps between runs, in ``_memo_size``'s units.
 MODEL_MEMO_LIMIT = 1 << 12
+
+
+def _memo_size(memos: dict) -> int:
+    """What a model's memo holds: one per configuration and per status, and
+    per re-solve one for each specification it accepts (at least one), so a
+    model whose re-solves accept large sets keeps fewer of them.  It reads
+    copies, since a run in another thread may add entries meanwhile."""
+    return len(memos) + sum(
+        max(len(found[0]), 1) if key[0] == "solve" else 1
+        for memo in tuple(memos.values()) for key, found in tuple(memo.items())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -728,8 +738,10 @@ def run_simulation(
     Each re-solve and status is computed once per model object and
     configuration (evolution constraints, relaxed triggers, cap) and kept on
     the model, so a later run of that model reuses what an earlier run
-    computed; a run that finds more than ``MODEL_MEMO_LIMIT`` entries there
-    empties them first.
+    computed.  A run that leaves more than ``MODEL_MEMO_LIMIT`` there, each
+    re-solve counting the specifications it accepts (``_memo_size``), empties
+    it, so what persists between runs stays under that bound; within one run
+    the memo grows as the run needs.
 
     An invalid model, a config that ``config_violations`` rejects or a missing
     initial value raises DefinitionError; a horizon above ``config.cap`` raises
@@ -758,11 +770,14 @@ def run_simulation(
     triggers = relax(config.triggers, dict(config.relaxation), model)
 
     memos = model._simulation_memo
-    if len(memos) + sum(map(len, memos.values())) > MODEL_MEMO_LIMIT:
-        memos.clear()
     memo = memos.setdefault((config.constraints, triggers, config.cap), {})
-    main = _replay(model, events_by_tick, config, triggers, horizon, initial, start, False, memo)
-    omni = _replay(model, events_by_tick, config, triggers, horizon, initial, start, True, memo)
+    replay = (model, events_by_tick, config, triggers, horizon, initial, start)
+    try:
+        main = _replay(*replay, False, memo)
+        omni = _replay(*replay, True, memo)
+    finally:
+        if _memo_size(memos) > MODEL_MEMO_LIMIT:
+            memos.clear()
 
     ran = len(main.active)
     flags = [

@@ -1098,25 +1098,42 @@ def test_a_repeated_run_makes_no_re_solve(monkeypatch):
 
 
 def memo_size(model):
-    memos = model._simulation_memo
-    return len(memos) + sum(map(len, memos.values()))
+    return runtime._memo_size(model._simulation_memo)
 
 
-def test_the_model_memo_is_emptied_above_its_bound(monkeypatch):
+def test_what_a_model_memo_keeps_between_runs_stays_under_its_bound(monkeypatch):
     limit = 6
     monkeypatch.setattr(runtime, "MODEL_MEMO_LIMIT", limit)
     model, trace, config = random_runtime_scenario(random.Random(5))
-    cleared = 0
-    for index, variant in enumerate(memo_variants(config) * 3):
-        before = memo_size(model)
+    sizes = []
+    for variant in memo_variants(config) * 3:
         outcome(model, trace, variant)
-        fresh = replace(model)
-        outcome(fresh, trace, variant)
-        own, after = memo_size(fresh), memo_size(model)
-        if before > limit:
-            cleared += 1
-            assert after == own, index
-        else:
-            assert after <= before + own, index
-        assert after <= limit + own, index
-    assert cleared
+        sizes.append(memo_size(model))
+    assert max(sizes) <= limit and 0 in sizes and any(sizes), sizes
+
+
+FLAT = """ropas-model v1
+[variables]
+criterion score int:0:9 kind=utility pref=higher-better
+parameter a int:0:9 default=0
+monitored m int:0:9
+[depends]
+weighted-sum score_total -> score : 1.0*m
+[decision]
+rule score
+set a
+[simulation]
+initial m=1
+"""
+
+
+@pytest.mark.parametrize("limit, kept", ((8, False), (64, True)))
+def test_a_re_solve_weighs_the_specifications_it_accepts(monkeypatch, limit, kept):
+    # Every specification scores alike, so the one re-solve accepts all ten.
+    monkeypatch.setattr(runtime, "MODEL_MEMO_LIMIT", limit)
+    flat = parse_model(FLAT)
+    timeline, _ = run_simulation(flat.model, EventTrace(()), flat.config)
+    assert len(timeline.periods) == 1
+    assert bool(flat.model._simulation_memo) is kept
+    if kept:
+        assert memo_size(flat.model) == 1 + 10 + 1  # the configuration, one re-solve, one status
