@@ -1037,6 +1037,11 @@ def parse_model(text: str) -> ModelBundle:
     decision: Optional[DecisionModel] = None
     if seen & {"attributes", "alternatives", "utility", "transform"}:
         utility_line = (lines("utility") or [1])[-1]
+        declared = set(p.alt_order)
+        for alt, lotteries in p.lotteries.items():
+            if alt not in declared:  # found at the line of its first lottery
+                where = p.decl[f"{alt}/{lotteries[0][0]}"]
+                p.semantic(where, f"lottery for undeclared alternative '{alt}'")
         if p.utility is None:
             p.semantic(utility_line, "decision model lacks a [utility] section")
         else:

@@ -124,10 +124,13 @@ class MonitoredVariable:
         domain = self.domain
         if not domain.contains(value):
             return False
-        value = domain.canonical(value)
-        return not self.detectable_range or value in [
-            domain.canonical(v) for v in self.detectable_range if domain.contains(v)
-        ]
+        return not self.detectable_range or domain.canonical(value) in self._detectable
+
+    @cached_property
+    def _detectable(self) -> frozenset:
+        """The canonical values of the detectable range that lie in the domain."""
+        domain = self.domain
+        return frozenset(domain.canonical(v) for v in self.detectable_range if domain.contains(v))
 
 
 # ---------------------------------------------------------------------------

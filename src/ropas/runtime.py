@@ -15,7 +15,9 @@ canonical order.
 
 The reported optimal-time fraction compares each tick's active specification
 against an omniscient rerun of the same configuration in which every
-detectable range is widened to the full domain.
+detectable range is widened to the full domain.  When the running system sees
+every event of the trace, that rerun is the observed run, and the trace is
+replayed once.
 
 Each distinct (believed environment, active specification) pair is solved
 and checked once per model and configuration: the results live on the model
@@ -36,6 +38,7 @@ instance and its feasibility.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence, Union
@@ -482,14 +485,14 @@ def config_violations(model: Model, config: SimulationConfig) -> list[Violation]
             kind, model.monitored_variable
         )
         for name, value in pairs:
-            at = subject.format(name)
             try:
                 if not find(name).domain.contains(value):
-                    bad(at, f"{what} value {value!r} outside the domain of '{name}'")
+                    message = f"{what} value {value!r} outside the domain of '{name}'"
+                    bad(subject.format(name), message)
             except KeyError:
                 # "initial value for non-monitored variable 'x'", "evolution constraint
                 # value for non-parameter 'x'", "unless test value for non-monitored ..."
-                bad(at, f"{what} value for non-{kind} '{name}'")
+                bad(subject.format(name), f"{what} value for non-{kind} '{name}'")
 
     spec = config.initial_spec
     if spec is not None:
@@ -608,7 +611,8 @@ def _bind_events(
             raise DefinitionError(
                 f"event value {event.value!r} outside the domain of '{event.variable}'"
             )
-        bound = Event(event.tick, event.variable, domain.canonical(event.value))
+        value = domain.canonical(event.value)
+        bound = event if value is event.value else Event(event.tick, event.variable, value)
         entry = (bound, apply_monitoring_scope(model, bound), model.has_variable(event.variable))
         by_tick.setdefault(event.tick, []).append(entry)
     return by_tick
@@ -640,8 +644,10 @@ def _replay(
     # on every tick and, with a nonzero duration, would oscillate between
     # adaptation periods forever.
     last_handled: Optional[tuple[tuple[tuple[str, Value], ...], Specification]] = None
-    # The believed environment's key, made again whenever an event changes it.
+    # The believed environment's key, made again whenever an event changes it,
+    # and the (env, current) pair whose status was checked last.
     env = tuple(sorted(believed.items()))
+    checked: Optional[tuple] = None
 
     # ``memo`` holds, per believed environment and specification, the re-solve
     # from that specification and its status (instance, fired triggers and
@@ -704,7 +710,11 @@ def _replay(
             out.fired[tick] += pending_fired
 
         if switch_tick is None:
-            _, fired, feasible_now = status(current)
+            # A status is a pure function of (env, current): check it again
+            # only on a tick where one of them changed.
+            if checked != (env, current):
+                checked = (env, current)
+                _, fired, feasible_now = status(current)
             if (fired or not feasible_now) and last_handled != (env, current):
                 out.trigger_count += len(fired)
                 marks = fired + (() if feasible_now else (INFEASIBLE_MARKER,))
@@ -733,7 +743,10 @@ def run_simulation(
 
     Identical inputs always produce identical timelines.  A run halts with
     status "no-feasible-adaptation" (keeping the partial timeline) when no
-    switch target survives the constraints.
+    switch target survives the constraints.  The run is scored against an
+    omniscient rerun that sees every event on a monitored variable; when the
+    running system already sees every event, that rerun is the observed run
+    itself, and the trace is replayed once.
 
     Each re-solve and status is computed once per model object and
     configuration (evolution constraints, relaxed triggers, cap) and kept on
@@ -753,30 +766,38 @@ def run_simulation(
     problems = config_violations(model, config)
     if problems:
         raise DefinitionError(problems[0].message)
-    config = replace(config, triggers=tuple(_canonical(model, t) for t in config.triggers))
     initial = {
         n: model.monitored_variable(n).domain.canonical(v) for n, v in config.initial_exogenous
     }
     for mv in model.monitored:
         if mv.id not in initial:
             raise DefinitionError(f"no initial value for monitored variable '{mv.id}'")
-    start = None if config.initial_spec is None else Specification.from_mapping(
-        {p.id: p.domain.canonical(config.initial_spec[p.id]) for p in model.parameters}
+    # One dict read; as in ``Specification.__getitem__``, the first of two equal names wins.
+    given = None if config.initial_spec is None else dict(reversed(config.initial_spec.items))
+    start = None if given is None else Specification.from_mapping(
+        {p.id: p.domain.canonical(given[p.id]) for p in model.parameters}
     )
     events_by_tick = _bind_events(model, trace, dict(config.change_scope))
     horizon = max(trace.last_tick() + 1, 1) if config.horizon is None else config.horizon
     if horizon > config.cap:
         raise SizeLimitError(f"horizon {horizon} exceeds cap {config.cap}")
-    triggers = relax(config.triggers, dict(config.relaxation), model)
+    triggers = relax(
+        [_canonical(model, t) for t in config.triggers], dict(config.relaxation), model
+    )
 
     memos = model._simulation_memo
+    held = len(memos)
     memo = memos.setdefault((config.constraints, triggers, config.cap), {})
+    held += len(memo)  # a run that adds nothing leaves the memo's size as it was
     replay = (model, events_by_tick, config, triggers, horizon, initial, start)
+    # The omniscient pass differs from the observed one only in the events
+    # the running system cannot see; with none, it is the observed pass.
+    unseen = any(seen != every for bound in events_by_tick.values() for _, seen, every in bound)
     try:
         main = _replay(*replay, False, memo)
-        omni = _replay(*replay, True, memo)
+        omni = _replay(*replay, True, memo) if unseen else main
     finally:
-        if _memo_size(memos) > MODEL_MEMO_LIMIT:
+        if len(memos) + len(memo) != held and _memo_size(memos) > MODEL_MEMO_LIMIT:
             memos.clear()
 
     ran = len(main.active)
@@ -784,11 +805,16 @@ def run_simulation(
         tick < len(omni.accepted) and spec in omni.accepted[tick]
         for tick, spec in enumerate(main.active)
     ]
+    # The marks and ignored events of each period, read only at the ticks that hold some.
     starts = [tick for tick in main.opened if tick < ran]
+    fired: list[list[str]] = [[] for _ in starts]
+    ignored: list[list[Event]] = [[] for _ in starts]
+    for kept, by_tick in ((fired, main.fired), (ignored, main.ignored)):
+        for tick in sorted(t for t in by_tick if 0 <= t < ran):
+            kept[bisect_right(starts, tick) - 1] += by_tick[tick]
     periods = []
-    for start, end in zip(starts, starts[1:] + [ran]):
+    for at, (start, end) in enumerate(zip(starts, starts[1:] + [ran])):
         kind, spec, instance = main.opened[start]
-        ticks = range(start, end)
         periods.append(
             Period(
                 kind=kind,
@@ -796,8 +822,8 @@ def run_simulation(
                 end=end,
                 spec=spec,
                 instance=instance,
-                fired=tuple(mark for t in ticks for mark in main.fired.get(t, ())),
-                ignored=tuple(event for t in ticks for event in main.ignored.get(t, ())),
+                fired=tuple(fired[at]),
+                ignored=tuple(ignored[at]),
                 optimal=tuple(flags[start:end]),
             )
         )

@@ -45,9 +45,15 @@ and shipped fixtures, so both sides see the same ones:
   stdout and stderr.  Both sides write each decision file and each mutant
   to the same path, so a message that names the file reads the same.
 
-Prints the first differing case with its seed and exits 1; otherwise prints
-how many cases agreed and exits 0.  Its name has no ``test_`` prefix, so
-the test suite does not collect it.
+    python tests/differential.py REV --expect FILE
+
+FILE lists case names expected to differ, one a line (``#`` starts a
+comment line).  Every differing case outside that list is printed with both
+outputs, and any of them makes the exit status 1; the differing cases inside
+it are counted, and each listed case that did not differ is named.  With no
+``--expect``, every difference is unexpected.  Two case lists that do not
+match exit 1 at once.  Its name has no ``test_`` prefix, so the test suite
+does not collect it.
 """
 
 from __future__ import annotations
@@ -341,7 +347,42 @@ def _run_side(src: Path, inputs: Path) -> list:
     return [json.loads(line) for line in done.stdout.splitlines()]
 
 
-def compare(rev: str) -> int:
+def read_expected(path: Path) -> set[str]:
+    """The case names listed in ``path``, one a line; blank lines and lines
+    starting with ``#`` are skipped."""
+    lines = (line.strip() for line in path.read_text(encoding="utf-8").splitlines())
+    return {line for line in lines if line and not line.startswith("#")}
+
+
+def compare_cases(theirs: list, ours: list, expected: set[str], rev: str, say=print) -> int:
+    """Compare two sides' ``[name, output]`` lists case by case.  Every
+    difference outside ``expected`` is reported, and any makes the result 1;
+    the differences inside it are counted, and each expected case that did
+    not differ is named.  Two case lists that do not match give 1 at once."""
+    for (name, _), (other, _) in zip(theirs, ours):
+        if name != other:
+            say(f"case lists differ: {name!r} at {rev}, {other!r} here")
+            return 1
+    if len(theirs) != len(ours):
+        say(f"case counts differ: {len(theirs)} at {rev}, {len(ours)} here")
+        return 1
+    differing = [(name, old, new) for (name, old), (_, new) in zip(theirs, ours) if old != new]
+    unexpected = [case for case in differing if case[0] not in expected]
+    for name, old, new in unexpected:
+        say(f"difference: {name}")
+        say(f"  {rev}: {json.dumps(old)}")
+        say(f"  this checkout: {json.dumps(new)}")
+    listed = {name for name, _, _ in differing} & expected
+    say(f"{len(listed)} expected differences in {len(ours)} cases against {rev}")
+    for name in sorted(expected - listed):
+        say(f"expected to differ but did not: {name}")
+    if unexpected:
+        say(f"{len(unexpected)} unexpected differences")
+        return 1
+    return 0
+
+
+def compare(rev: str, expected: set[str]) -> int:
     workdir = Path(tempfile.mkdtemp(prefix="ropas-differential-"))
     tree = workdir / "tree"
     added = subprocess.run(
@@ -361,25 +402,16 @@ def compare(rev: str) -> int:
             capture_output=True,
         )
         shutil.rmtree(workdir, ignore_errors=True)
-    for (name, old), (other, new) in zip(theirs, ours):
-        if name != other:
-            print(f"case lists differ: {name!r} at {rev}, {other!r} here")
-            return 1
-        if old != new:
-            print(f"first difference: {name}")
-            print(f"  {rev}: {json.dumps(old)}")
-            print(f"  this checkout: {json.dumps(new)}")
-            return 1
-    if len(theirs) != len(ours):
-        print(f"case counts differ: {len(theirs)} at {rev}, {len(ours)} here")
-        return 1
-    print(f"no difference in {len(ours)} cases against {rev}")
-    return 0
+    return compare_cases(theirs, ours, expected, rev)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", nargs="?", help="git revision to compare against")
+    parser.add_argument(
+        "--expect", type=Path, metavar="FILE",
+        help="a file of case names expected to differ, one a line",
+    )
     parser.add_argument("--emit", type=Path, metavar="DIR", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.emit is not None:
@@ -387,7 +419,7 @@ def main() -> int:
         return 0
     if args.rev is None:
         parser.error("a git revision is required")
-    return compare(args.rev)
+    return compare(args.rev, set() if args.expect is None else read_expected(args.expect))
 
 
 if __name__ == "__main__":

@@ -508,6 +508,27 @@ def test_validate_rejects_two_spellings_of_one_outcome_in_a_lottery(capsys, tmp_
     assert out == "line 9: semantic: x/a: duplicate outcome 0.30000000000000004\n"
 
 
+# Alternative b's lottery comes before its record, which is valid; zz is never declared.
+UNDECLARED_ALTERNATIVE = (
+    "ropas-model v1\n\n[attributes]\nattribute x int:0:5\n\n"
+    "[alternatives]\nlottery b x 3:1.0\nalternative a\nlottery a x 1:1.0\n{zz}alternative b\n\n"
+    "[utility]\nweighted-sum 1.0*x\n"
+)
+
+
+def test_a_lottery_for_an_undeclared_alternative_is_reported_at_its_line(capsys, tmp_path):
+    path = tmp_path / "undeclared.model"
+    path.write_text(UNDECLARED_ALTERNATIVE.format(zz="lottery zz x 2:1.0\n"), encoding="utf-8")
+    finding = "line 10: semantic: lottery for undeclared alternative 'zz'\n"
+    assert run_cli(capsys, "validate", str(path)) == (FAILURE, finding, "")
+    code, out, err = run_cli(capsys, "rank", str(path))
+    assert (code, out) == (FAILURE, "") and finding.strip() in err
+    path.write_text(UNDECLARED_ALTERNATIVE.format(zz=""), encoding="utf-8")
+    assert run_cli(capsys, "validate", str(path)) == (OK, "ok\n", "")
+    ranked = (OK, "rank 1 b 3.000000\nrank 2 a 1.000000\n", "")
+    assert run_cli(capsys, "rank", str(path)) == ranked
+
+
 def test_rank_needs_a_decision_model(capsys):
     code, _, err = run_cli(capsys, "rank", DISPATCH)
     assert code == FAILURE

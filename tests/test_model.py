@@ -181,6 +181,37 @@ def test_detectable_values_compare_canonical():
     assert not MonitoredVariable("m", grid).detects(0.7)
 
 
+def scanned_detects(watched: MonitoredVariable, value) -> bool:
+    """``detects`` as a scan of the detectable range's canonical values."""
+    domain = watched.domain
+    if not domain.contains(value):
+        return False
+    return not watched.detectable_range or domain.canonical(value) in [
+        domain.canonical(v) for v in watched.detectable_range if domain.contains(v)
+    ]
+
+
+def test_the_detectable_set_answers_as_a_scan_of_the_range():
+    grid = RealGrid(0.0, 0.5, 0.1)
+    three = grid.canonical(0.3)  # 0.1 * 3, the grid point that 0.3 names
+    ranges = {
+        Boolean(): ((), (0,), (True,), (1, 2)),
+        IntegerRange(-3, 3): ((), (0, 2.0, 9), (-3,)),
+        grid: ((), (0.3,), (three, 0.3), (0.1, 0.7)),
+        Enumerated(("lo", "hi", 2.5)): ((), ("hi",), ("hi", 2.5, "zz")),
+    }
+    # Values in and outside each domain, in more than one spelling.
+    probes = (0, 1, True, False, 2, 2.0, -3, 9, 0.3, three, 0.1, 0.7, 2.5, "hi", "zz", "0.3")
+    for domain, detectables in ranges.items():
+        for detectable in detectables:
+            watched = MonitoredVariable("m", domain, detectable)
+            for value in probes + domain.values():
+                expected = scanned_detects(watched, value)
+                assert watched.detects(value) == expected, (domain, detectable, value)
+    watched = MonitoredVariable("m", grid, (0.3,))
+    assert watched.detects(0.3) and watched.detects(three) and not watched.detects(0.7)
+
+
 def test_functional_output_must_exist():
     m = tiny_model(
         depends=(WeightedSum("s", "nowhere", ("x",), (1.0,)),),

@@ -1027,7 +1027,14 @@ def test_each_believed_environment_and_specification_is_solved_once_per_run(monk
         assert len(pairs) == len(set(pairs)), index
 
 
-def test_the_shared_memo_leaves_the_omniscient_replay_unchanged(monkeypatch):
+REPLAY_FIELDS = (
+    "active", "accepted", "opened", "fired", "ignored",
+    "trigger_count", "ignored_count", "adaptation_ticks", "status",
+)
+
+
+def record_passes(monkeypatch):
+    """Patch the simulator to keep each ``_replay`` call's arguments and result."""
     passes = []
     replay = runtime._replay
 
@@ -1036,18 +1043,53 @@ def test_the_shared_memo_leaves_the_omniscient_replay_unchanged(monkeypatch):
         return passes[-1][1]
 
     monkeypatch.setattr(runtime, "_replay", kept)
-    fields = (
-        "active", "accepted", "opened", "fired", "ignored",
-        "trigger_count", "ignored_count", "adaptation_ticks", "status",
-    )
+    return passes, replay
+
+
+def test_the_shared_memo_leaves_the_omniscient_replay_unchanged(monkeypatch):
+    # A run whose events the running system sees all makes one pass and scores
+    # it against itself; that pass must equal a fresh omniscient pass with an
+    # empty memo.  A run with an unseen event makes a second, omniscient pass
+    # on the memo the first one filled; it must equal a fresh one too.
+    passes, replay = record_passes(monkeypatch)
+    kinds = {1: 0, 2: 0}
     for seed in range(200):
         passes.clear()
         run_simulation(*random_runtime_scenario(random.Random(seed)))
-        (main_args, _), (args, shared) = passes
-        assert args[-1] is main_args[-1] and args[7]  # the omniscient pass, one memo
-        fresh = replay(*args[:-1], {})
-        for field in fields:
-            assert getattr(shared, field) == getattr(fresh, field), (seed, field)
+        kinds[len(passes)] += 1
+        if len(passes) == 1:
+            ((args, kept),) = passes
+            assert not args[7]  # the observed pass
+            fresh = replay(*args[:7], True, {})
+        else:
+            (main_args, _), (args, kept) = passes
+            assert args[-1] is main_args[-1] and args[7]  # the omniscient pass, one memo
+            fresh = replay(*args[:-1], {})
+        for field in REPLAY_FIELDS:
+            assert getattr(kept, field) == getattr(fresh, field), (seed, field)
+    assert all(kinds.values()), kinds  # 113 one-pass and 87 two-pass runs
+
+
+def test_only_an_unseen_event_makes_a_second_pass(monkeypatch):
+    passes, _ = record_passes(monkeypatch)
+    shock = load("shock.model")
+    # The shock at tick 2 lies outside the detectable range: the omniscient
+    # pass alone sees it, and its accepted sets score the observed pass.
+    timeline, metrics = run_simulation(shock.model, load("shock.trace"), shock.config)
+    (main_args, main), (omni_args, omni) = passes
+    assert (main_args[7], omni_args[7]) == (False, True)
+    assert main.active != omni.active
+    flags = tuple(spec in accepted for spec, accepted in zip(main.active, omni.accepted))
+    assert timeline.periods[0].optimal == flags == (True, True, False, False)
+    assert metrics.optimal_time_fraction == 0.5
+    # An event on a change-scope variable is ignored by both passes alike, so
+    # it alone makes one pass, scored against itself.
+    passes.clear()
+    trace = EventTrace((Event(1, "power_grid", 0),))
+    timeline, metrics = run_simulation(shock.model, trace, shock.config)
+    assert [args[7] for args, _ in passes] == [False]
+    assert timeline.periods[0].ignored == (Event(1, "power_grid", 0),)
+    assert (metrics.ignored_event_count, metrics.optimal_time_fraction) == (1, 1.0)
 
 
 def outcome(model, trace, config):
