@@ -491,10 +491,11 @@ class Model:
 
     @cached_property
     def _simulation_memo(self) -> dict:
-        """The simulator's re-solves and statuses of this model, keyed by the
-        configuration they read (``runtime.run_simulation``).  Every run of
-        this model object shares it; a fresh parse or ``replace`` starts
-        empty."""
+        """The simulator's set-up of each configuration run on this model,
+        keyed by the configuration, and its re-solves and statuses, keyed by
+        the part of the configuration they read (``runtime.run_simulation``).
+        Every run of this model object shares it; a fresh parse or
+        ``replace`` starts empty."""
         return {}
 
     @cached_property

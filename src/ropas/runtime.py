@@ -19,15 +19,18 @@ detectable range is widened to the full domain.  When the running system sees
 every event of the trace, that rerun is the observed run, and the trace is
 replayed once.
 
-Each distinct (believed environment, active specification) pair is solved
-and checked once per model and configuration: the results live on the model
-object, where the omniscient rerun and every later run of that model with the
-same evolution constraints, triggers and cap reuse them.  A run that leaves
-more than ``MODEL_MEMO_LIMIT`` there, counted by ``_memo_size``, empties it.
+The configuration is checked and set up once per model and configuration,
+and each distinct (believed environment, active specification) pair is
+solved and checked once per model and re-solve key: the results live on the
+model object, where the omniscient rerun and every later run of that model
+with an equal configuration, or with the same evolution constraints,
+triggers and cap, reuse them.  A run that leaves more than
+``MODEL_MEMO_LIMIT`` there, counted by ``_memo_size``, empties it.
 
 ``run_simulation`` canonicalizes the configuration (initial values, the
-initial specification, value-set trigger values) and the trace events once,
-on entry, and every re-solve, public ones included, canonicalizes the values
+initial specification, value-set trigger values) once per model and
+configuration and the trace events once per run, on entry, and every
+re-solve, public ones included, canonicalizes the values
 of its evolution constraints and value-set triggers.  So every value compared
 is canonical, as are the search's candidates, and evaluation goes through the
 model's trusted entry ``_evaluated``: a re-solve canonicalizes its exogenous
@@ -68,13 +71,15 @@ MODEL_MEMO_LIMIT = 1 << 12
 
 
 def _memo_size(memos: dict) -> int:
-    """What a model's memo holds: one per configuration and per status, and
-    per re-solve one for each specification it accepts (at least one), so a
-    model whose re-solves accept large sets keeps fewer of them.  It reads
-    copies, since a run in another thread may add entries meanwhile."""
+    """What a model's memo holds: one per configuration's set-up, per
+    re-solve memo and per status, and per re-solve one for each specification
+    it accepts (at least one), so a model whose re-solves accept large sets
+    keeps fewer of them.  It reads copies, since a run in another thread may
+    add entries meanwhile."""
     return len(memos) + sum(
         max(len(found[0]), 1) if key[0] == "solve" else 1
-        for memo in tuple(memos.values()) for key, found in tuple(memo.items())
+        for memo in tuple(memos.values()) if type(memo) is dict
+        for key, found in tuple(memo.items())
     )
 
 
@@ -746,48 +751,66 @@ def run_simulation(
     switch target survives the constraints.  The run is scored against an
     omniscient rerun that sees every event on a monitored variable; when the
     running system already sees every event, that rerun is the observed run
-    itself, and the trace is replayed once.
+    itself, and the trace is replayed once.  An event at or past the horizon
+    is bound and checked, but never applied nor counted as ignored.
 
-    Each re-solve and status is computed once per model object and
-    configuration (evolution constraints, relaxed triggers, cap) and kept on
-    the model, so a later run of that model reuses what an earlier run
+    The configuration is checked and set up (canonical initial values and
+    start, relaxed triggers) once per model and configuration: the first run
+    that passes every check keeps the set-up on the model, keyed by the
+    configuration's value, and a later run with an equal configuration goes
+    straight to binding its trace.  An unhashable configuration is set up on
+    every run.  Each re-solve and status is computed once per model object
+    and re-solve key (evolution constraints, relaxed triggers, cap) and kept
+    there too, so a later run of that model reuses what an earlier run
     computed.  A run that leaves more than ``MODEL_MEMO_LIMIT`` there, each
-    re-solve counting the specifications it accepts (``_memo_size``), empties
-    it, so what persists between runs stays under that bound; within one run
-    the memo grows as the run needs.
+    set-up counting one and each re-solve the specifications it accepts
+    (``_memo_size``), empties it, so what persists between runs stays under
+    that bound; within one run the memo grows as the run needs.
 
     An invalid model, a config that ``config_violations`` rejects or a missing
-    initial value raises DefinitionError; a horizon above ``config.cap`` raises
-    SizeLimitError before any tick runs.
+    initial value raises DefinitionError on every run; a horizon above
+    ``config.cap`` raises SizeLimitError before any tick runs.
     """
-    model._compiled  # an invalid model raises its findings here
-    if model.decision_rule is None or not model.decision_set:
-        raise DefinitionError("simulation needs a decision rule and a decision set")
-    problems = config_violations(model, config)
-    if problems:
-        raise DefinitionError(problems[0].message)
-    initial = {
-        n: model.monitored_variable(n).domain.canonical(v) for n, v in config.initial_exogenous
-    }
-    for mv in model.monitored:
-        if mv.id not in initial:
-            raise DefinitionError(f"no initial value for monitored variable '{mv.id}'")
-    # One dict read; as in ``Specification.__getitem__``, the first of two equal names wins.
-    given = None if config.initial_spec is None else dict(reversed(config.initial_spec.items))
-    start = None if given is None else Specification.from_mapping(
-        {p.id: p.domain.canonical(given[p.id]) for p in model.parameters}
-    )
-    events_by_tick = _bind_events(model, trace, dict(config.change_scope))
+    memos = model._simulation_memo
+    held = len(memos)
+    try:
+        setup = memos.get(config, ())
+    except TypeError:  # an unhashable config (a list value, say): set up, never kept
+        setup = None
+    # Equal configs of different types (``True`` and ``1``) may differ in validity.
+    fresh = not setup or setup[0] is not config and repr(setup[0]) != repr(config)
+    if fresh:
+        model._compiled  # an invalid model raises its findings here
+        if model.decision_rule is None or not model.decision_set:
+            raise DefinitionError("simulation needs a decision rule and a decision set")
+        problems = config_violations(model, config)
+        if problems:
+            raise DefinitionError(problems[0].message)
+        initial = {
+            n: model.monitored_variable(n).domain.canonical(v) for n, v in config.initial_exogenous
+        }
+        for mv in model.monitored:
+            if mv.id not in initial:
+                raise DefinitionError(f"no initial value for monitored variable '{mv.id}'")
+        # One dict read; as in ``Specification.__getitem__``, the first of two equal names wins.
+        given = None if config.initial_spec is None else dict(reversed(config.initial_spec.items))
+        start = None if given is None else Specification.from_mapping(
+            {p.id: p.domain.canonical(given[p.id]) for p in model.parameters}
+        )
+        change_scope = dict(config.change_scope)
+    else:
+        _, initial, start, change_scope, triggers, memo = setup
+    events_by_tick = _bind_events(model, trace, change_scope)
     horizon = max(trace.last_tick() + 1, 1) if config.horizon is None else config.horizon
     if horizon > config.cap:
         raise SizeLimitError(f"horizon {horizon} exceeds cap {config.cap}")
-    triggers = relax(
-        [_canonical(model, t) for t in config.triggers], dict(config.relaxation), model
-    )
-
-    memos = model._simulation_memo
-    held = len(memos)
-    memo = memos.setdefault((config.constraints, triggers, config.cap), {})
+    if fresh:
+        triggers = relax(
+            [_canonical(model, t) for t in config.triggers], dict(config.relaxation), model
+        )
+        memo = memos.setdefault((config.constraints, triggers, config.cap), {})
+        if setup is not None:  # kept only once every check has passed
+            memos[config] = (config, initial, start, change_scope, triggers, memo)
     held += len(memo)  # a run that adds nothing leaves the memo's size as it was
     replay = (model, events_by_tick, config, triggers, horizon, initial, start)
     # The omniscient pass differs from the observed one only in the events
@@ -801,7 +824,9 @@ def run_simulation(
             memos.clear()
 
     ran = len(main.active)
-    flags = [
+    # A pass's active specification is always one it accepted, so a run
+    # scored against itself is optimal on every tick.
+    flags = [True] * ran if omni is main else [
         tick < len(omni.accepted) and spec in omni.accepted[tick]
         for tick, spec in enumerate(main.active)
     ]

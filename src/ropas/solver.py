@@ -297,18 +297,16 @@ def encode_rdrp(graph: GoalGraph) -> Rop:
     depends: list = []
 
     def rule_formula(conclusion: str, step: int = 0):
-        """The conclusion's refinements in round ``step`` of its cycle: a
+        """The conclusion's refinements in round ``step`` of its cycle, in
+        the order of their sorted premises, whatever the file's order: a
         premise on the cycle is read from the previous round, and in round 1
         it does not hold yet."""
         ring = cycle[conclusion]
         alternatives = []
-        for ref in by_conclusion.get(conclusion, []):
-            if step == 1 and ref.premises & ring:
+        for premises in sorted(sorted(ref.premises) for ref in by_conclusion.get(conclusion, [])):
+            if step == 1 and ring.intersection(premises):
                 continue
-            terms = [
-                var(reference(p, step - 1 if p in ring else 0))
-                for p in sorted(ref.premises)
-            ]
+            terms = [var(reference(p, step - 1 if p in ring else 0)) for p in premises]
             alternatives.append(and_(*terms))
         return or_(*alternatives)
 

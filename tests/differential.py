@@ -29,7 +29,9 @@ and shipped fixtures, so both sides see the same ones:
 - ``run_simulation`` on ``random_runtime_scenario`` and
   ``random_runtime_pair`` for each of ``SEEDS`` seeds, then once more on the
   same model object (the case name ends in ``again``), which reads what the
-  first run left in the model's memo: the timeline and the metrics;
+  first run left in the model's memo, then on that object with an equal
+  copy of the configuration (``equal config``) and with one whose horizon is
+  one longer (``other horizon config``): the timeline and the metrics;
 - ``rank_alternatives`` and ``daop_to_rop`` + ``solve_rop`` on
   ``random_decision_model`` for each of ``SEEDS`` seeds;
 - every CLI subcommand on ``fixtures/*.model`` (``simulate`` with each
@@ -68,6 +70,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -239,6 +242,14 @@ def _runtime_cases():
             yield name, _attempt(lambda: run_simulation(*inputs))
             # Again on the same model object, which now holds the first run's memo.
             yield f"{name} again", _attempt(lambda: run_simulation(*inputs))
+            # An equal, not identical, configuration reads the first run's set-up;
+            # another horizon sets up anew and shares the re-solves.
+            model, trace, config = inputs
+            longer = (config.horizon or max(trace.last_tick() + 1, 1)) + 1
+            variants = {"equal": replace(config), "other horizon": replace(config, horizon=longer)}
+            for label, variant in variants.items():
+                run = (model, trace, variant)
+                yield f"{name} {label} config", _attempt(lambda: run_simulation(*run))
 
 
 def _decision_cases():

@@ -564,6 +564,23 @@ def test_simulate_shock_fixture(capsys):
     assert "optimal_time_fraction=0.500000" in out
 
 
+def test_simulate_checks_but_never_applies_events_at_or_past_the_horizon(capsys, tmp_path):
+    # shock.model's horizon is 4: a later event is bound and checked, then
+    # neither applied nor counted as ignored.
+    expected = run_cli(capsys, "simulate", SHOCK, SHOCK_TRACE)
+    trace = tmp_path / "late.trace"
+    text = Path(SHOCK_TRACE).read_text(encoding="utf-8")
+    for late in ("t=4 shock=1", "t=9 shock=1", "t=9 power_grid=1"):
+        trace.write_text(f"{text}{late}\n", encoding="utf-8")
+        assert run_cli(capsys, "simulate", SHOCK, str(trace)) == expected
+    for late, message in (
+        ("t=9 zz=1", "event variable 'zz' is neither monitored nor declared in the change scope"),
+        ("t=9 shock=7", "event value 7 outside the domain of 'shock'"),
+    ):
+        trace.write_text(f"{text}{late}\n", encoding="utf-8")
+        assert run_cli(capsys, "simulate", SHOCK, str(trace)) == (FAILURE, "", message + "\n")
+
+
 def test_simulate_oracle_agrees(capsys):
     _, plain, _ = run_cli(capsys, "simulate", ALERTS, ALERTS_TRACE)
     code, out, err = run_cli(capsys, "simulate", "--oracle", ALERTS, ALERTS_TRACE)

@@ -6,6 +6,8 @@ known from the definitions alone.
   or simulation, and shuffling the ``alternative`` and ``lottery`` records
   of a decision file changes no byte of ``validate``, ``rank`` or
   ``rank --oracle`` (attribute order is left alone: it orders the sum).
+  Shuffling the records within each section of a shipped model file
+  changes no byte of any CLI run on it.
 - A constraint only removes specifications: adding one leaves exactly the
   old feasible specifications that also satisfy it.
 - A cap only refuses work: raising it never changes a result that fit under
@@ -41,6 +43,7 @@ from ropas.model import (
 )
 from ropas.runtime import run_simulation
 from ropas.solver import brute_force_oracle, rop, solve_rop
+from shipped import FIXTURES
 
 
 def _problems(count: int):
@@ -119,6 +122,68 @@ def test_shuffled_alternative_records_rank_the_same(tmp_path):
         assert shuffled != text
         path.write_text(shuffled, encoding="utf-8")
         assert _cli_outputs(str(path)) == expected, seed
+
+
+def _shuffled_sections(rng: random.Random, text: str) -> str:
+    """``text`` with the records of each section shuffled among that
+    section's lines, apart from ``[attributes]``, whose order orders a
+    weighted sum (see the float note in ``docs/formats.md``)."""
+    lines = text.splitlines(keepends=True)
+    sections: dict[str, list[int]] = {}
+    section = None
+    for at, line in enumerate(lines):
+        record = line.strip()
+        if record.startswith("["):
+            section = record
+        elif section not in (None, "[attributes]") and record and not record.startswith("#"):
+            sections.setdefault(section, []).append(at)
+    for places in sections.values():
+        records = [lines[at] for at in places]
+        rng.shuffle(records)
+        for at, record in zip(places, records):
+            lines[at] = record
+    return "".join(lines)
+
+
+def _every_cli_run(path: str) -> list:
+    """The exit code, stdout and stderr of every subcommand on ``path``, in
+    both report formats, with and without ``--oracle``; ``simulate`` with
+    each shipped trace."""
+    traces = sorted(str(trace) for trace in FIXTURES.glob("*.trace"))
+    inputs = [[command, path] for command in ("enumerate", "solve", "encode-rdrp", "rank")]
+    inputs += [["simulate", path, trace] for trace in traces]
+    runs = [["validate", path]] + [
+        [*given, "--format", fmt, *oracle]
+        for given in inputs for fmt in ("machine", "human") for oracle in ([], ["--oracle"])
+    ]
+    outputs = []
+    for argv in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        outputs.append((argv[0], code, out.getvalue(), err.getvalue()))
+    return outputs
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in FIXTURES.glob("*.model")))
+def test_shuffled_records_in_each_section_change_no_cli_output(tmp_path, name):
+    source = FIXTURES / name
+    text = source.read_text(encoding="utf-8")
+    expected = _every_cli_run(str(source))
+    assert any(code == 0 for command, code, _, _ in expected if command != "validate")
+    path = tmp_path / name
+    shuffles = 0
+    for seed in range(6):
+        shuffled = _shuffled_sections(random.Random(seed), text)
+        shuffles += shuffled != text
+        path.write_text(shuffled, encoding="utf-8")
+        named = str(path), str(source)
+        outputs = [
+            (command, code, out.replace(*named), err.replace(*named))
+            for command, code, out, err in _every_cli_run(str(path))
+        ]
+        assert outputs == expected, seed
+    assert shuffles >= 5
 
 
 def test_an_added_constraint_only_filters_the_enumeration():

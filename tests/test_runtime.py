@@ -1178,4 +1178,140 @@ def test_a_re_solve_weighs_the_specifications_it_accepts(monkeypatch, limit, kep
     assert len(timeline.periods) == 1
     assert bool(flat.model._simulation_memo) is kept
     if kept:
-        assert memo_size(flat.model) == 1 + 10 + 1  # the configuration, one re-solve, one status
+        # The configuration's set-up and its re-solve memo, one re-solve, one status.
+        assert memo_size(flat.model) == 2 + 10 + 1
+
+
+# ---------------------------------------------------------------------------
+# One set-up per model and configuration
+
+
+def count_config_checks(monkeypatch):
+    """Patch the simulator to log each configuration ``config_violations`` checks."""
+    checked = []
+    violations = runtime.config_violations
+
+    def counted(model, config):
+        checked.append(config)
+        return violations(model, config)
+
+    monkeypatch.setattr(runtime, "config_violations", counted)
+    return checked
+
+
+def set_ups(model):
+    """The configurations' set-ups in a model's memo (its re-solve memos are dicts)."""
+    return [found for found in model._simulation_memo.values() if not isinstance(found, dict)]
+
+
+def test_an_equal_configuration_reuses_the_set_up(monkeypatch):
+    checked = count_config_checks(monkeypatch)
+    alerts, trace = load("alerts.model"), load("alerts_failure.trace")
+    first = run_simulation(alerts.model, trace, alerts.config)
+    copy = replace(alerts.config)
+    assert copy == alerts.config and copy is not alerts.config
+    assert run_simulation(alerts.model, trace, copy) == first
+    assert checked == [alerts.config]
+    # A copy of the model starts with an empty memo, so it checks again.
+    assert run_simulation(replace(alerts.model), trace, copy) == first
+    assert checked == [alerts.config, copy]
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    (
+        ({"horizon": 0}, "horizon must be at least 1"),
+        ({"initial_exogenous": ()}, "no initial value for monitored variable 'shock'"),
+        ({"relaxation": (("score", -1.0),)}, "negative widening for 'score'"),
+    ),
+)
+def test_an_invalid_configuration_raises_on_every_run(change, message):
+    shock, trace = load("shock.model"), load("shock.trace")
+    config = replace(shock.config, **change)
+    for _ in range(3):
+        assert outcome(shock.model, trace, config) == (DefinitionError, message)
+    assert not set_ups(shock.model)
+
+
+def test_the_trace_is_bound_before_the_triggers_are_relaxed():
+    shock = load("shock.model")
+    config = replace(shock.config, relaxation=(("score", -1.0),))
+    unknown = EventTrace((Event(0, "zz", 1),))
+    for _ in range(2):
+        assert outcome(shock.model, unknown, config) == (
+            DefinitionError,
+            "event variable 'zz' is neither monitored nor declared in the change scope",
+        )
+
+
+def test_an_invalid_model_raises_on_every_run():
+    shock, trace = load("shock.model"), load("shock.trace")
+    model = replace(shock.model, decision_set=())
+    for _ in range(3):
+        assert outcome(model, trace, shock.config) == (
+            DefinitionError, "simulation needs a decision rule and a decision set"
+        )
+    assert not model._simulation_memo
+
+
+def test_an_unhashable_configuration_is_set_up_on_every_run(monkeypatch):
+    checked = count_config_checks(monkeypatch)
+    shock, trace = load("shock.model"), load("shock.trace")
+    listed = replace(shock.config, initial_exogenous=list(shock.config.initial_exogenous))
+    with pytest.raises(TypeError):
+        hash(listed)
+    cold = outcome(replace(shock.model), trace, shock.config)
+    assert [outcome(shock.model, trace, listed) for _ in range(2)] == [cold, cold]
+    assert len(checked) == 3 and not set_ups(shock.model)
+    bad = replace(listed, initial_exogenous=[("shock", 7)])
+    for _ in range(2):
+        assert outcome(shock.model, trace, bad) == (
+            DefinitionError, "initial value 7 outside the domain of 'shock'"
+        )
+
+
+def test_an_equal_configuration_of_other_types_is_checked_again():
+    # ``True == 1``, but a trigger edge must be a number, not a bool.
+    shock, trace = load("shock.model"), load("shock.trace")
+    ints = replace(shock.config, triggers=(AwarenessTrigger("score", IntervalRange(1, None)),))
+    bools = replace(ints, triggers=(AwarenessTrigger("score", IntervalRange(True, None)),))
+    assert ints == bools and hash(ints) == hash(bools)
+    cold = outcome(replace(shock.model), trace, ints)
+    assert outcome(shock.model, trace, ints) == cold
+    for _ in range(2):
+        assert outcome(shock.model, trace, bools) == (
+            DefinitionError, "trigger range edges must be finite numbers"
+        )
+    assert outcome(shock.model, trace, ints) == cold
+
+
+def test_configurations_differing_in_horizon_or_start_share_re_solves(monkeypatch):
+    alerts, trace = load("alerts.model"), load("alerts_failure.trace")
+    config = alerts.config
+    variants = (
+        config,
+        replace(config, horizon=9),
+        replace(config, initial_spec=alert_spec("sms", "cloud")),
+        replace(config, initial_spec=None),
+    )
+    calls = record_solves(monkeypatch)
+    cold = [outcome(replace(alerts.model), trace, variant) for variant in variants]
+    made_cold = len(calls)
+    calls.clear()
+    assert [outcome(alerts.model, trace, variant) for variant in variants] == cold
+    # Each has its own start and report ...
+    assert len({repr(report) for report in cold}) == len(variants)
+    assert len(set_ups(alerts.model)) == len(variants)
+    # ... and each re-solve is made once for all of them.
+    assert len({(env, current) for _, env, current in calls}) == len(calls) < made_cold
+
+
+def test_a_sweep_of_configurations_keeps_the_memo_under_its_bound(monkeypatch):
+    limit = 20
+    monkeypatch.setattr(runtime, "MODEL_MEMO_LIMIT", limit)
+    shock, trace = load("shock.model"), load("shock.trace")
+    sizes = []
+    for horizon in range(1, 51):
+        outcome(shock.model, trace, replace(shock.config, horizon=horizon))
+        sizes.append(memo_size(shock.model))
+    assert max(sizes) <= limit and 0 in sizes, sizes
