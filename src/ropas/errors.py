@@ -20,4 +20,13 @@ class EvaluationError(RopasError):
 
 
 class DefinitionError(RopasError):
-    """An object was constructed with arguments that violate its contract."""
+    """An object was constructed with arguments that violate its contract.
+
+    ``record`` names the part at fault where the object has several, such
+    as a goal graph's atom, refinement or conflict pair, so that a parser
+    can report the error at the line that declared it.
+    """
+
+    def __init__(self, message: str, record: object = None):
+        super().__init__(message)
+        self.record = record

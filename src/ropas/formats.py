@@ -28,7 +28,7 @@ from .decisions import (
 )
 from .domains import Boolean, Domain, Enumerated, IntegerRange, RealGrid, Value
 from .errors import DefinitionError, RopasError
-from .goals import GoalGraph, goal_graph
+from .goals import GoalGraph, Refinement
 from .model import (
     BoolExpr,
     BooleanFormula,
@@ -391,8 +391,11 @@ class _ModelParser(_Parser):
         self.initial_spec: Optional[Specification] = None
         self.change_scope: list[tuple[str, Domain]] = []
         self.atoms: list[tuple[str, str, bool]] = []  # (id, role, mandatory)
-        self.refinements: list[tuple[str, tuple[str, ...]]] = []
-        self.conflicts: list[tuple[str, ...]] = []
+        self.refinements: list[Refinement] = []
+        self.conflicts: list[frozenset[str]] = []
+        # An atom's id, a Refinement or a conflict pair -> the line of the
+        # record that declares it, where a goal graph error is reported.
+        self.goal_lines: dict[object, int] = {}
         self.attributes: list[Criterion] = []
         self.alt_order: list[str] = []
         self.lotteries: dict[str, list[tuple[str, Lottery]]] = {}
@@ -853,13 +856,18 @@ def _read_atom(p: _ModelParser, rest: str) -> None:
     role = ""
     mandatory = False
     for token in tokens[1:]:
-        if token in ("r", "k", "s"):
+        if token in ("r", "k", "s") and role:
+            p.syntax(p.line, f"second role '{token}'")
+        elif token in ("r", "k", "s"):
             role = token
         elif token == "mandatory":
             mandatory = True
         else:
             p.syntax(p.line, f"unexpected token '{token}'")
+    if tokens[0] in p.goal_lines:
+        raise ValueError(f"duplicate atom '{tokens[0]}'")
     p.atoms.append((tokens[0], role, mandatory))
+    p.goal_lines[tokens[0]] = p.line
     p.declare(tokens[0])
 
 
@@ -868,8 +876,10 @@ def _read_refine(p: _ModelParser, rest: str) -> None:
     m = _REFINE_RE.match(rest)
     if not m:
         raise _Syntax("expected 'refine CONCLUSION <- P1,P2,...'")
-    premises = tuple(t.strip() for t in m.group(2).split(",") if t.strip())
-    p.refinements.append((m.group(1), premises))
+    premises = frozenset(t.strip() for t in m.group(2).split(",") if t.strip())
+    refinement = Refinement(m.group(1), premises)
+    p.refinements.append(refinement)
+    p.goal_lines.setdefault(refinement, p.line)
 
 
 @_record("goalgraph", "conflict", " ".join)
@@ -877,7 +887,9 @@ def _read_conflict(p: _ModelParser, rest: str) -> None:
     tokens = rest.split()
     if len(tokens) != 2:
         raise _Syntax("expected 'conflict A B'")
-    p.conflicts.append(tuple(tokens))
+    pair = frozenset(tokens)
+    p.conflicts.append(pair)
+    p.goal_lines.setdefault(pair, p.line)
 
 
 # [attributes], [alternatives], [utility], [transform]
@@ -1022,17 +1034,17 @@ def parse_model(text: str) -> ModelBundle:
     if "goalgraph" in seen:
         atoms = p.atoms
         try:
-            goals = goal_graph(
-                atoms=tuple(a for a, _, _ in atoms),
+            goals = GoalGraph(
+                atoms=frozenset(a for a, _, _ in atoms),
                 refinements=tuple(p.refinements),
-                conflicts=tuple(p.conflicts),
-                r_atoms=tuple(a for a, role, _ in atoms if role == "r"),
-                k_atoms=tuple(a for a, role, _ in atoms if role == "k"),
-                s_atoms=tuple(a for a, role, _ in atoms if role == "s"),
-                mandatory=tuple(a for a, _, m in atoms if m),
+                conflicts=frozenset(p.conflicts),
+                r_atoms=frozenset(a for a, role, _ in atoms if role == "r"),
+                k_atoms=frozenset(a for a, role, _ in atoms if role == "k"),
+                s_atoms=frozenset(a for a, role, _ in atoms if role == "s"),
+                mandatory=frozenset(a for a, _, m in atoms if m),
             )
-        except DefinitionError as err:
-            p.semantic(lines("goalgraph")[0], str(err))
+        except DefinitionError as err:  # at the line of the record it names
+            p.semantic(p.goal_lines[err.record], str(err))
 
     decision: Optional[DecisionModel] = None
     if seen & {"attributes", "alternatives", "utility", "transform"}:

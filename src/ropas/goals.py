@@ -10,9 +10,11 @@ falsum atom is added and, from falsehood, every atom follows.
 The goal solvers walk the selections by increasing size over a compiled
 bitmask closure (one bit per atom), growing each selection from its parent's
 closure and pruning every branch that conflicts or cannot reach the goal
-atoms any more; ``check_drp`` judges only the selections the walk keeps, so
-``derive_closure`` and ``check_drp`` remain the independent set-based
-verdict.
+atoms any more.  A grown selection is closed by forward chaining from its
+new atom through an index of the rules by premise, so only the rules of an
+atom just added are tested.  ``check_drp`` judges only the selections the
+walk keeps, so ``derive_closure`` and ``check_drp`` remain the independent
+set-based verdict.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ class Refinement:
 
     def __post_init__(self) -> None:
         if not self.premises:
-            raise DefinitionError(f"refinement of '{self.conclusion}' has no premises")
+            raise DefinitionError(f"refinement of '{self.conclusion}' has no premises", self)
 
 
 @dataclass(frozen=True)
@@ -51,35 +53,35 @@ class GoalGraph:
     mandatory: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
+        # Each error carries the record at fault: an atom, a refinement or a
+        # conflict pair.
         if FALSUM in self.atoms:
-            raise DefinitionError(f"'{FALSUM}' is reserved")
+            raise DefinitionError(f"'{FALSUM}' is reserved", FALSUM)
         # Sets are walked in sorted order, so the atom an error names does
         # not depend on the hash seed.
         for ref in self.refinements:
             for atom in (ref.conclusion, *sorted(ref.premises)):
                 if atom not in self.atoms:
-                    raise DefinitionError(f"refinement references unknown atom '{atom}'")
+                    raise DefinitionError(f"refinement references unknown atom '{atom}'", ref)
         for pair in sorted(self.conflicts, key=sorted):
             if len(pair) != 2:
                 members = ", ".join(repr(atom) for atom in sorted(pair))
-                raise DefinitionError(f"conflict {{{members}}} is not a pair")
+                raise DefinitionError(f"conflict {{{members}}} is not a pair", pair)
             for atom in sorted(pair):
                 if atom not in self.atoms:
-                    raise DefinitionError(f"conflict references unknown atom '{atom}'")
+                    raise DefinitionError(f"conflict references unknown atom '{atom}'", pair)
         for name, group in (("r", self.r_atoms), ("k", self.k_atoms), ("s", self.s_atoms)):
             for atom in sorted(group):
                 if atom not in self.atoms:
-                    raise DefinitionError(f"{name}-atom '{atom}' is not declared")
+                    raise DefinitionError(f"{name}-atom '{atom}' is not declared", atom)
         for a, b in combinations((self.r_atoms, self.k_atoms, self.s_atoms), 2):
-            overlap = a & b
+            overlap = sorted(a & b)
             if overlap:
-                raise DefinitionError(
-                    f"atom partitions overlap on {sorted(overlap)}"
-                )
-        extra = self.mandatory - self.r_atoms
+                raise DefinitionError(f"atom partitions overlap on {overlap}", overlap[0])
+        extra = sorted(self.mandatory - self.r_atoms)
         if extra:
             raise DefinitionError(
-                f"mandatory atoms outside the requirement set: {sorted(extra)}"
+                f"mandatory atoms outside the requirement set: {extra}", extra[0]
             )
 
     @property
@@ -178,6 +180,22 @@ def _close(rules: list[tuple[int, int]], derived: int) -> int:
     return derived
 
 
+def _grow(uses: dict[int, list[tuple[int, int]]], derived: int, pick: int) -> int:
+    """The fixed point of ``derived | pick``, where ``derived`` is closed
+    already: forward chaining from the pick fires only the rules indexed
+    under an atom just added (Dowling and Gallier, 1984)."""
+    if derived & pick:
+        return derived
+    derived |= pick
+    todo = [pick]
+    while todo:
+        for premises, conclusion in uses.get(todo.pop(), ()):
+            if not derived & conclusion and derived & premises == premises:
+                derived |= conclusion
+                todo.append(conclusion)
+    return derived
+
+
 def _by_size(
     graph: GoalGraph, goal: frozenset[str], cap: int
 ) -> Iterator[list[tuple[tuple[str, ...], DrpVerdict]]]:
@@ -189,12 +207,15 @@ def _by_size(
     order) and the selections are walked level by level, one level per
     size.  A selection grows only by selectable atoms after its last member,
     in increasing bit order, so every level is in lexicographic order, and
-    each child is closed starting from its parent's closure.  Closure is
-    monotone, so a branch is cut once its closure holds a conflict pair, or
-    once the closure of its closure with every later atom misses a goal atom
-    (not computed while the goal atoms are derived already).  Only the kept
-    selections are judged by ``check_drp``.  Raises before any closure when
-    2^n exceeds the cap.
+    each child is closed by ``_grow`` from its parent's closure: a pick the
+    parent derives already leaves that closure as it is, and otherwise only
+    the rules indexed under the pick and under each atom it derives are
+    tested.  Closure is monotone, so a branch is cut once its closure holds
+    a conflict pair, or once the closure of its closure with every later
+    atom misses a goal atom (not computed while the goal atoms are derived
+    already).  That bound and the root are closed by ``_close``, which
+    re-scans every rule.  Only the kept selections are judged by
+    ``check_drp``.  Raises before any closure when 2^n exceeds the cap.
     """
     ordered = sorted(graph.s_atoms)
     if 2 ** len(ordered) > cap:
@@ -205,18 +226,19 @@ def _by_size(
         return sum(bit[atom] for atom in atoms)
 
     rules = [(mask(ref.premises), bit[ref.conclusion]) for ref in graph.refinements]
+    uses: dict[int, list[tuple[int, int]]] = {}  # atom bit -> the rules it is a premise of
+    for ref, rule in zip(graph.refinements, rules):
+        for atom in ref.premises:
+            uses.setdefault(bit[atom], []).append(rule)
     conflicts = [mask(pair) for pair in graph.conflicts]
     want = mask(goal)
     picks = [bit[atom] for atom in ordered]
     later = [mask(ordered[i:]) for i in range(len(ordered) + 1)]
 
-    def consistent(derived: int) -> bool:
-        return all(derived & pair != pair for pair in conflicts)
-
     root = _close(rules, mask(graph.k_atoms))
     # Each entry: members, their closure, and the index of the first atom
     # that may still be added.
-    level = [((), root, 0)] if consistent(root) else []
+    level = [] if any(root & pair == pair for pair in conflicts) else [((), root, 0)]
     while level:
         found = []
         for members, derived, _ in level:
@@ -230,8 +252,11 @@ def _by_size(
             if derived & want != want and _close(rules, derived | later[start]) & want != want:
                 continue
             for i in range(start, len(ordered)):
-                child = _close(rules, derived | picks[i])
-                if consistent(child):
+                child = _grow(uses, derived, picks[i])
+                for pair in conflicts:
+                    if child & pair == pair:
+                        break
+                else:
                     grown.append(((*members, ordered[i]), child, i + 1))
         level = grown
 

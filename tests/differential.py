@@ -15,6 +15,9 @@ and shipped fixtures, so both sides see the same ones:
 - ``encode_rdrp`` + ``solve_rop`` + ``decode_selection`` on the same graphs;
 - the ``SizeLimitError`` text of each goal solver under a cap just below
   the graph's selection count;
+- ``solve_rdrp`` and ``encode_rdrp`` + ``solve_rop`` + ``decode_selection``
+  on wide ``random_goal_graph`` graphs with up to 14 selectable atoms, whose
+  derivations run longer, for each of ``LONG_GOAL_SEEDS`` seeds;
 - ``solve_rop`` and ``enumerate_specifications`` on ``random_rop``, every
   second seed passed through ``with_derived_parameter``, for each of
   ``SEEDS`` seeds; ``evaluate`` and ``is_feasible`` on up to 20 seeded
@@ -77,6 +80,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 FIXTURES = ROOT / "fixtures"
 SEEDS = 500
+LONG_GOAL_SEEDS = 200
 INTEGRAL_SEEDS = 200
 DECISION_FILE_SEEDS = 100
 MUTANT_SEEDS = 500
@@ -130,6 +134,15 @@ def _goal_cases():
                 except Exception as err:
                     out = _failure(err)
                 yield f"{name}: {what}", out
+    for seed in range(LONG_GOAL_SEEDS):
+        name = f"goals seed={seed} wide=True max_s=14"
+        try:
+            graph = random_goal_graph(random.Random(seed), max_s=14, wide=True)
+        except Exception as err:
+            yield name, _failure(err)
+            continue
+        yield f"{name}: rdrp", _attempt(lambda: _selections(solve_rdrp(graph)))
+        yield f"{name}: encoded", _attempt(lambda: encoded(graph))
 
 
 def _attempt(run):

@@ -529,6 +529,17 @@ def test_a_lottery_for_an_undeclared_alternative_is_reported_at_its_line(capsys,
     assert run_cli(capsys, "rank", str(path)) == ranked
 
 
+def test_a_goal_graph_finding_is_reported_at_the_record_it_names(capsys, tmp_path):
+    path = tmp_path / "goals.model"
+    path.write_text(
+        "ropas-model v1\n\n[goalgraph]\natom r r mandatory\natom s0 s\natom s1 s\n"
+        "refine r <- s0\nrefine r <- s0,zz\n",
+        encoding="utf-8",
+    )
+    finding = "line 8: semantic: refinement references unknown atom 'zz'\n"
+    assert run_cli(capsys, "validate", str(path)) == (FAILURE, finding, "")
+
+
 def test_rank_needs_a_decision_model(capsys):
     code, _, err = run_cli(capsys, "rank", DISPATCH)
     assert code == FAILURE

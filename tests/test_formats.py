@@ -335,6 +335,38 @@ def test_parse_model_locates_cross_record_issues_at_their_records():
     ]
 
 
+GOAL_GRAPH = (
+    f"{MODEL_HEADER}\n\n[goalgraph]\natom r r mandatory\natom s0 s\natom s1 s\n"
+    "refine r <- s0\n{record}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "record, kind, message",
+    [
+        ("refine r <- s0,zz", "semantic", "refinement references unknown atom 'zz'"),
+        ("refine r <- ,", "semantic", "refinement of 'r' has no premises"),
+        ("conflict s0 zz", "semantic", "conflict references unknown atom 'zz'"),
+        ("conflict s1 s1", "semantic", "conflict {'s1'} is not a pair"),
+        ("atom t mandatory", "semantic", "mandatory atoms outside the requirement set: ['t']"),
+        ("atom s0 s", "semantic", "duplicate atom 's0'"),
+        ("atom s0 k", "semantic", "duplicate atom 's0'"),
+        ("atom t r s", "syntax", "second role 's'"),
+        ("atom t k k", "syntax", "second role 'k'"),
+    ],
+)
+def test_goal_graph_findings_are_reported_at_the_record_they_name(record, kind, message):
+    with pytest.raises(ParseFailure) as info:
+        parse_model(GOAL_GRAPH.format(record=record))
+    assert [(i.line, i.kind, i.message) for i in info.value.issues] == [(8, kind, message)]
+
+
+def test_goal_graph_records_without_findings_parse():
+    goals = parse_model(GOAL_GRAPH.format(record="atom t k\nconflict s1 t")).goals
+    assert goals.r_atoms == {"r"} and goals.k_atoms == {"t"} and goals.s_atoms == {"s0", "s1"}
+    assert goals.conflicts == {frozenset({"s1", "t"})}
+
+
 @pytest.mark.parametrize(
     "record, message",
     [

@@ -277,17 +277,80 @@ def _brute_force(g):
     return kept, [frozenset(m) for m in rdrp]
 
 
+def _assert_brute_force(g, index=None):
+    """RP2, RP3 and RDRP on ``g`` agree with ``_brute_force``."""
+    kept, rdrp = _brute_force(g)
+    assert solve_rp2(g) == [frozenset(m) for m, _ in kept], index
+    best = max((count for _, count in kept), default=0)
+    rp3 = solve_rp3(g)
+    assert rp3.selections == tuple(frozenset(m) for m, c in kept if c == best), index
+    assert rp3.satisfied_count == best, index
+    assert solve_rdrp(g) == rdrp, index
+
+
 def test_goal_solvers_match_a_brute_force_on_wide_graphs():
     rng = random.Random(41)
     for index in range(300):
-        g = random_goal_graph(rng, max_s=7, wide=True)
-        kept, rdrp = _brute_force(g)
-        assert solve_rp2(g) == [frozenset(m) for m, _ in kept], index
-        best = max((count for _, count in kept), default=0)
-        rp3 = solve_rp3(g)
-        assert rp3.selections == tuple(frozenset(m) for m, c in kept if c == best), index
-        assert rp3.satisfied_count == best, index
-        assert solve_rdrp(g) == rdrp, index
+        _assert_brute_force(random_goal_graph(rng, max_s=7, wide=True), index)
+
+
+def test_goal_solvers_match_a_brute_force_on_nine_selectable_atoms():
+    rng = random.Random(59)
+    for index in range(200):
+        _assert_brute_force(random_goal_graph(rng, max_s=9, wide=True), index)
+
+
+# Hand-built graphs, one for each way a grown selection's closure can follow
+# from its parent's: each is judged against the brute force.
+_GROWN_CLOSURES = {
+    # s1 is derived from s0, so {s0, s1} closes to the closure of {s0}.
+    "pick derived by the parent": goal_graph(
+        atoms=("r", "opt", "s0", "s1", "s2"),
+        refinements=(("s1", ("s0",)), ("r", ("s1", "s2")), ("opt", ("s1",))),
+        r_atoms=("r", "opt"),
+        s_atoms=("s0", "s1", "s2"),
+        mandatory=("r",),
+    ),
+    # x0 comes from s0 and k0 from the knowledge; the pick s2 (or s1) is the
+    # last premise a rule still lacks.
+    "pick completes a rule": goal_graph(
+        atoms=("r", "q", "k0", "x0", "s0", "s1", "s2"),
+        refinements=(("x0", ("s0",)), ("r", ("x0", "s2")), ("q", ("k0", "s1", "x0"))),
+        r_atoms=("r", "q"),
+        k_atoms=("k0",),
+        s_atoms=("s0", "s1", "s2"),
+        mandatory=("r",),
+    ),
+    # s2 -> x0 -> x1 -> x0 is a cycle; x1 derives s0 and, with s3, the
+    # requirement; r refines itself.
+    "chains and cycles": goal_graph(
+        atoms=("r", "x0", "x1", "s0", "s1", "s2", "s3"),
+        refinements=(
+            ("x0", ("s2",)), ("x1", ("x0",)), ("x0", ("x1",)), ("s0", ("x1",)),
+            ("r", ("x1", "s3")), ("r", ("r",)), ("s1", ("s0", "s3")),
+        ),
+        r_atoms=("r",),
+        s_atoms=("s0", "s1", "s2", "s3"),
+        mandatory=("r",),
+    ),
+    # Neither pick clashes with the other; what they derive does.
+    "conflict on a derived atom": goal_graph(
+        atoms=("r", "x0", "x1", "x2", "s0", "s1", "s2", "s3"),
+        refinements=(
+            ("x0", ("s0",)), ("x1", ("s1",)), ("x2", ("x1", "s2")),
+            ("r", ("x0",)), ("r", ("x2",)), ("r", ("s3",)),
+        ),
+        conflicts=(("x0", "x2"), ("x1", "s3")),
+        r_atoms=("r",),
+        s_atoms=("s0", "s1", "s2", "s3"),
+        mandatory=("r",),
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_GROWN_CLOSURES))
+def test_grown_closures_match_a_brute_force(shape):
+    _assert_brute_force(_GROWN_CLOSURES[shape])
 
 
 def test_rdrp_judges_only_the_selections_it_returns(monkeypatch):
@@ -320,7 +383,7 @@ def test_default_cap_raises_before_any_closure(monkeypatch):
         r_atoms=("r",),
         s_atoms=atoms,
     )
-    for name in ("check_drp", "derive_closure", "_close"):
+    for name in ("check_drp", "derive_closure", "_close", "_grow"):
         monkeypatch.setattr(goals, name, refuse)
     for solve in (solve_rp2, solve_rp3, solve_rdrp):
         with pytest.raises(SizeLimitError, match="exceed cap"):
@@ -342,12 +405,16 @@ def test_rp2_walk_prunes_conflicting_branches(monkeypatch):
     )
     closures = []
 
-    def counted(rules, derived):
-        closures.append(derived)
-        return close(rules, derived)
+    def counted(close):
+        def run(*args):
+            closures.append(args)
+            return close(*args)
 
-    close = goals._close
-    monkeypatch.setattr(goals, "_close", counted)
+        return run
+
+    # A root or reach-bound closure and a grown child's are counted alike.
+    for name in ("_close", "_grow"):
+        monkeypatch.setattr(goals, name, counted(getattr(goals, name)))
     assert solve_rp2(g) == [frozenset({"s00"})]
     # A sweep over every subset would close 2**20 selections.
     assert len(closures) <= 4 * 20
