@@ -30,6 +30,7 @@ from .domains import Boolean, Domain, Enumerated, IntegerRange, RealGrid, Value
 from .errors import DefinitionError, RopasError
 from .goals import GoalGraph, Refinement
 from .model import (
+    MAX_FORMULA_DEPTH,
     BoolExpr,
     BooleanFormula,
     CardinalityConstraint,
@@ -196,7 +197,9 @@ _EXPR_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|[()&|!01])")
 
 
 def parse_expr(text: str) -> BoolExpr:
-    """Parse an and/or/not formula; raises ValueError on bad syntax."""
+    """Parse an and/or/not formula; raises ValueError on bad syntax, and a
+    syntax issue (a ``ValueError`` too) on more than ``MAX_FORMULA_DEPTH``
+    nested '!' and '('."""
     tokens: list[str] = []
     pos = 0
     while pos < len(text):
@@ -218,30 +221,36 @@ def parse_expr(text: str) -> BoolExpr:
         cursor += 1
         return tok
 
-    def parse_or() -> BoolExpr:
-        parts = [parse_and()]
+    # ``level`` counts the '!' and '(' enclosing the text being parsed.
+    def nested(level: int) -> int:
+        if level == MAX_FORMULA_DEPTH:
+            raise _Syntax(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels")
+        return level + 1
+
+    def parse_or(level: int) -> BoolExpr:
+        parts = [parse_and(level)]
         while peek() == "|":
             take()
-            parts.append(parse_and())
+            parts.append(parse_and(level))
         return parts[0] if len(parts) == 1 else ("or", *parts)
 
-    def parse_and() -> BoolExpr:
-        parts = [parse_not()]
+    def parse_and(level: int) -> BoolExpr:
+        parts = [parse_not(level)]
         while peek() == "&":
             take()
-            parts.append(parse_not())
+            parts.append(parse_not(level))
         return parts[0] if len(parts) == 1 else ("and", *parts)
 
-    def parse_not() -> BoolExpr:
+    def parse_not(level: int) -> BoolExpr:
         tok = peek()
         if tok is None:
             raise ValueError("formula ends unexpectedly")
         if tok == "!":
             take()
-            return ("not", parse_not())
+            return ("not", parse_not(nested(level)))
         if tok == "(":
             take()
-            inner = parse_or()
+            inner = parse_or(nested(level))
             if peek() != ")":
                 raise ValueError("missing ')'")
             take()
@@ -259,7 +268,7 @@ def parse_expr(text: str) -> BoolExpr:
 
     if not tokens:
         raise ValueError("empty formula")
-    out = parse_or()
+    out = parse_or(0)
     if cursor != len(tokens):
         raise ValueError(f"trailing {tokens[cursor]!r} in formula")
     return out
@@ -365,8 +374,9 @@ _REFINE_RE = re.compile(r"^(\S+)\s*<-\s*(.+)$")
 _COMPARATOR_RE = re.compile(r"(==|<=|>=)")
 
 
-class _Syntax(Exception):
-    """A malformed record; reported as a syntax issue at the record's line."""
+class _Syntax(ValueError):
+    """A malformed record; reported as a syntax issue at the record's line.
+    It is a ``ValueError`` so that ``parse_expr`` keeps its contract."""
 
 
 class _ModelParser(_Parser):

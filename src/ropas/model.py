@@ -36,9 +36,10 @@ A weighted sum computing the decision rule is a row as well.  Every
 evaluation, feasibility check and search of that model reuses the index.
 
 ``search_specifications``, the one propagating search behind enumeration,
-solving and the simulator's re-solves, keeps each row's interval over the
-current branch's completions on one undo trail and prunes a branch once some
-row cannot hold.  Maximising the decision rule, it also cuts every branch
+solving and the simulator's re-solves, descends in a loop over an explicit
+stack, keeps each row's interval over the current branch's completions on
+undo trails, one per kind of step, and prunes a branch once some row cannot
+hold.  Maximising the decision rule, it also cuts every branch
 whose rule row cannot reach the best leaf so far (branch and bound), bounding
 that row with its at-most-one groups: of the inputs with a positive term in
 one ``<= 1`` or ``== 1`` row over 0/1 inputs, only the largest open term
@@ -57,7 +58,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import (
+    Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union,
+)
 
 from .domains import (
     TOLERANCE,
@@ -143,6 +146,11 @@ class MonitoredVariable:
 
 BoolExpr = tuple
 
+# The most connectives a formula may have on one path from its root to a
+# leaf.  A deeper formula is invalid, so that compiling and evaluating a valid
+# one (both recurse once per level) stays far inside Python's recursion limit.
+MAX_FORMULA_DEPTH = 100
+
 
 def var(name: str) -> BoolExpr:
     return ("var", name)
@@ -163,37 +171,48 @@ def not_(expr: BoolExpr) -> BoolExpr:
 def expr_vars(expr: BoolExpr) -> tuple[str, ...]:
     """Leaf variable names in first-appearance order, deduplicated."""
     seen: dict[str, None] = {}
-
-    def walk(e: BoolExpr) -> None:
-        op = e[0]
-        if op == "var":
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if e[0] == "var":
             seen.setdefault(e[1], None)
         else:
-            for child in e[1:]:
-                walk(child)
-
-    walk(expr)
+            stack.extend(reversed(e[1:]))
     return tuple(seen)
 
 
+def _expr_fault(expr: object) -> Optional[str]:
+    """Why ``expr`` is not a well-formed formula expression, or None: a
+    malformed node, or more than ``MAX_FORMULA_DEPTH`` nested connectives."""
+    stack = [(expr, 0)]
+    while stack:
+        e, depth = stack.pop()
+        if not isinstance(e, tuple) or not e:
+            return "malformed formula expression"
+        op = e[0]
+        if op == "var":
+            if not (len(e) == 2 and isinstance(e[1], str) and e[1]):
+                return "malformed formula expression"
+        elif op in ("and", "or") or (op == "not" and len(e) == 2):
+            if depth == MAX_FORMULA_DEPTH:
+                return f"formula nested deeper than {MAX_FORMULA_DEPTH} levels"
+            stack.extend((child, depth + 1) for child in e[1:])
+        else:
+            return "malformed formula expression"
+    return None
+
+
 def expr_ok(expr: object) -> bool:
-    """Structural well-formedness check for a formula expression."""
-    if not isinstance(expr, tuple) or not expr:
-        return False
-    op = expr[0]
-    if op == "var":
-        return len(expr) == 2 and isinstance(expr[1], str) and bool(expr[1])
-    if op in ("and", "or"):
-        return all(expr_ok(c) for c in expr[1:])
-    if op == "not":
-        return len(expr) == 2 and expr_ok(expr[1])
-    return False
+    """Structural well-formedness check for a formula expression, its
+    nesting depth included."""
+    return _expr_fault(expr) is None
 
 
 def _compile_expr(expr: BoolExpr) -> Callable[[Mapping[str, Value]], int]:
     """``expr`` as a closure computing its 0 or 1 (a leaf is 1 when truthy,
     a missing one raises ``KeyError``); ``and``/``or`` stop at the first
-    deciding child."""
+    deciding child, and read a leaf child in place rather than through a
+    closure of its own."""
     op = expr[0]
     if op == "var":
         name = expr[1]
@@ -201,14 +220,23 @@ def _compile_expr(expr: BoolExpr) -> Callable[[Mapping[str, Value]], int]:
     if op not in ("and", "or"):
         inner = _compile_expr(expr[1])
         return lambda env: 1 - inner(env)
-    parts = tuple(_compile_expr(child) for child in expr[1:])
-    decisive = 0 if op == "and" else 1
-
-    def junction(env: Mapping[str, Value]) -> int:
-        for part in parts:
-            if part(env) == decisive:
-                return decisive
-        return 1 - decisive
+    # Per child: (its name, None) for a leaf, else (None, its closure).
+    parts = tuple(
+        (child[1], None) if child[0] == "var" else (None, _compile_expr(child))
+        for child in expr[1:]
+    )
+    if op == "and":
+        def junction(env: Mapping[str, Value]) -> int:
+            for name, part in parts:
+                if not (env[name] if part is None else part(env)):
+                    return 0
+            return 1
+    else:
+        def junction(env: Mapping[str, Value]) -> int:
+            for name, part in parts:
+                if env[name] if part is None else part(env):
+                    return 1
+            return 0
     return junction
 
 
@@ -429,26 +457,30 @@ class Model:
         ordered: list[FunctionalDepend] = []
         done: set[str] = set()
         visiting: set[str] = set()
-
-        def visit(vid: str) -> None:
-            if vid in done or vid not in producers:
-                return
-            if vid in visiting:
-                raise DefinitionError(f"functional depend cycle through '{vid}'")
-            visiting.add(vid)
-            dep = producers[vid]
-            for name in dep.inputs:
-                visit(name)
-            visiting.discard(vid)
-            done.add(vid)
-            ordered.append(dep)
-
         for root in sorted(producers):
-            try:
-                visit(root)
-            except DefinitionError as cycle:
-                cycle.root = root  # type: ignore[attr-defined]
-                raise
+            if root in done:
+                continue
+            # A post-order walk: each frame is a variable being visited and
+            # the iterator over its producer's inputs not yet visited.
+            visiting.add(root)
+            stack = [(root, iter(producers[root].inputs))]
+            while stack:
+                vid, pending = stack[-1]
+                for name in pending:
+                    if name in done or name not in producers:
+                        continue
+                    if name in visiting:
+                        cycle = DefinitionError(f"functional depend cycle through '{name}'")
+                        cycle.root = root  # type: ignore[attr-defined]
+                        raise cycle
+                    visiting.add(name)
+                    stack.append((name, iter(producers[name].inputs)))
+                    break
+                else:
+                    stack.pop()
+                    visiting.discard(vid)
+                    done.add(vid)
+                    ordered.append(producers[vid])
         return tuple(ordered)
 
     @cached_property
@@ -643,8 +675,9 @@ def validate_model(model: Model) -> list[Violation]:
                 defined_by.setdefault(dep.output, []).append(dep.id)
 
         if isinstance(dep, BooleanFormula):
-            if not expr_ok(dep.expr):
-                out.append(Violation(dep.id, "malformed formula expression"))
+            fault = _expr_fault(dep.expr)
+            if fault is not None:
+                out.append(Violation(dep.id, fault))
             else:
                 _check_inputs(model, dep, "boolean", out, "formula ")
                 _check_boolean_output(model, dep, "formula", out)
@@ -1046,6 +1079,10 @@ def pinned_values(
     return pinned
 
 
+# The value ``next`` returns for a parameter whose values have all been tried.
+_EXHAUSTED = object()
+
+
 def search_specifications(
     model: Model,
     free: Iterable[str],
@@ -1069,8 +1106,11 @@ def search_specifications(
     the current branch is kept up to date as its inputs get values, tested
     within the row's rounding tolerance while some input has none, and
     tested in full once its last input has one: from those running sums when
-    the row is ``exact``, else summed again.  Every change goes on one
-    search-wide trail, and a branch undoes back to the length it marked.  With
+    the row is ``exact``, else summed again.  The descent is a loop over an
+    explicit stack of parameters, so its depth is not bounded by Python's
+    recursion limit.  Every change goes on the search-wide trail of its kind
+    (row intervals, fed depends, computed outputs), and a branch undoes each
+    trail back to the length it marked before the next value is tried.  With
     ``maximize``, when a weighted sum computes the model's decision rule,
     that sum is one more row, whose floor is the best value of a leaf
     visited so far less the row's tolerance: a branch whose sum cannot reach
@@ -1119,16 +1159,20 @@ def search_specifications(
     codes = [row.code for row in rows]
     bounds = [row.bound for row in rows]
     tolerances = [row.tolerance for row in rows]
+    exact = [row.exact for row in rows]
     choices = [(pid, model.parameter(pid).domain.values()) for pid in free_ids]
     param_ids = [p.id for p in model.sorted_parameters]
 
-    # One trail for the whole search holds every reversible step: a variable
-    # that got an environment entry, the number of a depend whose
-    # missing-input count fell, and (row number, lo, hi) for a row's interval
-    # before an input got a value.  A branch marks the trail's length and
-    # undoes back to that mark in reverse, so the undo stays exact even when
-    # propagation stops part-way through.
-    trail: list = []
+    # One trail per kind of reversible step: ``row_trail`` holds (row number,
+    # lo, hi) for a row's interval before an input got a value, ``fed_trail``
+    # the number of a depend whose missing-input count fell, and
+    # ``added_trail`` each variable that got an environment entry.  A branch
+    # marks each trail's length and undoes back to those marks, so the undo
+    # stays exact even when propagation stops part-way through: a row's
+    # restores keep their reverse order, and the other steps are independent.
+    row_trail: list[tuple[int, float, float]] = []
+    fed_trail: list[int] = []
+    added_trail: list[str] = []
 
     def propagate(assigned: str) -> bool:
         """Compute newly ready functional outputs; False once some row fails."""
@@ -1140,7 +1184,7 @@ def search_specifications(
                 as_float = float(env[name])  # type: ignore[arg-type]
             for r, coeff, low, high in watched:
                 row_lo, row_hi = lo[r], hi[r]
-                trail.append((r, row_lo, row_hi))
+                row_trail.append((r, row_lo, row_hi))
                 left[r] -= 1
                 if left[r]:
                     # The running sums round differently from the leaf's, so
@@ -1149,7 +1193,7 @@ def search_specifications(
                     row_lo += term - low
                     row_hi += term - high
                     eps = tolerances[r]
-                elif rows[r].exact:
+                elif exact[r]:
                     # Both running sums are now the row's sum, exactly.
                     row_lo = row_hi = row_lo + coeff * as_float - low
                     eps = TOLERANCE
@@ -1166,16 +1210,16 @@ def search_specifications(
                     return False
             for number in feeds.get(name, ()):
                 missing[number] -= 1
-                trail.append(number)
+                fed_trail.append(number)
                 if not missing[number] and outputs[number] not in env:
                     output = outputs[number]
                     env[output] = computes[number](env)
-                    trail.append(output)
+                    added_trail.append(output)
                     queue.append(output)
         return True
 
     # Propagate anything computable before search (constants, defaults).  The
-    # prefix is never undone: every branch's mark lies above its steps.  A
+    # prefix is never undone: every branch's marks lie above its steps.  A
     # row known in full from the start holds its ``_row_interval`` sum.
     for number, output in enumerate(outputs):
         if not missing[number] and output not in env:
@@ -1188,46 +1232,57 @@ def search_specifications(
 
     # Every input is known by the leaves (checked above), and each constraint
     # was checked in full when its last input got a value, so every leaf is
-    # feasible.
-    def descend(index: int) -> None:
-        if index == len(choices):
+    # feasible.  The descent is a loop over ``stack``, one frame per assigned
+    # parameter: the parameter, the iterator over its values and the trails'
+    # marks before its first value.  Each pass enters one node, then moves to
+    # the next value of the deepest frame that has one left and propagates.
+    stack: list[tuple[str, Iterator[Value], int, int, int]] = []
+    size = len(choices)
+    while True:
+        if len(stack) == size:
             visit(Specification(tuple((pid, env[pid]) for pid in param_ids)), env)
             if objective is not None:
                 # Less the tolerance, so no leaf that ties the best is cut.
                 floor = float(env[rule]) - objective_row.tolerance  # type: ignore[arg-type]
                 bounds[cut] = max(bounds[cut], floor)
+        else:
+            branch = True
+            if groups:
+                # The objective's upper bound keeps only the largest open
+                # member of each group, none once some input of its row is 1.
+                reach = hi[cut]
+                for r, members in groups:
+                    keep = lo[r] < 1
+                    for name, high in members:
+                        if name not in env:
+                            reach -= 0.0 if keep else high
+                            keep = False
+                branch = not reach < bounds[cut] - tolerances[cut]
+            if branch:
+                pid, values = choices[len(stack)]
+                stack.append(
+                    (pid, iter(values), len(row_trail), len(fed_trail), len(added_trail))
+                )
+        while stack:
+            pid, values, row_mark, fed_mark, added_mark = stack[-1]
+            while len(row_trail) > row_mark:
+                r, lo[r], hi[r] = row_trail.pop()
+                left[r] += 1
+            while len(fed_trail) > fed_mark:
+                missing[fed_trail.pop()] += 1
+            while len(added_trail) > added_mark:
+                del env[added_trail.pop()]
+            value = next(values, _EXHAUSTED)
+            if value is _EXHAUSTED:
+                # ``pid`` itself is on no trail: each value overwrites it.
+                del env[pid]
+                stack.pop()
+            else:
+                env[pid] = value
+                if propagate(pid):
+                    break
+        else:
             return
-        if groups:
-            # The objective's upper bound keeps only the largest open member
-            # of each group, none once some input of its row is 1.
-            reach = hi[cut]
-            for r, members in groups:
-                keep = lo[r] < 1
-                for name, high in members:
-                    if name not in env:
-                        reach -= 0.0 if keep else high
-                        keep = False
-            if reach < bounds[cut] - tolerances[cut]:
-                return
-        pid, values = choices[index]
-        mark = len(trail)
-        for value in values:
-            env[pid] = value
-            if propagate(pid):
-                descend(index + 1)
-            while len(trail) > mark:
-                step = trail.pop()
-                if step.__class__ is tuple:
-                    r, lo[r], hi[r] = step
-                    left[r] += 1
-                elif step.__class__ is int:
-                    missing[step] += 1
-                else:
-                    del env[step]
-        # ``pid`` itself is not on the trail: each value overwrites it.
-        del env[pid]
-
-    descend(0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@
 REV is checked out with ``git worktree`` into a temporary directory (and
 removed afterwards).  The same case list then runs once against each
 ``src/`` tree -- this checkout's working files and REV's -- each in its own
-process under ``PYTHONHASHSEED=0``, and the two outputs are compared case by
-case: results by ``repr``, failures by exception type and message.  The
+process, REV's under ``PYTHONHASHSEED=0`` and this checkout's under
+``PYTHONHASHSEED=1``, so an output that depends on the hash order of
+strings shows as a difference.  The two outputs are compared case by case:
+results by ``repr``, failures by exception type and message.  The
 inputs come from this checkout's seeded generators (``tests/genmodels.py``)
 and shipped fixtures, so both sides see the same ones:
 
@@ -357,8 +359,10 @@ def emit(workdir: Path) -> None:
             print(json.dumps([name, out]))
 
 
-def _run_side(src: Path, inputs: Path) -> list:
-    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.pathsep.join([str(src), str(HERE)]))
+def _run_side(src: Path, inputs: Path, hash_seed: str) -> list:
+    env = dict(
+        os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join([str(src), str(HERE)])
+    )
     done = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--emit", str(inputs)],
         capture_output=True,
@@ -418,8 +422,8 @@ def compare(rev: str, expected: set[str]) -> int:
         shutil.rmtree(workdir, ignore_errors=True)
         sys.exit(f"cannot check out {rev}:\n{added.stderr}")
     try:
-        theirs = _run_side(tree / "src", workdir / "inputs")
-        ours = _run_side(ROOT / "src", workdir / "inputs")
+        theirs = _run_side(tree / "src", workdir / "inputs", "0")
+        ours = _run_side(ROOT / "src", workdir / "inputs", "1")
     finally:
         subprocess.run(
             ["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],

@@ -827,6 +827,89 @@ def test_goal_graph_diagnostics_do_not_depend_on_the_hash_seed(tmp_path, body, a
         assert f"unknown atom {atom}" in done.stdout, (seed, done.stdout)
 
 
+# --- inputs deeper than the interpreter's recursion limit ---
+
+
+def _write_model(tmp_path, lines) -> str:
+    path = tmp_path / "deep.model"
+    path.write_text("ropas-model v1\n" + "".join(f"{line}\n" for line in lines))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["!" * 10_000 + "a", "(" * 10_000 + "a" + ")" * 10_000, "!" * 101 + "a", "(" * 101 + "a)"],
+    ids=["10000 nots", "10000 parentheses", "101 nots", "101 parentheses"],
+)
+def test_a_formula_nested_past_the_limit_is_a_syntax_issue(capsys, tmp_path, body):
+    path = _write_model(tmp_path, [
+        "[variables]", "criterion u bool kind=quality-variable", "parameter a bool default=0",
+        "[depends]", f"boolean-formula fc -> u : {body}",
+    ])
+    code, out, err = run_cli(capsys, "validate", path)
+    assert (code, err) == (USAGE, "")
+    assert out == "line 6: syntax: formula nested deeper than 100 levels\n"
+
+
+def test_a_formula_at_the_nesting_limit_is_read(capsys, tmp_path):
+    path = _write_model(tmp_path, [
+        "[variables]", "criterion u bool kind=quality-variable", "parameter a bool default=0",
+        "[depends]", "boolean-formula fc -> u : " + "!" * 100 + "a",
+    ])
+    assert run_cli(capsys, "validate", path) == (OK, "ok\n", "")
+
+
+def test_a_long_chain_of_functional_depends_is_ordered_without_recursion(capsys, tmp_path):
+    # z0000 reads z0001, ..., and z1499 reads the parameter a: 1,500 links.
+    path = _write_model(tmp_path, [
+        "[variables]",
+        *(f"criterion z{i:04d} bool kind=quality-variable" for i in range(1500)),
+        "criterion util int:0:1 kind=utility pref=higher-better",
+        "parameter a bool default=0",
+        "[depends]",
+        *(f"boolean-formula f{i:04d} -> z{i:04d} : z{i + 1:04d}" for i in range(1499)),
+        "boolean-formula f1499 -> z1499 : a",
+        "weighted-sum fu -> util : 1.0*z0000",
+        "[decision]", "rule util", "set a",
+    ])
+    assert run_cli(capsys, "validate", path) == (OK, "ok\n", "")
+    code, out, err = run_cli(capsys, "solve", path)
+    assert (code, out.splitlines()[-2:], err) == (OK, ["objective 1", "optimum a=1"], "")
+    assert run_cli(capsys, "enumerate", path) == (OK, "spec a=0\nspec a=1\ncount 2\n", "")
+
+
+def test_encode_rdrp_reads_a_long_chain_of_refinements(capsys, tmp_path):
+    # The encoder names its criteria in sorted order: x0000 reads s, and
+    # each later x reads the one before it.
+    path = _write_model(tmp_path, [
+        "[goalgraph]", "atom r r mandatory", "atom s s",
+        *(f"atom x{i:04d}" for i in range(1500)),
+        "refine x0000 <- s",
+        *(f"refine x{i:04d} <- x{i - 1:04d}" for i in range(1, 1500)),
+        "refine r <- x1499",
+    ])
+    code, out, err = run_cli(capsys, "encode-rdrp", "--oracle", path)
+    assert (code, err) == (OK, "")
+    result = solve_rop(rop(parse_model(out).model, {}))
+    goals = parse_model(Path(path).read_text()).goals
+    assert [decode_selection(goals, spec) for spec in result.optima] == [frozenset({"s"})]
+
+
+def test_a_search_over_more_parameters_than_the_recursion_limit(capsys, tmp_path):
+    # 1,200 one-value parameters in the decision set: a space of 1.
+    ids = [f"p{i:04d}" for i in range(1200)]
+    path = _write_model(tmp_path, [
+        "[variables]", "criterion util int:0:1 kind=utility pref=higher-better",
+        *(f"parameter {pid} int:0:0 default=0" for pid in ids),
+        "[depends]", "weighted-sum fu -> util : 1.0*p0000",
+        "[decision]", "rule util", "set " + ",".join(ids),
+    ])
+    assignment = ",".join(f"{pid}=0" for pid in ids)
+    code, out, err = run_cli(capsys, "solve", path)
+    assert (code, out.splitlines()[-2:], err) == (OK, ["objective 0", f"optimum {assignment}"], "")
+    assert run_cli(capsys, "enumerate", path) == (OK, f"spec {assignment}\ncount 1\n", "")
+
+
 # --- every oracle disagreement ---
 
 

@@ -9,6 +9,8 @@ import pytest
 from ropas.domains import Boolean, Enumerated, IntegerRange, RealGrid
 from ropas.errors import DefinitionError, EvaluationError, SizeLimitError
 from ropas.model import (
+    MAX_FORMULA_DEPTH,
+    BoolExpr,
     BooleanFormula,
     CardinalityConstraint,
     Criterion,
@@ -116,6 +118,22 @@ def test_expr_ok_rejects_malformed():
     assert not expr_ok(("nand", var("a"), var("b")))
     assert not expr_ok("a")
     assert not expr_ok(("var",))
+
+
+def _nested_not(levels: int) -> BoolExpr:
+    expr = var("x")
+    for _ in range(levels):
+        expr = not_(expr)
+    return expr
+
+
+def test_expr_ok_bounds_the_nesting_and_expr_vars_walks_any_depth():
+    assert expr_ok(_nested_not(MAX_FORMULA_DEPTH))
+    assert not expr_ok(_nested_not(MAX_FORMULA_DEPTH + 1))
+    assert not expr_ok(and_(var("a"), or_(_nested_not(MAX_FORMULA_DEPTH))))
+    deep = _nested_not(10_000)
+    assert not expr_ok(deep)
+    assert expr_vars(and_(var("b"), deep, var("a"))) == ("b", "x", "a")
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +362,26 @@ def test_cycle_names_the_first_producer_that_reaches_it():
         enumerate_specifications(m)
 
 
+def test_functional_depends_are_ordered_depth_first_from_the_sorted_outputs():
+    # "a" reads "b", which reads "e" and then "c"; both of those read "d".
+    # The walk starts from "a", the first output in sorted order, visits each
+    # depend's inputs in their order, and lists each depend once, after them.
+    m = tiny_model(
+        criteria=tiny_model().criteria
+        + tuple(Criterion(c, IntegerRange(-10, 10), "quality-variable") for c in "abcde"),
+        depends=(
+            WeightedSum("da", "a", ("b",), (1.0,)),
+            WeightedSum("db", "b", ("e", "c"), (1.0, 1.0)),
+            WeightedSum("dc", "c", ("d",), (1.0,)),
+            WeightedSum("dd", "d", ("x",), (1.0,)),
+            WeightedSum("de", "e", ("x", "d"), (1.0, 1.0)),
+        ) + tiny_model().depends,
+    )
+    assert [dep.id for dep in m.topological_depends] == [
+        "dd", "de", "dc", "db", "da", "score_sum"
+    ]
+
+
 def test_decision_rule_must_be_higher_better_criterion():
     m = tiny_model(decision_rule="x")
     assert any("not a criterion" in v.message for v in validate_model(m))
@@ -494,6 +532,10 @@ def _one_depend_model(depend, domain, monitored=Boolean()):
             ThresholdStep("step", "level", "load", 1.0),
             IntegerRange(2, 3), {"load": 1}, "invalid model: step: step output must be boolean",
         ),
+        (
+            BooleanFormula("form", "level", and_(var("load"), not_(var("x")))),
+            Boolean(), {}, "missing value for variable 'load'",
+        ),
     ],
 )
 def test_every_evaluation_error_text_of_each_depend_kind(depend, domain, exogenous, message):
@@ -506,6 +548,14 @@ def test_every_evaluation_error_text_of_each_depend_kind(depend, domain, exogeno
         with pytest.raises(error) as raised:
             check(model, spec, exogenous)
         assert str(raised.value) == message
+
+
+def test_a_formula_stops_at_its_first_deciding_leaf():
+    # ``x`` decides the disjunction before ``load``, which has no value, is read.
+    formula = BooleanFormula("form", "level", or_(var("x"), var("load")))
+    model = _one_depend_model(formula, Boolean())
+    spec = Specification.from_mapping({"x": 1, "y": 0})
+    assert evaluate(model, spec)["level"] == 1
 
 
 def _invalid(*depends, parameters=()) -> Model:
@@ -578,6 +628,10 @@ def _decision_model(*lotteries) -> DecisionModel:
             "invalid decision model: p/a: probabilities sum to 1.2, not 1",
         ),
         (_decision_model(), "invalid decision model: decision model: no alternatives"),
+        (
+            _invalid(BooleanFormula("f", "flag", _nested_not(10_000))),
+            "invalid model: f: formula nested deeper than 100 levels",
+        ),
     ],
 )
 def test_every_entry_refuses_an_invalid_model(invalid, message):
