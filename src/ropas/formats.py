@@ -197,16 +197,15 @@ _EXPR_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|[()&|!01])")
 
 
 def parse_expr(text: str) -> BoolExpr:
-    """Parse an and/or/not formula; raises ValueError on bad syntax, and a
-    syntax issue (a ``ValueError`` too) on more than ``MAX_FORMULA_DEPTH``
-    nested '!' and '('."""
+    """Parse an and/or/not formula; raises a syntax issue (a ``ValueError``)
+    on bad syntax, more than ``MAX_FORMULA_DEPTH`` nested '!' and '(' included."""
     tokens: list[str] = []
     pos = 0
     while pos < len(text):
         m = _EXPR_TOKEN.match(text, pos)
         if not m:
             if text[pos:].strip():
-                raise ValueError(f"bad formula character {text[pos:].strip()[0]!r}")
+                raise _Syntax(f"bad formula character {text[pos:].strip()[0]!r}")
             break
         tokens.append(m.group(1))
         pos = m.end()
@@ -244,7 +243,7 @@ def parse_expr(text: str) -> BoolExpr:
     def parse_not(level: int) -> BoolExpr:
         tok = peek()
         if tok is None:
-            raise ValueError("formula ends unexpectedly")
+            raise _Syntax("formula ends unexpectedly")
         if tok == "!":
             take()
             return ("not", parse_not(nested(level)))
@@ -252,7 +251,7 @@ def parse_expr(text: str) -> BoolExpr:
             take()
             inner = parse_or(nested(level))
             if peek() != ")":
-                raise ValueError("missing ')'")
+                raise _Syntax("missing ')'")
             take()
             return inner
         if tok == "1":
@@ -264,13 +263,13 @@ def parse_expr(text: str) -> BoolExpr:
         if _IDENT.match(tok):
             take()
             return ("var", tok)
-        raise ValueError(f"unexpected {tok!r} in formula")
+        raise _Syntax(f"unexpected {tok!r} in formula")
 
     if not tokens:
-        raise ValueError("empty formula")
+        raise _Syntax("empty formula")
     out = parse_or(0)
     if cursor != len(tokens):
-        raise ValueError(f"trailing {tokens[cursor]!r} in formula")
+        raise _Syntax(f"trailing {tokens[cursor]!r} in formula")
     return out
 
 

@@ -10,11 +10,11 @@ falsum atom is added and, from falsehood, every atom follows.
 The goal solvers walk the selections by increasing size over a compiled
 bitmask closure (one bit per atom), growing each selection from its parent's
 closure and pruning every branch that conflicts or cannot reach the goal
-atoms any more.  A grown selection is closed by forward chaining from its
-new atom through an index of the rules by premise, so only the rules of an
-atom just added are tested.  ``check_drp`` judges only the selections the
-walk keeps, so ``derive_closure`` and ``check_drp`` remain the independent
-set-based verdict.
+atoms any more.  Each grown selection, and one chain bounding all of a
+parent's children, is closed by forward chaining through an index of the
+rules by premise, testing only the rules of an atom just added.
+``check_drp`` judges only the kept selections, so ``derive_closure`` and
+``check_drp`` remain the independent set-based verdict.
 """
 
 from __future__ import annotations
@@ -167,19 +167,6 @@ def check_drp(graph: GoalGraph, s_selection: Iterable[str]) -> DrpVerdict:
     return DrpVerdict(satisfaction=satisfaction, consistency=consistency, derived=derived)
 
 
-def _close(rules: list[tuple[int, int]], derived: int) -> int:
-    """The integer fixed point of ``derived`` under compiled refinements,
-    each a (premise mask, conclusion bit) pair."""
-    changed = True
-    while changed:
-        changed = False
-        for premises, conclusion in rules:
-            if not derived & conclusion and derived & premises == premises:
-                derived |= conclusion
-                changed = True
-    return derived
-
-
 def _grow(uses: dict[int, list[tuple[int, int]]], derived: int, pick: int) -> int:
     """The fixed point of ``derived | pick``, where ``derived`` is closed
     already: forward chaining from the pick fires only the rules indexed
@@ -212,10 +199,13 @@ def _by_size(
     the rules indexed under the pick and under each atom it derives are
     tested.  Closure is monotone, so a branch is cut once its closure holds
     a conflict pair, or once the closure of its closure with every later
-    atom misses a goal atom (not computed while the goal atoms are derived
-    already).  That bound and the root are closed by ``_close``, which
-    re-scans every rule.  Only the kept selections are judged by
-    ``check_drp``.  Raises before any closure when 2^n exceeds the cap.
+    atom misses a goal atom.  For child i that bound, B_i, closes the
+    parent's closure with the atoms from i on, so it shrinks as i grows:
+    while a parent misses a goal atom, the chain B_n-1, B_n-2, ... grows
+    back to the first B_i holding the goal and only the children up to i
+    are grown, none of them bounded again; failing that, the parent is cut.
+    Only the kept selections are judged by ``check_drp``.  Raises before
+    any closure when 2^n exceeds the cap.
     """
     ordered = sorted(graph.s_atoms)
     if 2 ** len(ordered) > cap:
@@ -225,17 +215,18 @@ def _by_size(
     def mask(atoms: Iterable[str]) -> int:
         return sum(bit[atom] for atom in atoms)
 
-    rules = [(mask(ref.premises), bit[ref.conclusion]) for ref in graph.refinements]
     uses: dict[int, list[tuple[int, int]]] = {}  # atom bit -> the rules it is a premise of
-    for ref, rule in zip(graph.refinements, rules):
+    for ref in graph.refinements:
+        rule = (mask(ref.premises), bit[ref.conclusion])
         for atom in ref.premises:
             uses.setdefault(bit[atom], []).append(rule)
     conflicts = [mask(pair) for pair in graph.conflicts]
     want = mask(goal)
     picks = [bit[atom] for atom in ordered]
-    later = [mask(ordered[i:]) for i in range(len(ordered) + 1)]
 
-    root = _close(rules, mask(graph.k_atoms))
+    root = 0
+    for atom in graph.k_atoms:
+        root = _grow(uses, root, bit[atom])
     # Each entry: members, their closure, and the index of the first atom
     # that may still be added.
     level = [] if any(root & pair == pair for pair in conflicts) else [((), root, 0)]
@@ -249,9 +240,16 @@ def _by_size(
         yield found
         grown = []
         for members, derived, start in level:
-            if derived & want != want and _close(rules, derived | later[start]) & want != want:
-                continue
-            for i in range(start, len(ordered)):
+            last = len(ordered) - 1  # the last child whose bound holds the goal
+            if derived & want != want:
+                reach = derived
+                for last in range(last, start - 1, -1):
+                    reach = _grow(uses, reach, picks[last])
+                    if reach & want == want:
+                        break
+                else:
+                    continue
+            for i in range(start, last + 1):
                 child = _grow(uses, derived, picks[i])
                 for pair in conflicts:
                     if child & pair == pair:

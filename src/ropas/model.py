@@ -254,7 +254,8 @@ class BooleanFormula:
 
     @cached_property
     def inputs(self) -> tuple[str, ...]:
-        return expr_vars(self.expr)
+        """The formula's variables; none if it is ill-formed (validation says so)."""
+        return expr_vars(self.expr) if expr_ok(self.expr) else ()
 
 
 @dataclass(frozen=True)

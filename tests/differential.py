@@ -17,9 +17,10 @@ and shipped fixtures, so both sides see the same ones:
 - ``encode_rdrp`` + ``solve_rop`` + ``decode_selection`` on the same graphs;
 - the ``SizeLimitError`` text of each goal solver under a cap just below
   the graph's selection count;
-- ``solve_rdrp`` and ``encode_rdrp`` + ``solve_rop`` + ``decode_selection``
-  on wide ``random_goal_graph`` graphs with up to 14 selectable atoms, whose
-  derivations run longer, for each of ``LONG_GOAL_SEEDS`` seeds;
+- ``solve_rp2``, ``solve_rp3``, ``solve_rdrp`` and ``encode_rdrp`` +
+  ``solve_rop`` + ``decode_selection`` on wide ``random_goal_graph`` graphs
+  with up to 14 selectable atoms, whose derivations run longer, for each of
+  ``LONG_GOAL_SEEDS`` seeds;
 - ``solve_rop`` and ``enumerate_specifications`` on ``random_rop``, every
   second seed passed through ``with_derived_parameter``, for each of
   ``SEEDS`` seeds; ``evaluate`` and ``is_feasible`` on up to 20 seeded
@@ -143,6 +144,8 @@ def _goal_cases():
         except Exception as err:
             yield name, _failure(err)
             continue
+        yield f"{name}: rp2", _attempt(lambda: _selections(solve_rp2(graph)))
+        yield f"{name}: rp3", _attempt(lambda: rp3(graph))
         yield f"{name}: rdrp", _attempt(lambda: _selections(solve_rdrp(graph)))
         yield f"{name}: encoded", _attempt(lambda: encoded(graph))
 

@@ -851,6 +851,18 @@ def test_a_formula_nested_past_the_limit_is_a_syntax_issue(capsys, tmp_path, bod
     assert out == "line 6: syntax: formula nested deeper than 100 levels\n"
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [("(a", "missing ')'"), ("a $ a", "bad formula character '$'"), ("a &", "formula ends unexpectedly")],
+)
+def test_a_formula_syntax_error_exits_2(capsys, tmp_path, body, message):
+    path = _write_model(tmp_path, [
+        "[variables]", "criterion u bool kind=quality-variable", "parameter a bool default=0",
+        "[depends]", f"boolean-formula fc -> u : {body}",
+    ])
+    assert run_cli(capsys, "validate", path) == (USAGE, f"line 6: syntax: {message}\n", "")
+
+
 def test_a_formula_at_the_nesting_limit_is_read(capsys, tmp_path):
     path = _write_model(tmp_path, [
         "[variables]", "criterion u bool kind=quality-variable", "parameter a bool default=0",

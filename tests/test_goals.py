@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -383,7 +384,7 @@ def test_default_cap_raises_before_any_closure(monkeypatch):
         r_atoms=("r",),
         s_atoms=atoms,
     )
-    for name in ("check_drp", "derive_closure", "_close", "_grow"):
+    for name in ("check_drp", "derive_closure", "_grow"):
         monkeypatch.setattr(goals, name, refuse)
     for solve in (solve_rp2, solve_rp3, solve_rdrp):
         with pytest.raises(SizeLimitError, match="exceed cap"):
@@ -412,12 +413,55 @@ def test_rp2_walk_prunes_conflicting_branches(monkeypatch):
 
         return run
 
-    # A root or reach-bound closure and a grown child's are counted alike.
-    for name in ("_close", "_grow"):
-        monkeypatch.setattr(goals, name, counted(getattr(goals, name)))
+    # The root's closure, a link of a reach-bound chain and a grown child's
+    # are counted alike.
+    monkeypatch.setattr(goals, "_grow", counted(goals._grow))
     assert solve_rp2(g) == [frozenset({"s00"})]
     # A sweep over every subset would close 2**20 selections.
     assert len(closures) <= 4 * 20
+
+
+def test_children_past_the_last_reaching_bound_are_never_grown(monkeypatch):
+    import ropas.goals as goals
+
+    atoms = [f"s{i:02d}" for i in range(8)]
+    g = goal_graph(
+        atoms=("r", *atoms),
+        refinements=[("r", ("s00",))],
+        r_atoms=("r",),
+        s_atoms=atoms,
+        mandatory=("r",),
+    )
+    bit = {a: 1 << i for i, a in enumerate(sorted(g.atoms))}
+    calls, grow = [], goals._grow
+
+    def counted(uses, derived, pick):
+        calls.append((derived, pick))
+        return grow(uses, derived, pick)
+
+    monkeypatch.setattr(goals, "_grow", counted)
+    assert solve_rdrp(g) == [frozenset({"s00"})]
+    # The root's chain grows s07, s06, ..., s00 onto the empty closure and
+    # first holds r at s00, so the root's one child is {s00}.  A walk that
+    # grew every child of the root would start eight closures from it.
+    assert [pick for derived, pick in calls if derived == 0] == [bit["s07"], bit["s00"]]
+    assert len(calls) == len(atoms) + 1
+    calls.clear()
+    # Every RP2 selection holds s00; once r is derived, no chain is needed.
+    assert solve_rp2(g) == _in_order(
+        frozenset({"s00", *rest}) for n in range(8) for rest in combinations(atoms[1:], n)
+    )
+    assert len(calls) == len(atoms) + 2 ** (len(atoms) - 1)
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_goal_solvers_match_a_brute_force_across_the_reach_bound_chain(wide):
+    """Narrow graphs have no x atoms and no cycles, wide ones both; knowledge
+    atoms, conflicts on derived atoms and goals met by early or late picks
+    all move where a parent's chain first holds the goal."""
+    rng = random.Random(67 + wide)
+    for index in range(250):
+        _assert_brute_force(random_goal_graph(rng, max_s=8, wide=wide), index)
 
 
 def _in_order(selections):

@@ -188,6 +188,17 @@ def test_detectable_value_outside_domain():
     assert any("detectable value" in v.message for v in validate_model(m))
 
 
+@pytest.mark.parametrize("expr", [("var",), ("var", "a", "b"), (), "a", ("nand", ("var",))])
+def test_validate_reports_a_malformed_formula_leaf_without_raising(expr):
+    m = Model(
+        criteria=(Criterion("u", Boolean()),),
+        depends=(BooleanFormula("fc", "u", expr),),
+    )
+    assert [(v.subject, v.message) for v in validate_model(m)] == [
+        ("fc", "malformed formula expression")
+    ]
+
+
 def test_detectable_values_compare_canonical():
     grid = RealGrid(0.0, 0.5, 0.1)
     watched = MonitoredVariable("m", grid, detectable_range=(0, 0.3))
