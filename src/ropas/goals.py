@@ -240,7 +240,7 @@ def _by_size(
         yield found
         grown = []
         for members, derived, start in level:
-            last = len(ordered) - 1  # the last child whose bound holds the goal
+            last = len(ordered) - 1  # the last child to grow
             if derived & want != want:
                 reach = derived
                 for last in range(last, start - 1, -1):

@@ -456,9 +456,8 @@ def test_children_past_the_last_reaching_bound_are_never_grown(monkeypatch):
 
 @pytest.mark.parametrize("wide", [False, True])
 def test_goal_solvers_match_a_brute_force_across_the_reach_bound_chain(wide):
-    """Narrow graphs have no x atoms and no cycles, wide ones both; knowledge
-    atoms, conflicts on derived atoms and goals met by early or late picks
-    all move where a parent's chain first holds the goal."""
+    """Narrow graphs are acyclic and have no x atoms, wide ones have both;
+    where a parent's chain first holds the goal varies from graph to graph."""
     rng = random.Random(67 + wide)
     for index in range(250):
         _assert_brute_force(random_goal_graph(rng, max_s=8, wide=wide), index)
