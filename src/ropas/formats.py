@@ -362,6 +362,16 @@ _SECTIONS = {
     "transform": "unknown transform '{}'",
 }
 
+# Each section but ``goalgraph`` -> the part of the file its records build;
+# a finding of a part is located at a record of that part.  Goal graph errors
+# are located through ``_ModelParser.goal_lines``.
+_PARTS = {
+    "variables": "model", "depends": "model", "decision": "model",
+    "triggers": "config", "evolution": "config", "simulation": "config",
+    "attributes": "decision", "alternatives": "decision", "utility": "decision",
+    "transform": "decision",
+}
+
 _ARROW_RE = re.compile(r"^(\S+)\s*->\s*(\S+)\s*:\s*(.*)$")
 _PLAIN_RE = re.compile(r"^(\S+)\s*:\s*(.*)$")
 _TRIGGER_RE = re.compile(r"^(\S+)\s+in\s+(.+)$")
@@ -383,9 +393,11 @@ class _ModelParser(_Parser):
 
     def __init__(self, text: str):
         super().__init__(text, MODEL_HEADER)
-        self.line = 0  # the record being read, and its head
+        self.line = 0  # the record being read, its head and its part
         self.head = ""
-        self.decl: dict[str, int] = {}  # name -> line, for locating issues
+        self.part = ""
+        # Part -> name -> line, for locating the issues of that part.
+        self.decl: dict[str, dict[str, int]] = {part: {} for part in _PARTS.values()}
         self.criteria: list[Criterion] = []
         self.parameters: list[Parameter] = []
         self.monitored: list[MonitoredVariable] = []
@@ -435,14 +447,20 @@ class _ModelParser(_Parser):
         return out
 
     def declare(self, name: str) -> None:
-        self.decl.setdefault(name, self.line)
+        """Locate ``name`` at the record being read, unless an earlier record
+        of the same part declared it."""
+        self.decl[self.part].setdefault(name, self.line)
+
+    def place(self, name: str) -> None:
+        """Locate ``name`` at the record being read, which holds its value."""
+        self.decl[self.part][name] = self.line
 
     def depend(self, dep: DependRelation) -> None:
         self.declare(dep.id)
         self.depends.append(dep)
 
     def constrain(self, constraint: EvolutionConstraint) -> None:
-        self.decl[f"evolution {len(self.constraints)}"] = self.line
+        self.place(f"evolution {len(self.constraints)}")
         self.constraints.append(constraint)
 
 
@@ -744,7 +762,7 @@ def _read_rule(p: _ModelParser, rest: str) -> None:
     if not _IDENT.match(rest):
         raise _Syntax()
     p.decision_rule = rest
-    p.decl["decision rule"] = p.line
+    p.place("decision rule")
 
 
 @_record("decision", "set", ",".join)
@@ -752,7 +770,7 @@ def _read_set(p: _ModelParser, rest: str) -> None:
     if not rest:
         raise _Syntax()
     p.decision_set = tuple(t.strip() for t in rest.split(",") if t.strip())
-    p.decl["decision set"] = p.line
+    p.place("decision set")
 
 
 # [triggers]
@@ -824,20 +842,20 @@ def _read_forbid_value(p: _ModelParser, rest: str) -> None:
 def _read_setting(p: _ModelParser, rest: str) -> None:
     """An integer setting, kept in the parser field named after its head."""
     setattr(p, p.head, _whole(p, rest))
-    p.decl[f"simulation {p.head}"] = p.line
+    p.place(f"simulation {p.head}")
 
 
 @_record("simulation", "initial", _write_assignments)
 def _read_initial(p: _ModelParser, rest: str) -> None:
     for name, value in _read_assignments(rest).items():
         p.initial[name] = value
-        p.decl[f"initial {name}"] = p.line
+        p.place(f"initial {name}")
 
 
 @_record("simulation", "initial-spec", _write_assignments)
 def _read_initial_spec(p: _ModelParser, rest: str) -> None:
     p.initial_spec = Specification.from_mapping(_read_assignments(rest))
-    p.decl["initial-spec"] = p.line
+    p.place("initial-spec")
 
 
 @_record("simulation", "change-scope", lambda s: f"{s[0]} {serialize_domain(s[1])}")
@@ -877,7 +895,6 @@ def _read_atom(p: _ModelParser, rest: str) -> None:
         raise ValueError(f"duplicate atom '{tokens[0]}'")
     p.atoms.append((tokens[0], role, mandatory))
     p.goal_lines[tokens[0]] = p.line
-    p.declare(tokens[0])
 
 
 @_record("goalgraph", "refine", lambda r: f"{r.conclusion} <- " + ",".join(sorted(r.premises)))
@@ -1008,7 +1025,7 @@ def parse_model(text: str) -> ModelBundle:
     p = _ModelParser(text)
     records = p.records()
     for line, section, record in records:
-        p.line = line
+        p.line, p.part = line, _PARTS.get(section, "")
         p.head = record.split(None, 1)[0]
         entry = _RECORDS.get((section, p.head))
         try:
@@ -1037,7 +1054,7 @@ def parse_model(text: str) -> ModelBundle:
             decision_set=p.decision_set,
         )
         for violation in model.violations:
-            p.semantic(p.decl.get(violation.subject, 1), str(violation))
+            p.semantic(p.decl["model"].get(violation.subject, 1), str(violation))
 
     goals: Optional[GoalGraph] = None
     if "goalgraph" in seen:
@@ -1058,10 +1075,11 @@ def parse_model(text: str) -> ModelBundle:
     decision: Optional[DecisionModel] = None
     if seen & {"attributes", "alternatives", "utility", "transform"}:
         utility_line = (lines("utility") or [1])[-1]
+        located = p.decl["decision"]
         declared = set(p.alt_order)
         for alt, lotteries in p.lotteries.items():
             if alt not in declared:  # found at the line of its first lottery
-                where = p.decl[f"{alt}/{lotteries[0][0]}"]
+                where = located[f"{alt}/{lotteries[0][0]}"]
                 p.semantic(where, f"lottery for undeclared alternative '{alt}'")
         if p.utility is None:
             p.semantic(utility_line, "decision model lacks a [utility] section")
@@ -1075,7 +1093,7 @@ def parse_model(text: str) -> ModelBundle:
                 transform=p.transform,
             )
             for violation in decision.violations:
-                p.semantic(p.decl.get(violation.subject, utility_line), str(violation))
+                p.semantic(located.get(violation.subject, utility_line), str(violation))
 
     config = SimulationConfig(
         adaptation_duration=p.duration,
@@ -1087,7 +1105,7 @@ def parse_model(text: str) -> ModelBundle:
         change_scope=tuple(p.change_scope),
     )
     for violation in config_violations(Model() if model is None else model, config):
-        p.semantic(p.decl.get(violation.subject, 1), violation.message)
+        p.semantic(p.decl["config"].get(violation.subject, 1), violation.message)
 
     if p.issues:
         raise ParseFailure(p.issues)

@@ -39,12 +39,12 @@ evaluation, feasibility check and search of that model reuses the index.
 solving and the simulator's re-solves, descends in a loop over an explicit
 stack, keeps each row's interval over the current branch's completions on
 undo trails, one per kind of step, and prunes a branch once some row cannot
-hold.  Maximising the decision rule, it also cuts every branch
-whose rule row cannot reach the best leaf so far (branch and bound), bounding
-that row with its at-most-one groups: of the inputs with a positive term in
-one ``<= 1`` or ``== 1`` row over 0/1 inputs, only the largest open term
-counts.  It visits the same leaves in the same order as without the groups,
-never cuts a tie, and a cut branch raises no evaluation error.
+hold.  It also cuts every branch whose rule row cannot reach the floor its
+visitor returned (branch and bound), bounding that row with its at-most-one
+groups: of the inputs with a positive term in one ``<= 1`` or ``== 1`` row
+over 0/1 inputs, only the largest open term counts.  It visits the same
+leaves in the same order as without the groups, never cuts a leaf that ties
+the floor, and a cut branch raises no evaluation error.
 
 All operations are pure and deterministic.  Objects are immutable, so sharing
 them across threads is safe; two threads racing to build a model's index at
@@ -372,10 +372,7 @@ class Specification:
         raise KeyError(key)
 
     def get(self, key: str, default: Optional[Value] = None) -> Optional[Value]:
-        try:
-            return self[key]
-        except KeyError:
-            return default
+        return next((v for k, v in self.items if k == key), default)
 
 
 class ProblemInstance(Specification):
@@ -499,8 +496,8 @@ class Model:
         """The compiled view of the depends: the functional depends
         numbered in evaluation order, each with its output and a function
         computing it from the environment, the numbers of the depends reading
-        each variable, one linear row per pure constraint with its watch
-        lists, and the decision rule's row and groups for the objective cut.
+        each variable, one linear row per pure constraint and one for a
+        weighted-sum decision rule, their watch lists, and the rule's groups.
 
         The validity gate: on a model with ``violations`` it raises the
         definition error ``invalid model: …`` naming them all (and caches
@@ -518,7 +515,8 @@ class Model:
         rule = self.producers.get(self.decision_rule)  # type: ignore[arg-type]
         if isinstance(rule, WeightedSum):
             row = _compile_row(self, rule)
-            objective = (row, _watch_lists(rows + (row,)), _at_most_one_groups(rows, row))
+            objective = (row, _at_most_one_groups(rows, row))
+            rows += (row,)
         outputs = tuple(dep.output for dep in topo)
         return _Compiled(outputs, computes, feeds, rows, _watch_lists(rows), objective)
 
@@ -617,6 +615,18 @@ def _check_coverage(
         out.append(Violation(subject, message))
 
 
+def _shape_fault(dep: DependRelation) -> Optional[str]:
+    """Why a depend's sequence fields are not sequences, or a table entry not
+    a (key tuple, value) pair, or None: every other check reads them."""
+    for name in ("inputs", "weights", "coefficients", "entries"):
+        if name in dep.__dataclass_fields__ and not isinstance(getattr(dep, name), (tuple, list)):
+            return f"{name} is not a sequence"
+    for entry in dep.entries if isinstance(dep, LookupTable) else ():
+        if not (isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[0], tuple)):
+            return f"table entry {entry!r} is not a (key, value) pair"
+    return None
+
+
 def validate_model(model: Model) -> list[Violation]:
     """Check every model invariant; an empty list means the model is valid."""
     out: list[Violation] = []
@@ -649,12 +659,14 @@ def validate_model(model: Model) -> list[Violation]:
             out.append(Violation(p.id, f"default {p.default!r} outside domain"))
 
     for m in model.monitored:
-        if m.detectable_range:
-            for v in m.detectable_range:
-                if not m.domain.contains(v):
-                    out.append(
-                        Violation(m.id, f"detectable value {v!r} outside domain")
-                    )
+        for v in m.detectable_range:
+            if not m.domain.contains(v):
+                out.append(Violation(m.id, f"detectable value {v!r} outside domain"))
+
+    # A malformed depend is reported alone.
+    shapes = [Violation(d.id, fault) for d in model.depends if (fault := _shape_fault(d))]
+    if shapes:
+        return out + shapes
 
     criterion_ids = model._criteria_by_id
     parameter_ids = model._parameters_by_id
@@ -940,11 +952,14 @@ class _Compiled(NamedTuple):
     outputs: tuple[str, ...]
     computes: tuple[Callable[[Mapping[str, Value]], Value], ...]
     feeds: dict[str, tuple[int, ...]]  # variable -> the numbers of the depends reading it
-    rows: tuple[_Row, ...]  # one per pure constraint, in declaration order
+    # One per pure constraint, in declaration order, and last the decision
+    # rule's row when a weighted sum computes the rule; and their watch lists.
+    rows: tuple[_Row, ...]
     watch: _Watch
-    # When a weighted sum computes the decision rule: its row, the watch
-    # lists of ``rows`` followed by that row, and its at-most-one groups.
-    objective: Optional[tuple[_Row, _Watch, _Groups]]
+    # When a weighted sum computes the decision rule: its row and its
+    # at-most-one groups.  The search cuts against the floor its visitor
+    # returns; a search whose visitor returns none keeps the row uncut.
+    objective: Optional[tuple[_Row, _Groups]]
 
 
 def _compile_row(model: Model, dep: Union[ConstraintDepend, WeightedSum]) -> _Row:
@@ -1020,16 +1035,14 @@ def _row_interval(row: _Row, env: Mapping[str, Value]) -> tuple[float, float]:
     return lo, hi
 
 
-def _interval_allows(
-    lo: float, hi: float, code: int, bound: float, eps: float = TOLERANCE
-) -> bool:
+def _interval_allows(lo: float, hi: float, code: int, bound: float) -> bool:
     """Whether some sum in ``[lo, hi]`` can satisfy ``sum <comparator> bound``
-    within ``eps``, the comparator given by its ``_Row.code``."""
+    within ``TOLERANCE``, the comparator given by its ``_Row.code``."""
     if code == 0:
-        return lo - eps <= bound <= hi + eps
+        return lo - TOLERANCE <= bound <= hi + TOLERANCE
     if code == 1:
-        return lo <= bound + eps
-    return hi >= bound - eps
+        return lo <= bound + TOLERANCE
+    return hi >= bound - TOLERANCE
 
 
 def is_feasible(
@@ -1088,8 +1101,7 @@ def search_specifications(
     model: Model,
     free: Iterable[str],
     exogenous: Optional[Mapping[str, Value]],
-    visit: Callable[[Specification, Mapping[str, Value]], None],
-    maximize: bool = False,
+    visit: Callable[[Specification, Mapping[str, Value]], Optional[Value]],
 ) -> None:
     """Depth-first search over the free parameters with constraint propagation.
 
@@ -1098,8 +1110,9 @@ def search_specifications(
     depend or pinned to its default.  Functional outputs are computed as soon
     as their inputs are known, and a branch is pruned once some pure
     constraint can no longer hold.  ``visit`` gets every feasible leaf's full
-    specification and value environment (valid only during the call).  An
-    invalid model raises ``Model._compiled``'s definition error before
+    specification and value environment (valid only during the call) and
+    returns the floor, a rule value that later leaves must reach, or None.
+    An invalid model raises ``Model._compiled``'s definition error before
     anything else, and a depend input with no way to get a value raises an
     evaluation error before the search starts.
 
@@ -1111,18 +1124,17 @@ def search_specifications(
     explicit stack of parameters, so its depth is not bounded by Python's
     recursion limit.  Every change goes on the search-wide trail of its kind
     (row intervals, fed depends, computed outputs), and a branch undoes each
-    trail back to the length it marked before the next value is tried.  With
-    ``maximize``, when a weighted sum computes the model's decision rule,
-    that sum is one more row, whose floor is the best value of a leaf
-    visited so far less the row's tolerance: a branch whose sum cannot reach
-    the floor is cut (branch and bound).  Before a node branches, the sum's
-    upper bound also drops, in each at-most-one group (a cardinality ``<= 1``
-    or ``== 1``, an incompatibility), every open member's term but the
-    largest, and that one too once an input of the group's row is 1.  Only
-    inputs with a positive term are members: a negative term loses nothing at
-    0.  The bound holds for every feasible completion, so ``visit`` gets the
-    same leaves in the same order as without it: every leaf that ties or
-    beats the best value so far.  An evaluation error is raised only from a
+    trail back to the length it marked before the next value is tried.  When
+    a weighted sum computes the model's decision rule, that sum is one more
+    row, whose floor is the one ``visit`` returned last less the row's
+    tolerance: a branch whose sum cannot reach it is cut (branch and bound).
+    Once there is a floor, before a node branches the sum's upper bound also
+    drops, in each at-most-one group (a cardinality ``<= 1`` or ``== 1``, an
+    incompatibility), every open member's term but the largest, and that one
+    too once an input of the group's row is 1.  Only inputs with a positive
+    term are members: a negative term loses nothing at 0.  The bound holds
+    for every feasible completion, so ``visit`` gets the same leaves in the
+    same order as without it.  An evaluation error is raised only from a
     branch the search reaches, so a cut branch raises none.
     """
     compiled = model._compiled
@@ -1134,25 +1146,20 @@ def search_specifications(
     env.update(pinned_values(model, free_ids))
 
     topo = model.topological_depends
-    constraints = model.constraint_depends
     known = set(env) | set(free_ids) | set(producers)
-    for dep in topo + constraints:
+    for dep in topo + model.constraint_depends:
         for name in dep.inputs:
             if name not in known:
                 raise EvaluationError(f"missing value for variable '{name}'")
 
     outputs, computes, feeds = compiled.outputs, compiled.computes, compiled.feeds
-    rows = compiled.rows
-    objective = compiled.objective if maximize else None
-    objective_row, watch, groups = objective or (None, compiled.watch, ())
-    if objective is not None:
-        rule = model.decision_rule
-        cut = len(rows)
-        rows += (objective_row,)
+    rows, watch, objective = compiled.rows, compiled.watch, compiled.objective
+    # The rule row is the last row; its groups bound it once a floor exists.
+    cut, bounding = len(rows) - 1, ()
     # Per functional depend (by number), its inputs without a value.
     missing = [sum(1 for name in dep.inputs if name not in env) for dep in topo]
     # Each row's running interval, its number of inputs without a value, and
-    # the bound it is compared against (the objective's floor starts at -inf).
+    # the bound it is compared against (the rule row's floor starts at -inf).
     intervals = [_row_interval(row, env) for row in rows]
     lo = [interval[0] for interval in intervals]
     hi = [interval[1] for interval in intervals]
@@ -1227,7 +1234,7 @@ def search_specifications(
             env[output] = computes[number](env)
             if not propagate(output):
                 return
-    for r in range(len(compiled.rows)):
+    for r in range(len(rows)):
         if not left[r] and not _interval_allows(lo[r], hi[r], codes[r], bounds[r]):
             return
 
@@ -1241,18 +1248,18 @@ def search_specifications(
     size = len(choices)
     while True:
         if len(stack) == size:
-            visit(Specification(tuple((pid, env[pid]) for pid in param_ids)), env)
-            if objective is not None:
-                # Less the tolerance, so no leaf that ties the best is cut.
-                floor = float(env[rule]) - objective_row.tolerance  # type: ignore[arg-type]
-                bounds[cut] = max(bounds[cut], floor)
+            floor = visit(Specification(tuple((pid, env[pid]) for pid in param_ids)), env)
+            if floor is not None and objective is not None:
+                # Less the tolerance, so no leaf that ties the floor is cut.
+                bounds[cut] = float(floor) - tolerances[cut]  # type: ignore[arg-type]
+                bounding = objective[1]
         else:
             branch = True
-            if groups:
+            if bounding:
                 # The objective's upper bound keeps only the largest open
                 # member of each group, none once some input of its row is 1.
                 reach = hi[cut]
-                for r, members in groups:
+                for r, members in bounding:
                     keep = lo[r] < 1
                     for name, high in members:
                         if name not in env:

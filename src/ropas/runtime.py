@@ -808,7 +808,10 @@ def run_simulation(
         triggers = relax(
             [_canonical(model, t) for t in config.triggers], dict(config.relaxation), model
         )
-        memo = memos.setdefault((config.constraints, triggers, config.cap), {})
+        try:
+            memo = memos.setdefault((config.constraints, triggers, config.cap), {})
+        except TypeError:  # unhashable constraints (a list, say): a memo of this run's own
+            memo = {}
         if setup is not None:  # kept only once every check has passed
             memos[config] = (config, initial, start, change_scope, triggers, memo)
     held += len(memo)  # a run that adds nothing leaves the memo's size as it was

@@ -142,12 +142,12 @@ def solve_rop(problem: Rop, cap: int = DEFAULT_ENUMERATION_CAP) -> SolveResult:
     the highest decision-rule value.  All tied optima are returned, sorted
     canonically.
 
-    When a weighted sum computes the decision rule, the search also cuts
-    every branch whose sum cannot reach the best value found so far.  An
-    evaluation error (such as a value outside its criterion's domain) is
-    raised only from a branch the search reaches, so a problem can solve
-    even though ``brute_force_oracle``, which evaluates every combination,
-    raises on a leaf that a constraint or the cut skipped.
+    The best value so far is the search's floor: when a weighted sum
+    computes the decision rule, every branch whose sum cannot reach it is
+    cut.  An evaluation error (such as a value outside its criterion's
+    domain) is raised only from a branch the search reaches, so a problem
+    can solve even though ``brute_force_oracle``, which evaluates every
+    combination, raises on a leaf that a constraint or the cut skipped.
     """
     model = problem.model
     decision_ids = sorted(model.decision_set)
@@ -158,7 +158,7 @@ def solve_rop(problem: Rop, cap: int = DEFAULT_ENUMERATION_CAP) -> SolveResult:
     best_value: Optional[Value] = None
     best: list[Specification] = []
 
-    def keep_best(spec: Specification, env: Mapping[str, Value]) -> None:
+    def keep_best(spec: Specification, env: Mapping[str, Value]) -> Value:
         nonlocal best_value
         if rule not in env:
             raise EvaluationError(f"missing value for variable '{rule}'")
@@ -168,10 +168,9 @@ def solve_rop(problem: Rop, cap: int = DEFAULT_ENUMERATION_CAP) -> SolveResult:
             best[:] = [spec]
         elif value == best_value:
             best.append(spec)
+        return best_value
 
-    search_specifications(
-        model, decision_ids, problem.exogenous_map(), keep_best, maximize=True
-    )
+    search_specifications(model, decision_ids, problem.exogenous_map(), keep_best)
     if not best:
         return Infeasible()
     best.sort(key=lambda s: canonical_key(model, s))

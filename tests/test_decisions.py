@@ -132,6 +132,15 @@ def test_utility_inputs_must_match_attribute_order():
     assert any("in order" in v.message for v in validate_decision_model(broken))
 
 
+def test_utility_weights_must_match_the_inputs():
+    dm = load("respond.model").decision
+    short = replace(dm.utility, weights=dm.utility.weights[:1])
+    broken = DecisionModel(dm.alternatives, dm.attributes, short)
+    assert ("utility", "weight count differs from input count") in [
+        (v.subject, v.message) for v in validate_decision_model(broken)
+    ]
+
+
 def test_weighted_utility_needs_numeric_attributes():
     attributes = (Criterion("color", Enumerated(("red", "blue"))),)
     alternatives = (

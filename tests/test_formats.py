@@ -128,6 +128,8 @@ def test_nan_outcomes_stay_two_values():
 def test_scalar_round_trip():
     for value in (0, -12, 3, 0.5, -2.25, 1e-7, "label", "sms"):
         assert parse_scalar(format_scalar(value)) == value
+    # A boolean is written as the integer it equals.
+    assert (format_scalar(True), format_scalar(False)) == ("1", "0")
 
 
 def test_float_formatting_round_trips_exactly():
@@ -333,6 +335,29 @@ def test_parse_model_locates_cross_record_issues_at_their_records():
         (10, "initial value for non-monitored variable 'q'"),
         (12, "change-scope variable 'm' is already in the model"),
     ]
+
+
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        (("[goalgraph]", "atom u r", "[variables]", "criterion u int:0:3 kind=bogus"),
+         "u: unknown criterion kind 'bogus'"),
+        (("[attributes]", "attribute u int:0:3", "[variables]", "criterion u int:0:3 kind=bogus"),
+         "u: unknown criterion kind 'bogus'"),
+        (("[alternatives]", "alternative p", "[variables]", "parameter p bool default=7"),
+         "p: default 7 outside domain"),
+        (("[variables]", "criterion utility int:0:3 kind=utility pref=higher-better",
+          "[attributes]", "attribute a int:0:3", "[alternatives]", "alternative x",
+          "lottery x a 1:1.0", "[utility]", "weighted-sum nan*a"),
+         "utility: weight nan is not a finite number"),
+    ],
+)
+def test_a_finding_is_located_at_a_record_of_its_own_part(records, message):
+    """The finding belongs to the last record, though a record of another
+    part declares the same id before it."""
+    with pytest.raises(ParseFailure) as info:
+        parse_model("\n".join((MODEL_HEADER, *records, "")))
+    assert [i.line for i in info.value.issues if i.message == message] == [len(records) + 1]
 
 
 GOAL_GRAPH = (

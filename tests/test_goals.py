@@ -64,6 +64,12 @@ def test_conflict_message_does_not_depend_on_the_hash_seed(seed):
     assert done.stdout == "conflict {'a', 'b', 'c'} is not a pair\n"
 
 
+@pytest.mark.parametrize("role", ("r", "k", "s"))
+def test_partitioned_atoms_must_be_declared(role):
+    with pytest.raises(DefinitionError, match=f"^{role}-atom 'ghost' is not declared$"):
+        goal_graph(atoms=("a",), **{f"{role}_atoms": ("ghost",)})
+
+
 def test_atom_partitions_must_not_overlap():
     with pytest.raises(DefinitionError, match="overlap"):
         goal_graph(atoms=("a", "b"), r_atoms=("a",), s_atoms=("a", "b"))

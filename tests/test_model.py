@@ -1,6 +1,7 @@
 """Model declaration, validation, evaluation, and enumeration."""
 
 import random
+import re
 from collections import Counter
 from itertools import product
 
@@ -197,6 +198,27 @@ def test_validate_reports_a_malformed_formula_leaf_without_raising(expr):
     assert [(v.subject, v.message) for v in validate_model(m)] == [
         ("fc", "malformed formula expression")
     ]
+
+
+@pytest.mark.parametrize(
+    "dep, message",
+    [
+        (LookupTable("t", "u", ("a",), ((0,),)), "table entry (0,) is not a (key, value) pair"),
+        (LookupTable("t", "u", ("a",), None), "entries is not a sequence"),
+        (WeightedSum("t", "u", ("a",), None), "weights is not a sequence"),
+        (LinearConstraint("t", ("a",), None, "<=", 1.0), "coefficients is not a sequence"),
+        (CardinalityConstraint("t", None, "<=", 1), "inputs is not a sequence"),
+    ],
+)
+def test_validate_reports_a_malformed_depend_without_raising(dep, message):
+    m = Model(
+        criteria=(Criterion("u", IntegerRange(0, 3)),),
+        parameters=(Parameter("a", Boolean()),),
+        depends=(dep,),
+    )
+    assert [(v.subject, v.message) for v in validate_model(m)] == [("t", message)]
+    with pytest.raises(DefinitionError, match=re.escape(f"invalid model: t: {message}")):
+        enumerate_specifications(m)
 
 
 def test_detectable_values_compare_canonical():
@@ -685,6 +707,16 @@ def test_evaluate_rejects_exogenous_for_parameter():
             Specification.from_mapping({"x": 1, "y": 0}),
             {"x": 0},
         )
+
+
+@pytest.mark.parametrize("check", (evaluate, is_feasible))
+def test_evaluate_rejects_values_outside_their_domains(check):
+    model = tiny_model(monitored=(MonitoredVariable("m", IntegerRange(0, 3)),))
+    spec = Specification.from_mapping({"x": 1, "y": 0})
+    with pytest.raises(EvaluationError, match="^value 2 not in boolean domain$"):
+        check(model, Specification.from_mapping({"x": 2, "y": 0}), {"m": 0})
+    with pytest.raises(EvaluationError, match=r"^value 4 not in integer range \[0, 3\]$"):
+        check(model, spec, {"m": 4})
 
 
 def test_evaluate_rejects_unknown_exogenous_variable():

@@ -45,7 +45,8 @@ from ropas.runtime import (
 from ropas.solver import rop, solve_rop
 
 from genmodels import random_runtime_pair, random_runtime_scenario
-from shipped import alert_spec, load
+from reference import ReferenceRun, reference_simulation
+from shipped import FIXTURES, alert_spec, load
 
 
 def broken_call_problem():
@@ -1256,14 +1257,21 @@ def test_an_invalid_model_raises_on_every_run():
 
 def test_an_unhashable_configuration_is_set_up_on_every_run(monkeypatch):
     checked = count_config_checks(monkeypatch)
+    # A listed field of each configuration: one the set-up reads, and one in
+    # the re-solve memo's key.
+    for name, trace_name, field in (
+        ("shock", "shock", "initial_exogenous"), ("alerts", "alerts_failure", "constraints")
+    ):
+        checked.clear()
+        bundle, trace = load(f"{name}.model"), load(f"{trace_name}.trace")
+        listed = replace(bundle.config, **{field: list(getattr(bundle.config, field))})
+        with pytest.raises(TypeError):
+            hash(listed)
+        cold = outcome(replace(bundle.model), trace, bundle.config)
+        assert [outcome(bundle.model, trace, listed) for _ in range(2)] == [cold, cold], name
+        assert len(checked) == 3 and not set_ups(bundle.model), name
     shock, trace = load("shock.model"), load("shock.trace")
-    listed = replace(shock.config, initial_exogenous=list(shock.config.initial_exogenous))
-    with pytest.raises(TypeError):
-        hash(listed)
-    cold = outcome(replace(shock.model), trace, shock.config)
-    assert [outcome(shock.model, trace, listed) for _ in range(2)] == [cold, cold]
-    assert len(checked) == 3 and not set_ups(shock.model)
-    bad = replace(listed, initial_exogenous=[("shock", 7)])
+    bad = replace(shock.config, initial_exogenous=[("shock", 7)])
     for _ in range(2):
         assert outcome(shock.model, trace, bad) == (
             DefinitionError, "initial value 7 outside the domain of 'shock'"
@@ -1315,3 +1323,61 @@ def test_a_sweep_of_configurations_keeps_the_memo_under_its_bound(monkeypatch):
         outcome(shock.model, trace, replace(shock.config, horizon=horizon))
         sizes.append(memo_size(shock.model))
     assert max(sizes) <= limit and 0 in sizes, sizes
+
+
+# ---------------------------------------------------------------------------
+# The reference simulator
+
+
+def reference_outcome(run, model, trace, config):
+    """``run``'s per-tick active specifications and optimal flags, status
+    and metrics, or the type of the error it raised."""
+    try:
+        result = run(model, trace, config)
+    except (DefinitionError, EvaluationError, SizeLimitError) as err:
+        return type(err)
+    if isinstance(result, ReferenceRun):
+        return result
+    timeline, metrics = result
+    active = tuple(p.spec for p in timeline.periods for _ in range(p.start, p.end))
+    optimal = tuple(flag for p in timeline.periods for flag in p.optimal)
+    return ReferenceRun(active, optimal, timeline.status, metrics)
+
+
+def other_configurations(config):
+    """Two configurations, each differing from ``config`` in one part of what
+    the re-solves read: the evolution constraints, the relaxed triggers."""
+    return (
+        replace(config, constraints=config.constraints + (MaxParameterChanges(1),)),
+        replace(config, relaxation=((config.triggers[0].criterion, 3.0),)),
+    )
+
+
+def reference_runs(kind):
+    """(label, model, trace, configuration) of 200 seeds of a generator, or
+    of each shipped model with triggers and each shipped trace."""
+    if kind != "shipped":
+        make = {"scenario": random_runtime_scenario, "pair": random_runtime_pair}[kind]
+        return [(seed, *make(random.Random(seed))) for seed in range(200)]
+    runs = []
+    for model_path in sorted(FIXTURES.glob("*.model")):
+        bundle = load(model_path.name)
+        if bundle.model is not None and bundle.config.triggers:
+            for trace_path in sorted(FIXTURES.glob("*.trace")):
+                label = f"{model_path.name} {trace_path.name}"
+                runs.append((label, bundle.model, load(trace_path.name), bundle.config))
+    return runs
+
+
+@pytest.mark.parametrize("kind", ("scenario", "pair", "shipped"))
+def test_run_simulation_agrees_with_the_reference_simulator(kind):
+    runs = reference_runs(kind)
+    ran = 0
+    for label, model, trace, config in runs:
+        # Every configuration runs on one model object, each after the ones
+        # before it have filled its memo.
+        for variant in (config, *other_configurations(config)):
+            expected = reference_outcome(reference_simulation, model, trace, variant)
+            assert reference_outcome(run_simulation, model, trace, variant) == expected, label
+            ran += isinstance(expected, ReferenceRun)
+    assert ran >= len(runs), ran

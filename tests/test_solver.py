@@ -493,12 +493,12 @@ def _count_leaves(monkeypatch) -> list:
     leaves: list = []
     search = solver.search_specifications
 
-    def counted(model, free, exogenous, visit, **options):
+    def counted(model, free, exogenous, visit):
         def record(spec, env):
             leaves.append(spec)
-            visit(spec, env)
+            return visit(spec, env)
 
-        search(model, free, exogenous, record, **options)
+        search(model, free, exogenous, record)
 
     monkeypatch.setattr(solver, "search_specifications", counted)
     return leaves
@@ -620,7 +620,7 @@ def test_search_agrees_with_oracle_on_at_most_one_groups():
     grouped = 0
     for i in range(200):
         problem = at_most_one_rop(rng)
-        grouped += bool(problem.model._compiled.objective[2])
+        grouped += bool(problem.model._compiled.objective[1])
         assert solve_rop(problem) == brute_force_oracle(problem), i
     assert grouped >= 120, grouped
 
@@ -733,8 +733,7 @@ def test_solve_sums_exact_rows_only_while_setting_up(monkeypatch):
     monkeypatch.setattr(model_module, "_row_interval", counted)
     alerts = load("alerts.model")
     problem = rop(alerts.model, dict(alerts.config.initial_exogenous))
-    compiled = alerts.model._compiled
-    rows = compiled.rows + (compiled.objective[0],)
+    rows = alerts.model._compiled.rows  # the constraint rows, then the rule row
     assert isinstance(solve_rop(problem), OptimalSolutions)
     assert calls == list(rows)
     assert all(row.exact for row in rows)
