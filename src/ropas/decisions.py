@@ -35,6 +35,7 @@ from .model import (
     _canonical_key,
     _check_coverage,
     _check_finite,
+    _shape_fault,
 )
 from .solver import Rop
 
@@ -280,6 +281,9 @@ def validate_decision_model(dm: DecisionModel) -> list[Violation]:
                     message = f"duplicate outcome {value!r}"
                 out.append(Violation(f"{alt.id}/{attr.id}", message))
 
+    fault = _shape_fault(dm.utility)
+    if fault is not None:  # every utility check below reads its fields
+        return out + [Violation("utility", fault)] + validate_transform(dm.transform)
     if tuple(dm.utility.inputs) != tuple(attr_ids):
         out.append(
             Violation("utility", "inputs must be exactly the attribute ids in order")

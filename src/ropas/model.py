@@ -36,7 +36,13 @@ A weighted sum computing the decision rule is a row as well.  Every
 evaluation, feasibility check and search of that model reuses the index.
 
 ``search_specifications``, the one propagating search behind enumeration,
-solving and the simulator's re-solves, descends in a loop over an explicit
+solving and the simulator's re-solves, varies every parameter that its
+caller does not pin and no depend computes.  Solving pins each parameter
+outside the decision set to its default, a re-solve to its value in the
+active specification (both through ``pinned_values``), and enumeration
+pins what its caller asks, by default nothing.  So solving's cap covers
+the decision set, and enumeration's, a re-solve's included, every
+parameter it does not pin.  The search descends in a loop over an explicit
 stack, keeps each row's interval over the current branch's completions on
 undo trails, one per kind of step, and prunes a branch once some row cannot
 hold.  It also cuts every branch whose rule row cannot reach the floor its
@@ -59,7 +65,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 from typing import (
-    Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union,
+    Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union,
 )
 
 from .domains import (
@@ -1078,18 +1084,19 @@ def _feasible(
 # Search
 
 
-def pinned_values(
-    model: Model, varied: Collection[str], current: Optional[Specification] = None
-) -> dict[str, Value]:
-    """Values of the parameters a search does not vary and no depend computes:
-    each keeps its value in ``current``, else takes its canonical default."""
+def pinned_values(model: Model, current: Optional[Specification] = None) -> dict[str, Value]:
+    """Pins for a search over the decision set: each other parameter that no
+    depend computes keeps its value in ``current``, else its canonical default."""
     pinned = {}
     for p in model.parameters:
-        if p.id in varied or p.id in model.producers:
+        if p.id in model.decision_set or p.id in model.producers:
             continue
         if current is None and p.default is None:
             raise EvaluationError(f"parameter '{p.id}' outside the decision set has no default")
-        pinned[p.id] = p.domain.canonical(p.default) if current is None else current[p.id]
+        try:
+            pinned[p.id] = p.domain.canonical(p.default) if current is None else current[p.id]
+        except KeyError:
+            raise EvaluationError(f"specification misses parameter '{p.id}'") from None
     return pinned
 
 
@@ -1099,22 +1106,23 @@ _EXHAUSTED = object()
 
 def search_specifications(
     model: Model,
-    free: Iterable[str],
+    pinned: Mapping[str, Value],
     exogenous: Optional[Mapping[str, Value]],
     visit: Callable[[Specification, Mapping[str, Value]], Optional[Value]],
 ) -> None:
-    """Depth-first search over the free parameters with constraint propagation.
+    """Depth-first search with constraint propagation over the parameters
+    neither pinned nor computed.
 
-    Free parameters are assigned in id order, each over its domain in
-    declaration order; every other parameter is computed by its functional
-    depend or pinned to its default.  Functional outputs are computed as soon
-    as their inputs are known, and a branch is pruned once some pure
-    constraint can no longer hold.  ``visit`` gets every feasible leaf's full
-    specification and value environment (valid only during the call) and
-    returns the floor, a rule value that later leaves must reach, or None.
-    An invalid model raises ``Model._compiled``'s definition error before
-    anything else, and a depend input with no way to get a value raises an
-    evaluation error before the search starts.
+    ``pinned`` maps parameters that no depend computes to canonical values of
+    their domains, unchecked; every other such parameter is varied, in id
+    order, each over its domain in declaration order.  Functional outputs are
+    computed as soon as their inputs are known, and a branch is pruned once
+    some pure constraint can no longer hold.  ``visit`` gets every feasible
+    leaf's full specification and value environment (valid only during the
+    call) and returns the floor, a rule value that later leaves must reach, or
+    None.  An invalid model raises ``Model._compiled``'s definition error
+    before anything else, and a depend input with no way to get a value raises
+    an evaluation error before the search starts.
 
     Each constraint is a linear row whose interval over the completions of
     the current branch is kept up to date as its inputs get values, tested
@@ -1138,12 +1146,12 @@ def search_specifications(
     branch the search reaches, so a cut branch raises none.
     """
     compiled = model._compiled
-    free_ids = sorted(free)
     producers = model.producers
     # A computed value wins over an exogenous one, as in ``evaluate``.
     given = _exogenous_values(model, exogenous)
     env = {name: value for name, value in given.items() if name not in producers}
-    env.update(pinned_values(model, free_ids))
+    env.update(pinned)
+    free_ids = [p.id for p in model.sorted_parameters if p.id not in env and p.id not in producers]
 
     topo = model.topological_depends
     known = set(env) | set(free_ids) | set(producers)
@@ -1316,20 +1324,35 @@ def enumerate_specifications(
     model: Model,
     exogenous: Optional[Mapping[str, Value]] = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
+    pinned: Optional[Mapping[str, Value]] = None,
 ) -> list[Specification]:
-    """All feasible specifications, lexicographic by parameter id then domain order.
+    """All feasible specifications holding the pins, lexicographic by
+    parameter id then domain order.
 
-    Searches over every parameter that no functional depend produces; equals
-    the full cartesian product filtered by ``is_feasible``.  Raises a size
-    error when that full product exceeds ``cap``.
+    Equals the full cartesian product filtered by ``is_feasible`` and by
+    ``pinned`` (values compared as the domains hold them), but searches only
+    the parameters not pinned: a branch a pin excludes raises no evaluation
+    error, and a pin outside its domain leaves no specification.  A pin on
+    anything but a parameter that no depend computes raises an evaluation
+    error.  Raises a size error when the product of the parameters not pinned,
+    computed ones included, exceeds ``cap``.
     """
-    _check_space(model, cap)
-    free = [p.id for p in model.parameters if p.id not in model.producers]
+    pinned = pinned or {}
+    _check_space(model, cap, [p.id for p in model.parameters if p.id not in pinned])
+    model._compiled  # the validity gate, before a pin can decide the result
+    pins = {}
+    for pid, value in pinned.items():
+        if pid not in model._parameters_by_id or pid in model.producers:
+            raise EvaluationError(f"cannot pin '{pid}': not a parameter that no depend computes")
+        domain = model.parameter(pid).domain
+        if not domain.contains(value):
+            return []
+        pins[pid] = domain.canonical(value)
     result: list[Specification] = []
-    search_specifications(model, free, exogenous, lambda spec, env: result.append(spec))
+    search_specifications(model, pins, exogenous, lambda spec, env: result.append(spec))
     # Search order is canonical order unless a depend computes a parameter,
-    # which can sort before a free one.
-    if len(free) < len(model.parameters):
+    # which can sort before a varied one.
+    if any(p.id in model.producers for p in model.parameters):
         result.sort(key=lambda s: canonical_key(model, s))
     return result
 

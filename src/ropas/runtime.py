@@ -371,9 +371,12 @@ def adaptation_candidates(
 ) -> tuple[Specification, ...]:
     """Feasible switch targets, in canonical order.
 
-    A re-solve varies only the decision set: a parameter outside it that no
-    depend computes keeps its value in ``current`` or, with no current
-    specification, takes its default, as in ``solve_rop``.  Candidates are
+    A re-solve searches only the decision set and the computed parameters, and
+    ``cap`` bounds that product: ``enumerate_specifications`` pins each other
+    parameter to its value in ``current`` or, with no current specification, to
+    its default (``pinned_values``), as in ``solve_rop``.  A ``current``
+    without a value for such a parameter raises an evaluation error, and one
+    whose value lies outside the domain leaves no candidate.  Candidates are
     the feasible specifications so pinned that every evolution constraint
     allows; among those, only specifications whose evaluated instance keeps
     every trigger inside its tolerable range are kept, unless no candidate
@@ -385,16 +388,14 @@ def adaptation_candidates(
     exogenous = problem.exogenous_map()
     constraints = [_canonical(model, c) for c in constraints]
     triggers = [_canonical(model, t) for t in triggers]
-    pinned = pinned_values(model, model.decision_set, current)
-    feasible = enumerate_specifications(model, exogenous, cap)
+    feasible = enumerate_specifications(model, exogenous, cap, pinned_values(model, current))
     # The search emits canonical specifications, so each is judged against the
     # canonical exogenous map and evaluated through the trusted entry.
     given = _exogenous_values(model, exogenous)
     allowed = [
         spec
         for spec in feasible
-        if all(spec[pid] == value for pid, value in pinned.items())
-        and all(constraint_allows(c, current, spec, given) for c in constraints)
+        if all(constraint_allows(c, current, spec, given) for c in constraints)
     ]
     calm = [
         spec
@@ -458,7 +459,9 @@ class SimulationConfig:
     ``change_scope`` declares extra trace variables that are outside the
     model; their events are always ignored.  ``horizon`` must be at least 1
     and defaults to one past the last event tick (or a single tick for an
-    empty trace).  ``cap`` bounds each re-solve's search space and the horizon.
+    empty trace).  ``cap`` bounds the horizon and each re-solve's search
+    space, the product of the decision set and the computed parameters: with
+    no computed parameter, the space that ``solve_rop``'s cap bounds.
     """
 
     adaptation_duration: int = 0
@@ -650,7 +653,7 @@ def _replay(
     # adaptation periods forever.
     last_handled: Optional[tuple[tuple[tuple[str, Value], ...], Specification]] = None
     # The believed environment's key, made again whenever an event changes it,
-    # and the (env, current) pair whose status was checked last.
+    # and the one in which the active specification's status was checked last.
     env = tuple(sorted(believed.items()))
     checked: Optional[tuple] = None
 
@@ -715,10 +718,12 @@ def _replay(
             out.fired[tick] += pending_fired
 
         if switch_tick is None:
-            # A status is a pure function of (env, current): check it again
-            # only on a tick where one of them changed.
-            if checked != (env, current):
-                checked = (env, current)
+            # A status is a pure function of (env, current), and ``current``
+            # changes only in ``switch``, which marks that (environment,
+            # specification) pair handled, so a stale status starts no firing:
+            # check it again only on a tick where the environment changed.
+            if checked != env:
+                checked = env
                 _, fired, feasible_now = status(current)
             if (fired or not feasible_now) and last_handled != (env, current):
                 out.trigger_count += len(fired)
@@ -769,7 +774,8 @@ def run_simulation(
 
     An invalid model, a config that ``config_violations`` rejects or a missing
     initial value raises DefinitionError on every run; a horizon above
-    ``config.cap`` raises SizeLimitError before any tick runs.
+    ``config.cap`` raises SizeLimitError before any tick runs, and a re-solve
+    space above it (``adaptation_candidates``) when that re-solve runs.
     """
     memos = model._simulation_memo
     held = len(memos)

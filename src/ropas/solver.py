@@ -36,6 +36,7 @@ from .model import (
     evaluate,
     is_feasible,
     or_,
+    pinned_values,
     search_specifications,
     var,
 )
@@ -137,10 +138,11 @@ SolveResult = Union[OptimalSolutions, Infeasible]
 def solve_rop(problem: Rop, cap: int = DEFAULT_ENUMERATION_CAP) -> SolveResult:
     """Maximise the decision-rule criterion over the decision set.
 
-    Runs ``search_specifications`` over the decision set (parameters outside
-    it take their computed value or their default) and keeps the leaves with
-    the highest decision-rule value.  All tied optima are returned, sorted
-    canonically.
+    Runs ``search_specifications`` with the pins ``pinned_values`` gives, so
+    it varies the decision set (parameters outside it take their computed
+    value or their default), and keeps the leaves with the highest
+    decision-rule value; ``cap`` bounds the decision set's space.  All tied
+    optima are returned, sorted canonically.
 
     The best value so far is the search's floor: when a weighted sum
     computes the decision rule, every branch whose sum cannot reach it is
@@ -170,7 +172,7 @@ def solve_rop(problem: Rop, cap: int = DEFAULT_ENUMERATION_CAP) -> SolveResult:
             best.append(spec)
         return best_value
 
-    search_specifications(model, decision_ids, problem.exogenous_map(), keep_best)
+    search_specifications(model, pinned_values(model), problem.exogenous_map(), keep_best)
     if not best:
         return Infeasible()
     best.sort(key=lambda s: canonical_key(model, s))

@@ -32,12 +32,13 @@ and shipped fixtures, so both sides see the same ones:
   (integer rows whose scale lies on either side of 2**50), and ``solve_rop``
   on ``at_most_one_rop`` (booleans in at-most-one rows under a utility of
   both signs), for each of ``INTEGRAL_SEEDS`` seeds;
-- ``run_simulation`` on ``random_runtime_scenario`` and
-  ``random_runtime_pair`` for each of ``SEEDS`` seeds, then once more on the
-  same model object (the case name ends in ``again``), which reads what the
-  first run left in the model's memo, then on that object with an equal
-  copy of the configuration (``equal config``) and with one whose horizon is
-  one longer (``other horizon config``): the timeline and the metrics;
+- ``run_simulation`` on ``random_runtime_scenario``, ``random_runtime_pair``
+  and ``random_runtime_pinned`` for each of ``SEEDS`` seeds, then once more
+  on the same model object (the case name ends in ``again``), which reads
+  what the first run left in the model's memo, then on that object with an
+  equal copy of the configuration (``equal config``) and with one whose
+  horizon is one longer (``other horizon config``): the timeline and the
+  metrics;
 - ``rank_alternatives`` and ``daop_to_rop`` + ``solve_rop`` on
   ``random_decision_model`` for each of ``SEEDS`` seeds;
 - every CLI subcommand on ``fixtures/*.model`` (``simulate`` with each
@@ -246,11 +247,16 @@ def _integral_cases():
 
 
 def _runtime_cases():
-    from genmodels import random_runtime_pair, random_runtime_scenario
+    from genmodels import random_runtime_pair, random_runtime_pinned, random_runtime_scenario
     from ropas.runtime import run_simulation
 
+    makers = (
+        ("scenario", random_runtime_scenario),
+        ("pair", random_runtime_pair),
+        ("pinned", random_runtime_pinned),
+    )
     for seed in range(SEEDS):
-        for label, make in (("scenario", random_runtime_scenario), ("pair", random_runtime_pair)):
+        for label, make in makers:
             name = f"runtime {label} seed={seed}"
             try:
                 inputs = make(random.Random(seed))

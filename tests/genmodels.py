@@ -726,6 +726,39 @@ def random_runtime_scenario(
     return model, EventTrace(tuple(early) + later), config
 
 
+def random_runtime_pinned(
+    rng: random.Random,
+) -> tuple[Model, EventTrace, SimulationConfig]:
+    """A ``random_runtime_scenario`` with a parameter outside the decision set.
+
+    It draws only after ``random_runtime_scenario`` does, so the scenario's
+    random stream is unchanged.  The parameter ``k`` (0 up to 1-3, with a
+    default) sorts before every decision parameter, and both the utility and
+    the breakable constraint read it.  An initial specification gives ``k``
+    a value of its own, so each re-solve keeps either that value or the
+    default, and a monitored value can break the constraint for that ``k``
+    whatever the decision set does.
+    """
+    model, trace, config = random_runtime_scenario(rng)
+    k = Parameter("k", IntegerRange(0, rng.randint(1, 3)), rng.randint(0, 1))
+    extra = {
+        "def_goal": ("weights", float(rng.randint(-3, 3))),
+        "breakable": ("coefficients", float(rng.choice((-1, 1)))),
+    }
+    depends = []
+    for dep in model.depends:
+        if dep.id in extra:
+            field, term = extra[dep.id]
+            dep = replace(dep, inputs=dep.inputs + ("k",), **{field: getattr(dep, field) + (term,)})
+        depends.append(dep)
+    model = replace(model, parameters=model.parameters + (k,), depends=tuple(depends))
+    assert not validate_model(model)
+    if config.initial_spec is not None:
+        start = dict(config.initial_spec.items, k=rng.randint(0, k.domain.hi))
+        config = replace(config, initial_spec=Specification.from_mapping(start))
+    return model, trace, config
+
+
 # ---------------------------------------------------------------------------
 # Grid-keyed lookup tables
 

@@ -4,6 +4,8 @@ graph's atoms behind the renaming metamorphic test, and a simulator written
 from the ``runtime`` docstrings that ``run_simulation`` is checked against."""
 
 from dataclasses import replace
+from itertools import product
+from math import prod
 from typing import FrozenSet, Mapping, NamedTuple, Optional
 
 from ropas.domains import Value
@@ -17,7 +19,6 @@ from ropas.runtime import (
     SimulationConfig, ValueSetRange, apply_monitoring_scope, check_triggers, config_violations,
     constraint_allows, relax,
 )
-from ropas.solver import brute_force_enumeration
 
 
 def eval_expr(expr: BoolExpr, env: Mapping[str, Value]) -> int:
@@ -77,8 +78,9 @@ def reference_simulation(
     ``run_simulation`` docstrings, in the plainest way: every call sets the
     configuration up again, every tick checks the active specification's
     triggers and feasibility through ``evaluate`` and ``is_feasible``, every
-    re-solve filters ``brute_force_enumeration``, and the observed and the
-    omniscient pass are always both run.  Nothing is kept between calls."""
+    re-solve filters with ``is_feasible`` the cartesian product of the
+    parameters it does not pin, and the observed and the omniscient pass are
+    always both run.  Nothing is kept between calls."""
     if validate_model(model):
         raise DefinitionError("invalid model")
     if model.decision_rule is None or not model.decision_set:
@@ -142,9 +144,18 @@ def reference_simulation(
             for p in model.parameters
             if p.id not in model.decision_set and p.id not in model.producers
         }
+        # The cap covers what a re-solve varies: every parameter not kept.
+        varied = [p for p in model.sorted_parameters if p.id not in kept]
+        space = prod(p.domain.size for p in varied)
+        if space > config.cap:
+            raise SizeLimitError(f"search space {space} exceeds cap {config.cap}")
+        specs = (
+            Specification.from_mapping({**kept, **{p.id: v for p, v in zip(varied, combo)}})
+            for combo in product(*(p.domain.values() for p in varied))
+        )
         allowed = [
-            spec for spec in brute_force_enumeration(model, believed, config.cap)
-            if all(spec[pid] == value for pid, value in kept.items())
+            spec for spec in specs
+            if is_feasible(model, spec, believed)
             and all(constraint_allows(c, current, spec, believed) for c in constraints)
         ]
         instances = [evaluate(model, spec, believed) for spec in allowed]

@@ -348,6 +348,43 @@ def test_solve_respects_the_cap(capsys):
     assert "exceeds cap" in err
 
 
+WIDE_MODEL = """ropas-model v1
+
+[variables]
+criterion u int:0:10 kind=utility pref=higher-better
+parameter p int:0:10 default=0
+parameter q int:0:199999 default=0
+
+[depends]
+weighted-sum def_u -> u : 1.0*p
+
+[decision]
+rule u
+set p
+
+[simulation]
+horizon 2
+"""
+
+
+@pytest.mark.parametrize("cap", (10, 11, 1000))
+def test_solve_and_simulate_read_the_cap_alike(capsys, tmp_path, cap):
+    """With no computed parameter, ``--cap`` bounds the decision set's space
+    in both, not the 2.2 M specifications of the full product."""
+    model, trace = tmp_path / "wide.model", tmp_path / "empty.trace"
+    model.write_text(WIDE_MODEL, encoding="utf-8")
+    trace.write_text("ropas-trace v1\n", encoding="utf-8")
+    solved = run_cli(capsys, "solve", "--cap", str(cap), str(model))
+    simulated = run_cli(capsys, "simulate", "--cap", str(cap), str(model), str(trace))
+    if cap < 11:
+        assert solved[:2] == simulated[:2] == (FAILURE, "")
+        assert solved[2] == simulated[2] == f"search space 11 exceeds cap {cap}\n"
+    else:
+        assert solved[0] == simulated[0] == OK
+        assert "optimum p=10,q=0" in solved[1]
+        assert "spec=p=10,q=0" in simulated[1]
+
+
 # --- encode-rdrp ---
 
 

@@ -141,6 +141,15 @@ def test_utility_weights_must_match_the_inputs():
     ]
 
 
+@pytest.mark.parametrize("field", ("inputs", "weights"))
+def test_a_malformed_utility_is_a_finding(field):
+    dm = load("respond.model").decision
+    broken = replace(dm, utility=replace(dm.utility, **{field: None}))
+    assert [(v.subject, v.message) for v in validate_decision_model(broken)] == [
+        ("utility", f"{field} is not a sequence")
+    ]
+
+
 def test_weighted_utility_needs_numeric_attributes():
     attributes = (Criterion("color", Enumerated(("red", "blue"))),)
     alternatives = (

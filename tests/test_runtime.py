@@ -6,11 +6,13 @@ from dataclasses import replace
 
 import pytest
 
+from ropas import model as model_module
 from ropas import runtime
 from ropas.domains import Boolean, Enumerated, IntegerRange, RealGrid
 from ropas.errors import DefinitionError, EvaluationError, SizeLimitError
 from ropas.formats import ModelBundle, ParseFailure, parse_model, serialize_model
 from ropas.model import (
+    DEFAULT_ENUMERATION_CAP,
     Criterion,
     LinearConstraint,
     LookupTable,
@@ -42,9 +44,15 @@ from ropas.runtime import (
     run_simulation,
     select_adaptation,
 )
-from ropas.solver import rop, solve_rop
+from ropas.solver import OptimalSolutions, rop, solve_rop
 
-from genmodels import random_runtime_pair, random_runtime_scenario
+from genmodels import (
+    random_rop,
+    random_runtime_pair,
+    random_runtime_pinned,
+    random_runtime_scenario,
+    with_derived_parameter,
+)
 from reference import ReferenceRun, reference_simulation
 from shipped import FIXTURES, alert_spec, load
 
@@ -870,6 +878,100 @@ def test_resolve_without_a_default_fails_like_solve_rop():
     assert "'q' outside the decision set has no default" in str(solved.value)
 
 
+def wide_model(q_size):
+    """``u = p`` over the decision set ``p`` (0 to 10), beside a
+    non-decision ``q`` of ``q_size`` values that defaults to 0."""
+    return Model(
+        criteria=(Criterion("u", IntegerRange(0, 10), "utility", "higher-better"),),
+        parameters=(
+            Parameter("p", IntegerRange(0, 10), 0),
+            Parameter("q", IntegerRange(0, q_size - 1), 0),
+        ),
+        depends=(WeightedSum("def_u", "u", ("p",), (1.0,)),),
+        decision_rule="u",
+        decision_set=("p",),
+    )
+
+
+def test_a_re_solve_visits_only_the_decision_set_leaves(monkeypatch):
+    leaves = []
+    search = model_module.search_specifications
+
+    def counted(model, pinned, exogenous, visit):
+        def leaf(spec, env):
+            leaves.append(spec)
+            assert len(leaves) <= 11, "a re-solve varied a parameter outside the decision set"
+            return visit(spec, env)
+        return search(model, pinned, exogenous, leaf)
+
+    monkeypatch.setattr(model_module, "search_specifications", counted)
+    timeline, _ = run_simulation(wide_model(10**6), EventTrace(()), SimulationConfig(horizon=2))
+    assert [p.spec.as_dict() for p in timeline.periods] == [{"p": 10, "q": 0}]
+    assert len(leaves) == 11
+
+
+def test_a_model_wider_than_the_cap_simulates_when_its_decision_set_fits():
+    model, trace = wide_model(DEFAULT_ENUMERATION_CAP), EventTrace(())
+    config = SimulationConfig(horizon=2)
+    timeline, metrics = run_simulation(model, trace, config)
+    assert [p.spec.as_dict() for p in timeline.periods] == [{"p": 10, "q": 0}]
+    assert metrics.optimal_time_fraction == 1.0
+    expected = reference_outcome(reference_simulation, model, trace, config)
+    assert reference_outcome(run_simulation, model, trace, config) == expected
+
+
+def test_the_public_re_solve_finds_no_target_from_a_pin_outside_its_domain():
+    problem = rop(wide_model(4))
+    current = Specification.from_mapping({"p": 0, "q": 7})
+    assert adaptation_candidates(problem, current) == ()
+    assert select_adaptation(current, problem) == NoFeasibleAdaptation()
+
+
+def test_the_public_re_solve_names_a_parameter_missing_from_the_current_spec():
+    problem = rop(wide_model(4))
+    current = Specification.from_mapping({"p": 0})
+    message = "^specification misses parameter 'q'$"
+    with pytest.raises(EvaluationError, match=message):
+        adaptation_candidates(problem, current)
+    with pytest.raises(EvaluationError, match=message):
+        select_adaptation(current, problem)
+
+
+def test_the_tick_zero_accepted_set_is_the_set_of_optima(monkeypatch):
+    """No initial specification, trigger or evolution constraint: the first
+    re-solve accepts exactly ``solve_rop``'s optima, pins included."""
+    accepted = []
+    step = runtime._adaptation_step
+
+    def recorded(problem, current, *args):
+        found = step(problem, current, *args)
+        if current is None:
+            accepted.append(found[0])
+        return found
+
+    monkeypatch.setattr(runtime, "_adaptation_step", recorded)
+    pinned = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        problem = random_rop(rng)
+        if seed % 2:
+            problem = with_derived_parameter(rng, problem)
+        model = problem.model
+        pinned += any(
+            p.id not in model.decision_set and p.id not in model.producers
+            for p in model.parameters
+        )
+        config = SimulationConfig(initial_exogenous=problem.exogenous)
+        accepted.clear()
+        solved = outcome(model, EventTrace(()), config)
+        result = solve_rop(problem)
+        optima = result.optima if isinstance(result, OptimalSolutions) else ()
+        assert accepted == [optima], seed
+        if optima:
+            assert solved[0].periods[0].spec == optima[0], seed
+    assert pinned >= 50, pinned
+
+
 # ---------------------------------------------------------------------------
 # Period attribution
 
@@ -1357,7 +1459,11 @@ def reference_runs(kind):
     """(label, model, trace, configuration) of 200 seeds of a generator, or
     of each shipped model with triggers and each shipped trace."""
     if kind != "shipped":
-        make = {"scenario": random_runtime_scenario, "pair": random_runtime_pair}[kind]
+        make = {
+            "scenario": random_runtime_scenario,
+            "pair": random_runtime_pair,
+            "pinned": random_runtime_pinned,
+        }[kind]
         return [(seed, *make(random.Random(seed))) for seed in range(200)]
     runs = []
     for model_path in sorted(FIXTURES.glob("*.model")):
@@ -1369,7 +1475,7 @@ def reference_runs(kind):
     return runs
 
 
-@pytest.mark.parametrize("kind", ("scenario", "pair", "shipped"))
+@pytest.mark.parametrize("kind", ("scenario", "pair", "pinned", "shipped"))
 def test_run_simulation_agrees_with_the_reference_simulator(kind):
     runs = reference_runs(kind)
     ran = 0

@@ -324,6 +324,48 @@ def test_enumeration_agrees_with_brute_force_on_random_problems():
     assert defaulted > 0
 
 
+def test_a_pinned_enumeration_is_the_brute_force_one_filtered_by_its_pins():
+    rng = random.Random(315)
+    compared = 0
+    for i in range(150):
+        problem = random_rop(rng, max_space=256)
+        if i % 2:
+            problem = with_derived_parameter(rng, problem)
+        model, exogenous = problem.model, problem.exogenous_map()
+        free = [p for p in model.sorted_parameters if p.id not in model.producers]
+        pins = {p.id: rng.choice(p.domain.values()) for p in free if rng.random() < 0.5}
+        slow = _enumeration_outcome(brute_force_enumeration, model, exogenous)
+        # A pin may exclude the branch where brute force fails to evaluate.
+        if isinstance(slow, list):
+            kept = [s for s in slow if all(s[pid] == v for pid, v in pins.items())]
+            assert enumerate_specifications(model, exogenous, pinned=pins) == kept, i
+            compared += bool(pins)
+    assert compared > 50, compared
+
+
+def test_enumeration_pins_compare_canonical_and_name_free_parameters():
+    m = Model(
+        criteria=(Criterion("u", IntegerRange(0, 9), "utility", "higher-better"),),
+        parameters=(
+            Parameter("a", Boolean()),
+            Parameter("b", Boolean()),
+            Parameter("c", IntegerRange(0, 1)),
+        ),
+        depends=(
+            BooleanFormula("a_def", "a", not_(var("b"))),
+            WeightedSum("u_sum", "u", ("a", "b", "c"), (1.0, 2.0, 3.0)),
+        ),
+        decision_rule="u",
+        decision_set=("b", "c"),
+    )
+    ones = [s for s in brute_force_enumeration(m) if s["c"] == 1]
+    assert enumerate_specifications(m, pinned={"c": 1.0}) == ones
+    assert enumerate_specifications(m, pinned={"c": 2}) == []
+    for pid in ("a", "zz"):
+        with pytest.raises(EvaluationError, match=f"^cannot pin '{pid}': "):
+            enumerate_specifications(m, pinned={pid: 0})
+
+
 def test_enumeration_sorts_a_derived_parameter_before_a_free_one():
     m = Model(
         criteria=(
